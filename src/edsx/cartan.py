@@ -14,7 +14,7 @@ from .scalar import Scalar
 from .exterior import Form, Subspace, _sort_sign
 from .linalg import Matrix, rank, span_rank
 from .catalog import StructureSpec
-from .dga import Closure, z_spaces, _extension_system
+from .dga import analysis, _extension_system
 from .stability import e_stable
 
 __all__ = [
@@ -104,8 +104,7 @@ def _structure_rows(s: StructureSpec, prefix, debug_products=False):
     if debug_products:
         base = span_rank(rows)
         extra = list(rows)
-        closure = Closure(s.n, s.generators)
-        for _, form, _ in closure.words:
+        for _, form, _ in analysis(s).closure.words:
             extra.extend(polar_rows(form, prefix))
         if span_rank(extra) != base:
             raise CartanError(
@@ -139,7 +138,9 @@ def flag_test(s: StructureSpec, flag=None, debug_products=False) -> PolarReport:
     for k in range(n + 1):
         c_values.append(span_rank(
             _structure_rows(s, flag[:k], debug_products)))
-    codim = n ** 3 - z_spaces(s, "zero").z_dim
+    # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
+    # n*C(n,2) + n*C(n+1,2) = n^3
+    codim = analysis(s).extension().rank
     return PolarReport(flag, c_values, codim)
 
 

@@ -112,9 +112,14 @@ class DiffOpSpec:
 
 
 class StructureSpec:
-    """A fully instantiated catalog structure; read-only after construction."""
+    """A fully instantiated catalog structure; read-only after construction.
 
-    __slots__ = ("name", "n", "lie", "generators", "default_flag", "operators")
+    The _analysis slot starts empty; edsx.dga.analysis fills it on the first
+    query with the invariants that every query of the structure shares.
+    """
+
+    __slots__ = ("name", "n", "lie", "generators", "default_flag", "operators",
+                 "_analysis")
 
     def __init__(self, name, n, lie, generators, default_flag, operators,
                  check_invariance=True):
@@ -124,6 +129,7 @@ class StructureSpec:
         self.generators = dict(generators)
         self.default_flag = tuple(default_flag)
         self.operators = dict(operators)
+        self._analysis = None
         self._validate(check_invariance)
 
     def _validate(self, check_invariance):

@@ -39,7 +39,7 @@ def _parse_params(text):
         k, v = item.split("=", 1)
         try:
             out[k.strip()] = Scalar.parse(v.strip())
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError("bad value for %r: %s" % (k.strip(), exc))
     return out
 
@@ -84,6 +84,9 @@ def _bool(b):
 def cmd_invariants(args):
     s = get_structure(args.structure)
     if args.degree is not None:
+        if not 0 <= args.degree <= s.n:
+            raise CatalogError("--degree %d outside 0..%d"
+                               % (args.degree, s.n))
         basis = invariants(s.lie, args.degree)
         payload = {"command": "invariants", "structure": s.name,
                    "degree": args.degree, "dim": len(basis),

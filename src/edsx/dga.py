@@ -7,17 +7,24 @@ is well defined on linear relations is a rank condition, checked degree by
 degree.  Extensions to derivations of the full exterior algebra are found by
 solving a linear system over Hom(T, Lambda^2 T), whose solution set is the
 affine space Z'; Z and Z'' dimensions follow by bookkeeping.
+
+Everything that depends only on the structure (the closure, one
+elimination of the extension matrix, the equivariant basis and the ranks
+that fix dim Z'') is computed once per StructureSpec, by its Analysis;
+an operator or a parameter value changes only a right-hand side.
 """
 
 from .scalar import Scalar
 from .exterior import Form, flatten, wedge, _sort_sign
-from .linalg import Matrix, solve_affine, span_rank, in_span, vec_is_zero
+from .linalg import Elimination, Matrix, span_rank, vec_is_zero
 from .rep import HomMap, equivariant_maps, invariants
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
     "DgaError",
     "Closure",
+    "Analysis",
+    "analysis",
     "derivation_value",
     "OpCheck",
     "ZReport",
@@ -72,23 +79,30 @@ class Closure:
                     queue.append((word + (j,), wedge(form, self.gen_forms[j]), nd))
         self._solvers = {}
 
+    def _solver(self, p):
+        """Elimination of the matrix whose columns are the degree-p words."""
+        solver = self._solvers.get(p)
+        if solver is None:
+            cols = [flatten(self.words[i][1], p) for i in self.by_degree[p]]
+            solver = Elimination(Matrix.from_rows(cols).transpose())
+            self._solvers[p] = solver
+        return solver
+
     def degree_dim(self, p):
         """Dimension of the degree-p part of the algebra."""
-        idxs = self.by_degree.get(p, ())
-        rows = [flatten(self.words[i][1], p) for i in idxs]
-        return span_rank(rows)
+        if p not in self.by_degree:
+            return 0
+        return self._solver(p).rank
 
     def express(self, a: Form, p):
         """Coefficients over degree-p words with sum equal to a, or None."""
         idxs = self.by_degree.get(p, ())
         if not idxs:
             return None if not a.is_zero() else []
-        cols = [flatten(self.words[i][1], p) for i in idxs]
-        m = Matrix.from_rows(cols).transpose()
-        sol = solve_affine(m, flatten(a, p))
-        if sol.is_empty:
+        part = self._solver(p).particular(flatten(a, p))
+        if part is None:
             return None
-        return list(zip(idxs, sol.particular))
+        return list(zip(idxs, part))
 
     def induced_value(self, word_idx, fvals):
         """Leibniz expansion of the operator on the given word."""
@@ -205,28 +219,103 @@ def _hom_units(n):
     return [(i, jk) for i in range(1, n + 1) for jk in pairs]
 
 
+def _unit_images(n):
+    """Coframe images of each Hom(T, Lambda^2 T) unit, in flat order."""
+    out = []
+    for i, (j, k) in _hom_units(n):
+        images = [None] * n
+        images[i - 1] = Form.monomial(n, (j, k), Scalar.of(1))
+        out.append(images)
+    return out
+
+
+def _derivation_matrix(forms, image_lists):
+    """Columns d_D(g) stacked over the forms, one per list of images."""
+    columns = []
+    for images in image_lists:
+        col = []
+        for g in forms:
+            col.extend(flatten(derivation_value(images, g), g.degree + 1))
+        columns.append(col)
+    return Matrix.from_rows(columns).transpose()
+
+
+def _extension_rhs(pairs):
+    rhs = []
+    for g, target in pairs:
+        rhs.extend(flatten(target, g.degree + 1))
+    return rhs
+
+
 def _extension_system(n, pairs):
     """Rows of the linear system d_D(g) = f(g) over Hom units.
 
     pairs is a list of (generator form, target form); returns (matrix, rhs).
     """
-    units = _hom_units(n)
-    columns = []
-    for i, (j, k) in units:
-        images = [None] * n
-        images[i - 1] = Form.monomial(n, (j, k), Scalar.of(1))
-        col = []
-        for g, _ in pairs:
-            col.extend(flatten(derivation_value(images, g), g.degree + 1))
-        columns.append(col)
-    rhs = []
-    for g, target in pairs:
-        rhs.extend(flatten(target, g.degree + 1))
-    return Matrix.from_rows(columns).transpose(), rhs
+    m = _derivation_matrix([g for g, _ in pairs], _unit_images(n))
+    return m, _extension_rhs(pairs)
 
 
-def _closure_for(s: StructureSpec):
-    return Closure(s.n, s.generators)
+class Analysis:
+    """The invariants of one structure that no operator or parameter moves.
+
+    Each part is computed on first use: the closure, whose per-degree
+    eliminations give the algebra's dimensions and express its elements;
+    one elimination of the extension matrix, which depends only on the
+    generators, so that dim Z, codim Z_0 and a basis of Z' directions are
+    fixed and each operator only reduces its right-hand side; the
+    equivariant basis and the elimination of its extension columns; and
+    the ranks of g (x) T with and without ker m, which fix dim Z''.
+    Only sparse kernel-form data, forms and integers are kept.
+    """
+
+    __slots__ = ("s", "closure", "_extension", "_equivariant", "_lie_ranks")
+
+    def __init__(self, s: StructureSpec):
+        self.s = s
+        self.closure = Closure(s.n, s.generators)
+        self._extension = None
+        self._equivariant = None
+        self._lie_ranks = None
+
+    def extension(self) -> Elimination:
+        """Elimination of the extension matrix of the generators."""
+        if self._extension is None:
+            self._extension = Elimination(_derivation_matrix(
+                list(self.s.generators.values()), _unit_images(self.s.n)))
+        return self._extension
+
+    def equivariant(self):
+        """(equivariant basis, Elimination of its extension columns or None)."""
+        if self._equivariant is None:
+            basis = equivariant_maps(self.s.lie)
+            elim = None
+            if basis:
+                elim = Elimination(_derivation_matrix(
+                    list(self.s.generators.values()),
+                    [h.images for h in basis]))
+            self._equivariant = (basis, elim)
+        return self._equivariant
+
+    def lie_ranks(self):
+        """(rank of g (x) T, rank of g (x) T together with ker m)."""
+        if self._lie_ranks is None:
+            g_rows = lie_tensor_rows(self.s.lie, self.s.n)
+            kernel = self.extension().kernel_basis()
+            self._lie_ranks = (span_rank(g_rows), span_rank(g_rows + kernel))
+        return self._lie_ranks
+
+
+def analysis(s: StructureSpec) -> Analysis:
+    """The structure's Analysis: built on its first query, then kept on s."""
+    if s._analysis is None:
+        s._analysis = Analysis(s)
+    return s._analysis
+
+
+def _generator_pairs(s, fvals):
+    return [(form, fvals.get(gname, Form.zero(s.n)))
+            for gname, form in s.generators.items()]
 
 
 def _instantiated(s, op, params):
@@ -246,21 +335,19 @@ def _check_expressible(closure, fvals):
 def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     """Leibniz well-definedness, squaring to zero, and extension solving."""
     spec, fvals = _instantiated(s, op, params)
-    closure = _closure_for(s)
+    a = analysis(s)
+    closure = a.closure
     _check_expressible(closure, fvals)
     n = s.n
 
     leibniz_ok = True
     for p, idxs in sorted(closure.by_degree.items()):
-        left = []
-        aug = []
-        for i in idxs:
-            lrow = flatten(closure.words[i][1], p)
-            vrow = ([] if p + 1 > n
-                    else flatten(closure.induced_value(i, fvals), p + 1))
-            left.append(lrow)
-            aug.append(lrow + vrow)
-        if span_rank(left) != span_rank(aug):
+        if p == n:
+            continue
+        aug = [flatten(closure.words[i][1], p)
+               + flatten(closure.induced_value(i, fvals), p + 1)
+               for i in idxs]
+        if span_rank(aug) != closure.degree_dim(p):
             leibniz_ok = False
             break
 
@@ -278,28 +365,19 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
             square_zero_ok = False
             break
 
-    gens = [(form, fvals.get(gname, Form.zero(n)))
-            for gname, form in s.generators.items()]
-    m, rhs = _extension_system(n, gens)
-    sol = solve_affine(m, rhs)
-    extends_ok = not sol.is_empty
-    witness = HomMap.unflatten(n, sol.particular) if extends_ok else None
+    rhs = _extension_rhs(_generator_pairs(s, fvals))
+    part = a.extension().particular(rhs)
+    extends_ok = part is not None
+    witness = HomMap.unflatten(n, part) if extends_ok else None
 
     equi = None
     if extends_ok:
-        basis = equivariant_maps(s.lie)
+        basis, elim = a.equivariant()
         if basis:
-            cols = []
-            for h in basis:
-                col = []
-                for g, _ in gens:
-                    col.extend(flatten(derivation_value(h.images, g),
-                                       g.degree + 1))
-                cols.append(col)
-            esol = solve_affine(Matrix.from_rows(cols).transpose(), rhs)
-            if not esol.is_empty:
+            coeffs = elim.particular(rhs)
+            if coeffs is not None:
                 images = [Form.zero(n) for _ in range(n)]
-                for h, c in zip(basis, esol.particular):
+                for h, c in zip(basis, coeffs):
                     if c.is_zero():
                         continue
                     for i in range(n):
@@ -337,16 +415,13 @@ def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
     """Z', Z and Z'' dimensions for an operator on the structure."""
     spec, fvals = _instantiated(s, op, params)
     n = s.n
-    gens = [(form, fvals.get(gname, Form.zero(n)))
-            for gname, form in s.generators.items()]
-    m, rhs = _extension_system(n, gens)
-    sol = solve_affine(m, rhs)
+    a = analysis(s)
+    sol = a.extension().solve(_extension_rhs(_generator_pairs(s, fvals)))
     if sol.is_empty:
         return ZReport(n, sol, None, None, None)
     z_dim = len(sol.basis) + n * (n * (n + 1) // 2)
-    g_rows = lie_tensor_rows(s.lie, n)
-    g_rank = span_rank(g_rows)
-    z2 = span_rank(g_rows + sol.basis) - g_rank
+    g_rank, with_kernel = a.lie_ranks()
+    z2 = with_kernel - g_rank
     xi = HomMap.unflatten(n, sol.particular) if z2 == 0 else None
     return ZReport(n, sol, z_dim, z2, xi)
 
@@ -357,7 +432,8 @@ def strong_admissibility(s: StructureSpec):
     Requires the generators to span the full invariant algebra; returns
     (verdict, report) where the report carries every compared dimension.
     """
-    closure = _closure_for(s)
+    a = analysis(s)
+    closure = a.closure
     n = s.n
     for p in range(1, n + 1):
         have = closure.degree_dim(p)
@@ -371,10 +447,10 @@ def strong_admissibility(s: StructureSpec):
     strong = (z0.z_doubleprime_dim == 0)
     codim = n ** 3 - z0.z_dim
     expected = n * (n * (n - 1) // 2 - s.lie.dim)
-    g_rows = lie_tensor_rows(s.lie, n)
-    g_rank = span_rank(g_rows)
-    direction = z0.z_prime.basis
-    g_inside = all(in_span(direction, row) for row in g_rows)
+    g_rank, with_kernel = a.lie_ranks()
+    # the Z' directions are independent: g (x) T lies in their span exactly
+    # when adding it leaves the rank unchanged
+    g_inside = (with_kernel == len(z0.z_prime.basis))
     report["z_doubleprime_dim"] = z0.z_doubleprime_dim
     report["codim_z0"] = codim
     report["dim_t_gperp"] = expected

@@ -415,7 +415,10 @@ def _lex_form(text):
             i = j
             continue
         if ch == "e" and i + 1 < len(text) and text[i + 1] == "[":
-            j = text.index("]", i)
+            j = text.find("]", i)
+            if j < 0:
+                raise ValueError("unclosed '[' at position %d in form literal"
+                                 % (i + 1))
             inner = text[i + 2:j]
             idx = tuple(int(s) for s in inner.split(",")) if inner else ()
             toks.append(("mono", idx))

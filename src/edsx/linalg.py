@@ -13,7 +13,7 @@ from __future__ import annotations
 from ._kernel import rref as _rref_rows
 from ._kernel import s_add, s_mul, s_neg, s_sub
 from ._rat import R1
-from .scalar import Scalar, as_scalar
+from .scalar import ZERO, Scalar, as_scalar
 
 
 def _unwrap(v):
@@ -132,18 +132,29 @@ def rank(m: Matrix) -> int:
     return len(_rref_rows(rows, m.ncols))
 
 
-def _kernel_from_rref(rows, pivots, ncols):
+def _sparse_kernel(rows, pivots, ncols):
+    """Kernel vectors of an RREF as {column: coefficient} dicts."""
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     out = []
-    for f in free:
-        v = [{} for _ in range(ncols)]
-        v[f] = {0: R1}
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = {f: {0: R1}}
         for t, p in enumerate(pivots):
             c = rows[t][f]
             if c:
                 v[p] = s_neg(c)
         out.append(v)
+    return out
+
+
+def _kernel_from_rref(rows, pivots, ncols):
+    out = []
+    for v in _sparse_kernel(rows, pivots, ncols):
+        dense = [{} for _ in range(ncols)]
+        for j, c in v.items():
+            dense[j] = c
+        out.append(dense)
     return out
 
 
@@ -173,6 +184,109 @@ def solve_affine(m: Matrix, rhs) -> AffineSpace:
     amat = [r[:m.ncols] for r in rows]
     kern = _kernel_from_rref(amat, pivots, m.ncols)
     return AffineSpace(m.ncols, _wrap(part), [_wrap(v) for v in kern])
+
+
+def _dot(row, b):
+    """Sum of row[i] * b[i] over two {index: coefficient} dicts."""
+    if len(b) < len(row):
+        row, b = b, row
+    acc = {}
+    for i, c in row.items():
+        x = b.get(i)
+        if x:
+            acc = s_add(acc, s_mul(c, x))
+    return acc
+
+
+def _densify(v, ncols):
+    out = [ZERO] * ncols
+    for j, c in v.items():
+        out[j] = Scalar(dict(c))
+    return out
+
+
+class Elimination:
+    """Solves m x = b for every right-hand side b of one matrix m.
+
+    The canonical RREF of [m | I] is [R | E], with E invertible and
+    E m = R.  E b is then b reduced as solve_affine would reduce it: its
+    entries past the rank of m are the residual, which must be exactly
+    zero, and the others give the canonical particular solution, zero on
+    the free columns.  Each part is computed on first use and kept sparse:
+    the nonzero entries of m until E exists, the pivot columns, the right
+    kernel of m and the nonzero entries of E.  The rank, the kernel and
+    b = 0 need only m itself eliminated, so E is built on the first
+    nonzero b.
+    """
+
+    __slots__ = ("nrows", "ncols", "_entries", "_pivots", "_kernel",
+                 "_lift", "_residual")
+
+    def __init__(self, m: Matrix):
+        self.nrows = m.nrows
+        self.ncols = m.ncols
+        self._entries = [{j: c for j, c in enumerate(r) if c}
+                         for r in m._rows]
+        self._pivots = self._kernel = self._lift = self._residual = None
+
+    def _eliminate(self, with_e):
+        nrows, ncols = self.nrows, self.ncols
+        width = ncols + nrows if with_e else ncols
+        rows = []
+        for i, entries in enumerate(self._entries):
+            row = [{} for _ in range(width)]
+            for j, c in entries.items():
+                row[j] = dict(c)
+            if with_e:
+                row[ncols + i] = {0: R1}
+            rows.append(row)
+        pivots = _rref_rows(rows, width)
+        rank = sum(1 for p in pivots if p < ncols)
+        self._pivots = pivots[:rank]
+        self._kernel = _sparse_kernel(rows, self._pivots, ncols)
+        if with_e:
+            e = [{i: c for i, c in enumerate(r[ncols:]) if c} for r in rows]
+            self._lift = e[:rank]
+            self._residual = e[rank:]
+            self._entries = None
+
+    @property
+    def rank(self):
+        if self._pivots is None:
+            self._eliminate(False)
+        return len(self._pivots)
+
+    def particular(self, rhs):
+        """The particular solution of solve_affine(m, rhs), or None."""
+        if len(rhs) != self.nrows:
+            raise ValueError("rhs length %d != %d rows"
+                             % (len(rhs), self.nrows))
+        b = {}
+        for i, x in enumerate(rhs):
+            x = as_scalar(x).c
+            if x:
+                b[i] = x
+        if not b:
+            return [ZERO] * self.ncols
+        if self._lift is None:
+            self._eliminate(True)
+        if any(_dot(r, b) for r in self._residual):
+            return None
+        part = {p: _dot(r, b) for p, r in zip(self._pivots, self._lift)}
+        return _densify(part, self.ncols)
+
+    def kernel_basis(self):
+        """kernel_basis(m), as fresh lists."""
+        if self._kernel is None:
+            self._eliminate(False)
+        return [_densify(v, self.ncols) for v in self._kernel]
+
+    def solve(self, rhs) -> AffineSpace:
+        """Equal to solve_affine(m, rhs)."""
+        part = self.particular(rhs)
+        if part is None:
+            return AffineSpace(self.ncols, None, [])
+        return AffineSpace(self.ncols, part, self.kernel_basis())
 
 
 def span_rank(vectors) -> int:

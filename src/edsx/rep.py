@@ -68,6 +68,7 @@ class LieRep:
         self.basis = basis
         self.skew = skew
         self._constants = None
+        self._equivariant = None
 
     @classmethod
     def from_matrices(cls, name, n, mats, skew=True, validate=True):
@@ -280,9 +281,17 @@ def hom_dim(n):
 
 
 def equivariant_maps(g: LieRep):
-    """Basis of Hom(T, Lambda^2 T) commuting with the g-action."""
+    """Basis of Hom(T, Lambda^2 T) commuting with the g-action.
+
+    Computed once per LieRep; each call returns a fresh list.
+    """
+    if g._equivariant is None:
+        g._equivariant = _equivariant_basis(g)
+    return list(g._equivariant)
+
+
+def _equivariant_basis(g: LieRep):
     n = g.n
-    step = n * (n - 1) // 2
     basis = []
     for i in range(1, n + 1):
         for J in combinations(range(1, n + 1), 2):

@@ -21,7 +21,7 @@ from .exterior import Form, Subspace, flatten, restrict
 from .linalg import solve_affine, span_rank
 from .rep import HomMap
 from .catalog import StructureSpec, DiffOpSpec, ParamForm
-from .dga import Closure, z_spaces, _extension_system, _resolve_op
+from .dga import analysis, z_spaces, _extension_system, _resolve_op
 
 __all__ = [
     "RestrictionError",
@@ -157,7 +157,7 @@ def restrict_structure(s: StructureSpec, op, params=None,
 
     spec = _resolve_op(s, op)
     fvals = spec.instantiate(params)
-    closure = Closure(n, s.generators)
+    closure = analysis(s).closure
 
     p_gens = {}
     for gname, g in s.generators.items():

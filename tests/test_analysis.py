@@ -1,0 +1,131 @@
+"""The per-structure analysis against the reference paths it replaces."""
+
+import pytest
+
+from edsx import catalog
+from edsx.cartan import flag_test
+from edsx.catalog import get_structure, parse_structure_name
+from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
+                      analysis, check_operator, z_spaces)
+from edsx.linalg import Elimination, rank, solve_affine
+from edsx.rep import equivariant_maps
+from edsx.scalar import Scalar
+
+CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
+           "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
+           "sp2sp1", "example-712")
+
+UNITARY = ("su-even:2", "su-even:3", "su-even:4",
+           "su-odd:2", "su-odd:3", "su-odd:4")
+
+# one rational and one radical assignment of every parameter
+PARAMS = ({"lambda": "3/2", "mu": "-2"}, {"lambda": "1 + r2", "mu": "-r3"})
+
+_BUILDERS = {"su-even": catalog._build_su_even,
+             "su-odd": catalog._build_su_odd}
+
+
+def _fresh(name):
+    """A newly built spec with a new LieRep: every cache starts empty."""
+    base, n = parse_structure_name(name)
+    return _BUILDERS[base](n)
+
+
+def _assignment(spec, params):
+    return {k: Scalar.parse(params[k]) for k in spec.params}
+
+
+def _queries():
+    for name in UNITARY:
+        s = get_structure(name)
+        for op, spec in s.operators.items():
+            for params in (PARAMS if spec.params else (None,)):
+                yield name, op, (_assignment(spec, params)
+                                 if params else None)
+
+
+def _reference_system(s, op, params):
+    fvals = s.operators[op].instantiate(params)
+    return _extension_system(s.n, _generator_pairs(s, fvals))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_codim_z0_is_the_extension_rank(name):
+    s = get_structure(name)
+    m, rhs = _reference_system(s, "zero", None)
+    reference = solve_affine(m, rhs)
+    n = s.n
+    z_dim = len(reference.basis) + n * (n * (n + 1) // 2)
+    assert z_spaces(s, "zero").z_dim == z_dim
+    assert flag_test(s).codim_z0 == n ** 3 - z_dim
+
+
+def test_cached_and_fresh_specs_agree():
+    for name, op, params in _queries():
+        s = get_structure(name)
+        for query in (check_operator, z_spaces):
+            warm = [query(s, op, params).to_json() for _ in range(2)]
+            cold = query(_fresh(name), op, params).to_json()
+            assert warm[0] == warm[1] == cold, (name, op, query)
+
+
+def test_factored_solve_equals_solve_affine():
+    for name, op, params in _queries():
+        s = get_structure(name)
+        m, rhs = _reference_system(s, op, params)
+        reference = solve_affine(m, rhs)
+        factored = analysis(s).extension().solve(rhs)
+        assert not reference.is_empty
+        assert factored.particular == reference.particular
+        assert factored.basis == reference.basis
+        assert z_spaces(s, op, params).z_prime.particular \
+            == reference.particular
+        basis, elim = analysis(s).equivariant()
+        if basis:
+            em = _derivation_matrix(list(s.generators.values()),
+                                    [h.images for h in basis])
+            assert elim.particular(rhs) == solve_affine(em, rhs).particular
+
+
+def test_factored_solve_of_an_inconsistent_rhs_is_empty():
+    s = get_structure("su-odd:2")
+    m, rhs = _reference_system(s, "zero", None)
+    elim = Elimination(m)
+    # the rank alone eliminates m without E; the solves below build E
+    assert elim.rank == rank(m)
+    one = Scalar.of(1)
+    for i in range(len(rhs)):
+        unit = [Scalar()] * len(rhs)
+        unit[i] = one
+        if solve_affine(m, unit).is_empty:
+            break
+    else:
+        pytest.fail("the extension matrix has full row rank")
+    assert elim.particular(unit) is None
+    assert elim.solve(unit).is_empty
+    assert elim.solve(unit).basis == []
+    consistent = m.mul_vector([Scalar.of(k % 3) for k in range(m.ncols)])
+    assert elim.particular(consistent) \
+        == solve_affine(m, consistent).particular
+
+
+def test_equivariant_maps_returns_a_fresh_list():
+    lie = get_structure("su-odd:2").lie
+    first = equivariant_maps(lie)
+    expected = list(first)
+    first.clear()
+    assert equivariant_maps(lie) == expected
+    again = equivariant_maps(lie)
+    again.append(again[0])
+    assert equivariant_maps(lie) == expected
+
+
+def test_analysis_is_built_by_the_first_query():
+    s = _fresh("su-odd:2")
+    assert s._analysis is None
+    z_spaces(s, "zero")
+    a = s._analysis
+    assert a is not None
+    check_operator(s, "A", {"lambda": 1, "mu": 0})
+    assert s._analysis is a
+    assert s.lie._equivariant is not None

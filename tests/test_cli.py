@@ -51,6 +51,17 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, ["stability", "--structure", "so3-9"])
     assert code == 2
     assert "--generator" in err
+    for cmd in ("dga", "zspaces"):
+        code, _, err = run(capsys, [cmd, "--structure", "su-odd:2",
+                                    "--operator", "A",
+                                    "--params", "lambda=1/0,mu=0"])
+        assert code == 2
+        assert err.startswith("edsx: bad value for 'lambda'")
+    for degree in ("-1", "8"):
+        code, _, err = run(capsys, ["invariants", "--structure", "g2",
+                                    "--degree", degree])
+        assert code == 2
+        assert err == "edsx: --degree %s outside 0..7\n" % degree
 
 
 def test_stability_json_payload(capsys):

@@ -159,3 +159,10 @@ def test_parse_rejects_bad_literals():
     for text in ("e[1,2", "q[1]", "e[1]*e[1,2]+", "2**3"):
         with pytest.raises(ValueError):
             parse_form(text, 4)
+
+
+def test_unclosed_monomial_bracket_is_named():
+    with pytest.raises(ValueError, match=r"unclosed '\[' at position 1 "):
+        parse_form("e[1,2", 3)
+    with pytest.raises(ValueError, match=r"unclosed '\[' at position 8 "):
+        parse_form("e[1] + e[2,3", 3)
