@@ -5,9 +5,8 @@ rational coefficients; all algorithms are deterministic, so identical
 inputs give identical outputs across runs and machines.
 """
 
-from ._kernel import COMPILED, THREADS
 from .scalar import Scalar, as_scalar
 
 __version__ = "0.1.0"
 
-__all__ = ["COMPILED", "THREADS", "Scalar", "as_scalar", "__version__"]
+__all__ = ["Scalar", "as_scalar", "__version__"]

@@ -1,51 +1,304 @@
-"""Selects the compiled field kernel, falling back to pure Python.
+"""The field kernel: scalar arithmetic and the one RREF elimination.
 
-EDSX_PURE=1 forces the fallback; EDSX_THREADS is parsed here as the cap
-on internal parallelism (the current kernels are single threaded, so any
-cap is honored trivially).
+A scalar in Q(r2, r3, r5, r7) is a plain dict mapping a 4-bit mask to a
+nonzero rational coefficient.  Bit k of the mask says whether PRIMES[k]
+sits under the square root, so radicals multiply by XOR of masks times
+the product of the shared primes.  The empty dict is zero.
 """
 
-import os
-import warnings
+from ._rat import RAT, R1
 
-if os.environ.get("EDSX_PURE"):
-    from . import _fallback as impl
-
-    COMPILED = False
-else:
-    try:
-        from . import _speedups as impl  # type: ignore[attr-defined]
-
-        COMPILED = True
-    except ImportError:
-        from . import _fallback as impl
-
-        COMPILED = False
+PRIMES = (2, 3, 5, 7)
 
 
-def _thread_cap():
-    raw = os.environ.get("EDSX_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        warnings.warn("EDSX_THREADS=%r is not an integer, using 1" % raw)
-        return 1
-    return max(1, cap)
+def _divisor(mask):
+    d = 1
+    for k, p in enumerate(PRIMES):
+        if mask >> k & 1:
+            d *= p
+    return d
 
 
-THREADS = _thread_cap()
+DIVISORS = tuple(_divisor(m) for m in range(16))
+# multiplier picked up when two radicals share the primes of `mask`
+_G = tuple(_divisor(m) for m in range(16))
 
-PRIMES = impl.PRIMES
-DIVISORS = impl.DIVISORS
-MASK_OF_DIVISOR = impl.MASK_OF_DIVISOR
-s_from_rat = impl.s_from_rat
-s_add = impl.s_add
-s_sub = impl.s_sub
-s_neg = impl.s_neg
-s_rat_scale = impl.s_rat_scale
-s_mul = impl.s_mul
-s_submul = impl.s_submul
-s_inv = impl.s_inv
-rref = impl.rref
+MASK_OF_DIVISOR = {d: m for m, d in enumerate(DIVISORS)}
+
+
+def s_from_rat(q):
+    return {0: q} if q else {}
+
+
+def s_add(a, b):
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for k, q in b.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = q
+        else:
+            cur = cur + q
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+    return out
+
+
+def s_sub(a, b):
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for k, q in b.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = -q
+        else:
+            cur = cur - q
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+    return out
+
+
+def s_neg(a):
+    return {k: -q for k, q in a.items()}
+
+
+def s_rat_scale(a, q):
+    if not q:
+        return {}
+    return {k: v * q for k, v in a.items()}
+
+
+def s_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) == 1 and len(b) == 1:
+        (ka, qa), = a.items()
+        (kb, qb), = b.items()
+        q = qa * qb
+        g = _G[ka & kb]
+        if g != 1:
+            q = q * g
+        return {ka ^ kb: q}
+    out = {}
+    for ka, qa in a.items():
+        for kb, qb in b.items():
+            k = ka ^ kb
+            q = qa * qb
+            g = _G[ka & kb]
+            if g != 1:
+                q = q * g
+            cur = out.get(k)
+            if cur is None:
+                out[k] = q
+            else:
+                cur = cur + q
+                if cur:
+                    out[k] = cur
+                else:
+                    del out[k]
+    return out
+
+
+def s_submul(a, c, b):
+    """a - c*b for nonzero c, b; the row reduction inner loop."""
+    if len(c) == 1 and len(b) == 1:
+        (kc, qc), = c.items()
+        (kb, qb), = b.items()
+        k = kc ^ kb
+        q = qc * qb
+        g = _G[kc & kb]
+        if g != 1:
+            q = q * g
+        if not a:
+            return {k: -q}
+        out = dict(a)
+        cur = out.get(k)
+        if cur is None:
+            out[k] = -q
+        else:
+            cur = cur - q
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+        return out
+    out = dict(a)
+    for kc, qc in c.items():
+        for kb, qb in b.items():
+            k = kc ^ kb
+            q = qc * qb
+            g = _G[kc & kb]
+            if g != 1:
+                q = q * g
+            cur = out.get(k)
+            if cur is None:
+                out[k] = -q
+            else:
+                cur = cur - q
+                if cur:
+                    out[k] = cur
+                else:
+                    del out[k]
+    return out
+
+
+def s_inv(a):
+    """Multiplicative inverse, solved inside the radical span of a's keys."""
+    if not a:
+        raise ZeroDivisionError("scalar inverse of zero")
+    if len(a) == 1:
+        (k, q), = a.items()
+        # 1/(q*sqrt(d)) = sqrt(d)/(q*d)
+        return {k: R1 / (q * _G[k])}
+    # GF(2) span of the masks; multiplication by a preserves it
+    basis = []
+    for k in a:
+        v = k
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    span = [0]
+    for b in sorted(basis):
+        span += [s ^ b for s in span]
+    span.sort()
+    pos = {m: i for i, m in enumerate(span)}
+    n = len(span)
+    mat = [[None] * (n + 1) for _ in range(n)]
+    for j, m in enumerate(span):
+        for k, q in a.items():
+            i = pos[k ^ m]
+            cur = mat[i][j]
+            add = q * _G[k & m]
+            mat[i][j] = add if cur is None else cur + add
+    zero = RAT(0)
+    for row in mat:
+        for j in range(n + 1):
+            if row[j] is None:
+                row[j] = zero
+    mat[0][n] = R1
+    piv = []
+    r = 0
+    for j in range(n):
+        pi = -1
+        for i in range(r, n):
+            if mat[i][j]:
+                pi = i
+                break
+        if pi < 0:
+            continue
+        mat[r], mat[pi] = mat[pi], mat[r]
+        inv = R1 / mat[r][j]
+        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        for i in range(n):
+            if i != r and mat[i][j]:
+                c = mat[i][j]
+                mat[i] = [x - c * y for x, y in zip(mat[i], prow)]
+        piv.append(j)
+        r += 1
+    if r != n:
+        raise ArithmeticError("singular radical multiplication matrix")
+    out = {}
+    for t, j in enumerate(piv):
+        q = mat[t][n]
+        if q:
+            out[span[j]] = q
+    return out
+
+
+def rref(rows, ncols, reduced=True):
+    """Reduced row echelon form over the field; returns the pivot columns.
+
+    rows are dense lists of ncols scalars; they are held sparse, as
+    {column: scalar} dicts with a column -> rows index.  Pivot columns
+    are taken left to right, so the pivot set is the canonical leftmost
+    one.  In each pivot column the remaining row with the fewest nonzeros
+    (the lower index on a tie) becomes the pivot row: it is normalized to
+    a leading 1 and eliminated from the remaining rows that hold the
+    column.  The full form then back-substitutes in reverse pivot order.
+    The RREF of a row space is unique, so the result is canonical
+    whichever rows the pivots come from, and reruns are bit-identical.
+
+    With reduced=True the items of rows are replaced by new lists: the
+    pivot rows first, sorted by pivot column with leading 1, then zero
+    rows.  With reduced=False the elimination stops after the forward
+    phase and rows is left as it was.  The row lists and scalars passed
+    in are never mutated.
+    """
+    srows = [{j: c for j, c in enumerate(row) if c} for row in rows]
+    holding = [set() for _ in range(ncols)]
+    for i, row in enumerate(srows):
+        for j in row:
+            holding[j].add(i)
+    pivots = []
+    prows = []
+    for j in range(ncols):
+        held = holding[j]
+        if not held:
+            continue
+        p = min(held, key=lambda i: (len(srows[i]), i))
+        prow = srows[p]
+        for k in prow:
+            holding[k].discard(p)
+        lead = prow.pop(j)
+        if len(lead) != 1 or lead.get(0) != R1:
+            inv = s_inv(lead)
+            for k, v in prow.items():
+                prow[k] = s_mul(v, inv)
+        pitems = list(prow.items())
+        for i in held:
+            row = srows[i]
+            c = row.pop(j)
+            for k, v in pitems:
+                cur = row.get(k)
+                new = s_submul(cur or {}, c, v)
+                if new:
+                    row[k] = new
+                    if cur is None:
+                        holding[k].add(i)
+                else:
+                    del row[k]
+                    holding[k].discard(i)
+        held.clear()
+        pivots.append(j)
+        prows.append(prow)
+    if not reduced:
+        return pivots
+    # each pivot row holds, besides its pivot, only non-pivot columns
+    # when it is subtracted, so back-substitution never adds a pivot
+    # column to a row and the rows to clear are known before it starts
+    position = {j: t for t, j in enumerate(pivots)}
+    above = [[] for _ in pivots]
+    for t, prow in enumerate(prows):
+        for k in prow:
+            s = position.get(k)
+            if s is not None:
+                above[s].append(t)
+    for s in range(len(pivots) - 1, -1, -1):
+        j = pivots[s]
+        pitems = list(prows[s].items())
+        for t in above[s]:
+            row = prows[t]
+            c = row.pop(j)
+            for k, v in pitems:
+                new = s_submul(row.get(k) or {}, c, v)
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+    for t, (j, prow) in enumerate(zip(pivots, prows)):
+        dense = [{} for _ in range(ncols)]
+        dense[j] = {0: R1}
+        for k, v in prow.items():
+            dense[k] = v
+        rows[t] = dense
+    for t in range(len(pivots), len(rows)):
+        rows[t] = [{} for _ in range(ncols)]
+    return pivots

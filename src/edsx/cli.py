@@ -268,8 +268,7 @@ def build_parser():
         prog="edsx",
         description="Exact invariant exterior calculus: stability, "
                     "derivation checks, integral-element dimensions and "
-                    "flag tests for the built-in structure catalog.",
-        epilog="EDSX_THREADS caps internal parallelism (default 1).")
+                    "flag tests for the built-in structure catalog.")
     ap.add_argument("--version", action="version",
                     version="edsx %s" % __version__)
     sub = ap.add_subparsers(dest="cmd", required=True)

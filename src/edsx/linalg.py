@@ -1,6 +1,6 @@
 """Exact dense linear algebra over the scalar field.
 
-Everything reduces to one deterministic RREF kernel (see edsx._fallback
+Everything reduces to one deterministic RREF kernel (see edsx._kernel
 for the pivot rule), so ranks, kernels, and affine solves are canonical:
 the same input always yields the same basis vectors.
 
@@ -64,9 +64,6 @@ class Matrix:
     def row(self, i):
         return _wrap(self._rows[i])
 
-    def copy_rows(self):
-        return [[dict(c) for c in r] for r in self._rows]
-
     def transpose(self) -> "Matrix":
         rows = [[dict(self._rows[i][j]) for i in range(self.nrows)]
                 for j in range(self.ncols)]
@@ -122,14 +119,13 @@ class AffineSpace:
 
 def rref(m: Matrix):
     """Canonical reduced row echelon form and the pivot column list."""
-    rows = m.copy_rows()
+    rows = list(m._rows)
     pivots = _rref_rows(rows, m.ncols)
     return Matrix(m.nrows, m.ncols, rows), pivots
 
 
 def rank(m: Matrix) -> int:
-    rows = m.copy_rows()
-    return len(_rref_rows(rows, m.ncols))
+    return len(_rref_rows(m._rows, m.ncols, reduced=False))
 
 
 def _sparse_kernel(rows, pivots, ncols):
@@ -160,7 +156,7 @@ def _kernel_from_rref(rows, pivots, ncols):
 
 def kernel_basis(m: Matrix):
     """Right kernel, one basis vector per free column (unit there)."""
-    rows = m.copy_rows()
+    rows = list(m._rows)
     pivots = _rref_rows(rows, m.ncols)
     return [_wrap(v) for v in _kernel_from_rref(rows, pivots, m.ncols)]
 
@@ -170,9 +166,7 @@ def solve_affine(m: Matrix, rhs) -> AffineSpace:
     rhsc = _unwrap(rhs)
     if len(rhsc) != m.nrows:
         raise ValueError("rhs length %d != %d rows" % (len(rhsc), m.nrows))
-    rows = m.copy_rows()
-    for r, b in zip(rows, rhsc):
-        r.append(dict(b))
+    rows = [r + [b] for r, b in zip(m._rows, rhsc)]
     pivots = _rref_rows(rows, m.ncols + 1)
     if pivots and pivots[-1] == m.ncols:
         return AffineSpace(m.ncols, None, [])
@@ -311,7 +305,7 @@ def echelon_span(vectors):
     if not vectors:
         return []
     m = Matrix.from_rows(vectors)
-    rows = m.copy_rows()
+    rows = list(m._rows)
     pivots = _rref_rows(rows, m.ncols)
     return [_wrap(rows[t]) for t in range(len(pivots))]
 

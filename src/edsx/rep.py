@@ -20,9 +20,9 @@ from itertools import combinations
 
 from ._kernel import rref as _rref_rows
 from ._kernel import s_add, s_mul, s_neg, s_sub
-from ._rat import RAT, R1
+from ._rat import RAT
 from .exterior import Form, _sort_sign, flatten, unflatten
-from .linalg import Matrix, kernel_basis, solve_affine
+from .linalg import Matrix, _kernel_from_rref, kernel_basis, solve_affine
 from .scalar import Scalar, as_scalar
 
 
@@ -159,7 +159,7 @@ def _echelon_forms(forms, p):
         return []
     n = forms[0].n
     m = Matrix.from_rows([flatten(f, p) for f in forms])
-    rows = m.copy_rows()
+    rows = list(m._rows)
     pivots = _rref_rows(rows, m.ncols)
     return [unflatten([Scalar(dict(c)) for c in rows[t]], n, p)
             for t in range(len(pivots))]
@@ -319,7 +319,7 @@ def _equivariant_basis(g: LieRep):
     if not basis:
         return []
     m = Matrix.from_rows([D.flatten() for D in basis])
-    rows = m.copy_rows()
+    rows = list(m._rows)
     pivots = _rref_rows(rows, m.ncols)
     return [HomMap.unflatten(n, [Scalar(dict(c)) for c in rows[t]])
             for t in range(len(pivots))]
@@ -545,21 +545,15 @@ def _calibrate(g: LieRep):
 
 
 def _rat_kernel(rows_rat, dim):
-    """Kernel of a rational matrix given as dense rows of rationals."""
+    """Kernel of a rational matrix given as dense rows of rationals.
+
+    One (free column, vector) pair per free column, unit there.
+    """
     rows = [[({0: q} if q else {}) for q in r] for r in rows_rat]
     pivots = _rref_rows(rows, dim)
     pivset = set(pivots)
     free = [j for j in range(dim) if j not in pivset]
-    out = []
-    for f in free:
-        v = [{} for _ in range(dim)]
-        v[f] = {0: R1}
-        for t, p in enumerate(pivots):
-            c = rows[t][f]
-            if c:
-                v[p] = s_neg(c)
-        out.append((f, v))
-    return out
+    return list(zip(free, _kernel_from_rref(rows, pivots, dim)))
 
 
 def _weight_blocks(hop, dim):
@@ -624,13 +618,10 @@ def _restrict_to_block(C, block):
 def _kernel_dim_shift(rows, lam, dim):
     """dim ker(M - lam I) for dense dict rows."""
     lamc = lam.c
-    work = []
-    for i in range(dim):
-        row = [dict(c) for c in rows[i]]
-        if lamc:
-            row[i] = s_sub(row[i], lamc)
-        work.append(row)
-    return dim - len(_rref_rows(work, dim))
+    if lamc:
+        rows = [row[:i] + [s_sub(row[i], lamc)] + row[i + 1:]
+                for i, row in enumerate(rows)]
+    return dim - len(_rref_rows(rows, dim, reduced=False))
 
 
 def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:

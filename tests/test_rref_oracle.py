@@ -1,0 +1,122 @@
+"""The sparse RREF kernel against sympy's exact elimination.
+
+sympy's DomainMatrix.rref over QQ, and over algebraic fields spanned by
+three of the four square roots, is an independent implementation of the
+same canonical form: pivots and every entry of the RREF must agree.
+"""
+
+import random
+
+import pytest
+from sympy import QQ, sqrt
+from sympy.polys.matrices import DomainMatrix
+
+from edsx._kernel import PRIMES, rref, s_mul
+from edsx._rat import RAT
+from edsx.linalg import Matrix, rank
+
+
+class Field:
+    """A sympy field holding the radicals of `primes`, with a converter."""
+
+    def __init__(self, primes):
+        self.dom = QQ.algebraic_field(*[sqrt(p) for p in primes]) \
+            if primes else QQ
+        gens = {p: self.dom.from_sympy(sqrt(p)) for p in primes}
+        self.masks = []
+        self.unit = {}
+        for mask in range(16):
+            used = [p for k, p in enumerate(PRIMES) if mask >> k & 1]
+            if all(p in gens for p in used):
+                e = self.dom.one
+                for p in used:
+                    e = e * gens[p]
+                self.masks.append(mask)
+                self.unit[mask] = e
+
+    def to_sympy(self, c):
+        acc = self.dom.zero
+        for mask, q in c.items():
+            acc += self.dom.convert(QQ(q.numerator, q.denominator)) \
+                * self.unit[mask]
+        return acc
+
+    def matrix(self, rows, ncols):
+        data = [[self.to_sympy(c) for c in row] for row in rows]
+        return DomainMatrix(data, (len(rows), ncols), self.dom)
+
+
+@pytest.fixture(scope="module")
+def fields():
+    return [Field(()), Field((2, 3, 5)), Field((2, 5, 7))]
+
+
+def _scalar(rng, field, density):
+    if rng.random() > density:
+        return {}
+    out = {}
+    for _ in range(rng.randrange(1, 3)):
+        q = RAT(rng.randrange(-6, 7), rng.randrange(1, 5))
+        if q:
+            out[rng.choice(field.masks)] = q
+    return out
+
+
+def _matrix(rng, field, nrows, ncols):
+    density = rng.choice((0.25, 0.5, 1.0))
+    rows = [[_scalar(rng, field, density) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1:
+        shape = rng.randrange(4)
+        i, k = rng.sample(range(nrows), 2)
+        if shape == 0:
+            rows[i] = [{} for _ in range(ncols)]
+        elif shape == 1:
+            rows[i] = [dict(c) for c in rows[k]]
+        elif shape == 2:
+            f = {rng.choice(field.masks): RAT(rng.randrange(1, 4), 2)}
+            rows[i] = [s_mul(c, f) for c in rows[k]]
+    return rows
+
+
+SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 7), (7, 2), (4, 6), (6, 4),
+          (5, 5), (8, 3), (3, 8)]
+
+
+def _cases(field, seed, count):
+    rng = random.Random(seed)
+    for t in range(count):
+        nrows, ncols = SHAPES[t % len(SHAPES)]
+        yield _matrix(rng, field, nrows, ncols), ncols
+
+
+@pytest.mark.parametrize("which,count", [(0, 220), (1, 110), (2, 110)])
+def test_rref_matches_sympy(fields, which, count):
+    field = fields[which]
+    for rows, ncols in _cases(field, 9100 + which, count):
+        want, want_piv = field.matrix(rows, ncols).rref()
+        got = [list(r) for r in rows]
+        pivots = rref(got, ncols)
+        assert tuple(pivots) == tuple(want_piv)
+        assert field.matrix(got, ncols) == want
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_forward_only_pivots_equal_full_pivots(fields, which):
+    field = fields[which]
+    for rows, ncols in _cases(field, 9200 + which, 44):
+        before = [[dict(c) for c in r] for r in rows]
+        ids = [id(r) for r in rows]
+        pivots = rref(rows, ncols, reduced=False)
+        assert rows == before and [id(r) for r in rows] == ids
+        assert pivots == rref([list(r) for r in rows], ncols)
+
+
+def test_rank_leaves_the_matrix_unchanged(fields):
+    rng = random.Random(9300)
+    for nrows, ncols in SHAPES:
+        m = Matrix(nrows, ncols, _matrix(rng, fields[1], nrows, ncols))
+        before = Matrix(nrows, ncols, [[dict(c) for c in r] for r in m._rows])
+        r = rank(m)
+        assert m == before
+        assert r == fields[1].matrix(m._rows, ncols).rank()
