@@ -6,7 +6,7 @@ sits under the square root, so radicals multiply by XOR of masks times
 the product of the shared primes.  The empty dict is zero.
 """
 
-from ._rat import RAT, R1
+from ._rat import R1
 
 PRIMES = (2, 3, 5, 7)
 
@@ -149,68 +149,35 @@ def s_submul(a, c, b):
 
 
 def s_inv(a):
-    """Multiplicative inverse, solved inside the radical span of a's keys."""
+    """Multiplicative inverse by the conjugate tower.
+
+    For each prime whose radical still occurs in x (first x = a), both
+    x and the numerator num (first 1) are multiplied by sigma_p(x), the
+    Galois conjugate that flips the sign of every term holding sqrt(p).
+    x*sigma_p(x) is fixed by sigma_p, so it no longer holds sqrt(p), and
+    its keys stay in the span of x's keys.  After at most four steps x is
+    one term q*sqrt(d), and 1/a = num*sqrt(d)/(q*d).  A nonzero element
+    has a nonzero norm, so the tower is total on nonzero input.  The keys
+    of the result come back in ascending mask order; a is not mutated.
+    """
     if not a:
         raise ZeroDivisionError("scalar inverse of zero")
     if len(a) == 1:
         (k, q), = a.items()
         # 1/(q*sqrt(d)) = sqrt(d)/(q*d)
         return {k: R1 / (q * _G[k])}
-    # GF(2) span of the masks; multiplication by a preserves it
-    basis = []
-    for k in a:
-        v = k
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    span = [0]
-    for b in sorted(basis):
-        span += [s ^ b for s in span]
-    span.sort()
-    pos = {m: i for i, m in enumerate(span)}
-    n = len(span)
-    mat = [[None] * (n + 1) for _ in range(n)]
-    for j, m in enumerate(span):
-        for k, q in a.items():
-            i = pos[k ^ m]
-            cur = mat[i][j]
-            add = q * _G[k & m]
-            mat[i][j] = add if cur is None else cur + add
-    zero = RAT(0)
-    for row in mat:
-        for j in range(n + 1):
-            if row[j] is None:
-                row[j] = zero
-    mat[0][n] = R1
-    piv = []
-    r = 0
-    for j in range(n):
-        pi = -1
-        for i in range(r, n):
-            if mat[i][j]:
-                pi = i
-                break
-        if pi < 0:
+    num = {0: R1}
+    x = a
+    for bit in (1, 2, 4, 8):
+        if len(x) == 1:
+            break
+        if not any(k & bit for k in x):
             continue
-        mat[r], mat[pi] = mat[pi], mat[r]
-        inv = R1 / mat[r][j]
-        mat[r] = [x * inv for x in mat[r]]
-        prow = mat[r]
-        for i in range(n):
-            if i != r and mat[i][j]:
-                c = mat[i][j]
-                mat[i] = [x - c * y for x, y in zip(mat[i], prow)]
-        piv.append(j)
-        r += 1
-    if r != n:
-        raise ArithmeticError("singular radical multiplication matrix")
-    out = {}
-    for t, j in enumerate(piv):
-        q = mat[t][n]
-        if q:
-            out[span[j]] = q
-    return out
+        c = {k: -q if k & bit else q for k, q in x.items()}
+        num = s_mul(num, c)
+        x = s_mul(x, c)
+    (k, q), = x.items()
+    return dict(sorted(s_mul(num, {k: R1 / (q * _G[k])}).items()))
 
 
 def rref(rows, ncols, reduced=True):

@@ -24,8 +24,13 @@ from . import papercheck
 
 __all__ = ["main"]
 
+
+class UsageError(Exception):
+    """A command-line value outside its range."""
+
+
 USAGE_ERRORS = (CatalogError, DgaError, CartanError, RestrictionError,
-                CasimirError)
+                CasimirError, UsageError)
 
 
 def _parse_params(text):
@@ -232,6 +237,8 @@ def cmd_decompose(args):
 
 
 def cmd_paper_check(args):
+    if args.cases < 0:
+        raise UsageError("--cases %d is negative" % args.cases)
     results = papercheck.run_all(args.cases)
     flagged = [l["text"] for res in results for l in res.lines
                if l["status"] == "flagged"]

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from edsx.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -62,6 +68,21 @@ def test_usage_errors_exit_two(capsys):
                                     "--degree", degree])
         assert code == 2
         assert err == "edsx: --degree %s outside 0..7\n" % degree
+    code, out, err = run(capsys, ["paper-check", "--cases", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "edsx: --cases -1 is negative\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "edsx", "cartan", "--structure", "su-even:3"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "c = [0,0,1,5,14,22], ordinary true\n"
 
 
 def test_stability_json_payload(capsys):

@@ -1,8 +1,9 @@
-"""The sparse RREF kernel against sympy's exact elimination.
+"""The field kernel against sympy: the sparse RREF and the inverse.
 
 sympy's DomainMatrix.rref over QQ, and over algebraic fields spanned by
 three of the four square roots, is an independent implementation of the
 same canonical form: pivots and every entry of the RREF must agree.
+sympy's division in those fields is an independent inverse.
 """
 
 import random
@@ -11,7 +12,7 @@ import pytest
 from sympy import QQ, sqrt
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import PRIMES, rref, s_mul
+from edsx._kernel import PRIMES, rref, s_inv, s_mul
 from edsx._rat import RAT
 from edsx.linalg import Matrix, rank
 
@@ -120,3 +121,16 @@ def test_rank_leaves_the_matrix_unchanged(fields):
         r = rank(m)
         assert m == before
         assert r == fields[1].matrix(m._rows, ncols).rank()
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_inverse_matches_sympy(fields, which):
+    field = fields[which]
+    rng = random.Random(9400 + which)
+    for size in range(1, len(field.masks) + 1):
+        for _ in range(6):
+            a = {k: RAT(rng.choice((-1, 1)) * rng.randrange(1, 30),
+                        rng.randrange(1, 10))
+                 for k in rng.sample(field.masks, size)}
+            want = field.dom.quo(field.dom.one, field.to_sympy(a))
+            assert field.to_sympy(s_inv(a)) == want

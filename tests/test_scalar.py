@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from edsx._kernel import s_inv, s_mul
+from edsx._rat import RAT, R1
 from edsx.scalar import Scalar
 
 
@@ -92,3 +95,52 @@ def test_random_field_identities():
         assert a - (b - c) == (a - b) + c
         if not b.is_zero():
             assert (a / b) * b == a
+
+
+def _element(rng, keys):
+    return {k: RAT(rng.choice((-1, 1)) * rng.randrange(1, 40),
+                   rng.randrange(1, 13)) for k in keys}
+
+
+def _certified_inverse(a):
+    """s_inv(a), checked by a * s_inv(a) == 1 and s_inv(s_inv(a)) == a."""
+    before = list(a.items())
+    inv = s_inv(a)
+    assert list(a.items()) == before
+    assert s_mul(a, inv) == {0: R1}
+    assert list(inv) == sorted(inv)
+    assert s_inv(inv) == a
+    return inv
+
+
+def test_inverse_of_every_key_set_of_size_at_most_two():
+    rng = random.Random(4101)
+    sets = [keys for size in (1, 2) for keys in combinations(range(16), size)]
+    assert len(sets) == 136
+    for keys in sets:
+        inv = _certified_inverse(_element(rng, keys))
+        if len(keys) == 1:
+            assert list(inv) == list(keys)
+
+
+def test_inverse_of_random_elements_of_each_size():
+    rng = random.Random(4102)
+    for size in range(3, 17):
+        for _ in range(8):
+            _certified_inverse(_element(rng, rng.sample(range(16), size)))
+
+
+def test_inverse_of_towers_that_collapse_early():
+    # masks: r2 = 1, r3 = 2, r6 = 3, r10 = 5, r15 = 6, r210 = 15
+    assert _certified_inverse({1: R1, 2: R1}) == {1: -R1, 2: R1}
+    assert _certified_inverse({0: R1, 3: R1}) == {0: RAT(-1, 5),
+                                                  3: RAT(1, 5)}
+    assert _certified_inverse({0: R1, 15: R1}) == {0: RAT(-1, 209),
+                                                   15: RAT(1, 209)}
+    _certified_inverse({3: R1, 5: R1, 6: R1})
+    _certified_inverse({1: RAT(3), 3: RAT(-2, 7)})
+
+
+def test_inverse_of_zero_names_it():
+    with pytest.raises(ZeroDivisionError, match="^scalar inverse of zero$"):
+        s_inv({})
