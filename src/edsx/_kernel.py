@@ -68,12 +68,6 @@ def s_neg(a):
     return {k: -q for k, q in a.items()}
 
 
-def s_rat_scale(a, q):
-    if not q:
-        return {}
-    return {k: v * q for k, v in a.items()}
-
-
 def s_mul(a, b):
     if not a or not b:
         return {}

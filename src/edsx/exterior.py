@@ -9,17 +9,16 @@ here and relied on everywhere else:
   first: (v1 ^ ... ^ vk) -| a = v1 -| (... (vk -| a));
 * flatten() lists coefficients over p-subsets in lexicographic order.
 
-The form literal syntax extends the scalar syntax with e[i,j,...] atoms,
-e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between e-atoms is a wedge.
+Form literals are the scalar literal grammar with e[i,j,...] atoms added,
+e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from ._kernel import s_add, s_mul, s_neg, s_rat_scale, s_sub
-from ._rat import RAT
-from .scalar import MASK_OF_DIVISOR, Scalar, as_scalar
+from ._kernel import DIVISORS, s_add, s_mul, s_neg
+from .scalar import Scalar, _Literal, as_scalar
 
 
 def _merge_sign(I, J):
@@ -111,9 +110,6 @@ class Form:
 
     def is_zero(self):
         return not self.terms
-
-    def coeff(self, idx) -> Scalar:
-        return self.terms.get(tuple(idx), Scalar())
 
     def __add__(self, other):
         if not isinstance(other, Form):
@@ -388,117 +384,67 @@ def scalar_value(a: Form) -> Scalar:
 
 # ---------------------------------------------------------------- parsing
 
-def _lex_form(text):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/()":
-            toks.append(ch)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch == "r" and i + 1 < len(text) and text[i + 1].isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("rad", int(text[i + 1:j])))
-            i = j
-            continue
-        if ch == "e" and i + 1 < len(text) and text[i + 1] == "[":
-            j = text.find("]", i)
-            if j < 0:
-                raise ValueError("unclosed '[' at position %d in form literal"
-                                 % (i + 1))
-            inner = text[i + 2:j]
-            idx = tuple(int(s) for s in inner.split(",")) if inner else ()
-            toks.append(("mono", idx))
-            i = j + 1
-            continue
-        raise ValueError("unexpected character %r in form literal" % ch)
-    return toks
+class _FormLiteral(_Literal):
+    """The literal grammar on R^n with e[i,j,...] atoms.
 
+    Coefficients stay Scalars until they meet a form: * between forms is a
+    wedge, a scalar times a form scales it, and + or - lifts a scalar to a
+    degree-0 form.
+    """
 
-class _FTokens:
-    def __init__(self, text):
-        self.toks = _lex_form(text)
-        self.pos = 0
+    what, noun = "form literal", "form"
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def __init__(self, text, n):
+        self.n = n
+        super().__init__(text)
 
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
+    def _other(self, text, i):
+        if not text.startswith("e[", i):
+            return super()._other(text, i)
+        j = text.find("]", i)
+        if j < 0:
+            raise ValueError("unclosed '[' at position %d in form literal"
+                             % (i + 1))
+        idx, at = [], i + 2
+        for piece in text[at:j].split(",") if at < j else ():
+            try:
+                idx.append(int(piece))
+            except ValueError:
+                raise ValueError("bad index %r at position %d in form literal"
+                                 % (piece, at)) from None
+            at += len(piece) + 1
+        return ("mono", tuple(idx)), j + 1
+
+    def _atom(self, kind, val):
+        if kind == "mono":
+            return Form.monomial(self.n, val)
+        return super()._atom(kind, val)
+
+    def _apply(self, op, a, b):
+        if isinstance(a, Scalar) and isinstance(b, Scalar):
+            return super()._apply(op, a, b)
+        if op == "*":
+            if isinstance(a, Scalar):
+                return b.scale(a)
+            return a.scale(b) if isinstance(b, Scalar) else wedge(a, b)
+        if op == "/":
+            if isinstance(b, Form):
+                if b.degree not in (0, None):
+                    raise ValueError("division by a non-scalar form")
+                b = scalar_value(b)
+            return self._lift(a).scale(b.inverse())
+        return super()._apply(op, self._lift(a), self._lift(b))
+
+    def _lift(self, v):
+        return Form(self.n, {(): v}) if isinstance(v, Scalar) else v
+
+    def parse(self):
+        return self._lift(super().parse())
 
 
 def parse_form(text: str, n: int) -> Form:
     """Parse a form literal on R^n; scalars alone give degree-0 forms."""
-    tk = _FTokens(text)
-    v = _pf_expr(tk, n)
-    if tk.peek() is not None:
-        raise ValueError("trailing input in form literal: %r" % (tk.peek(),))
-    return v
-
-
-def _pf_expr(tk, n):
-    v = _pf_term(tk, n)
-    while tk.peek() in ("+", "-"):
-        op = tk.take()
-        w = _pf_term(tk, n)
-        v = v + w if op == "+" else v - w
-    return v
-
-
-def _pf_term(tk, n):
-    v = _pf_factor(tk, n)
-    while tk.peek() in ("*", "/"):
-        op = tk.take()
-        w = _pf_factor(tk, n)
-        if op == "*":
-            v = wedge(v, w)
-        else:
-            if w.degree not in (0, None):
-                raise ValueError("division by a non-scalar form")
-            v = v.scale(scalar_value(w).inverse())
-    return v
-
-
-def _pf_factor(tk, n):
-    t = tk.peek()
-    if t == "-":
-        tk.take()
-        return -_pf_factor(tk, n)
-    if t == "+":
-        tk.take()
-        return _pf_factor(tk, n)
-    if t == "(":
-        tk.take()
-        v = _pf_expr(tk, n)
-        if tk.take() != ")":
-            raise ValueError("unbalanced parenthesis in form literal")
-        return v
-    if isinstance(t, tuple):
-        tk.take()
-        kind, val = t
-        if kind == "int":
-            return Form(n, {(): as_scalar(val)})
-        if kind == "rad":
-            if val in MASK_OF_DIVISOR and val != 1:
-                return Form(n, {(): Scalar.sqrt(val)})
-            raise ValueError("r%d is not a squarefree divisor of 210" % val)
-        return Form.monomial(n, val)
-    raise ValueError("expected a form factor, got %r" % (t,))
+    return _FormLiteral(text, n).parse()
 
 
 def _coeff_text(c: Scalar):
@@ -507,11 +453,7 @@ def _coeff_text(c: Scalar):
     if len(items) > 1:
         return "+", "(%s)*" % str(c)
     k, q = items[0]
-    d = 1
-    if k:
-        from ._kernel import DIVISORS
-
-        d = DIVISORS[k]
+    d = DIVISORS[k]
     sign = "-" if q < 0 else "+"
     q = abs(q)
     if d == 1:

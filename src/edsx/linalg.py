@@ -11,7 +11,7 @@ mask -> rational dicts; wrapping happens only at the API boundary.
 from __future__ import annotations
 
 from ._kernel import rref as _rref_rows
-from ._kernel import s_add, s_mul, s_neg, s_sub
+from ._kernel import s_add, s_mul, s_neg
 from ._rat import R1
 from .scalar import ZERO, Scalar, as_scalar
 
@@ -54,15 +54,6 @@ class Matrix:
         for i in range(n):
             m._rows[i][i] = {0: R1}
         return m
-
-    def entry(self, i, j) -> Scalar:
-        return Scalar(dict(self._rows[i][j]))
-
-    def set_entry(self, i, j, value):
-        self._rows[i][j] = as_scalar(value).c
-
-    def row(self, i):
-        return _wrap(self._rows[i])
 
     def transpose(self) -> "Matrix":
         rows = [[dict(self._rows[i][j]) for i in range(self.nrows)]
@@ -308,19 +299,6 @@ def echelon_span(vectors):
     rows = list(m._rows)
     pivots = _rref_rows(rows, m.ncols)
     return [_wrap(rows[t]) for t in range(len(pivots))]
-
-
-def vec_add(a, b):
-    return [Scalar(s_add(as_scalar(x).c, as_scalar(y).c)) for x, y in zip(a, b)]
-
-
-def vec_sub(a, b):
-    return [Scalar(s_sub(as_scalar(x).c, as_scalar(y).c)) for x, y in zip(a, b)]
-
-
-def vec_scale(a, s):
-    sc = as_scalar(s).c
-    return [Scalar(s_mul(as_scalar(x).c, sc)) for x in a]
 
 
 def vec_is_zero(a):

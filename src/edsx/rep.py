@@ -22,7 +22,8 @@ from ._kernel import rref as _rref_rows
 from ._kernel import s_add, s_mul, s_neg, s_sub
 from ._rat import RAT
 from .exterior import Form, _sort_sign, flatten, unflatten
-from .linalg import Matrix, _kernel_from_rref, kernel_basis, solve_affine
+from .linalg import (Matrix, _kernel_from_rref, echelon_span, kernel_basis,
+                     solve_affine)
 from .scalar import Scalar, as_scalar
 
 
@@ -158,11 +159,8 @@ def _echelon_forms(forms, p):
     if not forms:
         return []
     n = forms[0].n
-    m = Matrix.from_rows([flatten(f, p) for f in forms])
-    rows = list(m._rows)
-    pivots = _rref_rows(rows, m.ncols)
-    return [unflatten([Scalar(dict(c)) for c in rows[t]], n, p)
-            for t in range(len(pivots))]
+    return [unflatten(row, n, p)
+            for row in echelon_span([flatten(f, p) for f in forms])]
 
 
 def invariants(g: LieRep, p: int):
@@ -306,7 +304,6 @@ def _equivariant_basis(g: LieRep):
         kern = kernel_basis(m)
         new = []
         for c in kern:
-            acc = HomMap.zero(n)
             vec = [Scalar() for _ in range(hom_dim(n))]
             for D, co in zip(basis, c):
                 co = as_scalar(co)
@@ -316,13 +313,8 @@ def _equivariant_basis(g: LieRep):
                             vec[t] = vec[t] + v * co
             new.append(HomMap.unflatten(n, vec))
         basis = new
-    if not basis:
-        return []
-    m = Matrix.from_rows([D.flatten() for D in basis])
-    rows = list(m._rows)
-    pivots = _rref_rows(rows, m.ncols)
-    return [HomMap.unflatten(n, [Scalar(dict(c)) for c in rows[t]])
-            for t in range(len(pivots))]
+    return [HomMap.unflatten(n, row)
+            for row in echelon_span([D.flatten() for D in basis])]
 
 
 def cartan_three_form(constants, inner=None) -> Form:
@@ -388,14 +380,6 @@ class CasimirDecomposition:
         body = " + ".join("%d*V%d" % (m, d) if m > 1 else "V%d" % d
                           for d, m in self.parts)
         return "CasimirDecomposition(%s: dim %d = %s)" % (self.space, self.dim, body)
-
-
-def _sparse_rows(mat_scalars):
-    """list-of-rows (col, coeff-dict) sparse view of a Scalar matrix."""
-    out = []
-    for row in mat_scalars:
-        out.append([(j, x.c) for j, x in enumerate(row) if x])
-    return out
 
 
 def _sparse_square_sum(sparse_ops, dim):

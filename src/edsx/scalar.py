@@ -4,9 +4,13 @@ A scalar is a finite sum q_d * sqrt(d) over the 16 squarefree divisors d
 of 210, with rational q_d.  The text syntax accepted by parse() uses
 integer or a/b literals, radical tokens r2, r3, r5, ..., r210, the
 operators + - * /, and parentheses: "7/8", "-1/4*r5", "(1 + r2)/2".
+Form literals (exterior.parse_form) use the same grammar with e[...]
+atoms added, so a scalar literal is a degree-0 form literal.
 """
 
 from __future__ import annotations
+
+import operator
 
 from ._kernel import (
     DIVISORS,
@@ -16,7 +20,6 @@ from ._kernel import (
     s_inv,
     s_mul,
     s_neg,
-    s_rat_scale,
     s_sub,
 )
 from ._rat import RAT, R1
@@ -45,7 +48,7 @@ class Scalar:
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
-        return _parse(text)
+        return _Literal(text).parse()
 
     def coeffs(self) -> dict:
         """Map divisor -> rational coefficient, nonzero entries only."""
@@ -53,12 +56,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.c
-
-    def is_rational(self) -> bool:
-        return not self.c or set(self.c) == {0}
-
-    def rational_part(self):
-        return self.c.get(0, RAT(0))
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -113,9 +110,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         return Scalar(s_inv(self.c))
 
-    def scale(self, q) -> "Scalar":
-        return Scalar(s_rat_scale(self.c, RAT(q)))
-
     def __bool__(self):
         return bool(self.c)
 
@@ -136,7 +130,6 @@ class Scalar:
 
 
 ZERO = Scalar()
-ONE = Scalar.of(1)
 
 
 def as_scalar(x) -> Scalar:
@@ -144,7 +137,7 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, str):
-        return _parse(x)
+        return _Literal(x).parse()
     return Scalar.of(x)
 
 
@@ -174,98 +167,103 @@ def format_scalar(s: Scalar) -> str:
     return out
 
 
-class _Tokens:
+# ---------------------------------------------------------------- literals
+
+MAX_NESTING = 100
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+class _Literal:
+    """The literal grammar, read by recursive descent:
+
+        expr := term (("+" | "-") term)*
+        term := factor (("*" | "/") factor)*
+        factor := ("+" | "-") factor | "(" expr ")" | int | radical
+
+    Signs and parentheses nest at most MAX_NESTING deep, so deep input is a
+    ValueError long before Python's recursion limit.  Forms subclass this
+    in exterior, adding e[...] atoms through _other, _atom and _apply.
+    """
+
+    what = noun = "scalar"
+
     def __init__(self, text):
-        self.toks = _lex(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-
-def _lex(text):
-    toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/()":
-            toks.append(ch)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
-            continue
-        if ch == "r":
+        self.toks, self.at, self.pos = [], [], 0
+        i, end = 0, len(text)
+        while i < end:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            self.at.append(i)
             j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ValueError("bad radical token at %r" % text[i:])
-            toks.append(("rad", int(text[i + 1:j])))
+            if ch in "+-*/()":
+                tok = ch
+            elif ch.isdigit() or ch == "r" and text[j:j + 1].isdigit():
+                while j < end and text[j].isdigit():
+                    j += 1
+                tok = (("int", int(text[i:j])) if ch != "r"
+                       else ("rad", int(text[i + 1:j])))
+            else:
+                tok, j = self._other(text, i)
+            self.toks.append(tok)
             i = j
-            continue
-        raise ValueError("unexpected character %r in scalar" % ch)
-    return toks
+        self.toks.append(None)
 
+    def _other(self, text, i):
+        """(token, end) of a word starting at i that no other rule reads."""
+        if text[i] == "r":
+            raise ValueError("bad radical token at %r" % text[i:])
+        raise ValueError("unexpected character %r in %s" % (text[i], self.what))
 
-def _parse(text: str) -> Scalar:
-    tk = _Tokens(text)
-    v = _parse_expr(tk)
-    if tk.peek() is not None:
-        raise ValueError("trailing input in scalar: %r" % (tk.peek(),))
-    return v
-
-
-def _parse_expr(tk) -> Scalar:
-    v = _parse_term(tk)
-    while tk.peek() in ("+", "-"):
-        op = tk.take()
-        w = _parse_term(tk)
-        v = v + w if op == "+" else v - w
-    return v
-
-
-def _parse_term(tk) -> Scalar:
-    v = _parse_factor(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.take()
-        w = _parse_factor(tk)
-        v = v * w if op == "*" else v / w
-    return v
-
-
-def _parse_factor(tk) -> Scalar:
-    t = tk.peek()
-    if t == "-":
-        tk.take()
-        return -_parse_factor(tk)
-    if t == "+":
-        tk.take()
-        return _parse_factor(tk)
-    if t == "(":
-        tk.take()
-        v = _parse_expr(tk)
-        if tk.take() != ")":
-            raise ValueError("unbalanced parenthesis in scalar")
+    def parse(self):
+        v = self._expr(0)
+        if self.toks[self.pos] is not None:
+            raise ValueError("trailing input in %s: %r"
+                             % (self.what, self.toks[self.pos]))
         return v
-    if isinstance(t, tuple):
-        tk.take()
-        kind, val = t
+
+    def _expr(self, depth):
+        v = self._term(depth)
+        while self.toks[self.pos] in ("+", "-"):
+            self.pos += 1
+            v = self._apply(self.toks[self.pos - 1], v, self._term(depth))
+        return v
+
+    def _term(self, depth):
+        v = self._factor(depth)
+        while self.toks[self.pos] in ("*", "/"):
+            self.pos += 1
+            v = self._apply(self.toks[self.pos - 1], v, self._factor(depth))
+        return v
+
+    def _factor(self, depth):
+        t = self.toks[self.pos]
+        self.pos += 1
+        if isinstance(t, tuple):
+            return self._atom(*t)
+        if t not in ("(", "-", "+"):
+            raise ValueError("expected a %s factor, got %r" % (self.noun, t))
+        if depth == MAX_NESTING:
+            raise ValueError("nesting deeper than %d at position %d in %s"
+                             % (MAX_NESTING, self.at[self.pos - 1], self.what))
+        if t != "(":
+            v = self._factor(depth + 1)
+            return -v if t == "-" else v
+        v = self._expr(depth + 1)
+        if self.toks[self.pos] != ")":
+            raise ValueError("unbalanced parenthesis in %s" % self.what)
+        self.pos += 1
+        return v
+
+    def _atom(self, kind, val):
         if kind == "int":
             return Scalar.of(val)
-        if val in MASK_OF_DIVISOR and val != 1:
-            return Scalar.sqrt(val)
-        raise ValueError("r%d is not a squarefree divisor of 210" % val)
-    raise ValueError("expected a scalar factor, got %r" % (t,))
+        if not MASK_OF_DIVISOR.get(val):
+            raise ValueError("r%d is not a squarefree divisor of 210" % val)
+        return Scalar.sqrt(val)
+
+    def _apply(self, op, a, b):
+        return _ARITH[op](a, b)

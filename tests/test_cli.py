@@ -68,6 +68,14 @@ def test_usage_errors_exit_two(capsys):
                                     "--degree", degree])
         assert code == 2
         assert err == "edsx: --degree %s outside 0..7\n" % degree
+    for deep in ("(" * 1200 + "1" + ")" * 1200, "-" * 1500 + "1"):
+        code, out, err = run(capsys, ["dga", "--structure", "su-even:3",
+                                      "--operator", "nearly-kahler",
+                                      "--params", "lambda=%s,mu=0" % deep])
+        assert code == 2
+        assert out == ""
+        assert err == ("edsx: bad value for 'lambda': nesting deeper than "
+                       "100 at position 100 in scalar\n")
     code, out, err = run(capsys, ["paper-check", "--cases", "-1"])
     assert code == 2
     assert out == ""
