@@ -174,26 +174,27 @@ def s_inv(a):
     return dict(sorted(s_mul(num, {k: R1 / (q * _G[k])}).items()))
 
 
-def rref(rows, ncols, reduced=True):
-    """Reduced row echelon form over the field; returns the pivot columns.
+def eliminate(srows, ncols, reduced=True):
+    """Row reduction of sparse rows; returns (pivots, pivot rows).
 
-    rows are dense lists of ncols scalars; they are held sparse, as
-    {column: scalar} dicts with a column -> rows index.  Pivot columns
-    are taken left to right, so the pivot set is the canonical leftmost
-    one.  In each pivot column the remaining row with the fewest nonzeros
-    (the lower index on a tie) becomes the pivot row: it is normalized to
-    a leading 1 and eliminated from the remaining rows that hold the
-    column.  The full form then back-substitutes in reverse pivot order.
-    The RREF of a row space is unique, so the result is canonical
-    whichever rows the pivots come from, and reruns are bit-identical.
+    srows is a list of {column: scalar} dicts over columns 0..ncols-1,
+    holding nonzero scalars only; a column -> rows index tracks which rows
+    hold each column.  Pivot columns are taken left to right, so the pivot
+    set is the canonical leftmost one.  In each pivot column the remaining
+    row with the fewest nonzeros (the lower index on a tie) becomes the
+    pivot row: it is normalized to a leading 1 and eliminated from the
+    remaining rows that hold the column.  With reduced=True the rows are
+    then back-substituted in reverse pivot order.  The RREF of a row space
+    is unique, so the result is canonical whichever rows the pivots come
+    from, and reruns are bit-identical.
 
-    With reduced=True the items of rows are replaced by new lists: the
-    pivot rows first, sorted by pivot column with leading 1, then zero
-    rows.  With reduced=False the elimination stops after the forward
-    phase and rows is left as it was.  The row lists and scalars passed
-    in are never mutated.
+    Pivot row t holds the entries of the row whose leading 1 sits in
+    column pivots[t], that leading 1 left out.  With reduced=True these
+    are the nonzero rows of the RREF, so each holds only non-pivot
+    columns; with reduced=False they are the rows of the forward phase.
+    The dicts of srows are consumed: they become the pivot rows or are
+    emptied.  The scalars they hold are never mutated.
     """
-    srows = [{j: c for j, c in enumerate(row) if c} for row in rows]
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
         for j in row:
@@ -231,7 +232,7 @@ def rref(rows, ncols, reduced=True):
         pivots.append(j)
         prows.append(prow)
     if not reduced:
-        return pivots
+        return pivots, prows
     # each pivot row holds, besides its pivot, only non-pivot columns
     # when it is subtracted, so back-substitution never adds a pivot
     # column to a row and the rows to clear are known before it starts
@@ -254,6 +255,23 @@ def rref(rows, ncols, reduced=True):
                     row[k] = new
                 else:
                     del row[k]
+    return pivots, prows
+
+
+def rref(rows, ncols, reduced=True):
+    """Reduced row echelon form of dense rows; returns the pivot columns.
+
+    The dense entry to eliminate(): rows are lists of ncols scalars.  With
+    reduced=True the items of rows are replaced by new lists: the pivot
+    rows first, sorted by pivot column with leading 1, then zero rows.
+    With reduced=False only the forward phase runs and rows is left as it
+    was.  The row lists and scalars passed in are never mutated.
+    """
+    pivots, prows = eliminate(
+        [{j: c for j, c in enumerate(row) if c} for row in rows],
+        ncols, reduced)
+    if not reduced:
+        return pivots
     for t, (j, prow) in enumerate(zip(pivots, prows)):
         dense = [{} for _ in range(ncols)]
         dense[j] = {0: R1}

@@ -8,11 +8,11 @@ sums of c along a flag with the codimension of the integral space Z_0.
 """
 
 from math import comb
-from itertools import combinations
 
+from ._kernel import eliminate, s_add, s_sub
 from .scalar import Scalar
 from .exterior import Form, Subspace, _sort_sign
-from .linalg import Matrix, rank, span_rank
+from .linalg import rank
 from .catalog import StructureSpec
 from .dga import analysis, _extension_system
 from .stability import e_stable
@@ -64,19 +64,15 @@ class PolarReport:
         }
 
 
-def polar_rows(a: Form, prefix):
-    """Reduced polar functionals of one form over the w_ij coordinates.
-
-    One row per p-subset of the prefix indices; entries indexed by
-    (i-1)*n + (j-1) for the symbol w_ij.
-    """
+def _polar_srows(a: Form, prefix):
+    """polar_rows of a form as sparse {column: coefficient} dicts."""
     n = a.n
-    p = a.degree
-    if p is None:
+    if a.degree is None:
         return []
     pset = set(prefix)
     rows = {}
     for idx, c in a.terms.items():
+        c = c.c
         for t, it in enumerate(idx):
             rest = idx[:t] + idx[t + 1:]
             if not all(r in pset for r in rest):
@@ -90,23 +86,44 @@ def polar_rows(a: Form, prefix):
                     continue
                 row = rows.get(key)
                 if row is None:
-                    row = [Scalar() for _ in range(n * n)]
-                    rows[key] = row
+                    row = rows[key] = {}
                 col = (it - 1) * n + (j - 1)
-                row[col] = row[col] + (c if sign > 0 else -c)
-    return [rows[k] for k in sorted(rows)]
+                cur = row.get(col, {})
+                row[col] = s_add(cur, c) if sign > 0 else s_sub(cur, c)
+    return [{k: v for k, v in rows[key].items() if v} for key in sorted(rows)]
+
+
+def polar_rows(a: Form, prefix):
+    """Reduced polar functionals of one form over the w_ij coordinates.
+
+    One row per p-subset of the prefix indices; entries indexed by
+    (i-1)*n + (j-1) for the symbol w_ij.
+    """
+    width = a.n * a.n
+    out = []
+    for row in _polar_srows(a, prefix):
+        dense = [Scalar() for _ in range(width)]
+        for k, v in row.items():
+            dense[k] = Scalar(v)
+        out.append(dense)
+    return out
+
+
+def _rank(srows, n):
+    """Rank of sparse polar rows over the n*n symbols; consumes the rows."""
+    return len(eliminate(srows, n * n, reduced=False)[0])
 
 
 def _structure_rows(s: StructureSpec, prefix, debug_products=False):
     rows = []
     for g in s.generators.values():
-        rows.extend(polar_rows(g, prefix))
+        rows.extend(_polar_srows(g, prefix))
     if debug_products:
-        base = span_rank(rows)
-        extra = list(rows)
+        extra = [dict(r) for r in rows]
+        base = _rank([dict(r) for r in rows], s.n)
         for _, form, _ in analysis(s).closure.words:
-            extra.extend(polar_rows(form, prefix))
-        if span_rank(extra) != base:
+            extra.extend(_polar_srows(form, prefix))
+        if _rank(extra, s.n) != base:
             raise CartanError(
                 "product differentials raised the polar rank at %r"
                 % (tuple(prefix),))
@@ -119,7 +136,7 @@ def polar_dimension(s: StructureSpec, w: Subspace, debug_products=False):
         raise CartanError("polar dimensions need a coordinate subspace")
     if w.n != s.n:
         raise CartanError("subspace of a different ambient space")
-    return span_rank(_structure_rows(s, w.coords, debug_products))
+    return _rank(_structure_rows(s, w.coords, debug_products), s.n)
 
 
 def _check_flag(n, flag):
@@ -136,8 +153,8 @@ def flag_test(s: StructureSpec, flag=None, debug_products=False) -> PolarReport:
     flag = _check_flag(n, s.default_flag if flag is None else flag)
     c_values = []
     for k in range(n + 1):
-        c_values.append(span_rank(
-            _structure_rows(s, flag[:k], debug_products)))
+        c_values.append(_rank(
+            _structure_rows(s, flag[:k], debug_products), n))
     # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
     # n*C(n,2) + n*C(n+1,2) = n^3
     codim = analysis(s).extension().rank
@@ -163,7 +180,7 @@ def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
     stable_prefixes = []
     for k in range(n + 1):
         prefix = flag[:k]
-        c_values.append(span_rank(polar_rows(a, prefix)))
+        c_values.append(_rank(_polar_srows(a, prefix), n))
         st = e_stable(a, Subspace.coordinate(n, prefix))
         stable_prefixes.append(st)
         if st and c_values[k] != comb(k, p):
@@ -190,7 +207,7 @@ def flag_search(s: StructureSpec) -> PolarReport:
 
     def c_of(subset):
         if subset not in cdim:
-            cdim[subset] = span_rank(_structure_rows(s, sorted(subset)))
+            cdim[subset] = _rank(_structure_rows(s, sorted(subset)), n)
         return cdim[subset]
 
     best = {frozenset(): 0}

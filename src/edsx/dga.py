@@ -14,6 +14,7 @@ that fix dim Z'') is computed once per StructureSpec, by its Analysis;
 an operator or a parameter value changes only a right-hand side.
 """
 
+from ._kernel import eliminate, s_add, s_submul
 from .scalar import Scalar
 from .exterior import Form, flatten, wedge, _sort_sign
 from .linalg import Elimination, Matrix, span_rank, vec_is_zero
@@ -298,11 +299,33 @@ class Analysis:
         return self._equivariant
 
     def lie_ranks(self):
-        """(rank of g (x) T, rank of g (x) T together with ker m)."""
+        """(rank of g (x) T, rank of g (x) T together with ker m).
+
+        A row g less sum_f g_f K_f, over the free columns f of m and their
+        kernel vectors K_f, is g reduced modulo ker m: it lies on the pivot
+        columns, so rank(G + ker m) = dim ker m + rank of the reduced G.
+        """
         if self._lie_ranks is None:
-            g_rows = lie_tensor_rows(self.s.lie, self.s.n)
-            kernel = self.extension().kernel_basis()
-            self._lie_ranks = (span_rank(g_rows), span_rank(g_rows + kernel))
+            ext = self.extension()
+            kernel = ext.kernel_vectors()
+            g_rows = [{j: x.c for j, x in enumerate(r) if x}
+                      for r in lie_tensor_rows(self.s.lie, self.s.n)]
+            reduced = []
+            for g in g_rows:
+                res = {}
+                for j, c in g.items():
+                    v = kernel.get(j)
+                    if v is None:
+                        res[j] = s_add(res.get(j, {}), c)
+                        continue
+                    for p, kc in v.items():
+                        if p != j:
+                            res[p] = s_submul(res.get(p, {}), c, kc)
+                reduced.append({k: v for k, v in res.items() if v})
+            g_rank = len(eliminate(g_rows, ext.ncols, reduced=False)[0])
+            with_kernel = len(kernel) + len(
+                eliminate(reduced, ext.ncols, reduced=False)[0])
+            self._lie_ranks = (g_rank, with_kernel)
         return self._lie_ranks
 
 

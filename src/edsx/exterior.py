@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._kernel import DIVISORS, s_add, s_mul, s_neg
-from .scalar import Scalar, _Literal, as_scalar
+from .scalar import Scalar, _Literal, as_scalar, rat_text
 
 
 def _merge_sign(I, J):
@@ -457,11 +457,11 @@ def _coeff_text(c: Scalar):
     sign = "-" if q < 0 else "+"
     q = abs(q)
     if d == 1:
-        body = "" if q == 1 else "%s*" % q
+        body = "" if q == 1 else "%s*" % rat_text(q)
     elif q == 1:
         body = "r%d*" % d
     else:
-        body = "%s*r%d*" % (q, d)
+        body = "%s*r%d*" % (rat_text(q), d)
     return sign, body
 
 

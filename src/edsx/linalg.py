@@ -4,12 +4,15 @@ Everything reduces to one deterministic RREF kernel (see edsx._kernel
 for the pivot rule), so ranks, kernels, and affine solves are canonical:
 the same input always yields the same basis vectors.
 
-Vectors are lists of Scalar.  Internally rows are lists of the kernel's
-mask -> rational dicts; wrapping happens only at the API boundary.
+Vectors are lists of Scalar.  A Matrix holds dense lists of the kernel's
+mask -> rational dicts; the eliminations behind kernels, solves and the
+Elimination class hand the kernel sparse {column: coefficient} rows, and
+wrapping happens only at the API boundary.
 """
 
 from __future__ import annotations
 
+from ._kernel import eliminate
 from ._kernel import rref as _rref_rows
 from ._kernel import s_add, s_mul, s_neg
 from ._rat import R1
@@ -20,8 +23,9 @@ def _unwrap(v):
     return [as_scalar(x).c for x in v]
 
 
-def _wrap(row):
-    return [Scalar(dict(c)) for c in row]
+def _sparse(rows):
+    """Fresh {column: coefficient} dicts of dense rows, for eliminate()."""
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
 
 
 class Matrix:
@@ -119,37 +123,36 @@ def rank(m: Matrix) -> int:
     return len(_rref_rows(m._rows, m.ncols, reduced=False))
 
 
-def _sparse_kernel(rows, pivots, ncols):
-    """Kernel vectors of an RREF as {column: coefficient} dicts."""
+def _kernel_vectors(pivots, prows, ncols):
+    """Right kernel from reduced pivot rows, keyed by free column.
+
+    The vector of free column f is a unit there and holds the negated
+    column f entries of the pivot rows; entries at ncols or beyond (an
+    augmented block) are ignored.  Vectors are {column: coefficient}
+    dicts, in ascending free-column order.
+    """
     pivset = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = {f: {0: R1}}
-        for t, p in enumerate(pivots):
-            c = rows[t][f]
-            if c:
+    out = {f: {f: {0: R1}} for f in range(ncols) if f not in pivset}
+    for p, prow in zip(pivots, prows):
+        for k, c in prow.items():
+            v = out.get(k)
+            if v is not None:
                 v[p] = s_neg(c)
-        out.append(v)
     return out
 
 
-def _kernel_from_rref(rows, pivots, ncols):
-    out = []
-    for v in _sparse_kernel(rows, pivots, ncols):
-        dense = [{} for _ in range(ncols)]
-        for j, c in v.items():
-            dense[j] = c
-        out.append(dense)
+def _densify(v, ncols):
+    out = [ZERO] * ncols
+    for j, c in v.items():
+        out[j] = Scalar(dict(c))
     return out
 
 
 def kernel_basis(m: Matrix):
     """Right kernel, one basis vector per free column (unit there)."""
-    rows = list(m._rows)
-    pivots = _rref_rows(rows, m.ncols)
-    return [_wrap(v) for v in _kernel_from_rref(rows, pivots, m.ncols)]
+    pivots, prows = eliminate(_sparse(m._rows), m.ncols)
+    return [_densify(v, m.ncols)
+            for v in _kernel_vectors(pivots, prows, m.ncols).values()]
 
 
 def solve_affine(m: Matrix, rhs) -> AffineSpace:
@@ -157,18 +160,18 @@ def solve_affine(m: Matrix, rhs) -> AffineSpace:
     rhsc = _unwrap(rhs)
     if len(rhsc) != m.nrows:
         raise ValueError("rhs length %d != %d rows" % (len(rhsc), m.nrows))
-    rows = [r + [b] for r, b in zip(m._rows, rhsc)]
-    pivots = _rref_rows(rows, m.ncols + 1)
-    if pivots and pivots[-1] == m.ncols:
-        return AffineSpace(m.ncols, None, [])
-    part = [{} for _ in range(m.ncols)]
-    for t, p in enumerate(pivots):
-        b = rows[t][m.ncols]
+    ncols = m.ncols
+    srows = _sparse(m._rows)
+    for r, b in zip(srows, rhsc):
         if b:
-            part[p] = dict(b)
-    amat = [r[:m.ncols] for r in rows]
-    kern = _kernel_from_rref(amat, pivots, m.ncols)
-    return AffineSpace(m.ncols, _wrap(part), [_wrap(v) for v in kern])
+            r[ncols] = b
+    pivots, prows = eliminate(srows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return AffineSpace(ncols, None, [])
+    part = {p: prow[ncols] for p, prow in zip(pivots, prows) if ncols in prow}
+    kern = _kernel_vectors(pivots, prows, ncols)
+    return AffineSpace(ncols, _densify(part, ncols),
+                       [_densify(v, ncols) for v in kern.values()])
 
 
 def _dot(row, b):
@@ -181,13 +184,6 @@ def _dot(row, b):
         if x:
             acc = s_add(acc, s_mul(c, x))
     return acc
-
-
-def _densify(v, ncols):
-    out = [ZERO] * ncols
-    for j, c in v.items():
-        out[j] = Scalar(dict(c))
-    return out
 
 
 class Elimination:
@@ -210,27 +206,29 @@ class Elimination:
     def __init__(self, m: Matrix):
         self.nrows = m.nrows
         self.ncols = m.ncols
-        self._entries = [{j: c for j, c in enumerate(r) if c}
-                         for r in m._rows]
+        self._entries = _sparse(m._rows)
         self._pivots = self._kernel = self._lift = self._residual = None
 
     def _eliminate(self, with_e):
-        nrows, ncols = self.nrows, self.ncols
-        width = ncols + nrows if with_e else ncols
-        rows = []
-        for i, entries in enumerate(self._entries):
-            row = [{} for _ in range(width)]
-            for j, c in entries.items():
-                row[j] = dict(c)
-            if with_e:
-                row[ncols + i] = {0: R1}
-            rows.append(row)
-        pivots = _rref_rows(rows, width)
+        ncols = self.ncols
+        srows = [dict(r) for r in self._entries]
+        if with_e:
+            for i, r in enumerate(srows):
+                r[ncols + i] = {0: R1}
+        pivots, prows = eliminate(
+            srows, ncols + self.nrows if with_e else ncols)
         rank = sum(1 for p in pivots if p < ncols)
         self._pivots = pivots[:rank]
-        self._kernel = _sparse_kernel(rows, self._pivots, ncols)
+        self._kernel = _kernel_vectors(self._pivots, prows, ncols)
         if with_e:
-            e = [{i: c for i, c in enumerate(r[ncols:]) if c} for r in rows]
+            # [m | I] has full row rank, so every row is a pivot row; the
+            # leading 1 of a row past the rank sits in the E block
+            e = []
+            for p, prow in zip(pivots, prows):
+                r = {k - ncols: c for k, c in prow.items() if k >= ncols}
+                if p >= ncols:
+                    r[p - ncols] = {0: R1}
+                e.append(dict(sorted(r.items())))
             self._lift = e[:rank]
             self._residual = e[rank:]
             self._entries = None
@@ -260,11 +258,20 @@ class Elimination:
         part = {p: _dot(r, b) for p, r in zip(self._pivots, self._lift)}
         return _densify(part, self.ncols)
 
-    def kernel_basis(self):
-        """kernel_basis(m), as fresh lists."""
+    def kernel_vectors(self):
+        """The right kernel as {free column: {column: coefficient}}.
+
+        The vector of free column f is a unit there and zero on the other
+        free columns.  The dicts are shared; callers must not mutate them.
+        """
         if self._kernel is None:
             self._eliminate(False)
-        return [_densify(v, self.ncols) for v in self._kernel]
+        return self._kernel
+
+    def kernel_basis(self):
+        """kernel_basis(m), as fresh lists."""
+        return [_densify(v, self.ncols)
+                for v in self.kernel_vectors().values()]
 
     def solve(self, rhs) -> AffineSpace:
         """Equal to solve_affine(m, rhs)."""
@@ -296,9 +303,12 @@ def echelon_span(vectors):
     if not vectors:
         return []
     m = Matrix.from_rows(vectors)
-    rows = list(m._rows)
-    pivots = _rref_rows(rows, m.ncols)
-    return [_wrap(rows[t]) for t in range(len(pivots))]
+    pivots, prows = eliminate(_sparse(m._rows), m.ncols)
+    out = []
+    for p, prow in zip(pivots, prows):
+        prow[p] = {0: R1}
+        out.append(_densify(prow, m.ncols))
+    return out
 
 
 def vec_is_zero(a):

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ._kernel import rref as _rref_rows
-from ._kernel import s_add, s_mul, s_neg, s_sub
+from ._kernel import eliminate, s_add, s_from_rat, s_mul, s_neg, s_sub
 from ._rat import RAT
 from .exterior import Form, _sort_sign, flatten, unflatten
-from .linalg import (Matrix, _kernel_from_rref, echelon_span, kernel_basis,
+from .linalg import (Matrix, _kernel_vectors, echelon_span, kernel_basis,
                      solve_affine)
 from .scalar import Scalar, as_scalar
 
@@ -383,14 +382,15 @@ class CasimirDecomposition:
 
 
 def _sparse_square_sum(sparse_ops, dim):
-    """C = sum_b op_b^2 as dense rows of coeff dicts."""
-    C = [[{} for _ in range(dim)] for _ in range(dim)]
+    """C = sum_b op_b^2 as sparse {column: coefficient} rows."""
+    C = [{} for _ in range(dim)]
     for op in sparse_ops:
         for i in range(dim):
+            row = C[i]
             for k, a in op[i]:
                 for j, b in op[k]:
-                    C[i][j] = s_add(C[i][j], s_mul(a, b))
-    return C
+                    row[j] = s_add(row.get(j, {}), s_mul(a, b))
+    return [{j: c for j, c in row.items() if c} for row in C]
 
 
 def _vec_act_pair(x, j, k):
@@ -515,10 +515,10 @@ def _calibrate(g: LieRep):
     n = g.n
     dim, ops = _space_operators(g, "T")
     C = _sparse_square_sum(ops, dim)
-    c0 = Scalar(dict(C[0][0]))
+    c0 = Scalar(dict(C[0].get(0, {})))
     for i in range(dim):
         for j in range(dim):
-            val = Scalar(dict(C[i][j]))
+            val = Scalar(dict(C[i].get(j, {})))
             want = c0 if i == j else Scalar()
             if val != want:
                 raise CasimirError("Casimir is not scalar on T; calibration fails")
@@ -528,51 +528,39 @@ def _calibrate(g: LieRep):
     return c0 / (j_t * (j_t + 1))
 
 
-def _rat_kernel(rows_rat, dim):
-    """Kernel of a rational matrix given as dense rows of rationals.
-
-    One (free column, vector) pair per free column, unit there.
-    """
-    rows = [[({0: q} if q else {}) for q in r] for r in rows_rat]
-    pivots = _rref_rows(rows, dim)
-    pivset = set(pivots)
-    free = [j for j in range(dim) if j not in pivset]
-    return list(zip(free, _kernel_from_rref(rows, pivots, dim)))
-
-
 def _weight_blocks(hop, dim):
     """Blocks ker(Hhat^2 + m^2) for the sqrt2-rational first generator.
 
     Returns None when the generator is not sqrt2-rational, else a list of
-    (free_cols, vectors) per weight m with nonempty kernel.
+    (m, block) per weight m with nonempty kernel.  A block maps each free
+    column to its kernel vector, a sparse {column: coefficient} dict that
+    is a unit on that column and zero on the block's other free columns.
     """
-    hrat = [[RAT(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j, c in hop[i]:
+    hrat = []
+    for row in hop:
+        r = {}
+        for j, c in row:
             if set(c) != {1}:
                 return None
-            hrat[i][j] = c[1]
-    h2 = [[RAT(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for k in range(dim):
-            a = hrat[i][k]
-            if a:
-                rk = hrat[k]
-                row = h2[i]
-                for j in range(dim):
-                    if rk[j]:
-                        row[j] += a * rk[j]
+            r[j] = c[1]
+        hrat.append(r)
+    h2 = []
+    for r in hrat:
+        acc = {}
+        for k, a in r.items():
+            for j, b in hrat[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        h2.append({j: {0: q} for j, q in acc.items() if q})
     blocks = []
     seen = 0
     m = 0
     while seen < dim:
         if m * m > 4 * dim * dim:
             raise CasimirError("weight search did not terminate")
-        mat = [row[:] for row in h2]
-        mm = RAT(m * m)  # Hhat^2 has eigenvalue -m^2 on the weight-m block
-        for i in range(dim):
-            mat[i][i] += mm
-        kern = _rat_kernel(mat, dim)
+        # Hhat^2 has eigenvalue -m^2 on the weight-m block
+        rows = _shift_diagonal(h2, s_from_rat(RAT(m * m)))
+        pivots, prows = eliminate(rows, dim)
+        kern = _kernel_vectors(pivots, prows, dim)
         if kern:
             blocks.append((m, kern))
             seen += len(kern)
@@ -581,31 +569,45 @@ def _weight_blocks(hop, dim):
 
 
 def _restrict_to_block(C, block):
-    """C restricted to a kernel-basis block, using unit free columns."""
-    free = [f for f, _ in block]
-    vecs = [v for _, v in block]
-    d = len(vecs)
-    out = [[{} for _ in range(d)] for _ in range(d)]
-    for b, v in enumerate(vecs):
-        img = [{} for _ in range(len(v))]
-        for i in range(len(v)):
-            acc = {}
-            for j, c in C[i]:
-                if v[j]:
-                    acc = s_add(acc, s_mul(c, v[j]))
-            img[i] = acc
+    """C on a weight block as sparse rows, in the block's coordinates.
+
+    C commutes with the weight operator, so C v lies in the block; as the
+    vectors are units on their free columns and zero on the others', the
+    coordinate of C v on the vector of f is (C v)[f].
+    """
+    free = list(block)
+    out = [{} for _ in free]
+    for b, v in enumerate(block.values()):
         for r, f in enumerate(free):
-            out[r][b] = img[f]
+            acc = {}
+            for j, c in C[f].items():
+                x = v.get(j)
+                if x:
+                    acc = s_add(acc, s_mul(c, x))
+            if acc:
+                out[r][b] = acc
+    return out
+
+
+def _shift_diagonal(rows, c):
+    """Fresh sparse rows of M + c I from the sparse rows of M."""
+    out = []
+    for i, row in enumerate(rows):
+        row = dict(row)
+        if c:
+            d = s_add(row.get(i, {}), c)
+            if d:
+                row[i] = d
+            else:
+                del row[i]
+        out.append(row)
     return out
 
 
 def _kernel_dim_shift(rows, lam, dim):
-    """dim ker(M - lam I) for dense dict rows."""
-    lamc = lam.c
-    if lamc:
-        rows = [row[:i] + [s_sub(row[i], lamc)] + row[i + 1:]
-                for i, row in enumerate(rows)]
-    return dim - len(_rref_rows(rows, dim, reduced=False))
+    """dim ker(M - lam I) for sparse {column: coefficient} rows."""
+    shifted = _shift_diagonal(rows, s_neg(lam.c))
+    return dim - len(eliminate(shifted, dim, reduced=False)[0])
 
 
 def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
@@ -625,13 +627,12 @@ def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
         return CasimirDecomposition(space, dim, whole.kappa, parts)
     kappa = _calibrate(g)
     dim, ops = _space_operators(g, space)
-    C_rows = _sparse_square_sum(ops, dim)
-    C_sparse = [[(j, c) for j, c in enumerate(row) if c] for row in C_rows]
+    C = _sparse_square_sum(ops, dim)
     blocks = _weight_blocks(ops[0], dim)
     parts = []
     seen = 0
     if blocks is not None:
-        restricted = [(m, _restrict_to_block(C_sparse, b)) for m, b in blocks]
+        restricted = [(m, _restrict_to_block(C, b)) for m, b in blocks]
         j = 0
         while seen < dim:
             if (2 * j + 1) > dim + 1:
@@ -649,16 +650,12 @@ def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
                 seen += kd
             j += 1
     else:
-        dense = [[{} for _ in range(dim)] for _ in range(dim)]
-        for i, row in enumerate(C_sparse):
-            for jj, c in row:
-                dense[i][jj] = c
         j = 0
         while seen < dim:
             if (2 * j + 1) > dim + 1:
                 raise CasimirError("spectrum of C exceeds the expected spins")
             lam = kappa * (j * (j + 1))
-            kd = _kernel_dim_shift(dense, lam, dim)
+            kd = _kernel_dim_shift(C, lam, dim)
             if kd:
                 if kd % (2 * j + 1):
                     raise CasimirError("kernel of C - lambda_%d is not a multiple of %d" % (j, 2 * j + 1))

@@ -141,14 +141,39 @@ def as_scalar(x) -> Scalar:
     return Scalar.of(x)
 
 
+# Python refuses int -> str past sys.get_int_max_str_digits() digits (at
+# least 640 wherever the limit is on), so long integers are written in
+# chunks of _CHUNK_DIGITS digits
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_text(k):
+    if -_CHUNK < k < _CHUNK:
+        return str(k)
+    sign, k = ("-" if k < 0 else ""), abs(k)
+    chunks = []
+    while k >= _CHUNK:
+        k, r = divmod(k, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    chunks.append(str(k))
+    return sign + "".join(reversed(chunks))
+
+
+def rat_text(q):
+    """str(q) of a rational, n or n/d, at any number of digits."""
+    n, d = _int_text(q.numerator), q.denominator
+    return n if d == 1 else "%s/%s" % (n, _int_text(d))
+
+
 def _term_text(divisor, q):
     if divisor == 1:
-        return str(q)
+        return rat_text(q)
     if q == 1:
         return "r%d" % divisor
     if q == -1:
         return "-r%d" % divisor
-    return "%s*r%d" % (q, divisor)
+    return "%s*r%d" % (rat_text(q), divisor)
 
 
 def format_scalar(s: Scalar) -> str:
@@ -190,7 +215,8 @@ class _Literal:
     what = noun = "scalar"
 
     def __init__(self, text):
-        self.toks, self.at, self.pos = [], [], 0
+        self.text = text
+        self.toks, self.at, self.end, self.pos = [], [], [], 0
         i, end = 0, len(text)
         while i < end:
             ch = text[i]
@@ -209,6 +235,7 @@ class _Literal:
             else:
                 tok, j = self._other(text, i)
             self.toks.append(tok)
+            self.end.append(j)
             i = j
         self.toks.append(None)
 
@@ -221,8 +248,10 @@ class _Literal:
     def parse(self):
         v = self._expr(0)
         if self.toks[self.pos] is not None:
-            raise ValueError("trailing input in %s: %r"
-                             % (self.what, self.toks[self.pos]))
+            at = self.at[self.pos]
+            raise ValueError("trailing input %r at position %d in %s"
+                             % (self.text[at:self.end[self.pos]], at,
+                                self.what))
         return v
 
     def _expr(self, depth):
@@ -244,6 +273,10 @@ class _Literal:
         self.pos += 1
         if isinstance(t, tuple):
             return self._atom(*t)
+        if t is None:
+            raise ValueError("expected a %s factor at position %d, found "
+                             "the end of the %s"
+                             % (self.noun, len(self.text), self.what))
         if t not in ("(", "-", "+"):
             raise ValueError("expected a %s factor, got %r" % (self.noun, t))
         if depth == MAX_NESTING:

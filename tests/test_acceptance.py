@@ -4,9 +4,12 @@ Each test prints one line; flagged entries report known misprints in the
 reproduced source and never fail a criterion.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from edsx import papercheck
+from edsx import __version__, papercheck
 
 ORDER = [key for key, _ in papercheck.CHECKS]
 
@@ -29,3 +32,24 @@ def test_criterion(results, num, key):
     bad = [l["text"] for l in res.lines if l["status"] == "fail"]
     assert res.passed, "criterion %d (%s) failed:\n%s" % (
         num, res.key, "\n".join("  " + t for t in bad))
+
+
+# sha256 and length of the bytes `edsx paper-check --json` prints; the
+# payload is built as cli.cmd_paper_check builds it, from the results above
+PAPER_CHECK_JSON_SHA256 = (
+    "af2c16ced0d9cbf724ab374716b3afe02457fd25d5f4ffee3a6efcc3aa91125c")
+PAPER_CHECK_JSON_BYTES = 22869
+
+
+def test_paper_check_json_is_pinned(results):
+    checks = [results[key] for key in ORDER]
+    flagged = [l["text"] for res in checks for l in res.lines
+               if l["status"] == "flagged"]
+    payload = {"command": "paper-check", "cases": 1000,
+               "checks": [res.to_json() for res in checks],
+               "flagged": flagged,
+               "passed": all(res.passed for res in checks),
+               "tool": "edsx", "version": __version__}
+    out = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    assert len(out) == PAPER_CHECK_JSON_BYTES
+    assert hashlib.sha256(out).hexdigest() == PAPER_CHECK_JSON_SHA256

@@ -1,14 +1,18 @@
 """The per-structure analysis against the reference paths it replaces."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from edsx import catalog
 from edsx.cartan import flag_test
 from edsx.catalog import get_structure, parse_structure_name
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
-                      analysis, check_operator, z_spaces)
-from edsx.linalg import Elimination, rank, solve_affine
-from edsx.rep import equivariant_maps
+                      _unit_images, Analysis, analysis, check_operator,
+                      lie_tensor_rows, z_spaces)
+from edsx.linalg import (Elimination, kernel_basis, rank, solve_affine,
+                         span_rank)
+from edsx.rep import LieRep, equivariant_maps, gl_basis
 from edsx.scalar import Scalar
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
@@ -58,6 +62,34 @@ def test_codim_z0_is_the_extension_rank(name):
     z_dim = len(reference.basis) + n * (n * (n + 1) // 2)
     assert z_spaces(s, "zero").z_dim == z_dim
     assert flag_test(s).codim_z0 == n ** 3 - z_dim
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_lie_ranks_are_the_stacked_ranks(name):
+    s = get_structure(name)
+    g_rows = lie_tensor_rows(s.lie, s.n)
+    kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
+                                             _unit_images(s.n)))
+    want = (span_rank(g_rows), span_rank(g_rows + kernel))
+    assert analysis(s).lie_ranks() == want
+    if name == "psu3":
+        # ker m holds g (x) T (the generators are invariant) and more
+        assert want == (64, 154) and len(kernel) == 154
+
+
+def test_lie_ranks_reduce_rows_outside_the_kernel():
+    # so(5) does not fix the su-odd:2 generators, so rows of g (x) T
+    # leave ker m and their reductions modulo ker m are not all zero
+    base = get_structure("su-odd:2")
+    n = base.n
+    s = SimpleNamespace(n=n, generators=base.generators,
+                        lie=LieRep("so5", n, gl_basis(n, skew=True)))
+    g_rows = lie_tensor_rows(s.lie, n)
+    kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
+                                             _unit_images(n)))
+    want = (span_rank(g_rows), span_rank(g_rows + kernel))
+    assert Analysis(s).lie_ranks() == want
+    assert want[1] > len(kernel)
 
 
 def test_cached_and_fresh_specs_agree():

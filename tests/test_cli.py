@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
+from edsx.catalog import get_structure
 from edsx.cli import main
+from edsx.dga import check_operator
+from edsx.scalar import Scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,6 +85,31 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert err == "edsx: --cases -1 is negative\n"
+
+
+def test_values_past_the_int_text_limit_print(capsys):
+    # each literal has 1000 digits, their product 5000; Python's int -> str
+    # stops at 4300 digits by default
+    big = "*".join(["9" * 1000] * 5)
+    argv = ["dga", "--structure", "su-even:3", "--operator", "nearly-kahler",
+            "--params", "lambda=%s,mu=0" % big]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "all ok true"
+    code, out, err = run(capsys, argv + ["--json"])
+    assert (code, err) == (0, "")
+    texts = json.loads(out)["extension_witness"]
+    assert max(len(t) for t in texts) > 5000
+    chk = check_operator(get_structure("su-even:3"), "nearly-kahler",
+                         {"lambda": Scalar.parse(big), "mu": Scalar.of(0)})
+    want = [v.c.get(0, 0) for v in chk.extension_witness.flatten()]
+    assert all(not set(v.c) - {0} for v in chk.extension_witness.flatten())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(t) for t in texts] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_python_dash_m_runs_the_cli():

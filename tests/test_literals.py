@@ -3,9 +3,11 @@
 The pinned tables hold canonical texts and exact error messages as the
 two separate scalar and form parsers gave them; the merged grammar has to
 reproduce every one.  REWORDED holds the messages it words anew: a bare r
-in a form gets the scalar message, and a bad index or too deep nesting
-names its position.  The hypothesis tests feed both entry points, and the
-CLI, arbitrary text over the literal alphabet.
+in a form gets the scalar message, and a bad index, too deep nesting,
+trailing input and a literal that ends where a factor is due each name
+their position (the old parsers showed the last two as internal tokens,
+such as ('int', 2) or None).  The hypothesis tests feed both entry
+points, and the CLI, arbitrary text over the literal alphabet.
 """
 
 import io
@@ -51,7 +53,6 @@ V, Z = ValueError, ZeroDivisionError
 
 # text -> (exception, message), through Scalar.parse
 SCALAR_ERRORS = [
-    ("", V, "expected a scalar factor, got None"),
     ("x", V, "unexpected character 'x' in scalar"),
     ("r1", V, "r1 is not a squarefree divisor of 210"),
     ("r11", V, "r11 is not a squarefree divisor of 210"),
@@ -60,11 +61,8 @@ SCALAR_ERRORS = [
     ("rx", V, "bad radical token at 'rx'"),
     ("1 r", V, "bad radical token at 'r'"),
     ("1//2", V, "expected a scalar factor, got '/'"),
-    ("1 2", V, "trailing input in scalar: ('int', 2)"),
     ("(1", V, "unbalanced parenthesis in scalar"),
-    ("1)", V, "trailing input in scalar: ')'"),
     ("()", V, "expected a scalar factor, got ')'"),
-    ("1+", V, "expected a scalar factor, got None"),
     ("*1", V, "expected a scalar factor, got '*'"),
     ("1/0", Z, "scalar inverse of zero"),
     ("1/(r2-r2)", Z, "scalar inverse of zero"),
@@ -84,12 +82,10 @@ FORM_ERRORS = [
     ("e[1,2", V, "unclosed '[' at position 1 in form literal"),
     ("e[1] + e[2,3", V, "unclosed '[' at position 8 in form literal"),
     ("q[1]", V, "unexpected character 'q' in form literal"),
-    ("e[1]*e[1,2]+", V, "expected a form factor, got None"),
     ("2**3", V, "expected a form factor, got '*'"),
     ("e [1]", V, "unexpected character 'e' in form literal"),
     ("e", V, "unexpected character 'e' in form literal"),
     ("ee[1]", V, "unexpected character 'e' in form literal"),
-    ("e[1]e[2]", V, "trailing input in form literal: ('mono', (2,))"),
     ("e[1]+1", V, "adding forms of different degrees"),
     ("1/e[1]", V, "division by a non-scalar form"),
     ("e[1]/0", Z, "scalar inverse of zero"),
@@ -98,11 +94,9 @@ FORM_ERRORS = [
     ("e[0]", V, "index out of range 1..4: (0,)"),
     ("e[-1]", V, "index out of range 1..4: (-1,)"),
     ("e[1,2]+e[3]", V, "adding forms of different degrees"),
-    ("e[1]-", V, "expected a form factor, got None"),
     ("e[1]]", V, "unexpected character ']' in form literal"),
     ("r0*e[1]", V, "r0 is not a squarefree divisor of 210"),
     ("(e[1]", V, "unbalanced parenthesis in form literal"),
-    ("e[1])", V, "trailing input in form literal: ')'"),
     ("x*e[1]", V, "unexpected character 'x' in form literal"),
     ("r1", V, "r1 is not a squarefree divisor of 210"),
     ("1/0", Z, "scalar inverse of zero"),
@@ -126,6 +120,19 @@ REWORDED = [
      "nesting deeper than 100 at position 104 in form literal"),
     ("form", "+" * DEEP + "e[1]",
      "nesting deeper than 100 at position 100 in form literal"),
+    ("scalar", "", "expected a scalar factor at position 0, found the end "
+     "of the scalar"),
+    ("scalar", "1+", "expected a scalar factor at position 2, found the end "
+     "of the scalar"),
+    ("scalar", "1 2", "trailing input '2' at position 2 in scalar"),
+    ("scalar", "1)", "trailing input ')' at position 1 in scalar"),
+    ("form", "e[1]*e[1,2]+", "expected a form factor at position 12, found "
+     "the end of the form literal"),
+    ("form", "e[1]-", "expected a form factor at position 5, found the end "
+     "of the form literal"),
+    ("form", "e[1]e[2]", "trailing input 'e[2]' at position 4 in form "
+     "literal"),
+    ("form", "e[1])", "trailing input ')' at position 4 in form literal"),
 ]
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
-from edsx.rep import (HomMap, LieRep, act_on_form, act_on_hom,
-                      cartan_three_form, casimir_decompose, equivariant_maps,
-                      gl_basis, hom_dim, invariants, mat_bracket,
-                      mat_is_skew, orbit_matrix, stabilizer)
+from edsx.rep import (HomMap, LieRep, _space_operators, _weight_blocks,
+                      act_on_form, act_on_hom, cartan_three_form,
+                      casimir_decompose, equivariant_maps, gl_basis, hom_dim,
+                      invariants, mat_bracket, mat_is_skew, orbit_matrix,
+                      stabilizer)
 from edsx.linalg import rank
 from edsx.scalar import Scalar
 
@@ -144,3 +145,33 @@ def test_casimir_needs_three_dimensional_algebra():
     g = get_structure("g2").lie
     with pytest.raises(ValueError):
         casimir_decompose(g, "t-gperp")
+
+
+@pytest.mark.parametrize("space", ["T", "t-g", "t-lambda2"])
+def test_weight_blocks_are_kernels_of_the_shifted_square(space):
+    g = get_structure("so3-9").lie
+    dim, ops = _space_operators(g, space)
+    # the first generator is r2 times a rational matrix Hhat
+    hhat = [{j: c[1] for j, c in row} for row in ops[0]]
+    assert all(set(c) == {1} for row in ops[0] for _, c in row)
+
+    def apply(v):
+        out = {}
+        for i, row in enumerate(hhat):
+            x = sum(q * v[j] for j, q in row.items() if j in v)
+            if x:
+                out[i] = x
+        return out
+
+    blocks = _weight_blocks(ops[0], dim)
+    assert sum(len(block) for _, block in blocks) == dim
+    for m, block in blocks:
+        for f, vec in block.items():
+            assert all(set(c) == {0} for c in vec.values())
+            v = {j: c[0] for j, c in vec.items()}
+            # a unit on its free column, zero on the block's other ones
+            assert v[f] == 1
+            assert not any(k in v for k in block if k != f)
+            h2v = apply(apply(v))
+            for j in set(h2v) | set(v):
+                assert h2v.get(j, 0) + m * m * v.get(j, 0) == 0

@@ -2,7 +2,8 @@
 
 sympy's DomainMatrix.rref over QQ, and over algebraic fields spanned by
 three of the four square roots, is an independent implementation of the
-same canonical form: pivots and every entry of the RREF must agree.
+same canonical form: pivots and every entry of the RREF must agree.  The
+sparse core, eliminate(), must give what its dense entry rref() gives.
 sympy's division in those fields is an independent inverse.
 """
 
@@ -12,7 +13,7 @@ import pytest
 from sympy import QQ, sqrt
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import PRIMES, rref, s_inv, s_mul
+from edsx._kernel import PRIMES, eliminate, rref, s_inv, s_mul
 from edsx._rat import RAT
 from edsx.linalg import Matrix, rank
 
@@ -100,6 +101,44 @@ def test_rref_matches_sympy(fields, which, count):
         pivots = rref(got, ncols)
         assert tuple(pivots) == tuple(want_piv)
         assert field.matrix(got, ncols) == want
+
+
+def _dense(pivots, prows, nrows, ncols):
+    """Pivot rows of eliminate() as the dense rows rref() writes."""
+    out = []
+    for j, prow in zip(pivots, prows):
+        row = [{} for _ in range(ncols)]
+        row[j] = {0: RAT(1)}
+        for k, v in prow.items():
+            row[k] = v
+        out.append(row)
+    return out + [[{} for _ in range(ncols)]
+                  for _ in range(nrows - len(pivots))]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_sparse_core_matches_the_dense_entry(fields, which):
+    field = fields[which]
+    for rows, ncols in _cases(field, 9100 + which, 110):
+        before = [[dict(c) for c in r] for r in rows]
+        want = [list(r) for r in rows]
+        want_piv = rref(want, ncols)
+        for reduced in (True, False):
+            srows = [{j: c for j, c in enumerate(r) if c} for r in rows]
+            pivots, prows = eliminate(srows, ncols, reduced)
+            assert pivots == want_piv
+            assert len(prows) == len(pivots)
+            for j, prow in zip(pivots, prows):
+                assert all(k > j for k in prow)
+                assert all(prow.values())
+            if reduced:
+                assert all(k not in pivots for p in prows for k in p)
+                assert _dense(pivots, prows, len(rows), ncols) == want
+            else:
+                # the forward rows span the row space: their RREF is rref's
+                forward = _dense(pivots, prows, len(rows), ncols)
+                assert rref(forward, ncols) == want_piv and forward == want
+        assert rows == before
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])

@@ -1,11 +1,12 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
 from edsx._kernel import s_inv, s_mul
 from edsx._rat import RAT, R1
-from edsx.scalar import Scalar
+from edsx.scalar import Scalar, rat_text
 
 
 def test_rational_arithmetic():
@@ -144,3 +145,17 @@ def test_inverse_of_towers_that_collapse_early():
 def test_inverse_of_zero_names_it():
     with pytest.raises(ZeroDivisionError, match="^scalar inverse of zero$"):
         s_inv({})
+
+
+def test_rational_text_past_the_int_text_limit():
+    c = 10 ** 600
+    ints = [0, 7, c - 1, c, c + 1, 5 * c * c + 3, c ** 9 - 1, 10 ** 4301]
+    rats = [RAT(k) for k in ints] + [RAT(-k, 3) for k in ints if k % 3]
+    rats += [RAT(1, c + 1), RAT(-(c ** 8) - 1, c ** 8 + 3)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(q) for q in rats]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [rat_text(q) for q in rats] == want
