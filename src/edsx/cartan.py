@@ -9,18 +9,17 @@ sums of c along a flag with the codimension of the integral space Z_0.
 
 from math import comb
 
-from ._kernel import eliminate, s_add, s_sub
-from .scalar import Scalar
+from ._kernel import s_add, s_sub
 from .exterior import Form, Subspace, _sort_sign
-from .linalg import rank
+from .linalg import span_rank
 from .catalog import StructureSpec
 from .dga import analysis, _extension_system
+from .rep import hom_dim
 from .stability import e_stable
 
 __all__ = [
     "CartanError",
     "PolarReport",
-    "polar_rows",
     "polar_dimension",
     "flag_test",
     "stable_flag_test",
@@ -65,7 +64,11 @@ class PolarReport:
 
 
 def _polar_srows(a: Form, prefix):
-    """polar_rows of a form as sparse {column: coefficient} dicts."""
+    """Reduced polar functionals of one form over the w_ij coordinates.
+
+    One sparse row per p-subset of the prefix indices; entries indexed by
+    (i-1)*n + (j-1) for the symbol w_ij.
+    """
     n = a.n
     if a.degree is None:
         return []
@@ -93,37 +96,16 @@ def _polar_srows(a: Form, prefix):
     return [{k: v for k, v in rows[key].items() if v} for key in sorted(rows)]
 
 
-def polar_rows(a: Form, prefix):
-    """Reduced polar functionals of one form over the w_ij coordinates.
-
-    One row per p-subset of the prefix indices; entries indexed by
-    (i-1)*n + (j-1) for the symbol w_ij.
-    """
-    width = a.n * a.n
-    out = []
-    for row in _polar_srows(a, prefix):
-        dense = [Scalar() for _ in range(width)]
-        for k, v in row.items():
-            dense[k] = Scalar(v)
-        out.append(dense)
-    return out
-
-
-def _rank(srows, n):
-    """Rank of sparse polar rows over the n*n symbols; consumes the rows."""
-    return len(eliminate(srows, n * n, reduced=False)[0])
-
-
 def _structure_rows(s: StructureSpec, prefix, debug_products=False):
     rows = []
     for g in s.generators.values():
         rows.extend(_polar_srows(g, prefix))
     if debug_products:
-        extra = [dict(r) for r in rows]
-        base = _rank([dict(r) for r in rows], s.n)
+        extra = list(rows)
+        base = span_rank(rows, s.n ** 2)
         for _, form, _ in analysis(s).closure.words:
             extra.extend(_polar_srows(form, prefix))
-        if _rank(extra, s.n) != base:
+        if span_rank(extra, s.n ** 2) != base:
             raise CartanError(
                 "product differentials raised the polar rank at %r"
                 % (tuple(prefix),))
@@ -136,7 +118,8 @@ def polar_dimension(s: StructureSpec, w: Subspace, debug_products=False):
         raise CartanError("polar dimensions need a coordinate subspace")
     if w.n != s.n:
         raise CartanError("subspace of a different ambient space")
-    return _rank(_structure_rows(s, w.coords, debug_products), s.n)
+    rows = _structure_rows(s, w.coords, debug_products)
+    return span_rank(rows, s.n ** 2)
 
 
 def _check_flag(n, flag):
@@ -153,8 +136,8 @@ def flag_test(s: StructureSpec, flag=None, debug_products=False) -> PolarReport:
     flag = _check_flag(n, s.default_flag if flag is None else flag)
     c_values = []
     for k in range(n + 1):
-        c_values.append(_rank(
-            _structure_rows(s, flag[:k], debug_products), n))
+        c_values.append(span_rank(
+            _structure_rows(s, flag[:k], debug_products), n * n))
     # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
     # n*C(n,2) + n*C(n+1,2) = n^3
     codim = analysis(s).extension().rank
@@ -180,7 +163,7 @@ def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
     stable_prefixes = []
     for k in range(n + 1):
         prefix = flag[:k]
-        c_values.append(_rank(_polar_srows(a, prefix), n))
+        c_values.append(span_rank(_polar_srows(a, prefix), n * n))
         st = e_stable(a, Subspace.coordinate(n, prefix))
         stable_prefixes.append(st)
         if st and c_values[k] != comb(k, p):
@@ -188,7 +171,7 @@ def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
                 "stable prefix %r has c=%d, expected C(%d,%d)=%d"
                 % (prefix, c_values[k], k, p, comb(k, p)))
     m, _ = _extension_system(n, [(a, Form.zero(n))])
-    codim = rank(m)
+    codim = span_rank(m, hom_dim(n))
     if all(stable_prefixes[:n]) and codim != comb(n, p + 1):
         raise CartanError(
             "stable flag has codim %d, expected C(%d,%d)=%d"
@@ -207,7 +190,8 @@ def flag_search(s: StructureSpec) -> PolarReport:
 
     def c_of(subset):
         if subset not in cdim:
-            cdim[subset] = _rank(_structure_rows(s, sorted(subset)), n)
+            cdim[subset] = span_rank(
+                _structure_rows(s, sorted(subset)), n * n)
         return cdim[subset]
 
     best = {frozenset(): 0}

@@ -164,16 +164,19 @@ def cmd_zspaces(args):
 def cmd_cartan(args):
     s = get_structure(args.structure)
     if args.search:
+        if args.flag is not None:
+            raise CartanError("--search chooses the flag; drop --flag")
         rep = flag_search(s)
     else:
-        rep = flag_test(s, _parse_flag(args.flag) if args.flag else None)
+        rep = flag_test(s, None if args.flag is None
+                        else _parse_flag(args.flag))
     payload = {"command": "cartan", "structure": s.name,
                "provenance": "derived"}
     payload.update(rep.to_json())
     cs = rep.c_values[:len(rep.flag)]
     lines = ["c = [%s], ordinary %s"
              % (",".join(str(c) for c in cs), _bool(rep.ordinary))]
-    if args.search or args.flag:
+    if args.search or args.flag is not None:
         lines.append("flag (%s), codim Z_0 %d"
                      % (",".join(str(i) for i in rep.flag), rep.codim_z0))
     _emit(args, payload, lines)

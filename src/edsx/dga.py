@@ -14,11 +14,14 @@ that fix dim Z'') is computed once per StructureSpec, by its Analysis;
 an operator or a parameter value changes only a right-hand side.
 """
 
-from ._kernel import eliminate, s_add, s_submul
+from math import comb
+
+from ._kernel import s_add, s_submul
 from .scalar import Scalar
-from .exterior import Form, flatten, wedge, _sort_sign
-from .linalg import Elimination, Matrix, span_rank, vec_is_zero
-from .rep import HomMap, equivariant_maps, invariants
+from .exterior import Form, coords, wedge, _sort_sign
+from .linalg import Elimination, span_rank, transpose
+from .rep import (HomMap, _combine_maps, equivariant_maps, hom_dim, hom_units,
+                  invariants)
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
@@ -84,8 +87,8 @@ class Closure:
         """Elimination of the matrix whose columns are the degree-p words."""
         solver = self._solvers.get(p)
         if solver is None:
-            cols = [flatten(self.words[i][1], p) for i in self.by_degree[p]]
-            solver = Elimination(Matrix.from_rows(cols).transpose())
+            cols = [coords(self.words[i][1], p) for i in self.by_degree[p]]
+            solver = Elimination(transpose(cols, comb(self.n, p)), len(cols))
             self._solvers[p] = solver
         return solver
 
@@ -96,14 +99,14 @@ class Closure:
         return self._solver(p).rank
 
     def express(self, a: Form, p):
-        """Coefficients over degree-p words with sum equal to a, or None."""
+        """(word, nonzero coefficient) pairs summing to a, or None."""
         idxs = self.by_degree.get(p, ())
         if not idxs:
             return None if not a.is_zero() else []
-        part = self._solver(p).particular(flatten(a, p))
+        part = self._solver(p).particular(coords(a, p))
         if part is None:
             return None
-        return list(zip(idxs, part))
+        return [(idxs[k], Scalar(c)) for k, c in part.items()]
 
     def induced_value(self, word_idx, fvals):
         """Leibniz expansion of the operator on the given word."""
@@ -214,44 +217,38 @@ class ZReport:
         }
 
 
-def _hom_units(n):
-    """Units of Hom(T, Lambda^2 T): (i, (j, k)) in flat column order."""
-    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    return [(i, jk) for i in range(1, n + 1) for jk in pairs]
-
-
 def _unit_images(n):
-    """Coframe images of each Hom(T, Lambda^2 T) unit, in flat order."""
-    out = []
-    for i, (j, k) in _hom_units(n):
-        images = [None] * n
-        images[i - 1] = Form.monomial(n, (j, k), Scalar.of(1))
-        out.append(images)
+    """Coframe images of each Hom(T, Lambda^2 T) unit, in coordinate order."""
+    return [h.images for h in hom_units(n)]
+
+
+def _stacked(parts):
+    """Sparse coordinates of the (degree, form) parts placed side by side."""
+    out, at = {}, 0
+    for p, form in parts:
+        out.update(coords(form, p, at))
+        at += comb(form.n, p)
     return out
 
 
 def _derivation_matrix(forms, image_lists):
-    """Columns d_D(g) stacked over the forms, one per list of images."""
-    columns = []
-    for images in image_lists:
-        col = []
-        for g in forms:
-            col.extend(flatten(derivation_value(images, g), g.degree + 1))
-        columns.append(col)
-    return Matrix.from_rows(columns).transpose()
+    """Sparse rows of the matrix whose columns are d_D(g) stacked over the
+    forms, one column per list of images."""
+    cols = [_stacked([(g.degree + 1, derivation_value(images, g))
+                      for g in forms])
+            for images in image_lists]
+    return transpose(cols, sum(comb(g.n, g.degree + 1) for g in forms))
 
 
 def _extension_rhs(pairs):
-    rhs = []
-    for g, target in pairs:
-        rhs.extend(flatten(target, g.degree + 1))
-    return rhs
+    return _stacked([(g.degree + 1, target) for g, target in pairs])
 
 
 def _extension_system(n, pairs):
-    """Rows of the linear system d_D(g) = f(g) over Hom units.
+    """Rows of the linear system d_D(g) = f(g) over the hom_dim(n) units.
 
-    pairs is a list of (generator form, target form); returns (matrix, rhs).
+    pairs is a list of (generator form, target form); returns the sparse
+    rows and the sparse rhs.
     """
     m = _derivation_matrix([g for g, _ in pairs], _unit_images(n))
     return m, _extension_rhs(pairs)
@@ -283,7 +280,8 @@ class Analysis:
         """Elimination of the extension matrix of the generators."""
         if self._extension is None:
             self._extension = Elimination(_derivation_matrix(
-                list(self.s.generators.values()), _unit_images(self.s.n)))
+                list(self.s.generators.values()), _unit_images(self.s.n)),
+                hom_dim(self.s.n))
         return self._extension
 
     def equivariant(self):
@@ -294,7 +292,7 @@ class Analysis:
             if basis:
                 elim = Elimination(_derivation_matrix(
                     list(self.s.generators.values()),
-                    [h.images for h in basis]))
+                    [h.images for h in basis]), len(basis))
             self._equivariant = (basis, elim)
         return self._equivariant
 
@@ -308,8 +306,7 @@ class Analysis:
         if self._lie_ranks is None:
             ext = self.extension()
             kernel = ext.kernel_vectors()
-            g_rows = [{j: x.c for j, x in enumerate(r) if x}
-                      for r in lie_tensor_rows(self.s.lie, self.s.n)]
+            g_rows = lie_tensor_rows(self.s.lie, self.s.n)
             reduced = []
             for g in g_rows:
                 res = {}
@@ -322,9 +319,8 @@ class Analysis:
                         if p != j:
                             res[p] = s_submul(res.get(p, {}), c, kc)
                 reduced.append({k: v for k, v in res.items() if v})
-            g_rank = len(eliminate(g_rows, ext.ncols, reduced=False)[0])
-            with_kernel = len(kernel) + len(
-                eliminate(reduced, ext.ncols, reduced=False)[0])
+            g_rank = span_rank(g_rows, ext.ncols)
+            with_kernel = len(kernel) + span_rank(reduced, ext.ncols)
             self._lie_ranks = (g_rank, with_kernel)
         return self._lie_ranks
 
@@ -367,10 +363,11 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     for p, idxs in sorted(closure.by_degree.items()):
         if p == n:
             continue
-        aug = [flatten(closure.words[i][1], p)
-               + flatten(closure.induced_value(i, fvals), p + 1)
+        aug = [_stacked([(p, closure.words[i][1]),
+                         (p + 1, closure.induced_value(i, fvals))])
                for i in idxs]
-        if span_rank(aug) != closure.degree_dim(p):
+        if span_rank(aug, comb(n, p) + comb(n, p + 1)) \
+                != closure.degree_dim(p):
             leibniz_ok = False
             break
 
@@ -381,8 +378,6 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
         expr = closure.express(val, val.degree)
         second = Form.zero(n)
         for widx, coef in expr:
-            if coef.is_zero():
-                continue
             second = second + closure.induced_value(widx, fvals).scale(coef)
         if not second.is_zero():
             square_zero_ok = False
@@ -391,7 +386,7 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     rhs = _extension_rhs(_generator_pairs(s, fvals))
     part = a.extension().particular(rhs)
     extends_ok = part is not None
-    witness = HomMap.unflatten(n, part) if extends_ok else None
+    witness = HomMap.from_coords(n, part) if extends_ok else None
 
     equi = None
     if extends_ok:
@@ -399,20 +394,14 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
         if basis:
             coeffs = elim.particular(rhs)
             if coeffs is not None:
-                images = [Form.zero(n) for _ in range(n)]
-                for h, c in zip(basis, coeffs):
-                    if c.is_zero():
-                        continue
-                    for i in range(n):
-                        images[i] = images[i] + h.images[i].scale(c)
-                equi = HomMap(n, images)
-        elif vec_is_zero(rhs):
+                equi = _combine_maps(basis, coeffs)
+        elif not rhs:
             equi = HomMap.zero(n)
     return OpCheck(leibniz_ok, square_zero_ok, extends_ok, witness, equi)
 
 
 def lie_tensor_rows(lie, n):
-    """Flat Hom(T, Lambda^2 T) images of the basis of g (x) T.
+    """Sparse Hom(T, Lambda^2 T) coordinates of the basis of g (x) T.
 
     The pair (X, e_m) maps to the derivation candidate sending e^i to
     e^m wedge sum_j X_ij e^j, matching d(theta_i) = sum_j w_ij theta_j.
@@ -430,7 +419,7 @@ def lie_tensor_rows(lie, n):
                     if not c.is_zero():
                         lin = lin + Form.monomial(n, (j + 1,), c)
                 images.append(wedge(em, lin))
-            rows.append(HomMap(n, images).flatten())
+            rows.append(HomMap(n, images).coords())
     return rows
 
 
@@ -445,7 +434,7 @@ def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
     z_dim = len(sol.basis) + n * (n * (n + 1) // 2)
     g_rank, with_kernel = a.lie_ranks()
     z2 = with_kernel - g_rank
-    xi = HomMap.unflatten(n, sol.particular) if z2 == 0 else None
+    xi = HomMap.from_coords(n, sol.particular) if z2 == 0 else None
     return ZReport(n, sol, z_dim, z2, xi)
 
 

@@ -7,7 +7,8 @@ here and relied on everywhere else:
 * the Hodge star treats e^1, ..., e^n as an oriented orthonormal coframe;
 * contraction by a decomposable multivector applies the rightmost vector
   first: (v1 ^ ... ^ vk) -| a = v1 -| (... (vk -| a));
-* flatten() lists coefficients over p-subsets in lexicographic order.
+* coordinates run over p-subsets in lexicographic order (lex_index):
+  coords() gives them sparse, flatten() dense for output and tests.
 
 Form literals are the scalar literal grammar with e[i,j,...] atoms added,
 e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
@@ -355,22 +356,61 @@ def restrict(a: Form, w: Subspace) -> Form:
     return f
 
 
+_LEX = {}
+
+
+def lex_index(n, p):
+    """(lex-ordered p-subsets of 1..n, {subset: position}), cached per (n, p).
+
+    The one column order of degree-p coordinates: flatten(), unflatten()
+    and coords() all read it.
+    """
+    lex = _LEX.get((n, p))
+    if lex is None:
+        subsets = tuple(combinations(range(1, n + 1), p))
+        lex = _LEX[(n, p)] = (subsets, {I: t for t, I in enumerate(subsets)})
+    return lex
+
+
+def _check_degree(a: Form, p):
+    if a.terms and a.degree != p:
+        raise ValueError("form has degree %s, not %d" % (a.degree, p))
+
+
+def coords(a: Form, p, offset=0):
+    """Sparse coordinates {offset + lex position of I: coefficient dict}.
+
+    The row format of edsx.linalg, built from a's terms alone; the
+    coefficient dicts are a's own, shared, as scalars are immutable.
+    """
+    _check_degree(a, p)
+    pos = lex_index(a.n, p)[1]
+    return {offset + pos[I]: c.c for I, c in a.terms.items()}
+
+
+def from_coords(vec, n, p):
+    """The degree-p form on R^n with sparse coordinates vec."""
+    subsets = lex_index(n, p)[0]
+    f = Form(n)
+    f.terms = {subsets[t]: Scalar(c) for t, c in vec.items()}
+    return f
+
+
 def flatten(a: Form, p=None):
     """Coefficient vector over lex-ordered p-subsets of 1..n."""
     if p is None:
         p = a.degree
         if p is None:
             raise ValueError("flatten of the zero form needs an explicit degree")
-    elif a.terms and a.degree != p:
-        raise ValueError("form has degree %s, not %d" % (a.degree, p))
-    return [a.terms.get(I, Scalar()) for I in combinations(range(1, a.n + 1), p)]
+    _check_degree(a, p)
+    return [a.terms.get(I, Scalar()) for I in lex_index(a.n, p)[0]]
 
 
 def unflatten(vec, n, p) -> Form:
-    combs = list(combinations(range(1, n + 1), p))
-    if len(vec) != len(combs):
+    subsets = lex_index(n, p)[0]
+    if len(vec) != len(subsets):
         raise ValueError("vector length %d != C(%d,%d)" % (len(vec), n, p))
-    return Form(n, {I: c for I, c in zip(combs, vec)})
+    return Form(n, dict(zip(subsets, vec)))
 
 
 def scalar_value(a: Form) -> Scalar:

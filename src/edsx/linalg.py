@@ -1,13 +1,16 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field, on sparse rows.
 
-Everything reduces to one deterministic RREF kernel (see edsx._kernel
-for the pivot rule), so ranks, kernels, and affine solves are canonical:
-the same input always yields the same basis vectors.
+A row or vector is a {column: coefficient} dict over columns 0..ncols-1
+that holds only nonzero coefficients, each a kernel mask -> rational
+dict; exterior.coords builds them straight from Form.terms.  Everything
+reduces to one deterministic elimination (see edsx._kernel for the pivot
+rule), so ranks, kernels, and affine solves are canonical: the same
+input always yields the same basis vectors.  No function here mutates
+the rows it is given.
 
-Vectors are lists of Scalar.  A Matrix holds dense lists of the kernel's
-mask -> rational dicts; the eliminations behind kernels, solves and the
-Elimination class hand the kernel sparse {column: coefficient} rows, and
-wrapping happens only at the API boundary.
+Matrix, rank and rref are the dense boundary, for callers holding dense
+rows of Scalars: a Matrix holds dense lists of coefficient dicts and
+rank and rref pass them to the kernel's dense entry.
 """
 
 from __future__ import annotations
@@ -16,16 +19,11 @@ from ._kernel import eliminate
 from ._kernel import rref as _rref_rows
 from ._kernel import s_add, s_mul, s_neg
 from ._rat import R1
-from .scalar import ZERO, Scalar, as_scalar
+from .scalar import as_scalar
 
 
 def _unwrap(v):
     return [as_scalar(x).c for x in v]
-
-
-def _sparse(rows):
-    """Fresh {column: coefficient} dicts of dense rows, for eliminate()."""
-    return [{j: c for j, c in enumerate(r) if c} for r in rows]
 
 
 class Matrix:
@@ -48,32 +46,10 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
         return cls(len(rows), ncols, rows)
 
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols, [[{} for _ in range(ncols)] for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m._rows[i][i] = {0: R1}
-        return m
-
     def transpose(self) -> "Matrix":
         rows = [[dict(self._rows[i][j]) for i in range(self.nrows)]
                 for j in range(self.ncols)]
         return Matrix(self.ncols, self.nrows, rows)
-
-    def mul_vector(self, v):
-        vc = _unwrap(v)
-        out = []
-        for r in self._rows:
-            acc = {}
-            for c, x in zip(r, vc):
-                if c and x:
-                    acc = s_add(acc, s_mul(c, x))
-            out.append(Scalar(acc))
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -123,13 +99,27 @@ def rank(m: Matrix) -> int:
     return len(_rref_rows(m._rows, m.ncols, reduced=False))
 
 
+def transpose(rows, ncols):
+    """The ncols rows of the transpose of sparse rows over ncols columns."""
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            out[j][i] = c
+    return out
+
+
+def _check_rhs(rhs, nrows):
+    if rhs and not 0 <= min(rhs) <= max(rhs) < nrows:
+        raise ValueError("rhs entry outside rows 0..%d" % (nrows - 1))
+
+
 def _kernel_vectors(pivots, prows, ncols):
     """Right kernel from reduced pivot rows, keyed by free column.
 
     The vector of free column f is a unit there and holds the negated
     column f entries of the pivot rows; entries at ncols or beyond (an
-    augmented block) are ignored.  Vectors are {column: coefficient}
-    dicts, in ascending free-column order.
+    augmented block) are ignored.  Vectors are sparse, in ascending
+    free-column order.
     """
     pivset = set(pivots)
     out = {f: {f: {0: R1}} for f in range(ncols) if f not in pivset}
@@ -141,37 +131,28 @@ def _kernel_vectors(pivots, prows, ncols):
     return out
 
 
-def _densify(v, ncols):
-    out = [ZERO] * ncols
-    for j, c in v.items():
-        out[j] = Scalar(dict(c))
-    return out
-
-
-def kernel_basis(m: Matrix):
+def kernel_basis(rows, ncols):
     """Right kernel, one basis vector per free column (unit there)."""
-    pivots, prows = eliminate(_sparse(m._rows), m.ncols)
-    return [_densify(v, m.ncols)
-            for v in _kernel_vectors(pivots, prows, m.ncols).values()]
+    pivots, prows = eliminate([dict(r) for r in rows], ncols)
+    return list(_kernel_vectors(pivots, prows, ncols).values())
 
 
-def solve_affine(m: Matrix, rhs) -> AffineSpace:
-    """All x with m x = rhs as an AffineSpace (possibly empty)."""
-    rhsc = _unwrap(rhs)
-    if len(rhsc) != m.nrows:
-        raise ValueError("rhs length %d != %d rows" % (len(rhsc), m.nrows))
-    ncols = m.ncols
-    srows = _sparse(m._rows)
-    for r, b in zip(srows, rhsc):
-        if b:
-            r[ncols] = b
+def solve_affine(rows, ncols, rhs) -> AffineSpace:
+    """All x with m x = rhs as an AffineSpace (possibly empty).
+
+    m is given by its sparse rows over ncols columns, rhs is a sparse
+    {row: coefficient} vector.
+    """
+    _check_rhs(rhs, len(rows))
+    srows = [dict(r) for r in rows]
+    for i, b in rhs.items():
+        srows[i][ncols] = b
     pivots, prows = eliminate(srows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return AffineSpace(ncols, None, [])
     part = {p: prow[ncols] for p, prow in zip(pivots, prows) if ncols in prow}
     kern = _kernel_vectors(pivots, prows, ncols)
-    return AffineSpace(ncols, _densify(part, ncols),
-                       [_densify(v, ncols) for v in kern.values()])
+    return AffineSpace(ncols, part, list(kern.values()))
 
 
 def _dot(row, b):
@@ -194,19 +175,18 @@ class Elimination:
     entries past the rank of m are the residual, which must be exactly
     zero, and the others give the canonical particular solution, zero on
     the free columns.  Each part is computed on first use and kept sparse:
-    the nonzero entries of m until E exists, the pivot columns, the right
-    kernel of m and the nonzero entries of E.  The rank, the kernel and
-    b = 0 need only m itself eliminated, so E is built on the first
-    nonzero b.
+    the rows of m until E exists, the pivot columns, the right kernel of
+    m and the nonzero entries of E.  The rank, the kernel and b = 0 need
+    only m itself eliminated, so E is built on the first nonzero b.
     """
 
     __slots__ = ("nrows", "ncols", "_entries", "_pivots", "_kernel",
                  "_lift", "_residual")
 
-    def __init__(self, m: Matrix):
-        self.nrows = m.nrows
-        self.ncols = m.ncols
-        self._entries = _sparse(m._rows)
+    def __init__(self, rows, ncols):
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._entries = rows
         self._pivots = self._kernel = self._lift = self._residual = None
 
     def _eliminate(self, with_e):
@@ -240,26 +220,26 @@ class Elimination:
         return len(self._pivots)
 
     def particular(self, rhs):
-        """The particular solution of solve_affine(m, rhs), or None."""
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length %d != %d rows"
-                             % (len(rhs), self.nrows))
-        b = {}
-        for i, x in enumerate(rhs):
-            x = as_scalar(x).c
-            if x:
-                b[i] = x
-        if not b:
-            return [ZERO] * self.ncols
+        """The particular solution of solve_affine(m, ncols, rhs), or None.
+
+        rhs and the result are sparse vectors.
+        """
+        _check_rhs(rhs, self.nrows)
+        if not rhs:
+            return {}
         if self._lift is None:
             self._eliminate(True)
-        if any(_dot(r, b) for r in self._residual):
+        if any(_dot(r, rhs) for r in self._residual):
             return None
-        part = {p: _dot(r, b) for p, r in zip(self._pivots, self._lift)}
-        return _densify(part, self.ncols)
+        part = {}
+        for p, r in zip(self._pivots, self._lift):
+            x = _dot(r, rhs)
+            if x:
+                part[p] = x
+        return part
 
     def kernel_vectors(self):
-        """The right kernel as {free column: {column: coefficient}}.
+        """The right kernel as {free column: sparse vector}.
 
         The vector of free column f is a unit there and zero on the other
         free columns.  The dicts are shared; callers must not mutate them.
@@ -268,48 +248,29 @@ class Elimination:
             self._eliminate(False)
         return self._kernel
 
-    def kernel_basis(self):
-        """kernel_basis(m), as fresh lists."""
-        return [_densify(v, self.ncols)
-                for v in self.kernel_vectors().values()]
-
     def solve(self, rhs) -> AffineSpace:
-        """Equal to solve_affine(m, rhs)."""
+        """Equal to solve_affine(m, ncols, rhs)."""
         part = self.particular(rhs)
         if part is None:
             return AffineSpace(self.ncols, None, [])
-        return AffineSpace(self.ncols, part, self.kernel_basis())
+        return AffineSpace(self.ncols, part,
+                           [dict(v) for v in self.kernel_vectors().values()])
 
 
-def span_rank(vectors) -> int:
-    """Rank of a list of equal-length vectors."""
-    if not vectors:
-        return 0
-    return rank(Matrix.from_rows(vectors))
+def span_rank(rows, ncols) -> int:
+    """Rank of sparse rows over ncols columns."""
+    return len(eliminate([dict(r) for r in rows], ncols, reduced=False)[0])
 
 
-def in_span(vectors, v) -> bool:
-    """True when v is a linear combination of the given vectors."""
-    if not any(as_scalar(x) for x in v):
-        return True
-    if not vectors:
-        return False
-    cols = Matrix.from_rows(vectors).transpose()
-    return not solve_affine(cols, v).is_empty
+def in_span(rows, v, ncols) -> bool:
+    """True when the sparse vector v is a combination of the sparse rows."""
+    return not solve_affine(transpose(rows, ncols), len(rows), v).is_empty
 
 
-def echelon_span(vectors):
-    """Canonical echelon basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    m = Matrix.from_rows(vectors)
-    pivots, prows = eliminate(_sparse(m._rows), m.ncols)
+def echelon_span(rows, ncols):
+    """Canonical echelon basis of the span of sparse rows, leading 1 first."""
+    pivots, prows = eliminate([dict(r) for r in rows], ncols)
     out = []
     for p, prow in zip(pivots, prows):
-        prow[p] = {0: R1}
-        out.append(_densify(prow, m.ncols))
+        out.append({p: {0: R1}, **prow})
     return out
-
-
-def vec_is_zero(a):
-    return all(not as_scalar(x) for x in a)

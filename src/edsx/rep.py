@@ -16,13 +16,14 @@ multiplicities as dim ker(C - lambda_j) / (2j + 1).
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
 from ._kernel import eliminate, s_add, s_from_rat, s_mul, s_neg, s_sub
-from ._rat import RAT
-from .exterior import Form, _sort_sign, flatten, unflatten
-from .linalg import (Matrix, _kernel_vectors, echelon_span, kernel_basis,
-                     solve_affine)
+from ._rat import RAT, R1
+from .exterior import (Form, _sort_sign, coords, flatten, from_coords,
+                       lex_index, unflatten)
+from .linalg import (Elimination, _kernel_vectors, echelon_span,
+                     kernel_basis, transpose)
 from .scalar import Scalar, as_scalar
 
 
@@ -55,8 +56,10 @@ def mat_bracket(x, y):
     return out
 
 
-def mat_flatten(m):
-    return [x for row in m for x in row]
+def _mat_coords(m):
+    """Sparse coordinates of a matrix, in row-major order."""
+    return {i * len(m) + j: x.c for i, r in enumerate(m)
+            for j, x in enumerate(r) if x}
 
 
 class LieRep:
@@ -96,18 +99,19 @@ class LieRep:
         a bracket leaves the span of the basis."""
         if self._constants is not None:
             return self._constants
-        flats = [mat_flatten(x) for x in self.basis]
-        cols = Matrix.from_rows(flats).transpose()
+        span = Elimination(
+            transpose([_mat_coords(x) for x in self.basis], self.n ** 2),
+            self.dim)
         consts = []
         for a in range(self.dim):
             row = []
             for b in range(self.dim):
                 br = mat_bracket(self.basis[a], self.basis[b])
-                sol = solve_affine(cols, mat_flatten(br))
-                if sol.is_empty:
+                part = span.particular(_mat_coords(br))
+                if part is None:
                     raise ValueError("%s: bracket [%d,%d] leaves the span"
                                      % (self.name, a, b))
-                row.append(sol.particular)
+                row.append([Scalar(part.get(d, {})) for d in range(self.dim)])
             consts.append(row)
         self._constants = consts
         return consts
@@ -145,34 +149,34 @@ def act_on_form(x, a: Form) -> Form:
     return f
 
 
-def _combine_forms(basis_forms, coeffs):
-    acc = Form(basis_forms[0].n) if basis_forms else None
-    for b, c in zip(basis_forms, coeffs):
-        c = as_scalar(c)
-        if c:
-            acc = acc + b.scale(c)
+def _combine_forms(forms, coeffs):
+    """The sum of forms[k] times coeffs[k] over a sparse coefficient vector."""
+    acc = Form(forms[0].n)
+    for k, c in coeffs.items():
+        acc = acc + forms[k].scale(Scalar(c))
     return acc
 
 
-def _echelon_forms(forms, p):
-    if not forms:
-        return []
-    n = forms[0].n
-    return [unflatten(row, n, p)
-            for row in echelon_span([flatten(f, p) for f in forms])]
+def _combine_maps(maps, coeffs):
+    """The sum of maps[k] times coeffs[k], combined image by image."""
+    n = maps[0].n
+    return HomMap(n, [_combine_forms([h.images[i] for h in maps], coeffs)
+                      for i in range(n)])
 
 
 def invariants(g: LieRep, p: int):
     """Echelon basis of the forms of degree p killed by every generator."""
     n = g.n
-    basis = [Form(n, {I: 1}) for I in combinations(range(1, n + 1), p)]
+    dim = comb(n, p)
+    basis = [Form(n, {I: 1}) for I in lex_index(n, p)[0]]
     for x in g.basis:
         if not basis:
             return []
-        flats = [flatten(act_on_form(x, b), p) for b in basis]
-        m = Matrix.from_rows(flats).transpose()
-        basis = [_combine_forms(basis, c) for c in kernel_basis(m)]
-    return _echelon_forms(basis, p)
+        cols = [coords(act_on_form(x, b), p) for b in basis]
+        basis = [_combine_forms(basis, c)
+                 for c in kernel_basis(transpose(cols, dim), len(cols))]
+    return [from_coords(row, n, p)
+            for row in echelon_span([coords(f, p) for f in basis], dim)]
 
 
 def gl_basis(n, skew=False):
@@ -194,28 +198,26 @@ def gl_basis(n, skew=False):
     return out
 
 
-def orbit_matrix(a: Form, skew=False) -> Matrix:
-    """Columns are X . a over the gl(n) (or so(n)) basis."""
+def orbit_matrix(a: Form, skew=False):
+    """Sparse rows of the matrix whose columns are X . a over the gl(n)
+    (or so(n)) basis."""
     p = a.degree
-    gens = gl_basis(a.n, skew=skew)
-    flats = [flatten(act_on_form(x, a), p) for x in gens]
-    return Matrix.from_rows(flats).transpose()
+    cols = [coords(act_on_form(x, a), p) for x in gl_basis(a.n, skew=skew)]
+    return transpose(cols, comb(a.n, p))
 
 
 def stabilizer(a: Form, skew=False, name=None) -> LieRep:
     """Matrices with X . a = 0, in gl(n) or intersected with so(n)."""
     gens = gl_basis(a.n, skew=skew)
-    m = orbit_matrix(a, skew=skew)
     mats = []
-    for c in kernel_basis(m):
+    for c in kernel_basis(orbit_matrix(a, skew=skew), len(gens)):
         acc = [[Scalar() for _ in range(a.n)] for _ in range(a.n)]
-        for x, co in zip(gens, c):
-            co = as_scalar(co)
-            if co:
-                for i in range(a.n):
-                    for j in range(a.n):
-                        if x[i][j]:
-                            acc[i][j] = acc[i][j] + x[i][j] * co
+        for k, co in c.items():
+            x, co = gens[k], Scalar(co)
+            for i in range(a.n):
+                for j in range(a.n):
+                    if x[i][j]:
+                        acc[i][j] = acc[i][j] + x[i][j] * co
         mats.append(acc)
     label = name or ("stab(%s)" % a)
     return LieRep(label, a.n, mats, skew=skew)
@@ -236,14 +238,32 @@ class HomMap:
 
     @classmethod
     def unflatten(cls, n, vec):
-        step = len(list(combinations(range(1, n + 1), 2)))
+        step = comb(n, 2)
         images = [unflatten(vec[i * step:(i + 1) * step], n, 2) for i in range(n)]
         return cls(n, images)
+
+    @classmethod
+    def from_coords(cls, n, vec):
+        """The map with the sparse coordinates vec (see coords)."""
+        step = comb(n, 2)
+        blocks = [{} for _ in range(n)]
+        for k, c in vec.items():
+            i, t = divmod(k, step)
+            blocks[i][t] = c
+        return cls(n, [from_coords(b, n, 2) for b in blocks])
 
     def flatten(self):
         out = []
         for img in self.images:
             out.extend(flatten(img, 2))
+        return out
+
+    def coords(self):
+        """Sparse coordinates, in the order of flatten()."""
+        step = comb(self.n, 2)
+        out = {}
+        for i, img in enumerate(self.images):
+            out.update(coords(img, 2, i * step))
         return out
 
     def is_zero(self):
@@ -287,33 +307,22 @@ def equivariant_maps(g: LieRep):
     return list(g._equivariant)
 
 
+def hom_units(n):
+    """The unit maps of Hom(T, Lambda^2 T), in coordinate order."""
+    return [HomMap.from_coords(n, {t: {0: R1}}) for t in range(hom_dim(n))]
+
+
 def _equivariant_basis(g: LieRep):
     n = g.n
-    basis = []
-    for i in range(1, n + 1):
-        for J in combinations(range(1, n + 1), 2):
-            images = [Form(n) for _ in range(n)]
-            images[i - 1] = Form(n, {J: 1})
-            basis.append(HomMap(n, images))
+    basis = hom_units(n)
     for x in g.basis:
         if not basis:
             return []
-        flats = [act_on_hom(x, D).flatten() for D in basis]
-        m = Matrix.from_rows(flats).transpose()
-        kern = kernel_basis(m)
-        new = []
-        for c in kern:
-            vec = [Scalar() for _ in range(hom_dim(n))]
-            for D, co in zip(basis, c):
-                co = as_scalar(co)
-                if co:
-                    for t, v in enumerate(D.flatten()):
-                        if v:
-                            vec[t] = vec[t] + v * co
-            new.append(HomMap.unflatten(n, vec))
-        basis = new
-    return [HomMap.unflatten(n, row)
-            for row in echelon_span([D.flatten() for D in basis])]
+        cols = [act_on_hom(x, D).coords() for D in basis]
+        basis = [_combine_maps(basis, c) for c in
+                 kernel_basis(transpose(cols, hom_dim(n)), len(cols))]
+    return [HomMap.from_coords(n, row) for row in
+            echelon_span([D.coords() for D in basis], hom_dim(n))]
 
 
 def cartan_three_form(constants, inner=None) -> Form:
@@ -427,39 +436,24 @@ def _space_operators(g: LieRep, label):
         return dim, ops
     if label.startswith("lambda:"):
         p = int(label.split(":")[1])
-        monos = list(combinations(range(1, n + 1), p))
-        pos = {I: t for t, I in enumerate(monos)}
+        monos = lex_index(n, p)[0]
         dim = len(monos)
         ops = []
         for x in g.basis:
-            cols = [[] for _ in range(dim)]
-            for t, I in enumerate(monos):
-                img = act_on_form(x, Form(n, {I: 1}))
-                for K, c in img.terms.items():
-                    cols[t].append((pos[K], c.c))
+            cols = [list(coords(act_on_form(x, Form(n, {I: 1})), p).items())
+                    for I in monos]
             ops.append(_cols_to_rows(cols, dim))
         return dim, ops
     if label == "hom":
-        pairs = list(combinations(range(1, n + 1), 2))
-        step = len(pairs)
-        dim = n * step
+        dim = hom_dim(n)
+        units = hom_units(n)
         ops = []
         for x in g.basis:
-            cols = [[] for _ in range(dim)]
-            for i in range(1, n + 1):
-                for t, J in enumerate(pairs):
-                    images = [Form(n) for _ in range(n)]
-                    images[i - 1] = Form(n, {J: 1})
-                    img = act_on_hom(x, HomMap(n, images))
-                    col = (i - 1) * step + t
-                    for ii in range(n):
-                        for K, c in img.images[ii].terms.items():
-                            cols[col].append((ii * step + pairs.index(K), c.c))
+            cols = [list(act_on_hom(x, u).coords().items()) for u in units]
             ops.append(_cols_to_rows(cols, dim))
         return dim, ops
     if label == "t-lambda2":
-        pairs = list(combinations(range(1, n + 1), 2))
-        pos = {J: t for t, J in enumerate(pairs)}
+        pairs, pos = lex_index(n, 2)
         step = len(pairs)
         dim = n * step
         ops = []

@@ -16,10 +16,14 @@ report therefore carries both dimensions and an exact test of whether
 the projection covers the subspace solutions, and forces neither.
 """
 
-from .scalar import Scalar
-from .exterior import Form, Subspace, flatten, restrict
+from itertools import product
+from math import comb
+
+from ._kernel import s_sub
+from ._rat import R1
+from .exterior import Form, Subspace, coords, lex_index, restrict
 from .linalg import solve_affine, span_rank
-from .rep import HomMap
+from .rep import hom_dim
 from .catalog import StructureSpec, DiffOpSpec, ParamForm
 from .dga import analysis, z_spaces, _extension_system, _resolve_op
 
@@ -83,25 +87,24 @@ class RestrictionReport:
 
 
 def _kerp_holds(closure, fvals, w):
-    n = closure.n
+    k = w.dim
     for p, idxs in sorted(closure.by_degree.items()):
         left = []
         aug = []
         for i in idxs:
-            lrow = flatten(restrict(closure.words[i][1], w), p)
-            val = closure.induced_value(i, fvals)
-            vrow = ([] if p + 1 > n
-                    else flatten(restrict(val, w), p + 1))
+            lrow = coords(restrict(closure.words[i][1], w), p)
+            val = restrict(closure.induced_value(i, fvals), w)
             left.append(lrow)
-            aug.append(lrow + vrow)
-        if span_rank(left) != span_rank(aug):
+            aug.append({**lrow, **coords(val, p + 1, comb(k, p))})
+        if span_rank(left, comb(k, p)) != span_rank(
+                aug, comb(k, p) + comb(k, p + 1)):
             return False
     return True
 
 
 def _sym_kernel_units(n):
-    """Flat gl(n) x T vectors spanning the antisymmetrization kernel."""
-    one = Scalar.of(1)
+    """Sparse gl(n) x T vectors spanning the antisymmetrization kernel."""
+    one = {0: R1}
     out = []
     idx = range(1, n + 1)
     for i in idx:
@@ -109,34 +112,28 @@ def _sym_kernel_units(n):
             for v in idx:
                 if u > v:
                     continue
-                vec = [Scalar()] * (n ** 3)
-                vec[((i - 1) * n + (u - 1)) * n + (v - 1)] = one
+                vec = {((i - 1) * n + (u - 1)) * n + (v - 1): one}
                 if u != v:
                     vec[((i - 1) * n + (v - 1)) * n + (u - 1)] = one
                 out.append(vec)
     return out
 
 
-def _hom_preimage(n, flat_hom):
-    """One gl(n) x T preimage of a flat Hom(T, Lambda^2 T) vector."""
-    h = HomMap.unflatten(n, flat_hom)
-    vec = [Scalar()] * (n ** 3)
-    for i in range(1, n + 1):
-        for (u, v), c in h.images[i - 1].terms.items():
-            vec[((i - 1) * n + (v - 1)) * n + (u - 1)] = c
+def _hom_preimage(n, hom):
+    """One gl(n) x T preimage of sparse Hom(T, Lambda^2 T) coordinates."""
+    pairs = lex_index(n, 2)[0]
+    vec = {}
+    for key, c in hom.items():
+        i, t = divmod(key, len(pairs))
+        u, v = pairs[t]
+        vec[(i * n + (v - 1)) * n + (u - 1)] = c
     return vec
 
 
-def _project_glt(vec, n, coords):
-    local = list(coords)
-    k = len(local)
-    out = []
-    for i in local:
-        for j in local:
-            for m in local:
-                out.append(vec[((i - 1) * n + (j - 1)) * n + (m - 1)])
-    assert len(out) == k ** 3
-    return out
+def _project_glt(vec, local):
+    """The sparse gl(W) x W part of a sparse gl(n) x T vector, through the
+    map local from ambient to subspace positions."""
+    return {local[x]: c for x, c in vec.items() if x in local}
 
 
 def restrict_structure(s: StructureSpec, op, params=None,
@@ -152,8 +149,8 @@ def restrict_structure(s: StructureSpec, op, params=None,
         raise RestrictionError("restriction needs a coordinate subspace")
     if w.n != n:
         raise RestrictionError("subspace of a different ambient space")
-    coords = tuple(w.coords)
-    k = len(coords)
+    kept = tuple(w.coords)
+    k = len(kept)
 
     spec = _resolve_op(s, op)
     fvals = spec.instantiate(params)
@@ -175,11 +172,11 @@ def restrict_structure(s: StructureSpec, op, params=None,
         for gname in p_gens:
             val = restrict(fvals.get(gname, Form.zero(n)), w)
             values[gname] = ParamForm(k, {None: val})
-        f_w = DiffOpSpec("%s|%s" % (spec.name, ",".join(map(str, coords))),
+        f_w = DiffOpSpec("%s|%s" % (spec.name, ",".join(map(str, kept))),
                          (), values)
         pairs = [(p_gens[g], f_w.values[g].parts[None]) for g in p_gens]
         mw, rhsw = _extension_system(k, pairs)
-        solw = solve_affine(mw, rhsw)
+        solw = solve_affine(mw, hom_dim(k), rhsw)
         if not solw.is_empty:
             zw_dim = len(solw.basis) + k * (k * (k + 1) // 2)
 
@@ -188,26 +185,33 @@ def restrict_structure(s: StructureSpec, op, params=None,
     proj_dim = None
     onto = None
     if z_dim is not None:
+        local = {((i - 1) * n + (j - 1)) * n + (m - 1): t
+                 for t, (i, j, m) in enumerate(product(kept, repeat=3))}
         directions = _sym_kernel_units(n)
         directions.extend(_hom_preimage(n, b) for b in zr.z_prime.basis)
-        projected = [_project_glt(v, n, coords) for v in directions]
-        proj_dim = span_rank(projected)
+        projected = [_project_glt(v, local) for v in directions]
+        proj_dim = span_rank(projected, k ** 3)
         if zw_dim is not None:
             # does every subspace solution come from an ambient one: the
             # subspace directions and the particular gap would all lie in
             # the projected span
             extra = [_hom_preimage(k, b) for b in solw.basis]
-            amb = _project_glt(_hom_preimage(n, zr.z_prime.particular),
-                               n, coords)
-            loc = _hom_preimage(k, solw.particular)
-            extra.append([a - b for a, b in zip(loc, amb)])
-            onto = span_rank(projected + extra) == proj_dim
+            gap = _hom_preimage(k, solw.particular)
+            amb = _project_glt(_hom_preimage(n, zr.z_prime.particular), local)
+            for x, c in amb.items():
+                d = s_sub(gap.get(x, {}), c)
+                if d:
+                    gap[x] = d
+                else:
+                    gap.pop(x, None)
+            extra.append(gap)
+            onto = span_rank(projected + extra, k ** 3) == proj_dim
 
     rel = False
-    if set(coords) == set(s.default_flag[:k]):
+    if set(kept) == set(s.default_flag[:k]):
         from .cartan import flag_test
         rel = flag_test(s).ordinary
 
-    return RestrictionReport(coords, p_gens, kerp, f_w,
+    return RestrictionReport(kept, p_gens, kerp, f_w,
                              (z_dim, proj_dim, zw_dim), onto, rel,
                              z_dim is not None)

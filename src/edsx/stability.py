@@ -9,7 +9,7 @@ from math import comb
 from random import Random
 
 from .scalar import Scalar, as_scalar
-from .exterior import Form, Subspace, flatten, restrict
+from .exterior import Form, Subspace, coords, restrict
 from .linalg import span_rank
 from .rep import gl_basis, act_on_form
 
@@ -75,8 +75,8 @@ def e_stable(a: Form, w: Subspace) -> bool:
     want = comb(k, p)
     if want == 0:
         return True
-    rows = [flatten(restrict(x, w), p) for x in _orbit_forms(a)]
-    return span_rank(rows) == want
+    rows = [coords(restrict(x, w), p) for x in _orbit_forms(a)]
+    return span_rank(rows, want) == want
 
 
 def sampled_hyperplanes(n):
@@ -111,15 +111,14 @@ def stability(a: Form, sampled=False) -> StabilityReport:
     p = _homogeneous_degree(a)
     n = a.n
     orbit = _orbit_forms(a)
-    rows = [flatten(x, p) for x in orbit]
-    orbit_dim = span_rank(rows)
     full = comb(n, p)
+    orbit_dim = span_rank([coords(x, p) for x in orbit], full)
     per = {}
     want = comb(n - 1, p)
     for i in range(1, n + 1):
         w = Subspace.hyperplane(n, i)
-        sub = [flatten(restrict(x, w), p) for x in orbit]
-        per[i] = (span_rank(sub) == want)
+        sub = [coords(restrict(x, w), p) for x in orbit]
+        per[i] = (span_rank(sub, want) == want)
     sampled_ok = None
     if sampled:
         sampled_ok = all(e_stable(a, w) for w in sampled_hyperplanes(n))

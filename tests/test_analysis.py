@@ -10,9 +10,9 @@ from edsx.catalog import get_structure, parse_structure_name
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
                       _unit_images, Analysis, analysis, check_operator,
                       lie_tensor_rows, z_spaces)
-from edsx.linalg import (Elimination, kernel_basis, rank, solve_affine,
+from edsx.linalg import (Elimination, kernel_basis, solve_affine,
                          span_rank)
-from edsx.rep import LieRep, equivariant_maps, gl_basis
+from edsx.rep import LieRep, equivariant_maps, gl_basis, hom_dim
 from edsx.scalar import Scalar
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
@@ -57,8 +57,8 @@ def _reference_system(s, op, params):
 def test_codim_z0_is_the_extension_rank(name):
     s = get_structure(name)
     m, rhs = _reference_system(s, "zero", None)
-    reference = solve_affine(m, rhs)
     n = s.n
+    reference = solve_affine(m, hom_dim(n), rhs)
     z_dim = len(reference.basis) + n * (n * (n + 1) // 2)
     assert z_spaces(s, "zero").z_dim == z_dim
     assert flag_test(s).codim_z0 == n ** 3 - z_dim
@@ -68,9 +68,10 @@ def test_codim_z0_is_the_extension_rank(name):
 def test_lie_ranks_are_the_stacked_ranks(name):
     s = get_structure(name)
     g_rows = lie_tensor_rows(s.lie, s.n)
+    width = hom_dim(s.n)
     kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
-                                             _unit_images(s.n)))
-    want = (span_rank(g_rows), span_rank(g_rows + kernel))
+                                             _unit_images(s.n)), width)
+    want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert analysis(s).lie_ranks() == want
     if name == "psu3":
         # ker m holds g (x) T (the generators are invariant) and more
@@ -85,9 +86,10 @@ def test_lie_ranks_reduce_rows_outside_the_kernel():
     s = SimpleNamespace(n=n, generators=base.generators,
                         lie=LieRep("so5", n, gl_basis(n, skew=True)))
     g_rows = lie_tensor_rows(s.lie, n)
+    width = hom_dim(n)
     kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
-                                             _unit_images(n)))
-    want = (span_rank(g_rows), span_rank(g_rows + kernel))
+                                             _unit_images(n)), width)
+    want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert Analysis(s).lie_ranks() == want
     assert want[1] > len(kernel)
 
@@ -105,7 +107,7 @@ def test_factored_solve_equals_solve_affine():
     for name, op, params in _queries():
         s = get_structure(name)
         m, rhs = _reference_system(s, op, params)
-        reference = solve_affine(m, rhs)
+        reference = solve_affine(m, hom_dim(s.n), rhs)
         factored = analysis(s).extension().solve(rhs)
         assert not reference.is_empty
         assert factored.particular == reference.particular
@@ -116,29 +118,36 @@ def test_factored_solve_equals_solve_affine():
         if basis:
             em = _derivation_matrix(list(s.generators.values()),
                                     [h.images for h in basis])
-            assert elim.particular(rhs) == solve_affine(em, rhs).particular
+            assert elim.particular(rhs) \
+                == solve_affine(em, len(basis), rhs).particular
 
 
 def test_factored_solve_of_an_inconsistent_rhs_is_empty():
     s = get_structure("su-odd:2")
     m, rhs = _reference_system(s, "zero", None)
-    elim = Elimination(m)
+    width = hom_dim(s.n)
+    elim = Elimination(m, width)
     # the rank alone eliminates m without E; the solves below build E
-    assert elim.rank == rank(m)
-    one = Scalar.of(1)
-    for i in range(len(rhs)):
-        unit = [Scalar()] * len(rhs)
-        unit[i] = one
-        if solve_affine(m, unit).is_empty:
+    assert elim.rank == span_rank(m, width)
+    one = Scalar.of(1).c
+    for i in range(len(m)):
+        unit = {i: one}
+        if solve_affine(m, width, unit).is_empty:
             break
     else:
         pytest.fail("the extension matrix has full row rank")
     assert elim.particular(unit) is None
     assert elim.solve(unit).is_empty
     assert elim.solve(unit).basis == []
-    consistent = m.mul_vector([Scalar.of(k % 3) for k in range(m.ncols)])
+    # m x for x = (k mod 3)_k
+    consistent = {}
+    for i, row in enumerate(m):
+        acc = sum((Scalar(c) * (k % 3) for k, c in row.items()), Scalar())
+        if acc:
+            consistent[i] = acc.c
+    assert consistent
     assert elim.particular(consistent) \
-        == solve_affine(m, consistent).particular
+        == solve_affine(m, width, consistent).particular
 
 
 def test_equivariant_maps_returns_a_fresh_list():

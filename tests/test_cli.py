@@ -1,10 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from edsx.catalog import get_structure
 from edsx.cli import main
@@ -85,6 +89,16 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert err == "edsx: --cases -1 is negative\n"
+    # an empty flag is a bad flag, not the default one
+    code, out, err = run(capsys, ["cartan", "--structure", "su-even:3",
+                                  "--flag", ""])
+    assert (code, out) == (2, "")
+    assert err == ("edsx: flag '' is not a comma-separated integer "
+                   "list\n")
+    code, out, err = run(capsys, ["cartan", "--structure", "su-even:3",
+                                  "--search", "--flag", "1,2,3,4,5,6"])
+    assert (code, out) == (2, "")
+    assert err == "edsx: --search chooses the flag; drop --flag\n"
 
 
 def test_values_past_the_int_text_limit_print(capsys):
@@ -170,3 +184,83 @@ def test_cartan_json_matches_human(capsys):
     payload = json.loads(out)
     assert payload["c_values"][:6] == [0, 0, 1, 5, 14, 22]
     assert payload["ordinary"] is True
+
+
+# The argv fuzz keeps to structures whose every query takes milliseconds;
+# the bad names cover each way a name can fail to parse or resolve.
+FUZZ_NAMES = st.one_of(
+    st.sampled_from(("su-even:2", "su-odd:2", "su-even:3", "g2",
+                     "example-712")),
+    st.sampled_from(("su-even:02", "nope", "su-even", "su-even:9",
+                     "su-even:x", "su-odd:", "g2:3", ":", "", "su-even:-2")))
+FUZZ_NUMBERS = st.sampled_from(["-1", "0", "1", "3", "7", "8", "99", "x", ""])
+FUZZ_OPTIONS = {
+    "--structure": FUZZ_NAMES,
+    "--operator": st.sampled_from(["zero", "A", "B", "nearly-kahler",
+                                   "gamma-dual", "nope", ""]),
+    "--params": st.sampled_from(["lambda=1,mu=0", "lambda=r2,mu=-1/2",
+                                 "lambda=-3,mu=0", "lambda=1", "mu=x",
+                                 "lambda=1/0,mu=0", "", "=", "lambda",
+                                 "lambda=1,lambda=2"]),
+    "--flag": st.sampled_from(["", ",", "1,2,3,4", "4,3,2,1", "1,2",
+                               "1,2,3,4,5,6,7", "7,6,5,4,3,2,1", "1,1,2,3",
+                               "0,1,2,3", "a", "-1"]),
+    "--drop": FUZZ_NUMBERS,
+    "--degree": FUZZ_NUMBERS,
+    "--space": st.sampled_from(["t-gperp", "quotient", "t-lambda2", "t-g",
+                                "T", "bad"]),
+    "--generator": st.sampled_from(["F", "alpha", "omega-plus", "phi", "w",
+                                    "nope"]),
+    "--cases": st.sampled_from(["-1", "x", ""]),
+}
+FUZZ_SWITCHES = ("--json", "--search", "--sampled", "--bogus")
+FUZZ_VALID = {
+    "invariants": ("--degree",),
+    "stability": ("--generator", "--sampled"),
+    "dga": ("--params",),
+    "zspaces": ("--params",),
+    "cartan": ("--flag", "--search"),
+    "restrict": ("--params", "--drop"),
+    "decompose": ("--space",),
+    "paper-check": (),
+    "nope": (),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """An argv that is mostly well formed, so most draws reach the command."""
+    cmd = draw(st.sampled_from(sorted(FUZZ_VALID)))
+    argv = [cmd]
+    if draw(st.integers(0, 9)):
+        argv += ["--structure", draw(FUZZ_OPTIONS["--structure"])]
+    if cmd in ("dga", "zspaces", "restrict") and draw(st.integers(0, 5)):
+        argv += ["--operator", draw(FUZZ_OPTIONS["--operator"])]
+    anything = sorted(FUZZ_OPTIONS) + list(FUZZ_SWITCHES)
+    for _ in range(draw(st.integers(0, 3))):
+        stray = draw(st.integers(0, 7)) == 0
+        opt = draw(st.sampled_from(
+            anything if stray else FUZZ_VALID[cmd] + ("--json",)))
+        argv.append(opt)
+        if opt in FUZZ_OPTIONS:
+            argv.append(draw(FUZZ_OPTIONS[opt]))
+    if cmd == "paper-check":
+        # a valid count runs the whole battery, which takes many seconds
+        argv += ["--cases", draw(FUZZ_OPTIONS["--cases"])]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_argv_fuzz_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("edsx: ") or "usage: edsx" in err, (argv, err)

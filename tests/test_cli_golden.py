@@ -1,0 +1,68 @@
+"""Golden CLI output: the sha256 of stdout and the exit code, pinned.
+
+Each invocation runs in text and in --json form.  The digests were taken
+before the sparse-row refactor of linalg and its callers, so any change
+to a printed byte, in any subcommand covered here, fails this test.
+"""
+
+import hashlib
+
+import pytest
+
+from edsx.cli import main
+
+NK = ["--operator", "nearly-kahler", "--params", "lambda=3,mu=0"]
+
+# (argv, exit code, sha256 of the text stdout, sha256 of the --json stdout)
+GOLDEN = [
+    (["invariants", "--structure", "so3-9", "--degree", "4"], 0,
+     "497f8740811e5a3e3ad003994f86fc64eadb8648f8a0031f8d9628c42e2a1940",
+     "4a4e952a7bde4e5e8dc8ed02d850c6f8708fc75c0664d69313eb9465c902ba17"),
+    (["invariants", "--structure", "g2"], 0,
+     "9fa5e23e1757c54d7dd4a26ad86b8ee2627d5fb0c74b29c833a7fc69bdcaf3d7",
+     "4cb444e9616dc57b3b3592e55f5fa99bf6381a5b84b221651e7c535952dc4592"),
+    (["stability", "--structure", "spin7"], 0,
+     "7ca18ccbb0fc3cba473e657a5c861e0010d71e6637c888e4fe0b80bf6dccf525",
+     "2396719cb0843df10fe7fbc73989240c672cc1fcfcb30db8f25d69d7d9003dc3"),
+    (["dga", "--structure", "su-even:3"] + NK, 0,
+     "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
+     "81542a1cb5b68414aba9792d7349114c56bc51e06254962e693329f5714d6336"),
+    (["zspaces", "--structure", "su-even:3"] + NK, 0,
+     "867c9303359f14b2ba883c2a41858c7bb61d3ffc708b71c172189147fdcd94d2",
+     "d5a9e5964a8eb309fc1bda91502e630e34efd51afb7d9a7da325b94e67a46400"),
+    (["dga", "--structure", "so3-9", "--operator", "zero"], 0,
+     "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
+     "ccbb2deca964538cd7bf5d83e3dc7bdc53fe8ec61479fb795b622816cb6dfeaf"),
+    (["zspaces", "--structure", "so3-9", "--operator", "zero"], 0,
+     "e7aea2be29ee9c076b4e3a6de99f9b3a702855d59ebb9611b5f6b88399a88dc7",
+     "c71ff3b35761fb6949cdfe6e4b66baf072057deb72e0f8093e555d9cc677e259"),
+    (["cartan", "--structure", "psu3"], 0,
+     "7cf747808a10b590792957a0d382e024ca64dc90064589f61c60950a93ffba36",
+     "a767ccc09371f3e8b15c0ce603245d4dfa62e7a9c193165e26b44012fecfdb99"),
+    (["cartan", "--structure", "g2", "--search"], 0,
+     "67c31b71e137f7a5338d1b994e55ebeaacd545d6a820508e8a8f3decc5ee8945",
+     "9510fad780b7e3f0f4bceba1921cf9ca55d015773149acef26571419d4709584"),
+    (["restrict", "--structure", "su-even:3"] + NK, 0,
+     "0dd8a9d01e2ed99086ab10a9cd9e28dbcd8937a91245dfa8d4b4d098fd97dfd0",
+     "0f1a7d5de9756d48618e27e5d70214d44399caa3eebb519e95af68f2902b0708"),
+    (["restrict", "--structure", "psu3", "--operator", "zero", "--drop", "8"],
+     0,
+     "0d750f167f96e0ef1a4c45376b7b8cc59c2519db331fa9a1760f0d11444afea3",
+     "ca660a422e369110857a30156a51a3d48c375b03d1f8fa080acc8e69db89a10c"),
+    (["decompose", "--structure", "so3-9", "--space", "t-gperp"], 0,
+     "c23515223058687f6c0d9ca6c18461abaf2da7345cc836c73933ff63a12648a4",
+     "a5ed152666dff4bf5dfc661d2f4950ff99769bef859ee425560208f387b122a4"),
+    (["decompose", "--structure", "so3-9", "--space", "t-lambda2"], 0,
+     "9227ca753bee987f07e55ccca40eb72c422359f32d8172a69a2fdebe294f65cb",
+     "56f259c9ec888b1830f2c28db1e3ef4cf9e4944d6d18d90f4cf06017a16b9d08"),
+]
+
+
+@pytest.mark.parametrize("argv,code,text_sha,json_sha", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_cli_output_is_pinned(capsys, argv, code, text_sha, json_sha):
+    for extra, want in (([], text_sha), (["--json"], json_sha)):
+        got = main(argv + extra)
+        out = capsys.readouterr().out
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) \
+            == (code, want), argv + extra

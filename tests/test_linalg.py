@@ -1,7 +1,8 @@
 import random
 
 from edsx.linalg import (AffineSpace, Matrix, echelon_span, in_span,
-                         kernel_basis, rank, solve_affine, span_rank)
+                         kernel_basis, rank, solve_affine, span_rank,
+                         transpose)
 from edsx.scalar import Scalar
 
 
@@ -13,52 +14,69 @@ def rows_of(data):
     return [[S(x) for x in row] for row in data]
 
 
+def sparse(rows):
+    """Sparse rows (or a sparse vector) of dense rows of Scalars."""
+    if rows and isinstance(rows[0], Scalar):
+        return {j: x.c for j, x in enumerate(rows) if x}
+    return [sparse(r) for r in rows]
+
+
+def mul(rows, v):
+    """m v as a list of Scalars, for sparse rows and a sparse vector."""
+    return [sum((Scalar(c) * Scalar(v[j]) for j, c in r.items() if j in v),
+                S(0)) for r in rows]
+
+
 def test_rank_basics():
     m = Matrix.from_rows(rows_of([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
     assert rank(m) == 2
     assert rank(m.transpose()) == 2
-    assert rank(Matrix.identity(4)) == 4
-    assert rank(Matrix.zero(3, 5)) == 0
+    eye = rows_of([[int(i == j) for j in range(4)] for i in range(4)])
+    assert rank(Matrix.from_rows(eye)) == 4
+    assert rank(Matrix.from_rows(rows_of([[0] * 5] * 3))) == 0
+    assert span_rank(sparse(eye), 4) == 4
+    assert span_rank([{}] * 3, 5) == 0
 
 
 def test_rank_with_radicals():
     r2 = Scalar.sqrt(2)
-    m = Matrix.from_rows([[Scalar.of(1), r2], [r2, Scalar.of(2)]])
-    assert rank(m) == 1
-    m2 = Matrix.from_rows([[Scalar.of(1), r2], [r2, Scalar.of(3)]])
-    assert rank(m2) == 2
+    m = [[Scalar.of(1), r2], [r2, Scalar.of(2)]]
+    assert rank(Matrix.from_rows(m)) == span_rank(sparse(m), 2) == 1
+    m2 = [[Scalar.of(1), r2], [r2, Scalar.of(3)]]
+    assert rank(Matrix.from_rows(m2)) == span_rank(sparse(m2), 2) == 2
 
 
 def test_kernel_basis():
-    m = Matrix.from_rows(rows_of([[1, 2, 3], [2, 4, 6]]))
-    ker = kernel_basis(m)
+    m = sparse(rows_of([[1, 2, 3], [2, 4, 6]]))
+    ker = kernel_basis(m, 3)
     assert len(ker) == 2
     for v in ker:
-        assert all(x.is_zero() for x in m.mul_vector(v))
+        assert all(x.is_zero() for x in mul(m, v))
 
 
 def test_solve_affine_unique():
-    m = Matrix.from_rows(rows_of([[2, 0], [0, 3]]))
-    sol = solve_affine(m, [S(4), S(9)])
+    m = sparse(rows_of([[2, 0], [0, 3]]))
+    sol = solve_affine(m, 2, sparse([S(4), S(9)]))
     assert not sol.is_empty
     assert sol.dim == 0
-    assert sol.particular == [S(2), S(3)]
+    assert sol.particular == sparse([S(2), S(3)])
 
 
 def test_solve_affine_underdetermined():
-    m = Matrix.from_rows(rows_of([[1, 1, 0]]))
-    sol = solve_affine(m, [S(5)])
+    m = sparse(rows_of([[1, 1, 0]]))
+    sol = solve_affine(m, 3, {0: S(5).c})
     assert sol.dim == 2
     for v in [sol.particular] + [
-            [p + b for p, b in zip(sol.particular, bas)]
+            sparse([Scalar(sol.particular.get(j, {}))
+                    + Scalar(bas.get(j, {})) for j in range(3)])
             for bas in sol.basis]:
-        prod = m.mul_vector(v)
+        prod = mul(m, v)
         assert prod == [S(5)]
 
 
 def test_solve_affine_empty():
-    m = Matrix.from_rows(rows_of([[1, 1], [1, 1]]))
-    sol = solve_affine(m, [S(0), S(1)])
+    m = sparse(rows_of([[1, 1], [1, 1]]))
+    sol = solve_affine(m, 2, {1: S(1).c})
     assert sol.is_empty
     assert sol.dim is None
 
@@ -66,11 +84,13 @@ def test_solve_affine_empty():
 def test_span_utilities():
     v1 = [S(1), S(0), S(2)]
     v2 = [S(0), S(1), S(0)]
-    assert span_rank([v1, v2, [a + b for a, b in zip(v1, v2)]]) == 2
-    assert in_span([v1, v2], [S(2), S(3), S(4)])
-    assert not in_span([v1, v2], [S(0), S(0), S(1)])
-    assert in_span([v1], [S(0), S(0), S(0)])
-    ech = echelon_span([v1, v2, v1])
+    v3 = [a + b for a, b in zip(v1, v2)]
+    assert span_rank(sparse([v1, v2, v3]), 3) == 2
+    assert in_span(sparse([v1, v2]), sparse([S(2), S(3), S(4)]), 3)
+    assert not in_span(sparse([v1, v2]), sparse([S(0), S(0), S(1)]), 3)
+    assert in_span(sparse([v1]), {}, 3)
+    assert not in_span([], sparse(v1), 3)
+    ech = echelon_span(sparse([v1, v2, v1]), 3)
     assert len(ech) == 2
 
 
@@ -85,8 +105,8 @@ def test_rref_is_canonical():
         if rng.random() < 0.5:
             mixed.reverse()
         mixed.append([S(0)] * 4)
-        got = echelon_span(mixed)
-        assert got == echelon_span(base)
+        got = echelon_span(sparse(mixed), 4)
+        assert got == echelon_span(sparse(base), 4)
 
 
 def test_random_rank_transpose_agreement():
@@ -100,11 +120,14 @@ def test_random_rank_transpose_agreement():
         r = rank(m)
         assert r == rank(m.transpose())
         assert r <= min(nr, nc)
-        assert len(kernel_basis(m)) == nc - r
+        assert transpose(sparse(data), nc) == sparse(
+            [list(col) for col in zip(*data)])
+        assert span_rank(sparse(data), nc) == r
+        assert len(kernel_basis(sparse(data), nc)) == nc - r
 
 
 def test_affine_space_reports_dim():
-    sp = AffineSpace(3, [S(0)] * 3, [[S(1), S(0), S(0)]])
+    sp = AffineSpace(3, {}, [{0: S(1).c}])
     assert not sp.is_empty
     assert sp.dim == 1
     empty = AffineSpace(3, None, [])

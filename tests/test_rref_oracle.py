@@ -1,21 +1,28 @@
-"""The field kernel against sympy: the sparse RREF and the inverse.
+"""The field kernel and the exterior products against sympy.
 
 sympy's DomainMatrix.rref over QQ, and over algebraic fields spanned by
 three of the four square roots, is an independent implementation of the
 same canonical form: pivots and every entry of the RREF must agree.  The
 sparse core, eliminate(), must give what its dense entry rref() gives.
-sympy's division in those fields is an independent inverse.
+sympy's division in those fields is an independent inverse.  Wedge
+coefficients are recomputed as shuffle sums with sympy's permutation
+signs and sqrt arithmetic, and the Hodge star is held to a ^ *b =
+<a, b> e^{1...n}.
 """
 
 import random
+from itertools import combinations
 
 import pytest
-from sympy import QQ, sqrt
+from sympy import QQ, Integer, Rational, expand, sqrt
+from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import PRIMES, eliminate, rref, s_inv, s_mul
+from edsx._kernel import DIVISORS, PRIMES, eliminate, rref, s_inv, s_mul
 from edsx._rat import RAT
+from edsx.exterior import Form, hodge, wedge
 from edsx.linalg import Matrix, rank
+from edsx.scalar import Scalar
 
 
 class Field:
@@ -173,3 +180,60 @@ def test_inverse_matches_sympy(fields, which):
                  for k in rng.sample(field.masks, size)}
             want = field.dom.quo(field.dom.one, field.to_sympy(a))
             assert field.to_sympy(s_inv(a)) == want
+
+
+def _sympy_value(c):
+    """A kernel scalar as a sympy expression in sqrt."""
+    return sum((Rational(q.numerator, q.denominator) * sqrt(DIVISORS[k])
+                for k, q in c.items()), Integer(0))
+
+
+def _random_form(rng, field, n, p):
+    terms = {}
+    for idx in combinations(range(1, n + 1), p):
+        c = _scalar(rng, field, 0.6)
+        if c:
+            terms[idx] = Scalar(c)
+    return Form(n, terms)
+
+
+def _forms(field, seed, count):
+    """(n, a, b, c): a random p-form a, q-form b and p-form c on R^n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 7)
+        p = rng.randrange(0, n + 1)
+        q = rng.randrange(0, n - p + 1)
+        yield n, _random_form(rng, field, n, p), \
+            _random_form(rng, field, n, q), _random_form(rng, field, n, p)
+
+
+def test_wedge_matches_the_shuffle_sum(fields):
+    for n, a, b, _ in _forms(fields[1], 9500, 150):
+        p, q = a.degree, b.degree
+        if p is None or q is None:
+            continue
+        got = wedge(a, b)
+        for K in combinations(range(1, n + 1), p + q):
+            want = Integer(0)
+            for I in combinations(K, p):
+                J = tuple(k for k in K if k not in I)
+                if I in a.terms and J in b.terms:
+                    sign = Permutation([K.index(k) for k in I + J]).signature()
+                    want += sign * _sympy_value(a.terms[I].c) \
+                        * _sympy_value(b.terms[J].c)
+            have = got.terms.get(K, Scalar()).c
+            assert expand(want - _sympy_value(have)) == 0, (a, b, K)
+        assert all(len(K) == p + q for K in got.terms)
+
+
+def test_wedge_with_the_hodge_star_is_the_inner_product(fields):
+    for n, a, _, c in _forms(fields[1], 9600, 150):
+        inner = sum((_sympy_value(x.c) * _sympy_value(c.terms[I].c)
+                     for I, x in a.terms.items() if I in c.terms),
+                    Integer(0))
+        volume = tuple(range(1, n + 1))
+        got = wedge(a, hodge(c))
+        assert set(got.terms) <= {volume}
+        have = got.terms.get(volume, Scalar()).c
+        assert expand(inner - _sympy_value(have)) == 0, (a, c)
