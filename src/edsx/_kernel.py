@@ -1,12 +1,22 @@
 """The field kernel: scalar arithmetic and the one RREF elimination.
 
-A scalar in Q(r2, r3, r5, r7) is a plain dict mapping a 4-bit mask to a
-nonzero rational coefficient.  Bit k of the mask says whether PRIMES[k]
-sits under the square root, so radicals multiply by XOR of masks times
-the product of the shared primes.  The empty dict is zero.
+A scalar in Q(r2, r3, r5, r7) is a pair (den, nums): a positive integer
+denominator den and a dict nums mapping a 4-bit mask to a nonzero integer
+numerator, for the value sum of nums[mask] * sqrt(DIVISORS[mask]) / den.
+Bit k of the mask says whether PRIMES[k] sits under the square root, so
+radicals multiply by XOR of masks times the product of the shared primes.
+Every scalar is canonical: den and the numerators have no common factor
+(one gcd over the whole scalar), and zero is None, the one falsy scalar,
+so two scalars are equal exactly when they are equal as pairs.  A scalar
+is never mutated once built, so rows and forms share them freely.
+
+Rationals (fractions.Fraction) appear only at the dense boundary: the
+cells of rref() are {mask: rational} dicts, converted by s_from_fractions
+and s_to_fractions.
 """
 
-from ._rat import R1
+from fractions import Fraction
+from math import gcd
 
 PRIMES = (2, 3, 5, 7)
 
@@ -25,121 +35,233 @@ _G = tuple(_divisor(m) for m in range(16))
 
 MASK_OF_DIVISOR = {d: m for m, d in enumerate(DIVISORS)}
 
+ONE = (1, {0: 1})
 
-def s_from_rat(q):
-    return {0: q} if q else {}
+
+def _canon(den, nums):
+    """The scalar nums / den, den > 0 and no numerator zero, reduced."""
+    if not nums:
+        return None
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            return den // g, {k: x // g for k, x in nums.items()}
+    return den, nums
+
+
+def s_quotient(n, d=1):
+    """The rational scalar n/d, for integers n and d > 0."""
+    if not n:
+        return None
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return d, {0: n}
+
+
+def s_from_fractions(cell):
+    """The scalar of a {mask: rational} dict; zero values are dropped."""
+    den = 1
+    for q in cell.values():
+        d = q.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    # den is the lcm of reduced denominators, so no prime divides it and
+    # every numerator: the result is already canonical
+    nums = {k: q.numerator * (den // q.denominator)
+            for k, q in cell.items() if q}
+    return (den, nums) if nums else None
+
+
+def s_to_fractions(a):
+    """The {mask: Fraction} dict of a scalar, keys in a's order."""
+    if not a:
+        return {}
+    den, nums = a
+    return {k: Fraction(x, den) for k, x in nums.items()}
+
+
+def _sum(a, b, sign):
+    """a + sign*b for nonzero a, b and sign = +-1."""
+    da, na = a
+    db, nb = b
+    if da == db:
+        ma, mb, den = 1, sign, da
+    else:
+        g = gcd(da, db)
+        ma = db // g
+        mb = da // g * sign
+        den = da * ma
+    out = dict(na) if ma == 1 else {k: x * ma for k, x in na.items()}
+    for k, x in nb.items():
+        x *= mb
+        cur = out.get(k)
+        if cur is None:
+            out[k] = x
+        else:
+            cur += x
+            if cur:
+                out[k] = cur
+            else:
+                del out[k]
+    return _canon(den, out)
 
 
 def s_add(a, b):
     if not b:
-        return dict(a)
-    out = dict(a)
-    for k, q in b.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = q
-        else:
-            cur = cur + q
-            if cur:
-                out[k] = cur
-            else:
-                del out[k]
-    return out
+        return a
+    if not a:
+        return b
+    return _sum(a, b, 1)
 
 
 def s_sub(a, b):
     if not b:
-        return dict(a)
-    out = dict(a)
-    for k, q in b.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = -q
-        else:
-            cur = cur - q
-            if cur:
-                out[k] = cur
-            else:
-                del out[k]
-    return out
+        return a
+    if not a:
+        return s_neg(b)
+    return _sum(a, b, -1)
 
 
 def s_neg(a):
-    return {k: -q for k, q in a.items()}
+    if not a:
+        return None
+    den, nums = a
+    return den, {k: -x for k, x in nums.items()}
 
 
 def s_mul(a, b):
     if not a or not b:
-        return {}
-    if len(a) == 1 and len(b) == 1:
-        (ka, qa), = a.items()
-        (kb, qb), = b.items()
-        q = qa * qb
+        return None
+    da, na = a
+    db, nb = b
+    den = da * db
+    if len(na) == 1 and len(nb) == 1:
+        (ka, xa), = na.items()
+        (kb, xb), = nb.items()
+        x = xa * xb
         g = _G[ka & kb]
         if g != 1:
-            q = q * g
-        return {ka ^ kb: q}
+            x *= g
+        if den != 1:
+            g = gcd(x, den)
+            if g != 1:
+                return den // g, {ka ^ kb: x // g}
+        return den, {ka ^ kb: x}
     out = {}
-    for ka, qa in a.items():
-        for kb, qb in b.items():
+    for ka, xa in na.items():
+        for kb, xb in nb.items():
             k = ka ^ kb
-            q = qa * qb
+            x = xa * xb
             g = _G[ka & kb]
             if g != 1:
-                q = q * g
+                x *= g
             cur = out.get(k)
             if cur is None:
-                out[k] = q
+                out[k] = x
             else:
-                cur = cur + q
+                cur += x
                 if cur:
                     out[k] = cur
                 else:
                     del out[k]
-    return out
+    return _canon(den, out)
 
 
 def s_submul(a, c, b):
     """a - c*b for nonzero c, b; the row reduction inner loop."""
-    if len(c) == 1 and len(b) == 1:
-        (kc, qc), = c.items()
-        (kb, qb), = b.items()
+    dc, nc = c
+    db, nb = b
+    den = dc * db
+    if len(nc) == 1 and len(nb) == 1:
+        (kc, xc), = nc.items()
+        (kb, xb), = nb.items()
         k = kc ^ kb
-        q = qc * qb
+        x = xc * xb
         g = _G[kc & kb]
         if g != 1:
-            q = q * g
+            x *= g
+        # now c*b = x*sqrt(DIVISORS[k]) / den
         if not a:
-            return {k: -q}
-        out = dict(a)
+            if den != 1:
+                g = gcd(x, den)
+                if g != 1:
+                    return den // g, {k: -x // g}
+            return den, {k: -x}
+        da, na = a
+        if da == den:
+            ma = 1
+        else:
+            g = gcd(da, den)
+            ma = den // g
+            x *= da // g
+            den = da * ma
+        if len(na) == 1:
+            (ka, xa), = na.items()
+            if ka == k:
+                x = xa * ma - x
+                if not x:
+                    return None
+                if den != 1:
+                    g = gcd(x, den)
+                    if g != 1:
+                        return den // g, {k: x // g}
+                return den, {k: x}
+        out = dict(na) if ma == 1 else {kk: y * ma for kk, y in na.items()}
         cur = out.get(k)
         if cur is None:
-            out[k] = -q
+            out[k] = -x
         else:
-            cur = cur - q
+            cur -= x
             if cur:
                 out[k] = cur
             else:
                 del out[k]
-        return out
-    out = dict(a)
-    for kc, qc in c.items():
-        for kb, qb in b.items():
+        return _canon(den, out)
+    if a:
+        da, na = a
+        if da == den:
+            ma = mc = 1
+        else:
+            g = gcd(da, den)
+            ma = den // g
+            mc = da // g
+            den = da * ma
+        out = dict(na) if ma == 1 else {k: y * ma for k, y in na.items()}
+    else:
+        mc = 1
+        out = {}
+    for kc, xc in nc.items():
+        xc *= mc
+        for kb, xb in nb.items():
             k = kc ^ kb
-            q = qc * qb
+            x = xc * xb
             g = _G[kc & kb]
             if g != 1:
-                q = q * g
+                x *= g
             cur = out.get(k)
             if cur is None:
-                out[k] = -q
+                out[k] = -x
             else:
-                cur = cur - q
+                cur -= x
                 if cur:
                     out[k] = cur
                 else:
                     del out[k]
-    return out
+    return _canon(den, out)
+
+
+def _inv_term(den, k, x):
+    """1/(x*sqrt(d)/den) = den*sqrt(d)/(x*d) for d = DIVISORS[k]."""
+    num, den = den, x * _G[k]
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    if g != 1:
+        return den // g, {k: num // g}
+    return den, {k: num}
 
 
 def s_inv(a):
@@ -152,26 +274,29 @@ def s_inv(a):
     its keys stay in the span of x's keys.  After at most four steps x is
     one term q*sqrt(d), and 1/a = num*sqrt(d)/(q*d).  A nonzero element
     has a nonzero norm, so the tower is total on nonzero input.  The keys
-    of the result come back in ascending mask order; a is not mutated.
+    of the result come back in ascending mask order.
     """
     if not a:
         raise ZeroDivisionError("scalar inverse of zero")
-    if len(a) == 1:
-        (k, q), = a.items()
-        # 1/(q*sqrt(d)) = sqrt(d)/(q*d)
-        return {k: R1 / (q * _G[k])}
-    num = {0: R1}
+    den, nums = a
+    if len(nums) == 1:
+        (k, x), = nums.items()
+        return _inv_term(den, k, x)
+    num = ONE
     x = a
     for bit in (1, 2, 4, 8):
-        if len(x) == 1:
+        xd, xn = x
+        if len(xn) == 1:
             break
-        if not any(k & bit for k in x):
+        if not any(k & bit for k in xn):
             continue
-        c = {k: -q if k & bit else q for k, q in x.items()}
+        c = xd, {k: -q if k & bit else q for k, q in xn.items()}
         num = s_mul(num, c)
         x = s_mul(x, c)
-    (k, q), = x.items()
-    return dict(sorted(s_mul(num, {k: R1 / (q * _G[k])}).items()))
+    xd, xn = x
+    (k, q), = xn.items()
+    den, nums = s_mul(num, _inv_term(xd, k, q))
+    return den, dict(sorted(nums.items()))
 
 
 def eliminate(srows, ncols, reduced=True):
@@ -210,7 +335,7 @@ def eliminate(srows, ncols, reduced=True):
         for k in prow:
             holding[k].discard(p)
         lead = prow.pop(j)
-        if len(lead) != 1 or lead.get(0) != R1:
+        if lead != ONE:
             inv = s_inv(lead)
             for k, v in prow.items():
                 prow[k] = s_mul(v, inv)
@@ -220,7 +345,7 @@ def eliminate(srows, ncols, reduced=True):
             c = row.pop(j)
             for k, v in pitems:
                 cur = row.get(k)
-                new = s_submul(cur or {}, c, v)
+                new = s_submul(cur, c, v)
                 if new:
                     row[k] = new
                     if cur is None:
@@ -250,7 +375,7 @@ def eliminate(srows, ncols, reduced=True):
             row = prows[t]
             c = row.pop(j)
             for k, v in pitems:
-                new = s_submul(row.get(k) or {}, c, v)
+                new = s_submul(row.get(k), c, v)
                 if new:
                     row[k] = new
                 else:
@@ -261,22 +386,23 @@ def eliminate(srows, ncols, reduced=True):
 def rref(rows, ncols, reduced=True):
     """Reduced row echelon form of dense rows; returns the pivot columns.
 
-    The dense entry to eliminate(): rows are lists of ncols scalars.  With
-    reduced=True the items of rows are replaced by new lists: the pivot
-    rows first, sorted by pivot column with leading 1, then zero rows.
-    With reduced=False only the forward phase runs and rows is left as it
-    was.  The row lists and scalars passed in are never mutated.
+    The dense entry to eliminate(): rows are lists of ncols cells, each a
+    {mask: rational} dict, converted to scalars here and back on the way
+    out.  With reduced=True the items of rows are replaced by new lists:
+    the pivot rows first, sorted by pivot column with leading 1, then zero
+    rows.  With reduced=False only the forward phase runs and rows is left
+    as it was.  The row lists and cells passed in are never mutated.
     """
     pivots, prows = eliminate(
-        [{j: c for j, c in enumerate(row) if c} for row in rows],
-        ncols, reduced)
+        [{j: s for j, c in enumerate(row) if c and (s := s_from_fractions(c))}
+         for row in rows], ncols, reduced)
     if not reduced:
         return pivots
     for t, (j, prow) in enumerate(zip(pivots, prows)):
         dense = [{} for _ in range(ncols)]
-        dense[j] = {0: R1}
+        dense[j] = {0: Fraction(1)}
         for k, v in prow.items():
-            dense[k] = v
+            dense[k] = s_to_fractions(v)
         rows[t] = dense
     for t in range(len(pivots), len(rows)):
         rows[t] = [{} for _ in range(ncols)]

@@ -91,7 +91,7 @@ def _polar_srows(a: Form, prefix):
                 if row is None:
                     row = rows[key] = {}
                 col = (it - 1) * n + (j - 1)
-                cur = row.get(col, {})
+                cur = row.get(col)
                 row[col] = s_add(cur, c) if sign > 0 else s_sub(cur, c)
     return [{k: v for k, v in rows[key].items() if v} for key in sorted(rows)]
 

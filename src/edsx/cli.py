@@ -42,10 +42,15 @@ def _parse_params(text):
             raise CatalogError("parameter %r is not of the form name=value"
                                % item)
         k, v = item.split("=", 1)
+        k = k.strip()
+        if not k:
+            raise CatalogError("parameter %r has an empty name" % item)
+        if k in out:
+            raise CatalogError("parameter %r given twice" % k)
         try:
-            out[k.strip()] = Scalar.parse(v.strip())
+            out[k] = Scalar.parse(v.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise CatalogError("bad value for %r: %s" % (k.strip(), exc))
+            raise CatalogError("bad value for %r: %s" % (k, exc))
     return out
 
 

@@ -313,11 +313,11 @@ class Analysis:
                 for j, c in g.items():
                     v = kernel.get(j)
                     if v is None:
-                        res[j] = s_add(res.get(j, {}), c)
+                        res[j] = s_add(res.get(j), c)
                         continue
                     for p, kc in v.items():
                         if p != j:
-                            res[p] = s_submul(res.get(p, {}), c, kc)
+                            res[p] = s_submul(res.get(p), c, kc)
                 reduced.append({k: v for k, v in res.items() if v})
             g_rank = span_rank(g_rows, ext.ncols)
             with_kernel = len(kernel) + span_rank(reduced, ext.ncols)

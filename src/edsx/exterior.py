@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._kernel import DIVISORS, s_add, s_mul, s_neg
-from .scalar import Scalar, _Literal, as_scalar, rat_text
+from .scalar import Scalar, _Literal, as_scalar, ratio_text
 
 
 def _merge_sign(I, J):
@@ -489,19 +489,19 @@ def parse_form(text: str, n: int) -> Form:
 
 def _coeff_text(c: Scalar):
     """(sign, body) pieces for one term's coefficient."""
-    items = sorted(c.c.items())
-    if len(items) > 1:
+    den, nums = c.c
+    if len(nums) > 1:
         return "+", "(%s)*" % str(c)
-    k, q = items[0]
+    (k, x), = nums.items()
     d = DIVISORS[k]
-    sign = "-" if q < 0 else "+"
-    q = abs(q)
+    sign = "-" if x < 0 else "+"
+    x = abs(x)
     if d == 1:
-        body = "" if q == 1 else "%s*" % rat_text(q)
-    elif q == 1:
+        body = "" if x == den else "%s*" % ratio_text(x, den)
+    elif x == den:
         body = "r%d*" % d
     else:
-        body = "%s*r%d*" % (rat_text(q), d)
+        body = "%s*r%d*" % (ratio_text(x, den), d)
     return sign, body
 
 

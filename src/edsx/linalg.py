@@ -1,33 +1,35 @@
 """Exact linear algebra over the scalar field, on sparse rows.
 
 A row or vector is a {column: coefficient} dict over columns 0..ncols-1
-that holds only nonzero coefficients, each a kernel mask -> rational
-dict; exterior.coords builds them straight from Form.terms.  Everything
-reduces to one deterministic elimination (see edsx._kernel for the pivot
-rule), so ranks, kernels, and affine solves are canonical: the same
-input always yields the same basis vectors.  No function here mutates
+that holds only nonzero coefficients, each a kernel scalar (a denominator
+and integer numerators, see edsx._kernel); exterior.coords builds them
+straight from Form.terms.  Everything reduces to one deterministic
+elimination (see edsx._kernel for the pivot rule), so ranks, kernels,
+and affine solves are canonical: the same input always yields the same
+basis vectors.  No function here mutates
 the rows it is given.
 
 Matrix, rank and rref are the dense boundary, for callers holding dense
-rows of Scalars: a Matrix holds dense lists of coefficient dicts and
-rank and rref pass them to the kernel's dense entry.
+rows of Scalars: a Matrix holds dense lists of {mask: Fraction} cells
+and rank and rref pass them to the kernel's dense entry, which converts
+them to kernel scalars and back.
 """
 
 from __future__ import annotations
 
 from ._kernel import eliminate
 from ._kernel import rref as _rref_rows
-from ._kernel import s_add, s_mul, s_neg
-from ._rat import R1
+from ._kernel import ONE, s_add, s_mul, s_neg, s_to_fractions
 from .scalar import as_scalar
 
 
 def _unwrap(v):
-    return [as_scalar(x).c for x in v]
+    return [s_to_fractions(as_scalar(x).c) for x in v]
 
 
 class Matrix:
-    """Dense matrix; entries are Scalars on the outside, dicts inside."""
+    """Dense matrix; entries are Scalars on the outside, {mask: Fraction}
+    cells inside."""
 
     __slots__ = ("nrows", "ncols", "_rows")
 
@@ -122,7 +124,7 @@ def _kernel_vectors(pivots, prows, ncols):
     free-column order.
     """
     pivset = set(pivots)
-    out = {f: {f: {0: R1}} for f in range(ncols) if f not in pivset}
+    out = {f: {f: ONE} for f in range(ncols) if f not in pivset}
     for p, prow in zip(pivots, prows):
         for k, c in prow.items():
             v = out.get(k)
@@ -159,7 +161,7 @@ def _dot(row, b):
     """Sum of row[i] * b[i] over two {index: coefficient} dicts."""
     if len(b) < len(row):
         row, b = b, row
-    acc = {}
+    acc = None
     for i, c in row.items():
         x = b.get(i)
         if x:
@@ -194,7 +196,7 @@ class Elimination:
         srows = [dict(r) for r in self._entries]
         if with_e:
             for i, r in enumerate(srows):
-                r[ncols + i] = {0: R1}
+                r[ncols + i] = ONE
         pivots, prows = eliminate(
             srows, ncols + self.nrows if with_e else ncols)
         rank = sum(1 for p in pivots if p < ncols)
@@ -207,7 +209,7 @@ class Elimination:
             for p, prow in zip(pivots, prows):
                 r = {k - ncols: c for k, c in prow.items() if k >= ncols}
                 if p >= ncols:
-                    r[p - ncols] = {0: R1}
+                    r[p - ncols] = ONE
                 e.append(dict(sorted(r.items())))
             self._lift = e[:rank]
             self._residual = e[rank:]
@@ -272,5 +274,5 @@ def echelon_span(rows, ncols):
     pivots, prows = eliminate([dict(r) for r in rows], ncols)
     out = []
     for p, prow in zip(pivots, prows):
-        out.append({p: {0: R1}, **prow})
+        out.append({p: ONE, **prow})
     return out

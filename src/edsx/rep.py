@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from ._kernel import eliminate, s_add, s_from_rat, s_mul, s_neg, s_sub
-from ._rat import RAT, R1
+from ._kernel import ONE, eliminate, s_add, s_mul, s_neg, s_quotient, s_sub
 from .exterior import (Form, _sort_sign, coords, flatten, from_coords,
                        lex_index, unflatten)
 from .linalg import (Elimination, _kernel_vectors, echelon_span,
@@ -43,7 +42,7 @@ def mat_bracket(x, y):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = {}
+            acc = None
             for k in range(n):
                 a, b = x[i][k].c, y[k][j].c
                 if a and b:
@@ -111,7 +110,7 @@ class LieRep:
                 if part is None:
                     raise ValueError("%s: bracket [%d,%d] leaves the span"
                                      % (self.name, a, b))
-                row.append([Scalar(part.get(d, {})) for d in range(self.dim)])
+                row.append([Scalar(part.get(d)) for d in range(self.dim)])
             consts.append(row)
         self._constants = consts
         return consts
@@ -309,7 +308,7 @@ def equivariant_maps(g: LieRep):
 
 def hom_units(n):
     """The unit maps of Hom(T, Lambda^2 T), in coordinate order."""
-    return [HomMap.from_coords(n, {t: {0: R1}}) for t in range(hom_dim(n))]
+    return [HomMap.from_coords(n, {t: ONE}) for t in range(hom_dim(n))]
 
 
 def _equivariant_basis(g: LieRep):
@@ -398,7 +397,7 @@ def _sparse_square_sum(sparse_ops, dim):
             row = C[i]
             for k, a in op[i]:
                 for j, b in op[k]:
-                    row[j] = s_add(row.get(j, {}), s_mul(a, b))
+                    row[j] = s_add(row.get(j), s_mul(a, b))
     return [{j: c for j, c in row.items() if c} for row in C]
 
 
@@ -497,7 +496,7 @@ def _cols_to_rows(cols, dim):
     for j, entries in enumerate(cols):
         merged = {}
         for i, c in entries:
-            merged[i] = s_add(merged.get(i, {}), c) if i in merged else dict(c)
+            merged[i] = s_add(merged[i], c) if i in merged else c
         for i, c in merged.items():
             if c:
                 rows[i].append((j, c))
@@ -509,10 +508,10 @@ def _calibrate(g: LieRep):
     n = g.n
     dim, ops = _space_operators(g, "T")
     C = _sparse_square_sum(ops, dim)
-    c0 = Scalar(dict(C[0].get(0, {})))
+    c0 = Scalar(C[0].get(0))
     for i in range(dim):
         for j in range(dim):
-            val = Scalar(dict(C[i].get(j, {})))
+            val = Scalar(C[i].get(j))
             want = c0 if i == j else Scalar()
             if val != want:
                 raise CasimirError("Casimir is not scalar on T; calibration fails")
@@ -533,18 +532,18 @@ def _weight_blocks(hop, dim):
     hrat = []
     for row in hop:
         r = {}
-        for j, c in row:
-            if set(c) != {1}:
+        for j, (den, nums) in row:
+            if set(nums) != {1}:
                 return None
-            r[j] = c[1]
+            r[j] = den, {0: nums[1]}
         hrat.append(r)
     h2 = []
     for r in hrat:
         acc = {}
         for k, a in r.items():
             for j, b in hrat[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        h2.append({j: {0: q} for j, q in acc.items() if q})
+                acc[j] = s_add(acc.get(j), s_mul(a, b))
+        h2.append({j: q for j, q in acc.items() if q})
     blocks = []
     seen = 0
     m = 0
@@ -552,7 +551,7 @@ def _weight_blocks(hop, dim):
         if m * m > 4 * dim * dim:
             raise CasimirError("weight search did not terminate")
         # Hhat^2 has eigenvalue -m^2 on the weight-m block
-        rows = _shift_diagonal(h2, s_from_rat(RAT(m * m)))
+        rows = _shift_diagonal(h2, s_quotient(m * m))
         pivots, prows = eliminate(rows, dim)
         kern = _kernel_vectors(pivots, prows, dim)
         if kern:
@@ -573,7 +572,7 @@ def _restrict_to_block(C, block):
     out = [{} for _ in free]
     for b, v in enumerate(block.values()):
         for r, f in enumerate(free):
-            acc = {}
+            acc = None
             for j, c in C[f].items():
                 x = v.get(j)
                 if x:
@@ -589,7 +588,7 @@ def _shift_diagonal(rows, c):
     for i, row in enumerate(rows):
         row = dict(row)
         if c:
-            d = s_add(row.get(i, {}), c)
+            d = s_add(row.get(i), c)
             if d:
                 row[i] = d
             else:

@@ -19,8 +19,7 @@ the projection covers the subspace solutions, and forces neither.
 from itertools import product
 from math import comb
 
-from ._kernel import s_sub
-from ._rat import R1
+from ._kernel import ONE, s_sub
 from .exterior import Form, Subspace, coords, lex_index, restrict
 from .linalg import solve_affine, span_rank
 from .rep import hom_dim
@@ -104,7 +103,7 @@ def _kerp_holds(closure, fvals, w):
 
 def _sym_kernel_units(n):
     """Sparse gl(n) x T vectors spanning the antisymmetrization kernel."""
-    one = {0: R1}
+    one = ONE
     out = []
     idx = range(1, n + 1)
     for i in idx:
@@ -199,7 +198,7 @@ def restrict_structure(s: StructureSpec, op, params=None,
             gap = _hom_preimage(k, solw.particular)
             amb = _project_glt(_hom_preimage(n, zr.z_prime.particular), local)
             for x, c in amb.items():
-                d = s_sub(gap.get(x, {}), c)
+                d = s_sub(gap.get(x), c)
                 if d:
                     gap[x] = d
                 else:

@@ -11,32 +11,37 @@ atoms added, so a scalar literal is a degree-0 form literal.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+from math import gcd
 
 from ._kernel import (
     DIVISORS,
     MASK_OF_DIVISOR,
     s_add,
-    s_from_rat,
     s_inv,
     s_mul,
     s_neg,
+    s_quotient,
     s_sub,
 )
-from ._rat import RAT, R1
 
 
 class Scalar:
-    """Immutable field element; .c is the mask -> rational dict."""
+    """Immutable field element; .c is the kernel scalar (see edsx._kernel):
+    a (denominator, {mask: integer numerator}) pair, or None for zero."""
 
     __slots__ = ("c",)
 
     def __init__(self, c=None):
-        self.c = {} if c is None else c
+        self.c = c
 
     @classmethod
     def of(cls, q) -> "Scalar":
         """Rational scalar from an int, a rational, or a/b."""
-        return cls(s_from_rat(RAT(q)))
+        if type(q) is int:
+            return cls(s_quotient(q))
+        q = Fraction(q)
+        return cls(s_quotient(q.numerator, q.denominator))
 
     @classmethod
     def sqrt(cls, d: int) -> "Scalar":
@@ -44,7 +49,7 @@ class Scalar:
         mask = MASK_OF_DIVISOR.get(d)
         if mask is None:
             raise ValueError("not a squarefree divisor of 210: %r" % (d,))
-        return cls({mask: R1})
+        return cls((1, {mask: 1}))
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -52,7 +57,10 @@ class Scalar:
 
     def coeffs(self) -> dict:
         """Map divisor -> rational coefficient, nonzero entries only."""
-        return {DIVISORS[k]: q for k, q in sorted(self.c.items())}
+        if not self.c:
+            return {}
+        den, nums = self.c
+        return {DIVISORS[k]: Fraction(x, den) for k, x in sorted(nums.items())}
 
     def is_zero(self) -> bool:
         return not self.c
@@ -60,7 +68,7 @@ class Scalar:
     def _coerce(self, other):
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, RAT)):
+        if isinstance(other, (int, Fraction)):
             return Scalar.of(other)
         return None
 
@@ -120,7 +128,10 @@ class Scalar:
         return self.c == o.c
 
     def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
+        if not self.c:
+            return hash(None)
+        den, nums = self.c
+        return hash((den, tuple(sorted(nums.items()))))
 
     def __str__(self):
         return format_scalar(self)
@@ -160,29 +171,39 @@ def _int_text(k):
     return sign + "".join(reversed(chunks))
 
 
-def rat_text(q):
-    """str(q) of a rational, n or n/d, at any number of digits."""
-    n, d = _int_text(q.numerator), q.denominator
+def ratio_text(n, d):
+    """str(Fraction(n, d)) for integers n and d > 0, at any number of digits."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    n = _int_text(n)
     return n if d == 1 else "%s/%s" % (n, _int_text(d))
 
 
-def _term_text(divisor, q):
+def rat_text(q):
+    """str(q) of a rational, n or n/d, at any number of digits."""
+    return ratio_text(q.numerator, q.denominator)
+
+
+def _term_text(divisor, x, den):
     if divisor == 1:
-        return rat_text(q)
-    if q == 1:
+        return ratio_text(x, den)
+    if x == den:
         return "r%d" % divisor
-    if q == -1:
+    if x == -den:
         return "-r%d" % divisor
-    return "%s*r%d" % (rat_text(q), divisor)
+    return "%s*r%d" % (ratio_text(x, den), divisor)
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form, sorted by divisor; parses back exactly."""
     if not s.c:
         return "0"
+    den, nums = s.c
     parts = []
-    for k in sorted(s.c):
-        parts.append(_term_text(DIVISORS[k], s.c[k]))
+    for k in sorted(nums):
+        parts.append(_term_text(DIVISORS[k], nums[k], den))
     out = parts[0]
     for p in parts[1:]:
         if p.startswith("-"):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from edsx._kernel import s_to_fractions
 from edsx.catalog import get_structure
 from edsx.cli import main
 from edsx.dga import check_operator
@@ -72,6 +73,16 @@ def test_usage_errors_exit_two(capsys):
                                     "--params", "lambda=1/0,mu=0"])
         assert code == 2
         assert err.startswith("edsx: bad value for 'lambda'")
+    code, out, err = run(capsys, ["dga", "--structure", "su-odd:2",
+                                  "--operator", "A",
+                                  "--params", "lambda=1,lambda=2,mu=0"])
+    assert (code, out) == (2, "")
+    assert err == "edsx: parameter 'lambda' given twice\n"
+    for params in ("=1", "="):
+        code, out, err = run(capsys, ["dga", "--structure", "su-odd:2",
+                                      "--operator", "A", "--params", params])
+        assert (code, out) == (2, "")
+        assert err == "edsx: parameter %r has an empty name\n" % params
     for degree in ("-1", "8"):
         code, _, err = run(capsys, ["invariants", "--structure", "g2",
                                     "--degree", degree])
@@ -116,8 +127,9 @@ def test_values_past_the_int_text_limit_print(capsys):
     assert max(len(t) for t in texts) > 5000
     chk = check_operator(get_structure("su-even:3"), "nearly-kahler",
                          {"lambda": Scalar.parse(big), "mu": Scalar.of(0)})
-    want = [v.c.get(0, 0) for v in chk.extension_witness.flatten()]
-    assert all(not set(v.c) - {0} for v in chk.extension_witness.flatten())
+    cells = [s_to_fractions(v.c) for v in chk.extension_witness.flatten()]
+    want = [c.get(0, 0) for c in cells]
+    assert all(not set(c) - {0} for c in cells)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

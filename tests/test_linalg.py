@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 from edsx.linalg import (AffineSpace, Matrix, echelon_span, in_span,
-                         kernel_basis, rank, solve_affine, span_rank,
+                         kernel_basis, rank, rref, solve_affine, span_rank,
                          transpose)
 from edsx.scalar import Scalar
 
@@ -132,3 +133,18 @@ def test_affine_space_reports_dim():
     assert sp.dim == 1
     empty = AffineSpace(3, None, [])
     assert empty.is_empty
+
+
+def test_dense_boundary_cells_are_rational_dicts():
+    r2 = Scalar.sqrt(2)
+    data = [[S(1), r2, S("1/3")], [r2, S(2), S("r2/3")], [S(0), S(5), S(7)]]
+    m = Matrix.from_rows(data)
+    cells = [c for row in m._rows for c in row]
+    reduced, pivots = rref(m)
+    cells += [c for row in reduced._rows for c in row]
+    assert all(type(c) is dict for c in cells)
+    assert all(type(q) is Fraction for c in cells for q in c.values())
+    assert m._rows[0][2] == {0: Fraction(1, 3)}
+    assert m._rows[2][0] == {}
+    assert reduced._rows[0][pivots[0]] == {0: Fraction(1)}
+    assert rank(m) == span_rank(sparse(data), 3) == len(pivots) == 2

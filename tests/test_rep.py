@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from edsx._kernel import s_to_fractions
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx.rep import (HomMap, LieRep, _space_operators, _weight_blocks,
@@ -152,8 +153,8 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
     g = get_structure("so3-9").lie
     dim, ops = _space_operators(g, space)
     # the first generator is r2 times a rational matrix Hhat
-    hhat = [{j: c[1] for j, c in row} for row in ops[0]]
-    assert all(set(c) == {1} for row in ops[0] for _, c in row)
+    hhat = [{j: s_to_fractions(c)[1] for j, c in row} for row in ops[0]]
+    assert all(set(s_to_fractions(c)) == {1} for row in ops[0] for _, c in row)
 
     def apply(v):
         out = {}
@@ -167,8 +168,8 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
     assert sum(len(block) for _, block in blocks) == dim
     for m, block in blocks:
         for f, vec in block.items():
-            assert all(set(c) == {0} for c in vec.values())
-            v = {j: c[0] for j, c in vec.items()}
+            assert all(set(s_to_fractions(c)) == {0} for c in vec.values())
+            v = {j: s_to_fractions(c)[0] for j, c in vec.items()}
             # a unit on its free column, zero on the block's other ones
             assert v[f] == 1
             assert not any(k in v for k in block if k != f)

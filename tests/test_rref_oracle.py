@@ -11,6 +11,7 @@ signs and sqrt arithmetic, and the Hodge star is held to a ^ *b =
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,8 +19,8 @@ from sympy import QQ, Integer, Rational, expand, sqrt
 from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import DIVISORS, PRIMES, eliminate, rref, s_inv, s_mul
-from edsx._rat import RAT
+from edsx._kernel import (DIVISORS, PRIMES, eliminate, rref, s_from_fractions,
+                          s_inv, s_mul, s_to_fractions)
 from edsx.exterior import Form, hodge, wedge
 from edsx.linalg import Matrix, rank
 from edsx.scalar import Scalar
@@ -65,7 +66,7 @@ def _scalar(rng, field, density):
         return {}
     out = {}
     for _ in range(rng.randrange(1, 3)):
-        q = RAT(rng.randrange(-6, 7), rng.randrange(1, 5))
+        q = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         if q:
             out[rng.choice(field.masks)] = q
     return out
@@ -83,8 +84,10 @@ def _matrix(rng, field, nrows, ncols):
         elif shape == 1:
             rows[i] = [dict(c) for c in rows[k]]
         elif shape == 2:
-            f = {rng.choice(field.masks): RAT(rng.randrange(1, 4), 2)}
-            rows[i] = [s_mul(c, f) for c in rows[k]]
+            f = s_from_fractions(
+                {rng.choice(field.masks): Fraction(rng.randrange(1, 4), 2)})
+            rows[i] = [s_to_fractions(s_mul(s_from_fractions(c), f))
+                       for c in rows[k]]
     return rows
 
 
@@ -115,9 +118,9 @@ def _dense(pivots, prows, nrows, ncols):
     out = []
     for j, prow in zip(pivots, prows):
         row = [{} for _ in range(ncols)]
-        row[j] = {0: RAT(1)}
+        row[j] = {0: Fraction(1)}
         for k, v in prow.items():
-            row[k] = v
+            row[k] = s_to_fractions(v)
         out.append(row)
     return out + [[{} for _ in range(ncols)]
                   for _ in range(nrows - len(pivots))]
@@ -131,7 +134,8 @@ def test_sparse_core_matches_the_dense_entry(fields, which):
         want = [list(r) for r in rows]
         want_piv = rref(want, ncols)
         for reduced in (True, False):
-            srows = [{j: c for j, c in enumerate(r) if c} for r in rows]
+            srows = [{j: s_from_fractions(c) for j, c in enumerate(r) if c}
+                     for r in rows]
             pivots, prows = eliminate(srows, ncols, reduced)
             assert pivots == want_piv
             assert len(prows) == len(pivots)
@@ -175,17 +179,18 @@ def test_inverse_matches_sympy(fields, which):
     rng = random.Random(9400 + which)
     for size in range(1, len(field.masks) + 1):
         for _ in range(6):
-            a = {k: RAT(rng.choice((-1, 1)) * rng.randrange(1, 30),
-                        rng.randrange(1, 10))
+            a = {k: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 30),
+                             rng.randrange(1, 10))
                  for k in rng.sample(field.masks, size)}
             want = field.dom.quo(field.dom.one, field.to_sympy(a))
-            assert field.to_sympy(s_inv(a)) == want
+            assert field.to_sympy(
+                s_to_fractions(s_inv(s_from_fractions(a)))) == want
 
 
 def _sympy_value(c):
     """A kernel scalar as a sympy expression in sqrt."""
     return sum((Rational(q.numerator, q.denominator) * sqrt(DIVISORS[k])
-                for k, q in c.items()), Integer(0))
+                for k, q in s_to_fractions(c).items()), Integer(0))
 
 
 def _random_form(rng, field, n, p):
@@ -193,7 +198,7 @@ def _random_form(rng, field, n, p):
     for idx in combinations(range(1, n + 1), p):
         c = _scalar(rng, field, 0.6)
         if c:
-            terms[idx] = Scalar(c)
+            terms[idx] = Scalar(s_from_fractions(c))
     return Form(n, terms)
 
 

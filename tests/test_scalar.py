@@ -1,11 +1,11 @@
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from edsx._kernel import s_inv, s_mul
-from edsx._rat import RAT, R1
+from edsx._kernel import ONE, s_from_fractions, s_inv, s_mul, s_to_fractions
 from edsx.scalar import Scalar, rat_text
 
 
@@ -99,19 +99,21 @@ def test_random_field_identities():
 
 
 def _element(rng, keys):
-    return {k: RAT(rng.choice((-1, 1)) * rng.randrange(1, 40),
-                   rng.randrange(1, 13)) for k in keys}
+    return {k: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40),
+                        rng.randrange(1, 13)) for k in keys}
 
 
-def _certified_inverse(a):
-    """s_inv(a), checked by a * s_inv(a) == 1 and s_inv(s_inv(a)) == a."""
-    before = list(a.items())
+def _certified_inverse(cell):
+    """s_inv(a) of the scalar a of a {mask: Fraction} cell, checked by
+    a * s_inv(a) == 1 and s_inv(s_inv(a)) == a, as a {mask: Fraction} cell."""
+    a = s_from_fractions(cell)
+    before = (a[0], list(a[1].items()))
     inv = s_inv(a)
-    assert list(a.items()) == before
-    assert s_mul(a, inv) == {0: R1}
-    assert list(inv) == sorted(inv)
+    assert (a[0], list(a[1].items())) == before
+    assert s_mul(a, inv) == ONE
+    assert list(inv[1]) == sorted(inv[1])
     assert s_inv(inv) == a
-    return inv
+    return s_to_fractions(inv)
 
 
 def test_inverse_of_every_key_set_of_size_at_most_two():
@@ -133,25 +135,26 @@ def test_inverse_of_random_elements_of_each_size():
 
 def test_inverse_of_towers_that_collapse_early():
     # masks: r2 = 1, r3 = 2, r6 = 3, r10 = 5, r15 = 6, r210 = 15
-    assert _certified_inverse({1: R1, 2: R1}) == {1: -R1, 2: R1}
-    assert _certified_inverse({0: R1, 3: R1}) == {0: RAT(-1, 5),
-                                                  3: RAT(1, 5)}
-    assert _certified_inverse({0: R1, 15: R1}) == {0: RAT(-1, 209),
-                                                   15: RAT(1, 209)}
-    _certified_inverse({3: R1, 5: R1, 6: R1})
-    _certified_inverse({1: RAT(3), 3: RAT(-2, 7)})
+    one = Fraction(1)
+    assert _certified_inverse({1: one, 2: one}) == {1: -one, 2: one}
+    assert _certified_inverse({0: one, 3: one}) == {0: Fraction(-1, 5),
+                                                    3: Fraction(1, 5)}
+    assert _certified_inverse({0: one, 15: one}) == {0: Fraction(-1, 209),
+                                                     15: Fraction(1, 209)}
+    _certified_inverse({3: one, 5: one, 6: one})
+    _certified_inverse({1: Fraction(3), 3: Fraction(-2, 7)})
 
 
 def test_inverse_of_zero_names_it():
     with pytest.raises(ZeroDivisionError, match="^scalar inverse of zero$"):
-        s_inv({})
+        s_inv(None)
 
 
 def test_rational_text_past_the_int_text_limit():
     c = 10 ** 600
     ints = [0, 7, c - 1, c, c + 1, 5 * c * c + 3, c ** 9 - 1, 10 ** 4301]
-    rats = [RAT(k) for k in ints] + [RAT(-k, 3) for k in ints if k % 3]
-    rats += [RAT(1, c + 1), RAT(-(c ** 8) - 1, c ** 8 + 3)]
+    rats = [Fraction(k) for k in ints] + [Fraction(-k, 3) for k in ints if k % 3]
+    rats += [Fraction(1, c + 1), Fraction(-(c ** 8) - 1, c ** 8 + 3)]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
