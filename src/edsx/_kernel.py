@@ -29,9 +29,9 @@ def _divisor(mask):
     return d
 
 
+# DIVISORS[mask] is also the multiplier picked up when two radicals
+# share the primes of mask
 DIVISORS = tuple(_divisor(m) for m in range(16))
-# multiplier picked up when two radicals share the primes of `mask`
-_G = tuple(_divisor(m) for m in range(16))
 
 MASK_OF_DIVISOR = {d: m for m, d in enumerate(DIVISORS)}
 
@@ -142,7 +142,7 @@ def s_mul(a, b):
         (ka, xa), = na.items()
         (kb, xb), = nb.items()
         x = xa * xb
-        g = _G[ka & kb]
+        g = DIVISORS[ka & kb]
         if g != 1:
             x *= g
         if den != 1:
@@ -155,7 +155,7 @@ def s_mul(a, b):
         for kb, xb in nb.items():
             k = ka ^ kb
             x = xa * xb
-            g = _G[ka & kb]
+            g = DIVISORS[ka & kb]
             if g != 1:
                 x *= g
             cur = out.get(k)
@@ -180,7 +180,7 @@ def s_submul(a, c, b):
         (kb, xb), = nb.items()
         k = kc ^ kb
         x = xc * xb
-        g = _G[kc & kb]
+        g = DIVISORS[kc & kb]
         if g != 1:
             x *= g
         # now c*b = x*sqrt(DIVISORS[k]) / den
@@ -238,7 +238,7 @@ def s_submul(a, c, b):
         for kb, xb in nb.items():
             k = kc ^ kb
             x = xc * xb
-            g = _G[kc & kb]
+            g = DIVISORS[kc & kb]
             if g != 1:
                 x *= g
             cur = out.get(k)
@@ -255,7 +255,7 @@ def s_submul(a, c, b):
 
 def _inv_term(den, k, x):
     """1/(x*sqrt(d)/den) = den*sqrt(d)/(x*d) for d = DIVISORS[k]."""
-    num, den = den, x * _G[k]
+    num, den = den, x * DIVISORS[k]
     if den < 0:
         num, den = -num, -den
     g = gcd(num, den)

@@ -20,7 +20,6 @@ from .stability import e_stable
 __all__ = [
     "CartanError",
     "PolarReport",
-    "polar_dimension",
     "flag_test",
     "stable_flag_test",
     "flag_search",
@@ -96,30 +95,11 @@ def _polar_srows(a: Form, prefix):
     return [{k: v for k, v in rows[key].items() if v} for key in sorted(rows)]
 
 
-def _structure_rows(s: StructureSpec, prefix, debug_products=False):
+def _structure_rows(s: StructureSpec, prefix):
     rows = []
     for g in s.generators.values():
         rows.extend(_polar_srows(g, prefix))
-    if debug_products:
-        extra = list(rows)
-        base = span_rank(rows, s.n ** 2)
-        for _, form, _ in analysis(s).closure.words:
-            extra.extend(_polar_srows(form, prefix))
-        if span_rank(extra, s.n ** 2) != base:
-            raise CartanError(
-                "product differentials raised the polar rank at %r"
-                % (tuple(prefix),))
     return rows
-
-
-def polar_dimension(s: StructureSpec, w: Subspace, debug_products=False):
-    """c(W) for a coordinate subspace of the structure's base space."""
-    if w.coords is None:
-        raise CartanError("polar dimensions need a coordinate subspace")
-    if w.n != s.n:
-        raise CartanError("subspace of a different ambient space")
-    rows = _structure_rows(s, w.coords, debug_products)
-    return span_rank(rows, s.n ** 2)
 
 
 def _check_flag(n, flag):
@@ -130,14 +110,13 @@ def _check_flag(n, flag):
     return flag
 
 
-def flag_test(s: StructureSpec, flag=None, debug_products=False) -> PolarReport:
+def flag_test(s: StructureSpec, flag=None) -> PolarReport:
     """Cartan's test for the coordinate flag given by an insertion order."""
     n = s.n
     flag = _check_flag(n, s.default_flag if flag is None else flag)
     c_values = []
     for k in range(n + 1):
-        c_values.append(span_rank(
-            _structure_rows(s, flag[:k], debug_products), n * n))
+        c_values.append(span_rank(_structure_rows(s, flag[:k]), n * n))
     # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
     # n*C(n,2) + n*C(n+1,2) = n^3
     codim = analysis(s).extension().rank

@@ -161,10 +161,6 @@ class StructureSpec:
                         "operator %r does not raise the degree of %r by one"
                         % (op.name, gname))
 
-    def flag_subspace(self, k):
-        """Coordinate indices of the k-th flag step, in insertion order."""
-        return self.default_flag[:k]
-
 
 def _zero_matrix(n):
     z = Scalar()

@@ -18,7 +18,7 @@ import random
 from math import comb
 
 from .cartan import flag_test
-from .catalog import get_structure
+from .catalog import _su3_f, get_structure
 from .dga import (check_operator, derivation_value, strong_admissibility,
                   z_spaces)
 from .exterior import (Form, Subspace, contract, contract_index, coords,
@@ -62,10 +62,6 @@ class CheckResult:
     def to_json(self):
         return {"key": self.key, "title": self.title,
                 "passed": self.passed, "lines": list(self.lines)}
-
-
-def _half():
-    return Scalar.of(1) / Scalar.of(2)
 
 
 # ---------------------------------------------------------------------------
@@ -404,32 +400,13 @@ def check_restriction():
 # 9. the bracket three-form of the traceless unitary algebra
 
 
-def _su3_constants():
-    half = _half()
-    s32 = Scalar.sqrt(3) / Scalar.of(2)
-    base = {(1, 2, 3): Scalar.of(1), (1, 4, 7): half, (1, 5, 6): -half,
-            (2, 4, 6): half, (2, 5, 7): half, (3, 4, 5): half,
-            (3, 6, 7): -half, (4, 5, 8): s32, (6, 7, 8): s32}
-
-    def f(a, b, c):
-        v = base.get(tuple(sorted((a, b, c))))
-        if v is None:
-            return Scalar.of(0)
-        p = (a, b, c)
-        inv = sum(1 for i in range(3) for j in range(i + 1, 3)
-                  if p[i] > p[j])
-        return v if inv % 2 == 0 else -v
-
-    return [[[f(a, b, c) for c in range(1, 9)] for b in range(1, 9)]
-            for a in range(1, 9)]
-
-
 def check_bracket_form():
     r = CheckResult("bracket-form",
                     "bracket three-form of the traceless unitary algebra")
     s = get_structure("psu3")
     rho = s.generators["rho"]
-    form = cartan_three_form(_su3_constants())
+    form = cartan_three_form([[[_su3_f(a, b, c) for c in range(1, 9)]
+                               for b in range(1, 9)] for a in range(1, 9)])
     r.add(form == rho,
           "three-form built from the antisymmetric structure constants "
           "equals the catalog form", "derived")

@@ -12,17 +12,25 @@ casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
 from the scalar action of C = sum_b x_b^2 on T, then reads off spin
 multiplicities as dim ker(C - lambda_j) / (2j + 1).
+
+C commutes with the first generator H, so the kernels are taken on the
+weight split of H: the blocks ker(H^2 + s m^2), m = 0, 1, 2, ..., hold
+the weights +-m, and only blocks with m <= j meet ker(C - lambda_j).  The
+scale s is read off T by the trace: its weights m = -j_T..j_T give
+tr(H_T^2) = -s j_T (j_T + 1) n / 3, so s = -3 tr(H_T^2) / (j_T (j_T + 1) n)
+(s = 2 for the so3-9 basis, where tr(H_T^2) = -120).  A zero trace
+leaves no weights to split by and raises CasimirError.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from ._kernel import ONE, eliminate, s_add, s_mul, s_neg, s_quotient, s_sub
+from ._kernel import ONE, s_add, s_mul, s_neg, s_quotient, s_sub
 from .exterior import (Form, _sort_sign, coords, flatten, from_coords,
                        lex_index, unflatten)
-from .linalg import (Elimination, _kernel_vectors, echelon_span,
-                     kernel_basis, transpose)
+from .linalg import (Elimination, echelon_span, kernel_basis, span_rank,
+                     transpose)
 from .scalar import Scalar, as_scalar
 
 
@@ -395,116 +403,76 @@ def _sparse_square_sum(sparse_ops, dim):
     for op in sparse_ops:
         for i in range(dim):
             row = C[i]
-            for k, a in op[i]:
-                for j, b in op[k]:
+            for k, a in op[i].items():
+                for j, b in op[k].items():
                     row[j] = s_add(row.get(j), s_mul(a, b))
     return [{j: c for j, c in row.items() if c} for row in C]
 
 
-def _vec_act_pair(x, j, k):
-    """Vector action of x on e_j ^ e_k (bivectors, no dual twist)."""
-    out = []
-    n = len(x)
-    for l in range(1, n + 1):
-        c = x[l - 1][j - 1]
-        if c:
-            K, sign = _sort_sign((l, k))
-            if sign:
-                out.append((K, (-c).c if sign < 0 else c.c))
-        c = x[l - 1][k - 1]
-        if c:
-            K, sign = _sort_sign((j, l))
-            if sign:
-                out.append((K, (-c).c if sign < 0 else c.c))
+def _add_entry(row, k, c):
+    """row[k] += c for a nonzero c, dropping the entry when it cancels."""
+    c = s_add(row.get(k), c)
+    if c:
+        row[k] = c
+    else:
+        del row[k]
+
+
+def _vec_act_pair(x, pos, j, k):
+    """Column of the vector action of x on e_j ^ e_k (bivectors, no dual
+    twist), indexed by the pair positions pos."""
+    out = {}
+    for l in range(1, len(x) + 1):
+        for K, c in (((l, k), x[l - 1][j - 1]), ((j, l), x[l - 1][k - 1])):
+            if c:
+                K, sign = _sort_sign(K)
+                if sign:
+                    _add_entry(out, pos[K], c.c if sign > 0 else s_neg(c.c))
     return out
 
 
+def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
+    """x (x) 1 + 1 (x) x on V (x) W, v_a (x) w_i at column a * dim_w + i."""
+    ops = []
+    for xv, xw in zip(v_ops, w_ops):
+        rows = []
+        for a in range(dim_v):
+            for i in range(dim_w):
+                row = {b * dim_w + i: c for b, c in xv[a].items()}
+                for l, c in xw[i].items():
+                    _add_entry(row, a * dim_w + l, c)
+                rows.append(row)
+        ops.append(rows)
+    return dim_v * dim_w, ops
+
+
 def _space_operators(g: LieRep, label):
-    """(dimension, [sparse column-action matrices]) for a space label."""
+    """(dimension, [action of each generator as sparse rows]) for a space
+    label."""
     n = g.n
+    t_ops = [[{j: c.c for j, c in enumerate(row) if c} for row in x]
+             for x in g.basis]
     if label == "T":
-        dim = n
-        ops = []
-        for x in g.basis:
-            cols = [[] for _ in range(dim)]
-            for j in range(n):
-                for i in range(n):
-                    if x[i][j]:
-                        cols[j].append((i, x[i][j].c))
-            ops.append(_cols_to_rows(cols, dim))
-        return dim, ops
-    if label.startswith("lambda:"):
-        p = int(label.split(":")[1])
-        monos = lex_index(n, p)[0]
-        dim = len(monos)
-        ops = []
-        for x in g.basis:
-            cols = [list(coords(act_on_form(x, Form(n, {I: 1})), p).items())
-                    for I in monos]
-            ops.append(_cols_to_rows(cols, dim))
-        return dim, ops
-    if label == "hom":
-        dim = hom_dim(n)
-        units = hom_units(n)
-        ops = []
-        for x in g.basis:
-            cols = [list(act_on_hom(x, u).coords().items()) for u in units]
-            ops.append(_cols_to_rows(cols, dim))
-        return dim, ops
+        return n, t_ops
     if label == "t-lambda2":
         pairs, pos = lex_index(n, 2)
-        step = len(pairs)
-        dim = n * step
-        ops = []
-        for x in g.basis:
-            cols = [[] for _ in range(dim)]
-            for i in range(n):
-                for t, J in enumerate(pairs):
-                    col = i * step + t
-                    for l in range(n):
-                        if x[l][i]:
-                            cols[col].append((l * step + t, x[l][i].c))
-                    for K, c in _vec_act_pair(x, J[0], J[1]):
-                        cols[col].append((i * step + pos[K], c))
-            ops.append(_cols_to_rows(cols, dim))
-        return dim, ops
+        l2_ops = [transpose([_vec_act_pair(x, pos, *J) for J in pairs],
+                            len(pairs)) for x in g.basis]
+        return _tensor_operators(t_ops, l2_ops, n, len(pairs))
     if label == "t-g":
         consts = g.structure_constants()
         k = g.dim
-        dim = k * n
-        ops = []
-        for b in range(k):
-            x = g.basis[b]
-            cols = [[] for _ in range(dim)]
-            for a in range(k):
-                for i in range(n):
-                    col = a * n + i
-                    for d in range(k):
-                        c = consts[b][a][d]
-                        if c:
-                            cols[col].append((d * n + i, c.c))
-                    for l in range(n):
-                        if x[l][i]:
-                            cols[col].append((a * n + l, x[l][i].c))
-            ops.append(_cols_to_rows(cols, dim))
-        return dim, ops
+        # ad(x_b) x_a = [x_b, x_a] = sum_d consts[b][a][d] x_d
+        ad_ops = [[{a: consts[b][a][d].c for a in range(k) if consts[b][a][d]}
+                   for d in range(k)] for b in range(k)]
+        return _tensor_operators(ad_ops, t_ops, k, n)
     raise CasimirError("unknown representation space %r" % label)
 
 
-def _cols_to_rows(cols, dim):
-    rows = [[] for _ in range(dim)]
-    for j, entries in enumerate(cols):
-        merged = {}
-        for i, c in entries:
-            merged[i] = s_add(merged[i], c) if i in merged else c
-        for i, c in merged.items():
-            if c:
-                rows[i].append((j, c))
-    return rows
-
-
 def _calibrate(g: LieRep):
-    """kappa with C|_T = kappa j_T (j_T + 1); errors if C is not scalar."""
+    """(kappa, s) with C|_T = kappa j_T (j_T + 1) and H^2 = -s m^2 on the
+    weight-m vectors of the first generator H; errors if C is not scalar
+    or H has no weights on T."""
     n = g.n
     dim, ops = _space_operators(g, "T")
     C = _sparse_square_sum(ops, dim)
@@ -518,42 +486,34 @@ def _calibrate(g: LieRep):
     if n % 2 == 0:
         raise CasimirError("even-dimensional T has no integer spin; calibration fails")
     j_t = (n - 1) // 2
-    return c0 / (j_t * (j_t + 1))
+    # the weights m = -j_T..j_T of T give tr(H^2) = -s j_T (j_T + 1) n / 3
+    tr = None
+    for i, row in enumerate(_sparse_square_sum(ops[:1], dim)):
+        tr = s_add(tr, row.get(i))
+    if not tr or not j_t:
+        raise CasimirError("the first generator has no weights on T; calibration fails")
+    s = s_mul(tr, s_quotient(-3, j_t * (j_t + 1) * n))
+    return c0 / (j_t * (j_t + 1)), s
 
 
-def _weight_blocks(hop, dim):
-    """Blocks ker(Hhat^2 + m^2) for the sqrt2-rational first generator.
+def _weight_blocks(hop, s, dim):
+    """Blocks ker(H^2 + s m^2) of the first generator's action hop.
 
-    Returns None when the generator is not sqrt2-rational, else a list of
-    (m, block) per weight m with nonempty kernel.  A block maps each free
-    column to its kernel vector, a sparse {column: coefficient} dict that
-    is a unit on that column and zero on the block's other free columns.
+    A list of (m, block) per weight m with nonempty kernel.  A block maps
+    each free column to its kernel vector, a sparse {column: coefficient}
+    dict that is a unit on that column and zero on the block's other free
+    columns.
     """
-    hrat = []
-    for row in hop:
-        r = {}
-        for j, (den, nums) in row:
-            if set(nums) != {1}:
-                return None
-            r[j] = den, {0: nums[1]}
-        hrat.append(r)
-    h2 = []
-    for r in hrat:
-        acc = {}
-        for k, a in r.items():
-            for j, b in hrat[k].items():
-                acc[j] = s_add(acc.get(j), s_mul(a, b))
-        h2.append({j: q for j, q in acc.items() if q})
+    h2 = _sparse_square_sum([hop], dim)
     blocks = []
     seen = 0
     m = 0
     while seen < dim:
-        if m * m > 4 * dim * dim:
-            raise CasimirError("weight search did not terminate")
-        # Hhat^2 has eigenvalue -m^2 on the weight-m block
-        rows = _shift_diagonal(h2, s_quotient(m * m))
-        pivots, prows = eliminate(rows, dim)
-        kern = _kernel_vectors(pivots, prows, dim)
+        # weight m needs a spin j >= m, of dimension 2j + 1
+        if 2 * m + 1 > dim:
+            raise CasimirError("weights of the first generator do not fit the scale of T")
+        rows = _shift_diagonal(h2, s_mul(s, s_quotient(m * m)))
+        kern = Elimination(rows, dim).kernel_vectors()
         if kern:
             blocks.append((m, kern))
             seen += len(kern)
@@ -599,8 +559,7 @@ def _shift_diagonal(rows, c):
 
 def _kernel_dim_shift(rows, lam, dim):
     """dim ker(M - lam I) for sparse {column: coefficient} rows."""
-    shifted = _shift_diagonal(rows, s_neg(lam.c))
-    return dim - len(eliminate(shifted, dim, reduced=False)[0])
+    return dim - span_rank(_shift_diagonal(rows, s_neg(lam.c)), dim)
 
 
 def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
@@ -618,41 +577,25 @@ def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
         parts = sorted((d, m) for d, m in parts.items() if m)
         dim = whole.dim - sub.dim
         return CasimirDecomposition(space, dim, whole.kappa, parts)
-    kappa = _calibrate(g)
+    kappa, s = _calibrate(g)
     dim, ops = _space_operators(g, space)
     C = _sparse_square_sum(ops, dim)
-    blocks = _weight_blocks(ops[0], dim)
+    restricted = [(m, _restrict_to_block(C, b))
+                  for m, b in _weight_blocks(ops[0], s, dim)]
     parts = []
     seen = 0
-    if blocks is not None:
-        restricted = [(m, _restrict_to_block(C, b)) for m, b in blocks]
-        j = 0
-        while seen < dim:
-            if (2 * j + 1) > dim + 1:
-                raise CasimirError("spectrum of C exceeds the expected spins")
-            lam = kappa * (j * (j + 1))
-            kd = 0
-            for mb, rows in restricted:
-                if mb > j:
-                    break
-                kd += _kernel_dim_shift(rows, lam, len(rows))
-            if kd:
-                if kd % (2 * j + 1):
-                    raise CasimirError("kernel of C - lambda_%d is not a multiple of %d" % (j, 2 * j + 1))
-                parts.append((2 * j + 1, kd // (2 * j + 1)))
-                seen += kd
-            j += 1
-    else:
-        j = 0
-        while seen < dim:
-            if (2 * j + 1) > dim + 1:
-                raise CasimirError("spectrum of C exceeds the expected spins")
-            lam = kappa * (j * (j + 1))
-            kd = _kernel_dim_shift(C, lam, dim)
-            if kd:
-                if kd % (2 * j + 1):
-                    raise CasimirError("kernel of C - lambda_%d is not a multiple of %d" % (j, 2 * j + 1))
-                parts.append((2 * j + 1, kd // (2 * j + 1)))
-                seen += kd
-            j += 1
+    j = 0
+    while seen < dim:
+        if (2 * j + 1) > dim + 1:
+            raise CasimirError("spectrum of C exceeds the expected spins")
+        lam = kappa * (j * (j + 1))
+        # a spin-j irreducible has no weight above j
+        kd = sum(_kernel_dim_shift(rows, lam, len(rows))
+                 for m, rows in restricted if m <= j)
+        if kd:
+            if kd % (2 * j + 1):
+                raise CasimirError("kernel of C - lambda_%d is not a multiple of %d" % (j, 2 * j + 1))
+            parts.append((2 * j + 1, kd // (2 * j + 1)))
+            seen += kd
+        j += 1
     return CasimirDecomposition(space, dim, kappa, parts)

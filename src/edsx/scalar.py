@@ -140,9 +140,6 @@ class Scalar:
         return "Scalar(%r)" % format_scalar(self)
 
 
-ZERO = Scalar()
-
-
 def as_scalar(x) -> Scalar:
     """Coerce an int, rational, string, or Scalar to a Scalar."""
     if isinstance(x, Scalar):

@@ -1,8 +1,11 @@
 import pytest
 
-from edsx.cartan import (CartanError, PolarReport, flag_search, flag_test,
+from edsx.cartan import (CartanError, PolarReport, _polar_srows,
+                         _structure_rows, flag_search, flag_test,
                          stable_flag_test)
 from edsx.catalog import get_structure
+from edsx.dga import analysis
+from edsx.linalg import span_rank
 
 
 def test_even_family_default_flag():
@@ -26,6 +29,23 @@ def test_polar_counts_never_decrease():
     for name in ("su-even:2", "su-odd:2", "g2", "example-712"):
         rep = flag_test(get_structure(name))
         assert all(a <= b for a, b in zip(rep.c_values, rep.c_values[1:]))
+
+
+@pytest.mark.parametrize("name", [
+    "su-even:2", "su-even:3", "su-odd:2", "su-odd:3", "psu3", "psu3-dual",
+    "so3-9", "g2", "spin7", "sp2sp1", "example-712"])
+def test_closure_products_add_no_polar_rank(name):
+    # c(W) counts the generators' polar rows only: the differentials of
+    # their products must not raise the rank on any prefix of the flag
+    s = get_structure(name)
+    words = analysis(s).closure.words
+    for k in range(s.n + 1):
+        prefix = s.default_flag[:k]
+        rows = _structure_rows(s, prefix)
+        products = [r for _, form, _ in words
+                    for r in _polar_srows(form, prefix)]
+        assert span_rank(rows, s.n ** 2) == span_rank(rows + products,
+                                                      s.n ** 2)
 
 
 def test_rotation_triple_flag_is_not_ordinary():

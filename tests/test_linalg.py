@@ -1,6 +1,9 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import edsx
 from edsx.linalg import (AffineSpace, Matrix, echelon_span, in_span,
                          kernel_basis, rank, rref, solve_affine, span_rank,
                          transpose)
@@ -148,3 +151,24 @@ def test_dense_boundary_cells_are_rational_dicts():
     assert m._rows[2][0] == {}
     assert reduced._rows[0][pivots[0]] == {0: Fraction(1)}
     assert rank(m) == span_rank(sparse(data), 3) == len(pivots) == 2
+
+
+def test_only_linalg_reaches_the_elimination_core():
+    # every other module goes through the linalg entry points, so the
+    # kernel's contract for eliminate (input rows consumed, pivot rows
+    # without the leading 1) has one client
+    core = {"eliminate", "_kernel_vectors"}
+    offenders = []
+    for path in sorted(Path(edsx.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & core:
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []

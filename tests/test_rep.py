@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from edsx._kernel import s_to_fractions
+from edsx._kernel import s_quotient, s_to_fractions
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
-from edsx.rep import (HomMap, LieRep, _space_operators, _weight_blocks,
-                      act_on_form, act_on_hom, cartan_three_form,
-                      casimir_decompose, equivariant_maps, gl_basis, hom_dim,
-                      invariants, mat_bracket, mat_is_skew, orbit_matrix,
-                      stabilizer)
+from edsx.rep import (CasimirError, HomMap, LieRep, _space_operators,
+                      _weight_blocks, act_on_form, act_on_hom,
+                      cartan_three_form, casimir_decompose, equivariant_maps,
+                      gl_basis, hom_dim, invariants, mat_bracket, mat_is_skew,
+                      orbit_matrix, stabilizer)
 from edsx.linalg import span_rank
 from edsx.scalar import Scalar
 
@@ -153,8 +153,10 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
     g = get_structure("so3-9").lie
     dim, ops = _space_operators(g, space)
     # the first generator is r2 times a rational matrix Hhat
-    hhat = [{j: s_to_fractions(c)[1] for j, c in row} for row in ops[0]]
-    assert all(set(s_to_fractions(c)) == {1} for row in ops[0] for _, c in row)
+    hhat = [{j: s_to_fractions(c)[1] for j, c in row.items()}
+            for row in ops[0]]
+    assert all(set(s_to_fractions(c)) == {1}
+               for row in ops[0] for c in row.values())
 
     def apply(v):
         out = {}
@@ -164,7 +166,8 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
                 out[i] = x
         return out
 
-    blocks = _weight_blocks(ops[0], dim)
+    # H^2 = 2 Hhat^2, so the scale s of ker(H^2 + s m^2) is 2
+    blocks = _weight_blocks(ops[0], s_quotient(2), dim)
     assert sum(len(block) for _, block in blocks) == dim
     for m, block in blocks:
         for f, vec in block.items():
@@ -176,3 +179,39 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
             h2v = apply(apply(v))
             for j in set(h2v) | set(v):
                 assert h2v.get(j, 0) + m * m * v.get(j, 0) == 0
+
+
+def _rotations():
+    return LieRep.from_matrices("so3", 3, [rot(3, 3, 2), rot(3, 1, 3),
+                                           rot(3, 2, 1)])
+
+
+@pytest.mark.parametrize("space", ["t-lambda2", "t-g"])
+def test_casimir_of_rational_rotations(space):
+    # T = V3, so V3 (x) V3 = V1 + V3 + V5 on both spaces
+    dec = casimir_decompose(_rotations(), space)
+    assert (dec.dim, dec.parts) == (9, [(1, 1), (3, 1), (5, 1)])
+    assert dec.kappa == Scalar.of(-1)
+
+
+def test_casimir_of_rational_rotations_leaves_no_complement():
+    dec = casimir_decompose(_rotations(), "t-gperp")
+    assert (dec.dim, dec.parts, dec.kappa) == (0, [], Scalar.of(-1))
+
+
+@pytest.mark.parametrize("space, dim, parts", [
+    ("t-g", 27, [(7, 1), (9, 1), (11, 1)]),
+    ("T", 9, [(9, 1)]),
+])
+def test_casimir_with_a_mixed_radical_first_generator(space, dim, parts):
+    h, x, y = get_structure("so3-9").lie.basis
+    # Y has entries 2, r5 and r7 at once
+    g = LieRep("so3-9 (Y, H, X)", 9, [y, h, x])
+    dec = casimir_decompose(g, space)
+    assert (dec.dim, dec.parts) == (dim, parts)
+    assert dec.kappa == Scalar.of(-2)
+
+
+def test_casimir_rejects_unknown_spaces():
+    with pytest.raises(CasimirError):
+        casimir_decompose(get_structure("so3-9").lie, "hom")
