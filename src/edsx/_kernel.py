@@ -300,7 +300,7 @@ def s_inv(a):
 
 
 def eliminate(srows, ncols, reduced=True):
-    """Row reduction of sparse rows; returns (pivots, pivot rows).
+    """Row reduction of sparse rows; returns (pivots, pivot rows, ops).
 
     srows is a list of {column: scalar} dicts over columns 0..ncols-1,
     holding nonzero scalars only; a column -> rows index tracks which rows
@@ -319,6 +319,16 @@ def eliminate(srows, ncols, reduced=True):
     columns; with reduced=False they are the rows of the forward phase.
     The dicts of srows are consumed: they become the pivot rows or are
     emptied.  The scalars they hold are never mutated.
+
+    ops lists the row operations in the order they ran, on input row
+    indices: (p, inv) makes row p the next pivot row and scales it by
+    inv, the inverse of its lead (ONE when the lead is 1); (i, p, c)
+    subtracts c times row p from row i.  With reduced=False it holds the
+    forward phase only.  Replayed on a column b, a {row: scalar} dict,
+    they reduce b as they would reduce an augmented column of srows: the
+    entry of b on the row of the t-th (p, inv) is the entry of pivot row
+    t, and the entries on rows that never became pivot rows are the
+    entries of the zero rows.
     """
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
@@ -326,6 +336,8 @@ def eliminate(srows, ncols, reduced=True):
             holding[j].add(i)
     pivots = []
     prows = []
+    sources = []
+    ops = []
     for j in range(ncols):
         held = holding[j]
         if not held:
@@ -334,15 +346,18 @@ def eliminate(srows, ncols, reduced=True):
         prow = srows[p]
         for k in prow:
             holding[k].discard(p)
+        inv = ONE
         lead = prow.pop(j)
         if lead != ONE:
             inv = s_inv(lead)
             for k, v in prow.items():
                 prow[k] = s_mul(v, inv)
+        ops.append((p, inv))
         pitems = list(prow.items())
         for i in held:
             row = srows[i]
             c = row.pop(j)
+            ops.append((i, p, c))
             for k, v in pitems:
                 cur = row.get(k)
                 new = s_submul(cur, c, v)
@@ -356,8 +371,9 @@ def eliminate(srows, ncols, reduced=True):
         held.clear()
         pivots.append(j)
         prows.append(prow)
+        sources.append(p)
     if not reduced:
-        return pivots, prows
+        return pivots, prows, ops
     # each pivot row holds, besides its pivot, only non-pivot columns
     # when it is subtracted, so back-substitution never adds a pivot
     # column to a row and the rows to clear are known before it starts
@@ -374,13 +390,14 @@ def eliminate(srows, ncols, reduced=True):
         for t in above[s]:
             row = prows[t]
             c = row.pop(j)
+            ops.append((sources[t], sources[s], c))
             for k, v in pitems:
                 new = s_submul(row.get(k), c, v)
                 if new:
                     row[k] = new
                 else:
                     del row[k]
-    return pivots, prows
+    return pivots, prows, ops
 
 
 def rref(rows, ncols, reduced=True):
@@ -393,7 +410,7 @@ def rref(rows, ncols, reduced=True):
     rows.  With reduced=False only the forward phase runs and rows is left
     as it was.  The row lists and cells passed in are never mutated.
     """
-    pivots, prows = eliminate(
+    pivots, prows, _ = eliminate(
         [{j: s for j, c in enumerate(row) if c and (s := s_from_fractions(c))}
          for row in rows], ncols, reduced)
     if not reduced:

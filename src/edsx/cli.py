@@ -15,7 +15,7 @@ from . import __version__
 from .cartan import CartanError, flag_search, flag_test
 from .catalog import CatalogError, get_structure, structure_names
 from .dga import DgaError, check_operator, z_spaces
-from .exterior import form_literal
+from .exterior import Subspace, form_literal
 from .rep import CasimirError, casimir_decompose, invariants
 from .restriction import RestrictionError, restrict_structure
 from .scalar import Scalar
@@ -157,8 +157,8 @@ def cmd_zspaces(args):
     rep = z_spaces(s, args.operator, _parse_params(args.params))
     payload = {"command": "zspaces", "structure": s.name,
                "operator": args.operator, "provenance": "derived"}
-    payload.update(rep.to_json())
     j = rep.to_json()
+    payload.update(j)
     lines = ["dim Z' = %s" % j["z_prime_dim"],
              "dim Z = %s" % j["z_dim"],
              "dim Z'' = %s" % j["z_doubleprime_dim"]]
@@ -195,14 +195,12 @@ def cmd_restrict(args):
         if not 1 <= args.drop <= s.n:
             raise RestrictionError("--drop %d outside 1..%d"
                                    % (args.drop, s.n))
-        from .exterior import Subspace
-        w = Subspace.coordinate(
-            s.n, [i for i in range(1, s.n + 1) if i != args.drop])
+        w = Subspace.hyperplane(s.n, args.drop)
     rep = restrict_structure(s, args.operator, _parse_params(args.params), w)
     payload = {"command": "restrict", "structure": s.name,
                "operator": args.operator, "provenance": "derived"}
-    payload.update(rep.to_json())
     j = rep.to_json()
+    payload.update(j)
     lines = ["restriction of %s %s to coordinates (%s)"
              % (s.name, args.operator,
                 ",".join(str(c) for c in rep.coords))]

@@ -6,8 +6,9 @@ and integer numerators, see edsx._kernel); exterior.coords builds them
 straight from Form.terms.  Everything reduces to one deterministic
 elimination (see edsx._kernel for the pivot rule), so ranks, kernels,
 and affine solves are canonical: the same input always yields the same
-basis vectors.  No function here mutates
-the rows it is given.
+basis vectors.  Elimination eliminates one matrix once and solves each
+later right-hand side by replaying the row operations of that
+elimination on it.  No function here mutates the rows it is given.
 
 Matrix, rank and rref are the dense boundary, for callers holding dense
 rows of Scalars: a Matrix holds dense lists of {mask: Fraction} cells
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from ._kernel import eliminate
 from ._kernel import rref as _rref_rows
-from ._kernel import ONE, s_add, s_mul, s_neg, s_to_fractions
+from ._kernel import ONE, s_mul, s_neg, s_submul, s_to_fractions
 from .scalar import as_scalar
 
 
@@ -135,7 +136,7 @@ def _kernel_vectors(pivots, prows, ncols):
 
 def kernel_basis(rows, ncols):
     """Right kernel, one basis vector per free column (unit there)."""
-    pivots, prows = eliminate([dict(r) for r in rows], ncols)
+    pivots, prows, _ = eliminate([dict(r) for r in rows], ncols)
     return list(_kernel_vectors(pivots, prows, ncols).values())
 
 
@@ -149,7 +150,7 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
     srows = [dict(r) for r in rows]
     for i, b in rhs.items():
         srows[i][ncols] = b
-    pivots, prows = eliminate(srows, ncols + 1)
+    pivots, prows, _ = eliminate(srows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return AffineSpace(ncols, None, [])
     part = {p: prow[ncols] for p, prow in zip(pivots, prows) if ncols in prow}
@@ -157,68 +158,36 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
     return AffineSpace(ncols, part, list(kern.values()))
 
 
-def _dot(row, b):
-    """Sum of row[i] * b[i] over two {index: coefficient} dicts."""
-    if len(b) < len(row):
-        row, b = b, row
-    acc = None
-    for i, c in row.items():
-        x = b.get(i)
-        if x:
-            acc = s_add(acc, s_mul(c, x))
-    return acc
-
-
 class Elimination:
     """Solves m x = b for every right-hand side b of one matrix m.
 
-    The canonical RREF of [m | I] is [R | E], with E invertible and
-    E m = R.  E b is then b reduced as solve_affine would reduce it: its
-    entries past the rank of m are the residual, which must be exactly
-    zero, and the others give the canonical particular solution, zero on
-    the free columns.  Each part is computed on first use and kept sparse:
-    the rows of m until E exists, the pivot columns, the right kernel of
-    m and the nonzero entries of E.  The rank, the kernel and b = 0 need
-    only m itself eliminated, so E is built on the first nonzero b.
+    m is eliminated once, on first use, and three things are kept: the
+    pivot columns, the right kernel of m and the row operations of that
+    elimination (see edsx._kernel.eliminate).  particular(b) replays the
+    operations on b, which reduces b as solve_affine reduces its augmented
+    column: the entries left on rows that never became pivot rows are the
+    residual, which must be exactly zero, and the entries on pivot rows
+    give the canonical particular solution, zero on the free columns.
     """
 
-    __slots__ = ("nrows", "ncols", "_entries", "_pivots", "_kernel",
-                 "_lift", "_residual")
+    __slots__ = ("nrows", "ncols", "_rows", "_pivots", "_kernel", "_ops")
 
     def __init__(self, rows, ncols):
         self.nrows = len(rows)
         self.ncols = ncols
-        self._entries = rows
-        self._pivots = self._kernel = self._lift = self._residual = None
+        self._rows = rows
+        self._pivots = self._kernel = self._ops = None
 
-    def _eliminate(self, with_e):
-        ncols = self.ncols
-        srows = [dict(r) for r in self._entries]
-        if with_e:
-            for i, r in enumerate(srows):
-                r[ncols + i] = ONE
-        pivots, prows = eliminate(
-            srows, ncols + self.nrows if with_e else ncols)
-        rank = sum(1 for p in pivots if p < ncols)
-        self._pivots = pivots[:rank]
-        self._kernel = _kernel_vectors(self._pivots, prows, ncols)
-        if with_e:
-            # [m | I] has full row rank, so every row is a pivot row; the
-            # leading 1 of a row past the rank sits in the E block
-            e = []
-            for p, prow in zip(pivots, prows):
-                r = {k - ncols: c for k, c in prow.items() if k >= ncols}
-                if p >= ncols:
-                    r[p - ncols] = ONE
-                e.append(dict(sorted(r.items())))
-            self._lift = e[:rank]
-            self._residual = e[rank:]
-            self._entries = None
+    def _eliminate(self):
+        if self._ops is None:
+            self._pivots, prows, self._ops = eliminate(
+                [dict(r) for r in self._rows], self.ncols)
+            self._kernel = _kernel_vectors(self._pivots, prows, self.ncols)
+            self._rows = None
 
     @property
     def rank(self):
-        if self._pivots is None:
-            self._eliminate(False)
+        self._eliminate()
         return len(self._pivots)
 
     def particular(self, rhs):
@@ -229,16 +198,31 @@ class Elimination:
         _check_rhs(rhs, self.nrows)
         if not rhs:
             return {}
-        if self._lift is None:
-            self._eliminate(True)
-        if any(_dot(r, rhs) for r in self._residual):
-            return None
+        self._eliminate()
+        b = dict(rhs)
+        sources = []
+        for op in self._ops:
+            if len(op) == 2:
+                p, inv = op
+                sources.append(p)
+                x = b.get(p)
+                if x and inv is not ONE:
+                    b[p] = s_mul(x, inv)
+            else:
+                i, p, c = op
+                x = b.get(p)
+                if x:
+                    new = s_submul(b.get(i), c, x)
+                    if new:
+                        b[i] = new
+                    else:
+                        del b[i]
         part = {}
-        for p, r in zip(self._pivots, self._lift):
-            x = _dot(r, rhs)
+        for j, p in zip(self._pivots, sources):
+            x = b.pop(p, None)
             if x:
-                part[p] = x
-        return part
+                part[j] = x
+        return None if b else part
 
     def kernel_vectors(self):
         """The right kernel as {free column: sparse vector}.
@@ -246,8 +230,7 @@ class Elimination:
         The vector of free column f is a unit there and zero on the other
         free columns.  The dicts are shared; callers must not mutate them.
         """
-        if self._kernel is None:
-            self._eliminate(False)
+        self._eliminate()
         return self._kernel
 
     def solve(self, rhs) -> AffineSpace:
@@ -271,7 +254,7 @@ def in_span(rows, v, ncols) -> bool:
 
 def echelon_span(rows, ncols):
     """Canonical echelon basis of the span of sparse rows, leading 1 first."""
-    pivots, prows = eliminate([dict(r) for r in rows], ncols)
+    pivots, prows, _ = eliminate([dict(r) for r in rows], ncols)
     out = []
     for p, prow in zip(pivots, prows):
         out.append({p: ONE, **prow})

@@ -1,10 +1,13 @@
 """The per-structure analysis against the reference paths it replaces."""
 
+import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from edsx import catalog
+from edsx import catalog, linalg
+from edsx._kernel import eliminate
 from edsx.cartan import flag_test
 from edsx.catalog import get_structure, parse_structure_name
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
@@ -122,12 +125,41 @@ def test_factored_solve_equals_solve_affine():
                 == solve_affine(em, len(basis), rhs).particular
 
 
+def _times(m, x):
+    """m x as a sparse vector, for sparse rows m and a sparse vector x."""
+    out = {}
+    for i, row in enumerate(m):
+        acc = sum((Scalar(c) * Scalar(x[k]) for k, c in row.items()
+                   if k in x), Scalar())
+        if acc:
+            out[i] = acc.c
+    return out
+
+
+def _radical_vector(width):
+    r2, r5 = Scalar.sqrt(2), Scalar.sqrt(5)
+    x = {}
+    for k in range(width):
+        v = Scalar.of(k % 3 - 1) + r2 * (k % 4) - r5 * (k % 5 == 2)
+        if v:
+            x[k] = v.c
+    return x
+
+
+def _assert_solves_agree(elim, m, width, rhs):
+    reference = solve_affine(m, width, rhs)
+    factored = elim.solve(rhs)
+    assert factored.particular == reference.particular
+    assert factored.basis == reference.basis
+    return reference
+
+
 def test_factored_solve_of_an_inconsistent_rhs_is_empty():
     s = get_structure("su-odd:2")
     m, rhs = _reference_system(s, "zero", None)
     width = hom_dim(s.n)
     elim = Elimination(m, width)
-    # the rank alone eliminates m without E; the solves below build E
+    # the rank eliminates m; the solves below replay its row operations
     assert elim.rank == span_rank(m, width)
     one = Scalar.of(1).c
     for i in range(len(m)):
@@ -140,14 +172,84 @@ def test_factored_solve_of_an_inconsistent_rhs_is_empty():
     assert elim.solve(unit).is_empty
     assert elim.solve(unit).basis == []
     # m x for x = (k mod 3)_k
-    consistent = {}
-    for i, row in enumerate(m):
-        acc = sum((Scalar(c) * (k % 3) for k, c in row.items()), Scalar())
-        if acc:
-            consistent[i] = acc.c
+    consistent = _times(m, {k: Scalar.of(k % 3).c
+                            for k in range(width) if k % 3})
     assert consistent
     assert elim.particular(consistent) \
         == solve_affine(m, width, consistent).particular
+
+
+@pytest.mark.parametrize("order", [
+    ("rank", "kernel", "consistent", "inconsistent", "solve"),
+    ("solve", "inconsistent", "consistent", "kernel", "rank")])
+def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
+    s = get_structure("su-odd:2")
+    m, _ = _reference_system(s, "zero", None)
+    width = hom_dim(s.n)
+    unit = {len(m) - 1: Scalar.of(1).c}
+    consistent = _times(m, {k: Scalar.of(k % 3).c
+                            for k in range(width) if k % 3})
+    assert solve_affine(m, width, unit).is_empty
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eliminate", counted)
+    elim = Elimination(m, width)
+    queries = {"rank": lambda: elim.rank,
+               "kernel": elim.kernel_vectors,
+               "consistent": lambda: elim.particular(consistent),
+               "inconsistent": lambda: elim.particular(unit),
+               "solve": lambda: elim.solve(consistent)}
+    for name in order:
+        queries[name]()
+    assert calls == [width]
+
+
+@pytest.mark.parametrize("name", ["psu3", "psu3-dual", "so3-9"])
+def test_factored_solve_of_a_radical_rhs(name):
+    s = get_structure(name)
+    m, _ = _reference_system(s, "zero", None)
+    width = hom_dim(s.n)
+    elim = Elimination(m, width)
+    rhs = _times(m, _radical_vector(width))
+    assert any(len(c[1]) > 1 or 0 not in c[1] for c in rhs.values())
+    assert not _assert_solves_agree(elim, m, width, rhs).is_empty
+    if name == "so3-9":
+        # gamma-dual changes only the right-hand side, and has no solution
+        m2, rhs = _reference_system(s, "gamma-dual", {"lambda": Scalar.of(1)})
+        assert m2 == m
+        assert _assert_solves_agree(elim, m, width, rhs).is_empty
+        assert elim.particular(rhs) is None
+
+
+def test_factored_solve_of_random_radical_systems():
+    rng = random.Random(4411)
+    radicals = [Scalar.of(1), Scalar.sqrt(2), Scalar.sqrt(3),
+                Scalar.of(1) + Scalar.sqrt(5), Scalar.sqrt(14)]
+    for _ in range(40):
+        nrows, width = rng.randint(3, 9), rng.randint(2, 9)
+        m = []
+        for _ in range(nrows):
+            row = {}
+            for k in range(width):
+                if rng.random() < 0.4:
+                    v = rng.choice(radicals) * Scalar.of(
+                        Fraction(rng.choice([-3, -1, 1, 2, 5]),
+                                 rng.choice([1, 2, 7])))
+                    row[k] = v.c
+            m.append(row)
+        m[rng.randrange(nrows)] = {}
+        m.append(dict(m[rng.randrange(nrows)]))
+        elim = Elimination(m, width)
+        x = {k: rng.choice(radicals).c
+             for k in range(width) if rng.random() < 0.6}
+        for rhs in (_times(m, x),
+                    {i: rng.choice(radicals).c for i in range(len(m))
+                     if rng.random() < 0.5}, {}):
+            _assert_solves_agree(elim, m, width, rhs)
 
 
 def test_equivariant_maps_returns_a_fresh_list():

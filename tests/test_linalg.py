@@ -156,7 +156,7 @@ def test_dense_boundary_cells_are_rational_dicts():
 def test_only_linalg_reaches_the_elimination_core():
     # every other module goes through the linalg entry points, so the
     # kernel's contract for eliminate (input rows consumed, pivot rows
-    # without the leading 1) has one client
+    # without the leading 1, the list of row operations) has one client
     core = {"eliminate", "_kernel_vectors"}
     offenders = []
     for path in sorted(Path(edsx.__file__).parent.glob("*.py")):

@@ -136,7 +136,7 @@ def test_sparse_core_matches_the_dense_entry(fields, which):
         for reduced in (True, False):
             srows = [{j: s_from_fractions(c) for j, c in enumerate(r) if c}
                      for r in rows]
-            pivots, prows = eliminate(srows, ncols, reduced)
+            pivots, prows, _ = eliminate(srows, ncols, reduced)
             assert pivots == want_piv
             assert len(prows) == len(pivots)
             for j, prow in zip(pivots, prows):
