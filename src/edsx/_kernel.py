@@ -299,8 +299,8 @@ def s_inv(a):
     return den, dict(sorted(nums.items()))
 
 
-def eliminate(srows, ncols, reduced=True):
-    """Row reduction of sparse rows; returns (pivots, pivot rows, ops).
+def eliminate(srows, ncols, reduced=True, ops=None):
+    """Row reduction of sparse rows; returns (pivots, pivot rows).
 
     srows is a list of {column: scalar} dicts over columns 0..ncols-1,
     holding nonzero scalars only; a column -> rows index tracks which rows
@@ -320,11 +320,11 @@ def eliminate(srows, ncols, reduced=True):
     The dicts of srows are consumed: they become the pivot rows or are
     emptied.  The scalars they hold are never mutated.
 
-    ops lists the row operations in the order they ran, on input row
-    indices: (p, inv) makes row p the next pivot row and scales it by
-    inv, the inverse of its lead (ONE when the lead is 1); (i, p, c)
-    subtracts c times row p from row i.  With reduced=False it holds the
-    forward phase only.  Replayed on a column b, a {row: scalar} dict,
+    When a list ops is passed, the row operations are appended to it in
+    the order they ran, on input row indices: (p, inv) makes row p the
+    next pivot row and scales it by inv, the inverse of its lead (ONE
+    when the lead is 1); (i, p, c) subtracts c times row p from row i.
+    With reduced=False it gets the forward phase only.  Replayed on a column b, a {row: scalar} dict,
     they reduce b as they would reduce an augmented column of srows: the
     entry of b on the row of the t-th (p, inv) is the entry of pivot row
     t, and the entries on rows that never became pivot rows are the
@@ -337,7 +337,6 @@ def eliminate(srows, ncols, reduced=True):
     pivots = []
     prows = []
     sources = []
-    ops = []
     for j in range(ncols):
         held = holding[j]
         if not held:
@@ -352,12 +351,14 @@ def eliminate(srows, ncols, reduced=True):
             inv = s_inv(lead)
             for k, v in prow.items():
                 prow[k] = s_mul(v, inv)
-        ops.append((p, inv))
+        if ops is not None:
+            ops.append((p, inv))
         pitems = list(prow.items())
         for i in held:
             row = srows[i]
             c = row.pop(j)
-            ops.append((i, p, c))
+            if ops is not None:
+                ops.append((i, p, c))
             for k, v in pitems:
                 cur = row.get(k)
                 new = s_submul(cur, c, v)
@@ -373,7 +374,7 @@ def eliminate(srows, ncols, reduced=True):
         prows.append(prow)
         sources.append(p)
     if not reduced:
-        return pivots, prows, ops
+        return pivots, prows
     # each pivot row holds, besides its pivot, only non-pivot columns
     # when it is subtracted, so back-substitution never adds a pivot
     # column to a row and the rows to clear are known before it starts
@@ -390,14 +391,15 @@ def eliminate(srows, ncols, reduced=True):
         for t in above[s]:
             row = prows[t]
             c = row.pop(j)
-            ops.append((sources[t], sources[s], c))
+            if ops is not None:
+                ops.append((sources[t], sources[s], c))
             for k, v in pitems:
                 new = s_submul(row.get(k), c, v)
                 if new:
                     row[k] = new
                 else:
                     del row[k]
-    return pivots, prows, ops
+    return pivots, prows
 
 
 def rref(rows, ncols, reduced=True):
@@ -410,7 +412,7 @@ def rref(rows, ncols, reduced=True):
     rows.  With reduced=False only the forward phase runs and rows is left
     as it was.  The row lists and cells passed in are never mutated.
     """
-    pivots, prows, _ = eliminate(
+    pivots, prows = eliminate(
         [{j: s for j, c in enumerate(row) if c and (s := s_from_fractions(c))}
          for row in rows], ncols, reduced)
     if not reduced:

@@ -2,14 +2,19 @@
 
 Each structure bundles an ambient dimension, a Lie algebra represented by
 matrices, a named set of generating invariant forms, a default coordinate
-flag, and a family of degree-raising operators on the generators.  All data
-is validated on construction: the algebra closes under brackets and every
-generator is annihilated by every basis matrix.
+flag, and a family of degree-raising operators on the generators.  The
+builders write each basis matrix as sparse rows {column: kernel scalar}
+(see edsx.rep); structure_to_json prints them dense.  All data is
+validated once, on construction: the algebra closes under brackets and
+every generator is annihilated by every basis matrix.
 """
 
+from itertools import permutations
+
+from ._kernel import s_neg, s_quotient
 from .scalar import Scalar, as_scalar
-from .exterior import Form, parse_form, form_literal, wedge, hodge, contract
-from .rep import LieRep, stabilizer, act_on_form, mat_bracket
+from .exterior import Form, _sort_sign, parse_form, form_literal, wedge, hodge
+from .rep import LieRep, stabilizer, act_on_form
 
 __all__ = [
     "CatalogError",
@@ -162,26 +167,22 @@ class StructureSpec:
                         % (op.name, gname))
 
 
-def _zero_matrix(n):
-    z = Scalar()
-    return [[z] * n for _ in range(n)]
-
-
-def _su_real_basis(n):
-    """Basis of su(n) acting on R^{2n} through the pairing (e_{2k-1}, e_{2k}).
+def _su_real_basis(n, size):
+    """Basis of su(n) acting on R^{2n} through the pairing (e_{2k-1}, e_{2k}),
+    as size x size matrices, trivially on the coordinates past 2n.
 
     A complex entry a+bi becomes the 2x2 block [[a, -b], [b, a]].
     """
     mats = []
 
     def real_mat(entries):
-        m = _zero_matrix(2 * n)
+        m = [{} for _ in range(size)]
         for (k, l), (a, b) in entries.items():
-            aa, bb = as_scalar(a), as_scalar(b)
-            m[2 * k][2 * l] = aa
-            m[2 * k][2 * l + 1] = -bb
-            m[2 * k + 1][2 * l] = bb
-            m[2 * k + 1][2 * l + 1] = aa
+            aa, bb = s_quotient(a), s_quotient(b)
+            for i, j, c in ((2 * k, 2 * l, aa), (2 * k, 2 * l + 1, s_neg(bb)),
+                            (2 * k + 1, 2 * l, bb), (2 * k + 1, 2 * l + 1, aa)):
+                if c:
+                    m[i][j] = c
         return m
 
     for k in range(n):
@@ -191,19 +192,6 @@ def _su_real_basis(n):
     for k in range(n - 1):
         mats.append(real_mat({(k, k): (0, 1), (k + 1, k + 1): (0, -1)}))
     return mats
-
-
-def _pad_trivial(mats, extra):
-    """Extend each matrix by `extra` rows and columns of zeros."""
-    z = Scalar()
-    out = []
-    for m in mats:
-        size = len(m)
-        mm = [row[:] + [z] * extra for row in m]
-        for _ in range(extra):
-            mm.append([z] * (size + extra))
-        out.append(mm)
-    return out
 
 
 def _kahler_form(n, amb):
@@ -282,17 +270,15 @@ def _su3_f(a, b, c):
 
 
 def _psu3_lie():
-    """su(3) acting on itself; basis vector a acts by [u_a, -]."""
-    mats = []
-    for a in range(1, 9):
-        m = _zero_matrix(8)
-        for b in range(1, 9):
-            for c in range(1, 9):
-                val = _su3_f(a, b, c)
-                if not val.is_zero():
-                    m[c - 1][b - 1] = -val
-        mats.append(m)
-    return LieRep.from_matrices("psu3", 8, mats)
+    """su(3) acting on itself; basis vector a acts by [u_a, -], the matrix
+    of u_a holding -f_abc at row c and column b."""
+    mats = [[{} for _ in range(8)] for _ in range(8)]
+    for key, text in _SU3_F.items():
+        f = as_scalar(text).c
+        for a, b, c in permutations(key):
+            sign = _sort_sign((a, b, c))[1]
+            mats[a - 1][c - 1][b - 1] = f if sign < 0 else s_neg(f)
+    return LieRep("psu3", 8, mats)
 
 
 def _so39_lie():
@@ -303,9 +289,9 @@ def _so39_lie():
     three = Scalar.of(3)
 
     def mat(entries):
-        m = _zero_matrix(9)
+        m = [{} for _ in range(9)]
         for (i, j), v in entries.items():
-            m[i - 1][j - 1] = v
+            m[i - 1][j - 1] = v.c
         return m
 
     h = mat({(1, 5): -two * two * r2, (2, 6): -three * r2, (3, 7): -two * r2,
@@ -320,21 +306,12 @@ def _so39_lie():
              (3, 8): -three, (8, 3): three, (4, 7): -three, (7, 4): three,
              (8, 9): two * r5, (9, 8): -two * r5})
 
+    lie = LieRep("so3-9", 9, [h, x, y])
     # bracket table [H,X] = sqrt2 Y, [H,Y] = -sqrt2 X, [X,Y] = sqrt2 H
-    checks = (
-        (mat_bracket(h, x), [(2, r2)]),
-        (mat_bracket(h, y), [(1, -r2)]),
-        (mat_bracket(x, y), [(0, r2)]),
-    )
-    basis = [h, x, y]
-    for br, combo in checks:
-        want = _zero_matrix(9)
-        for idx, coef in combo:
-            src = basis[idx]
-            want = [[want[i][j] + coef * src[i][j] for j in range(9)] for i in range(9)]
-        if br != want:
-            raise CatalogError("so3-9 matrices do not satisfy the expected brackets")
-    return LieRep.from_matrices("so3-9", 9, basis, skew=True)
+    c = lie.structure_constants()
+    if (c[0][1], c[0][2], c[1][2]) != ([0, 0, r2], [0, -r2, 0], [r2, 0, 0]):
+        raise CatalogError("so3-9 matrices do not satisfy the expected brackets")
+    return lie
 
 
 def _even_flag(n):
@@ -355,7 +332,7 @@ def _build_su_even(n):
     if not 2 <= n <= 4:
         raise CatalogError("su-even supports 2 <= n <= 4")
     amb = 2 * n
-    lie = LieRep.from_matrices("su(%d)" % n, amb, _su_real_basis(n))
+    lie = LieRep("su(%d)" % n, amb, _su_real_basis(n, amb))
     f = _kahler_form(n, amb)
     om_p, om_m = _complex_volume(n, amb)
     gens = {"F": f, "omega-plus": om_p, "omega-minus": om_m}
@@ -377,8 +354,7 @@ def _build_su_odd(n):
     if not 2 <= n <= 4:
         raise CatalogError("su-odd supports 2 <= n <= 4")
     amb = 2 * n + 1
-    lie = LieRep.from_matrices("su(%d)" % n, amb,
-                               _pad_trivial(_su_real_basis(n), 1))
+    lie = LieRep("su(%d)" % n, amb, _su_real_basis(n, amb))
     alpha = Form.monomial(amb, (amb,), Scalar.of(1))
     f = _kahler_form(n, amb)
     om_p, om_m = _complex_volume(n, amb)
@@ -537,8 +513,8 @@ def structure_to_json(spec):
         "lie": {
             "name": spec.lie.name,
             "dim": spec.lie.dim,
-            "basis": [[[str(v) for v in row] for row in mat]
-                      for mat in spec.lie.basis],
+            "basis": [[[str(Scalar(row.get(j))) for j in range(spec.n)]
+                       for row in mat] for mat in spec.lie.basis],
         },
         "generators": {g: form_literal(f) for g, f in spec.generators.items()},
         "default_flag": list(spec.default_flag),

@@ -16,9 +16,9 @@ an operator or a parameter value changes only a right-hand side.
 
 from math import comb
 
-from ._kernel import s_add, s_submul
+from ._kernel import s_add, s_neg, s_submul
 from .scalar import Scalar
-from .exterior import Form, coords, wedge, _sort_sign
+from .exterior import Form, coords, lex_index, wedge, _sort_sign
 from .linalg import Elimination, span_rank, transpose
 from .rep import (HomMap, _combine_maps, equivariant_maps, hom_dim, hom_units,
                   invariants)
@@ -406,20 +406,18 @@ def lie_tensor_rows(lie, n):
     The pair (X, e_m) maps to the derivation candidate sending e^i to
     e^m wedge sum_j X_ij e^j, matching d(theta_i) = sum_j w_ij theta_j.
     """
+    pos = lex_index(n, 2)[1]
+    step = len(pos)
     rows = []
-    one = Scalar.of(1)
     for x in lie.basis:
         for m in range(1, n + 1):
-            em = Form.monomial(n, (m,), one)
-            images = []
-            for i in range(n):
-                lin = Form.zero(n)
-                for j in range(n):
-                    c = x[i][j]
-                    if not c.is_zero():
-                        lin = lin + Form.monomial(n, (j + 1,), c)
-                images.append(wedge(em, lin))
-            rows.append(HomMap(n, images).coords())
+            row = {}
+            for i, xrow in enumerate(x):
+                for j, c in xrow.items():
+                    K, sign = _sort_sign((m, j + 1))
+                    if sign:
+                        row[i * step + pos[K]] = c if sign > 0 else s_neg(c)
+            rows.append(row)
     return rows
 
 

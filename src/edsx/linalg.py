@@ -136,7 +136,7 @@ def _kernel_vectors(pivots, prows, ncols):
 
 def kernel_basis(rows, ncols):
     """Right kernel, one basis vector per free column (unit there)."""
-    pivots, prows, _ = eliminate([dict(r) for r in rows], ncols)
+    pivots, prows = eliminate([dict(r) for r in rows], ncols)
     return list(_kernel_vectors(pivots, prows, ncols).values())
 
 
@@ -150,7 +150,7 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
     srows = [dict(r) for r in rows]
     for i, b in rhs.items():
         srows[i][ncols] = b
-    pivots, prows, _ = eliminate(srows, ncols + 1)
+    pivots, prows = eliminate(srows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return AffineSpace(ncols, None, [])
     part = {p: prow[ncols] for p, prow in zip(pivots, prows) if ncols in prow}
@@ -180,8 +180,9 @@ class Elimination:
 
     def _eliminate(self):
         if self._ops is None:
-            self._pivots, prows, self._ops = eliminate(
-                [dict(r) for r in self._rows], self.ncols)
+            self._ops = []
+            self._pivots, prows = eliminate(
+                [dict(r) for r in self._rows], self.ncols, ops=self._ops)
             self._kernel = _kernel_vectors(self._pivots, prows, self.ncols)
             self._rows = None
 
@@ -254,7 +255,7 @@ def in_span(rows, v, ncols) -> bool:
 
 def echelon_span(rows, ncols):
     """Canonical echelon basis of the span of sparse rows, leading 1 first."""
-    pivots, prows, _ = eliminate([dict(r) for r in rows], ncols)
+    pivots, prows = eliminate([dict(r) for r in rows], ncols)
     out = []
     for p, prow in zip(pivots, prows):
         out.append({p: ONE, **prow})

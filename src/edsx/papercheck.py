@@ -17,6 +17,7 @@ source for both `edsx paper-check` and the acceptance test module.
 import random
 from math import comb
 
+from ._kernel import s_mul
 from .cartan import flag_test
 from .catalog import _su3_f, get_structure
 from .dga import (check_operator, derivation_value, strong_admissibility,
@@ -198,8 +199,7 @@ def check_dual_hyperplanes():
 
 
 def _mat_eq_scaled(m, c, b):
-    n = len(m)
-    return all(m[i][j] == c * b[i][j] for i in range(n) for j in range(n))
+    return m == [{j: s_mul(c.c, v) for j, v in row.items()} for row in b]
 
 
 def check_rotation_triple():

@@ -1,12 +1,15 @@
 """Lie algebra representations on exterior algebras and tensor spaces.
 
-The action on the coframe is fixed globally as
+A matrix is a list of n sparse rows {column: kernel scalar}, the row
+format of edsx.linalg, with no zero stored; mat_from is the one converter
+from dense nested lists.  The action on the coframe is fixed globally as
 
     X . e^i = - sum_j X[j][i] e^j,
 
 extended to Lambda^* as a degree-0 derivation; on vectors X acts as
-v -> X v.  Invariance kernels do not depend on this sign choice, and
-orbit spans {X . a} are the same set either way.
+v -> X v.  Both read the columns of X, so each action transposes X once.
+Invariance kernels do not depend on this sign choice, and orbit spans
+{X . a} are the same set either way.
 
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
@@ -35,42 +38,40 @@ from .scalar import Scalar, as_scalar
 
 
 def mat_from(rows):
-    """Coerce a nested list into a matrix of Scalars."""
-    return [[as_scalar(x) for x in row] for row in rows]
+    """The sparse rows of a dense nested list of anything as_scalar takes;
+    the one converter from dense matrices."""
+    return [{j: c for j, x in enumerate(row) if (c := as_scalar(x).c)}
+            for row in rows]
 
 
 def mat_is_skew(m) -> bool:
-    n = len(m)
-    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
+    return all(m[j].get(i) == s_neg(c)
+               for i, row in enumerate(m) for j, c in row.items())
 
 
 def mat_bracket(x, y):
-    n = len(x)
+    """xy - yx."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                a, b = x[i][k].c, y[k][j].c
-                if a and b:
-                    acc = s_add(acc, s_mul(a, b))
-                a, b = y[i][k].c, x[k][j].c
-                if a and b:
-                    acc = s_sub(acc, s_mul(a, b))
-            row.append(Scalar(acc))
-        out.append(row)
+    for xi, yi in zip(x, y):
+        row = {}
+        for k, a in xi.items():
+            for j, b in y[k].items():
+                row[j] = s_add(row.get(j), s_mul(a, b))
+        for k, a in yi.items():
+            for j, b in x[k].items():
+                row[j] = s_sub(row.get(j), s_mul(a, b))
+        out.append({j: c for j, c in row.items() if c})
     return out
 
 
 def _mat_coords(m):
     """Sparse coordinates of a matrix, in row-major order."""
-    return {i * len(m) + j: x.c for i, r in enumerate(m)
-            for j, x in enumerate(r) if x}
+    n = len(m)
+    return {i * n + j: c for i, row in enumerate(m) for j, c in row.items()}
 
 
 class LieRep:
-    """A Lie algebra presented by matrices acting on R^n."""
+    """A Lie algebra presented by sparse-row matrices acting on R^n."""
 
     def __init__(self, name, n, basis, skew=True):
         self.name = name
@@ -80,66 +81,65 @@ class LieRep:
         self._constants = None
         self._equivariant = None
 
-    @classmethod
-    def from_matrices(cls, name, n, mats, skew=True, validate=True):
-        basis = [mat_from(m) for m in mats]
-        rep = cls(name, n, basis, skew=skew)
-        if validate:
-            rep.validate()
-        return rep
-
     @property
     def dim(self):
         return len(self.basis)
 
     def validate(self):
         for k, x in enumerate(self.basis):
-            if len(x) != self.n or any(len(r) != self.n for r in x):
+            if len(x) != self.n or any(not 0 <= j < self.n
+                                       for r in x for j in r):
                 raise ValueError("%s: basis matrix %d is not %dx%d"
                                  % (self.name, k, self.n, self.n))
+            if not all(c for r in x for c in r.values()):
+                raise ValueError("%s: basis matrix %d stores a zero"
+                                 % (self.name, k))
             if self.skew and not mat_is_skew(x):
                 raise ValueError("%s: basis matrix %d is not skew" % (self.name, k))
         self.structure_constants()
 
     def structure_constants(self):
         """c[a][b] with [x_a, x_b] = sum_d c[a][b][d] x_d; raises when
-        a bracket leaves the span of the basis."""
+        a bracket leaves the span of the basis.
+
+        Only the brackets with a < b are computed: c[b][a] = -c[a][b]
+        and c[a][a] = 0.
+        """
         if self._constants is not None:
             return self._constants
+        k = self.dim
         span = Elimination(
-            transpose([_mat_coords(x) for x in self.basis], self.n ** 2),
-            self.dim)
-        consts = []
-        for a in range(self.dim):
-            row = []
-            for b in range(self.dim):
+            transpose([_mat_coords(x) for x in self.basis], self.n ** 2), k)
+        consts = [[[Scalar()] * k for _ in range(k)] for _ in range(k)]
+        for a in range(k):
+            for b in range(a + 1, k):
                 br = mat_bracket(self.basis[a], self.basis[b])
                 part = span.particular(_mat_coords(br))
                 if part is None:
                     raise ValueError("%s: bracket [%d,%d] leaves the span"
                                      % (self.name, a, b))
-                row.append([Scalar(part.get(d)) for d in range(self.dim)])
-            consts.append(row)
+                consts[a][b] = [Scalar(part.get(d)) for d in range(k)]
+                consts[b][a] = [-v for v in consts[a][b]]
         self._constants = consts
         return consts
 
 
 def act_on_form(x, a: Form) -> Form:
     """Derivation action of the matrix x on a form."""
-    n = a.n
+    return _act_by_columns(transpose(x, a.n), a)
+
+
+def _act_by_columns(cols, a: Form) -> Form:
+    """act_on_form for the matrix whose transpose is cols."""
     out = {}
     for I, c in a.terms.items():
         cc = c.c
-        for pos in range(len(I)):
-            i = I[pos]
-            for j in range(1, n + 1):
-                xc = x[j - 1][i - 1]
-                if not xc:
-                    continue
-                K, sign = _sort_sign(I[:pos] + (j,) + I[pos + 1:])
+        for pos, i in enumerate(I):
+            for j, xc in cols[i - 1].items():
+                K, sign = _sort_sign(I[:pos] + (j + 1,) + I[pos + 1:])
                 if sign == 0:
                     continue
-                add = s_mul(cc, xc.c)
+                add = s_mul(cc, xc)
                 if sign < 0:
                     add = s_neg(add)
                 cur = out.get(K)
@@ -151,7 +151,7 @@ def act_on_form(x, a: Form) -> Form:
                         out[K] = cur
                     else:
                         del out[K]
-    f = Form(n)
+    f = Form(a.n)
     f.terms = {K: Scalar(v) for K, v in out.items()}
     return f
 
@@ -179,7 +179,8 @@ def invariants(g: LieRep, p: int):
     for x in g.basis:
         if not basis:
             return []
-        cols = [coords(act_on_form(x, b), p) for b in basis]
+        xcols = transpose(x, n)
+        cols = [coords(_act_by_columns(xcols, b), p) for b in basis]
         basis = [_combine_forms(basis, c)
                  for c in kernel_basis(transpose(cols, dim), len(cols))]
     return [from_coords(row, n, p)
@@ -189,19 +190,13 @@ def invariants(g: LieRep, p: int):
 def gl_basis(n, skew=False):
     """Elementary matrices E_ij in row-major order, or E_ij - E_ji (i<j)."""
     out = []
-    if skew:
-        pairs = [(i, j) for i in range(n) for j in range(n) if i < j]
-        for i, j in pairs:
-            m = [[Scalar() for _ in range(n)] for _ in range(n)]
-            m[i][j] = as_scalar(1)
-            m[j][i] = as_scalar(-1)
+    for i in range(n):
+        for j in range(i + 1 if skew else 0, n):
+            m = [{} for _ in range(n)]
+            m[i][j] = ONE
+            if skew:
+                m[j][i] = s_neg(ONE)
             out.append(m)
-    else:
-        for i in range(n):
-            for j in range(n):
-                m = [[Scalar() for _ in range(n)] for _ in range(n)]
-                m[i][j] = as_scalar(1)
-                out.append(m)
     return out
 
 
@@ -218,13 +213,11 @@ def stabilizer(a: Form, skew=False, name=None) -> LieRep:
     gens = gl_basis(a.n, skew=skew)
     mats = []
     for c in kernel_basis(orbit_matrix(a, skew=skew), len(gens)):
-        acc = [[Scalar() for _ in range(a.n)] for _ in range(a.n)]
+        acc = [{} for _ in range(a.n)]
         for k, co in c.items():
-            x, co = gens[k], Scalar(co)
-            for i in range(a.n):
-                for j in range(a.n):
-                    if x[i][j]:
-                        acc[i][j] = acc[i][j] + x[i][j] * co
+            for row, grow in zip(acc, gens[k]):
+                for j, x in grow.items():
+                    _add_entry(row, j, s_mul(x, co))
         mats.append(acc)
     label = name or ("stab(%s)" % a)
     return LieRep(label, a.n, mats, skew=skew)
@@ -289,13 +282,13 @@ class HomMap:
 def act_on_hom(x, D: HomMap) -> HomMap:
     """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi."""
     n = D.n
+    cols = transpose(x, n)
     images = []
-    for i in range(1, n + 1):
-        img = act_on_form(x, D.images[i - 1])
-        for j in range(1, n + 1):
-            xc = x[j - 1][i - 1]
-            if xc and not D.images[j - 1].is_zero():
-                img = img + D.images[j - 1].scale(xc)
+    for i in range(n):
+        img = _act_by_columns(cols, D.images[i])
+        for j, xc in cols[i].items():
+            if not D.images[j].is_zero():
+                img = img + D.images[j].scale(Scalar(xc))
         images.append(img)
     return HomMap(n, images)
 
@@ -418,16 +411,15 @@ def _add_entry(row, k, c):
         del row[k]
 
 
-def _vec_act_pair(x, pos, j, k):
+def _vec_act_pair(cols, pos, j, k):
     """Column of the vector action of x on e_j ^ e_k (bivectors, no dual
-    twist), indexed by the pair positions pos."""
+    twist), indexed by the pair positions pos; cols is the transpose of x."""
     out = {}
-    for l in range(1, len(x) + 1):
-        for K, c in (((l, k), x[l - 1][j - 1]), ((j, l), x[l - 1][k - 1])):
-            if c:
-                K, sign = _sort_sign(K)
-                if sign:
-                    _add_entry(out, pos[K], c.c if sign > 0 else s_neg(c.c))
+    for K, c in ([((l + 1, k), c) for l, c in cols[j - 1].items()]
+                 + [((j, l + 1), c) for l, c in cols[k - 1].items()]):
+        K, sign = _sort_sign(K)
+        if sign:
+            _add_entry(out, pos[K], c if sign > 0 else s_neg(c))
     return out
 
 
@@ -448,24 +440,23 @@ def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
 
 def _space_operators(g: LieRep, label):
     """(dimension, [action of each generator as sparse rows]) for a space
-    label."""
+    label; on T these are the basis matrices themselves."""
     n = g.n
-    t_ops = [[{j: c.c for j, c in enumerate(row) if c} for row in x]
-             for x in g.basis]
     if label == "T":
-        return n, t_ops
+        return n, g.basis
     if label == "t-lambda2":
         pairs, pos = lex_index(n, 2)
-        l2_ops = [transpose([_vec_act_pair(x, pos, *J) for J in pairs],
-                            len(pairs)) for x in g.basis]
-        return _tensor_operators(t_ops, l2_ops, n, len(pairs))
+        l2_ops = [transpose([_vec_act_pair(cols, pos, *J) for J in pairs],
+                            len(pairs))
+                  for cols in (transpose(x, n) for x in g.basis)]
+        return _tensor_operators(g.basis, l2_ops, n, len(pairs))
     if label == "t-g":
         consts = g.structure_constants()
         k = g.dim
         # ad(x_b) x_a = [x_b, x_a] = sum_d consts[b][a][d] x_d
         ad_ops = [[{a: consts[b][a][d].c for a in range(k) if consts[b][a][d]}
                    for d in range(k)] for b in range(k)]
-        return _tensor_operators(ad_ops, t_ops, k, n)
+        return _tensor_operators(ad_ops, g.basis, k, n)
     raise CasimirError("unknown representation space %r" % label)
 
 
@@ -476,13 +467,9 @@ def _calibrate(g: LieRep):
     n = g.n
     dim, ops = _space_operators(g, "T")
     C = _sparse_square_sum(ops, dim)
-    c0 = Scalar(C[0].get(0))
-    for i in range(dim):
-        for j in range(dim):
-            val = Scalar(C[i].get(j))
-            want = c0 if i == j else Scalar()
-            if val != want:
-                raise CasimirError("Casimir is not scalar on T; calibration fails")
+    c0 = C[0].get(0)
+    if any(row != ({i: c0} if c0 else {}) for i, row in enumerate(C)):
+        raise CasimirError("Casimir is not scalar on T; calibration fails")
     if n % 2 == 0:
         raise CasimirError("even-dimensional T has no integer spin; calibration fails")
     j_t = (n - 1) // 2
@@ -493,7 +480,7 @@ def _calibrate(g: LieRep):
     if not tr or not j_t:
         raise CasimirError("the first generator has no weights on T; calibration fails")
     s = s_mul(tr, s_quotient(-3, j_t * (j_t + 1) * n))
-    return c0 / (j_t * (j_t + 1)), s
+    return Scalar(c0) / (j_t * (j_t + 1)), s
 
 
 def _weight_blocks(hop, s, dim):
@@ -513,7 +500,8 @@ def _weight_blocks(hop, s, dim):
         if 2 * m + 1 > dim:
             raise CasimirError("weights of the first generator do not fit the scale of T")
         rows = _shift_diagonal(h2, s_mul(s, s_quotient(m * m)))
-        kern = Elimination(rows, dim).kernel_vectors()
+        # a kernel vector is zero past its free column
+        kern = {max(v): v for v in kernel_basis(rows, dim)}
         if kern:
             blocks.append((m, kern))
             seen += len(kern)

@@ -1,5 +1,7 @@
 """The per-structure analysis against the reference paths it replaces."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,13 +11,14 @@ import pytest
 from edsx import catalog, linalg
 from edsx._kernel import eliminate
 from edsx.cartan import flag_test
-from edsx.catalog import get_structure, parse_structure_name
+from edsx.catalog import (get_structure, parse_structure_name,
+                          structure_to_json)
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
                       _unit_images, Analysis, analysis, check_operator,
                       lie_tensor_rows, z_spaces)
 from edsx.linalg import (Elimination, kernel_basis, solve_affine,
-                         span_rank)
-from edsx.rep import LieRep, equivariant_maps, gl_basis, hom_dim
+                         span_rank, transpose)
+from edsx.rep import LieRep, equivariant_maps, gl_basis, hom_dim, mat_bracket
 from edsx.scalar import Scalar
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
@@ -272,3 +275,29 @@ def test_analysis_is_built_by_the_first_query():
     check_operator(s, "A", {"lambda": 1, "mu": 0})
     assert s._analysis is a
     assert s.lie._equivariant is not None
+
+
+def test_structure_to_json_is_pinned():
+    # the printed Lie algebra bases, generators and operators of the
+    # catalog, pinned before the bases became sparse rows
+    dumps = [json.dumps(structure_to_json(get_structure(name)),
+                        sort_keys=True) for name in CATALOG]
+    dumps.append(json.dumps(structure_to_json(
+        get_structure("psu3", as_printed=True)), sort_keys=True))
+    assert hashlib.sha256("".join(dumps).encode()).hexdigest() == \
+        "87a5800e948c9fe9cbe46a553a8f9cb3dbea2adffe8d175e7e27d49127f07b13"
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_structure_constants_equal_all_pairs(name):
+    # structure_constants brackets only a < b; here every pair is solved
+    g = get_structure(name).lie
+    n = g.n
+
+    def flat(m):
+        return {i * n + j: c for i, row in enumerate(m) for j, c in row.items()}
+
+    span = Elimination(transpose([flat(x) for x in g.basis], n * n), g.dim)
+    want = [[[Scalar(span.particular(flat(mat_bracket(x, y))).get(d))
+              for d in range(g.dim)] for y in g.basis] for x in g.basis]
+    assert g.structure_constants() == want

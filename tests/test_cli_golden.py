@@ -55,6 +55,16 @@ GOLDEN = [
     (["decompose", "--structure", "so3-9", "--space", "t-lambda2"], 0,
      "9227ca753bee987f07e55ccca40eb72c422359f32d8172a69a2fdebe294f65cb",
      "56f259c9ec888b1830f2c28db1e3ef4cf9e4944d6d18d90f4cf06017a16b9d08"),
+    # the algebras built by the stabilizer, and the third Casimir space
+    (["zspaces", "--structure", "sp2sp1", "--operator", "zero"], 0,
+     "67c5c3d32286a6a64ef0347c1ae96ad78add25e3a5ccabd8424c122c80e9f8c4",
+     "795a7b187915bbecd7df1e920ba724fabd68b38c655227777f290ee3fd9985e3"),
+    (["dga", "--structure", "example-712", "--operator", "zero"], 0,
+     "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
+     "6e5cce1aae50302aac05bf9d04adfa68af79ff70af77419976821da46a4e12f6"),
+    (["decompose", "--structure", "so3-9", "--space", "t-g"], 0,
+     "a7eeb222ca46c45205ba9569ec4d35a041e7275c7cbd35252dc94381078febf0",
+     "3918c16cf70ecf79b7ee7fd4683979327de4207be71479e937d470c93b589079"),
 ]
 
 

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from edsx._kernel import s_quotient, s_to_fractions
+from edsx._kernel import ONE, s_neg, s_quotient, s_to_fractions
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx.rep import (CasimirError, HomMap, LieRep, _space_operators,
                       _weight_blocks, act_on_form, act_on_hom,
                       cartan_three_form, casimir_decompose, equivariant_maps,
-                      gl_basis, hom_dim, invariants, mat_bracket, mat_is_skew,
-                      orbit_matrix, stabilizer)
+                      gl_basis, hom_dim, invariants, mat_bracket, mat_from,
+                      mat_is_skew, orbit_matrix, stabilizer)
 from edsx.linalg import span_rank
 from edsx.scalar import Scalar
 
@@ -19,11 +19,27 @@ def S(q):
 
 
 def rot(n, i, j):
-    """Elementary rotation generator E_ij - E_ji as a Scalar matrix."""
-    m = [[S(0)] * n for _ in range(n)]
-    m[i - 1][j - 1] = S(1)
-    m[j - 1][i - 1] = S(-1)
-    return m
+    """Elementary rotation generator E_ij - E_ji as sparse rows."""
+    m = [[0] * n for _ in range(n)]
+    m[i - 1][j - 1] = 1
+    m[j - 1][i - 1] = -1
+    return mat_from(m)
+
+
+def validated(name, n, mats):
+    g = LieRep(name, n, mats)
+    g.validate()
+    return g
+
+
+def to_sympy(m):
+    """A sparse-row matrix as a sympy Matrix."""
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix([[sum((sympy.Rational(q.numerator, q.denominator)
+                               * sympy.sqrt(d)
+                               for d, q in Scalar(row.get(j)).coeffs().items()),
+                              sympy.Integer(0))
+                          for j in range(len(m))] for row in m])
 
 
 def rand_form(rng, n, p, terms=3):
@@ -38,6 +54,9 @@ def test_gl_basis_counts():
     assert len(gl_basis(5)) == 25
     assert len(gl_basis(5, skew=True)) == 10
     assert all(mat_is_skew(m) for m in gl_basis(4, skew=True))
+    # E_11 has a nonzero diagonal entry, E_12 an entry without its mirror
+    e11, e12 = gl_basis(2)[:2]
+    assert not mat_is_skew(e11) and not mat_is_skew(e12)
 
 
 def test_mat_bracket_antisymmetry():
@@ -45,15 +64,33 @@ def test_mat_bracket_antisymmetry():
     b = rot(4, 2, 3)
     ab = mat_bracket(a, b)
     ba = mat_bracket(b, a)
-    assert all(ab[i][j] == -ba[i][j] for i in range(4) for j in range(4))
+    assert ab == [{j: s_neg(c) for j, c in row.items()} for row in ba]
     assert mat_is_skew(ab)
+
+
+def test_mat_bracket_is_the_sympy_commutator():
+    rng = random.Random(23)
+    entries = [Scalar.parse(t) for t in
+               ("1", "-2", "1/3", "r2", "-r3/2", "1 + r5", "r7 - 2*r3")]
+    mats = get_structure("so3-9").lie.basis
+    pairs = [(x, y) for x in mats for y in mats]
+    for _ in range(12):
+        n = rng.randrange(1, 6)
+        x, y = ([[rng.choice(entries) if rng.random() < 0.3 else 0
+                  for _ in range(n)] for _ in range(n)] for _ in range(2))
+        pairs.append((mat_from(x), mat_from(y)))
+    for x, y in pairs:
+        bx, by = to_sympy(x), to_sympy(y)
+        want = (bx * by - by * bx).applyfunc(lambda e: e.expand())
+        assert to_sympy(mat_bracket(x, y)) == want
 
 
 def test_act_on_form_is_a_derivation():
     rng = random.Random(21)
     for _ in range(40):
         n = rng.randrange(2, 6)
-        x = [[S(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(n)]
+        x = mat_from([[rng.randrange(-2, 3) for _ in range(n)]
+                      for _ in range(n)])
         a = rand_form(rng, n, rng.randrange(1, n), 2)
         b = rand_form(rng, n, rng.randrange(1, n), 2)
         left = act_on_form(x, wedge(a, b))
@@ -103,7 +140,7 @@ def test_act_on_hom_equivariance_of_invariant_maps():
 
 def test_structure_constants_of_rotations():
     mats = [rot(3, 3, 2), rot(3, 1, 3), rot(3, 2, 1)]
-    g = LieRep.from_matrices("so3", 3, mats)
+    g = validated("so3", 3, mats)
     c = g.structure_constants()
     # [L_a, L_b] = eps_abc L_c
     assert c[0][1] == [S(0), S(0), S(1)]
@@ -113,12 +150,21 @@ def test_structure_constants_of_rotations():
 
 def test_structure_constants_reject_open_brackets():
     mats = [rot(3, 1, 2)]
-    g = LieRep.from_matrices("t", 3, mats)
+    g = validated("t", 3, mats)
     assert g.structure_constants() == [[[S(0)]]]
-    bad = LieRep.from_matrices("open", 3, [rot(3, 1, 2), rot(3, 2, 3)],
-                               validate=False)
+    bad = LieRep("open", 3, [rot(3, 1, 2), rot(3, 2, 3)])
     with pytest.raises(ValueError):
         bad.structure_constants()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{1: ONE}, {0: s_neg(ONE), 3: ONE}, {}], "is not 3x3"),
+    ([{1: ONE}, {0: s_neg(ONE), 2: None}, {}], "stores a zero"),
+], ids=["column-past-n", "stored-zero"])
+def test_validate_rejects_malformed_rows(rows, message):
+    # sparse equality needs zeros absent and columns inside 0..n-1
+    with pytest.raises(ValueError, match=message):
+        LieRep("bad", 3, [rows]).validate()
 
 
 def test_cartan_three_form_of_rotations():
@@ -182,8 +228,7 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
 
 
 def _rotations():
-    return LieRep.from_matrices("so3", 3, [rot(3, 3, 2), rot(3, 1, 3),
-                                           rot(3, 2, 1)])
+    return validated("so3", 3, [rot(3, 3, 2), rot(3, 1, 3), rot(3, 2, 1)])
 
 
 @pytest.mark.parametrize("space", ["t-lambda2", "t-g"])
@@ -215,3 +260,10 @@ def test_casimir_with_a_mixed_radical_first_generator(space, dim, parts):
 def test_casimir_rejects_unknown_spaces():
     with pytest.raises(CasimirError):
         casimir_decompose(get_structure("so3-9").lie, "hom")
+
+
+def test_casimir_rejects_a_reducible_t():
+    # so(3) on R^3 plus a trivial line: C is -2 on R^3 and 0 on the line
+    g = LieRep("so3+1", 4, [rot(4, 3, 2), rot(4, 1, 3), rot(4, 2, 1)])
+    with pytest.raises(CasimirError, match="not scalar"):
+        casimir_decompose(g, "T")
