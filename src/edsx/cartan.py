@@ -3,18 +3,20 @@
 Formally d(theta^i) = sum_j w_ij wedge theta^j with symbol coefficients
 w_ij.  Contracting the differential of a degree-p generator by p vectors
 of a coordinate subspace W leaves a linear functional in the w_ij; the
-rank of all such functionals is c(W).  Cartan's test compares the partial
-sums of c along a flag with the codimension of the integral space Z_0.
+rank of all such functionals is c(W).  Cartan's test compares the
+partial sums of c along a flag with the codimension of the integral space
+Z_0.  The polar functionals are the rows of the generator's gl(n) orbit
+matrix (edsx.rep.orbit_matrix) whose p-subset lies in W, so each test
+builds them once per generator and selects them per prefix.
 """
 
 from math import comb
 
-from ._kernel import s_add, s_sub
-from .exterior import Form, Subspace, _sort_sign
+from .exterior import Form, Subspace, lex_index
 from .linalg import span_rank
 from .catalog import StructureSpec
 from .dga import analysis, _extension_system
-from .rep import hom_dim
+from .rep import hom_dim, orbit_matrix
 from .stability import e_stable
 
 __all__ = [
@@ -62,44 +64,22 @@ class PolarReport:
         }
 
 
-def _polar_srows(a: Form, prefix):
-    """Reduced polar functionals of one form over the w_ij coordinates.
+def _polar_rows(forms):
+    """(p-subset K, row) for the rows of each nonzero form's orbit matrix.
 
-    One sparse row per p-subset of the prefix indices; entries indexed by
-    (i-1)*n + (j-1) for the symbol w_ij.
+    Leibniz gives d(e^I) the terms e^{I, i -> j} times w_ij, so the rows
+    of the orbit matrix, up to sign and the order of their columns, are
+    the polar functionals; those of a prefix W are the rows with K in W.
     """
-    n = a.n
-    if a.degree is None:
-        return []
-    pset = set(prefix)
-    rows = {}
-    for idx, c in a.terms.items():
-        c = c.c
-        for t, it in enumerate(idx):
-            rest = idx[:t] + idx[t + 1:]
-            if not all(r in pset for r in rest):
-                continue
-            # Leibniz gives (-1)^t theta^{<t} (w_ij theta^j) theta^{>t};
-            # moving the one-form w_ij out front cancels that sign, so
-            # only the sorting parity of the theta factors remains.
-            for j in pset - set(rest):
-                key, sign = _sort_sign(idx[:t] + (j,) + idx[t + 1:])
-                if key is None:
-                    continue
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = {}
-                col = (it - 1) * n + (j - 1)
-                cur = row.get(col)
-                row[col] = s_add(cur, c) if sign > 0 else s_sub(cur, c)
-    return [{k: v for k, v in rows[key].items() if v} for key in sorted(rows)]
+    return [(K, row) for a in forms if a.degree is not None
+            for K, row in zip(lex_index(a.n, a.degree)[0], orbit_matrix(a))
+            if row]
 
 
-def _structure_rows(s: StructureSpec, prefix):
-    rows = []
-    for g in s.generators.values():
-        rows.extend(_polar_srows(g, prefix))
-    return rows
+def _polar_count(rows, prefix, n):
+    """c(W) for the coordinate subspace W spanned by the prefix."""
+    w = set(prefix)
+    return span_rank([row for K, row in rows if w.issuperset(K)], n * n)
 
 
 def _check_flag(n, flag):
@@ -112,15 +92,15 @@ def _check_flag(n, flag):
 
 def flag_test(s: StructureSpec, flag=None) -> PolarReport:
     """Cartan's test for the coordinate flag given by an insertion order."""
-    n = s.n
-    flag = _check_flag(n, s.default_flag if flag is None else flag)
-    c_values = []
-    for k in range(n + 1):
-        c_values.append(span_rank(_structure_rows(s, flag[:k]), n * n))
+    flag = _check_flag(s.n, s.default_flag if flag is None else flag)
+    return _flag_report(s, flag, _polar_rows(s.generators.values()))
+
+
+def _flag_report(s, flag, rows):
+    c_values = [_polar_count(rows, flag[:k], s.n) for k in range(s.n + 1)]
     # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
     # n*C(n,2) + n*C(n+1,2) = n^3
-    codim = analysis(s).extension().rank
-    return PolarReport(flag, c_values, codim)
+    return PolarReport(flag, c_values, analysis(s).extension().rank)
 
 
 def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
@@ -138,11 +118,12 @@ def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
     if not 1 <= i <= n:
         raise CartanError("hyperplane index out of range")
     flag = tuple(j for j in range(1, n + 1) if j != i) + (i,)
+    rows = _polar_rows([a])
     c_values = []
     stable_prefixes = []
     for k in range(n + 1):
         prefix = flag[:k]
-        c_values.append(span_rank(_polar_srows(a, prefix), n * n))
+        c_values.append(_polar_count(rows, prefix, n))
         st = e_stable(a, Subspace.coordinate(n, prefix))
         stable_prefixes.append(st)
         if st and c_values[k] != comb(k, p):
@@ -165,12 +146,12 @@ def flag_search(s: StructureSpec) -> PolarReport:
     sum over insertion orders is a maximum over chains of subsets.
     """
     n = s.n
+    rows = _polar_rows(s.generators.values())
     cdim = {}
 
     def c_of(subset):
         if subset not in cdim:
-            cdim[subset] = span_rank(
-                _structure_rows(s, sorted(subset)), n * n)
+            cdim[subset] = _polar_count(rows, subset, n)
         return cdim[subset]
 
     best = {frozenset(): 0}
@@ -199,4 +180,4 @@ def flag_search(s: StructureSpec) -> PolarReport:
         cur = prev
     order.reverse()
     missing = next(j for j in range(1, n + 1) if j not in top)
-    return flag_test(s, tuple(order) + (missing,))
+    return _flag_report(s, tuple(order) + (missing,), rows)

@@ -13,8 +13,9 @@ from itertools import permutations
 
 from ._kernel import s_neg, s_quotient
 from .scalar import Scalar, as_scalar
-from .exterior import Form, _sort_sign, parse_form, form_literal, wedge, hodge
-from .rep import LieRep, stabilizer, act_on_form
+from .exterior import (Form, _sort_sign, derivation_images, form_literal,
+                       hodge, parse_form, wedge)
+from .rep import LieRep, action_index, stabilizer
 
 __all__ = [
     "CatalogError",
@@ -144,16 +145,15 @@ class StructureSpec:
         if self.lie.n != self.n:
             raise CatalogError("Lie algebra of %r acts in the wrong dimension" % self.name)
         self.lie.validate()
+        index = action_index(self.lie.basis, self.n)
         for gname, form in self.generators.items():
             if form.n != self.n:
                 raise CatalogError("generator %r has wrong ambient dimension" % gname)
             if form.is_zero():
                 raise CatalogError("generator %r is zero" % gname)
-            if check_invariance:
-                for mat in self.lie.basis:
-                    if not act_on_form(mat, form).is_zero():
-                        raise CatalogError("generator %r of %r is not invariant"
-                                           % (gname, self.name))
+            if check_invariance and derivation_images(form, index):
+                raise CatalogError("generator %r of %r is not invariant"
+                                   % (gname, self.name))
         degs = {g: f.degree for g, f in self.generators.items()}
         for op in self.operators.values():
             for gname, pf in op.values.items():

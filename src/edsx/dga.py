@@ -16,12 +16,12 @@ an operator or a parameter value changes only a right-hand side.
 
 from math import comb
 
-from ._kernel import s_add, s_neg, s_submul
+from ._kernel import ONE, s_add, s_neg, s_submul
 from .scalar import Scalar
-from .exterior import Form, coords, lex_index, wedge, _sort_sign
+from .exterior import (Form, coords, derivation_form, derivation_images,
+                       lex_index, wedge, _sort_sign)
 from .linalg import Elimination, span_rank, transpose
-from .rep import (HomMap, _combine_maps, equivariant_maps, hom_dim, hom_units,
-                  invariants)
+from .rep import HomMap, _combine_maps, equivariant_maps, hom_dim, invariants
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
@@ -130,33 +130,9 @@ class Closure:
 
 def derivation_value(images, a: Form) -> Form:
     """Apply the degree-one derivation with e^i -> images[i-1] to a form."""
-    n = a.n
-    out = {}
-    for idx, c in a.terms.items():
-        for t, it in enumerate(idx):
-            img = images[it - 1]
-            if img is None or img.is_zero():
-                continue
-            base = c if t % 2 == 0 else -c
-            prefix = idx[:t]
-            suffix = idx[t + 1:]
-            for jdx, d in img.terms.items():
-                merged, sign = _sort_sign(prefix + jdx + suffix)
-                if merged is None:
-                    continue
-                coef = base * d
-                if sign < 0:
-                    coef = -coef
-                acc = out.get(merged)
-                acc = coef if acc is None else acc + coef
-                if acc.is_zero():
-                    out.pop(merged, None)
-                else:
-                    out[merged] = acc
-    res = Form.zero(n)
-    if out:
-        res = Form(n, out)
-    return res
+    return derivation_form(a, [[] if img is None else
+                               [(0, J, d.c) for J, d in img.terms.items()]
+                               for img in images])
 
 
 class OpCheck:
@@ -217,11 +193,6 @@ class ZReport:
         }
 
 
-def _unit_images(n):
-    """Coframe images of each Hom(T, Lambda^2 T) unit, in coordinate order."""
-    return [h.images for h in hom_units(n)]
-
-
 def _stacked(parts):
     """Sparse coordinates of the (degree, form) parts placed side by side."""
     out, at = {}, 0
@@ -231,13 +202,28 @@ def _stacked(parts):
     return out
 
 
-def _derivation_matrix(forms, image_lists):
+def _derivation_matrix(forms, maps):
     """Sparse rows of the matrix whose columns are d_D(g) stacked over the
-    forms, one column per list of images."""
-    cols = [_stacked([(g.degree + 1, derivation_value(images, g))
-                      for g in forms])
-            for images in image_lists]
-    return transpose(cols, sum(comb(g.n, g.degree + 1) for g in forms))
+    forms, one column per map D given by its sparse Hom coordinates."""
+    if not forms:
+        return []
+    n = forms[0].n
+    pairs = lex_index(n, 2)[0]
+    by_index = [[] for _ in range(n)]
+    for u, vec in enumerate(maps):
+        for k, c in vec.items():
+            i, t = divmod(k, len(pairs))
+            by_index[i].append((u, pairs[t], c))
+    rows = []
+    for g in forms:
+        images = derivation_images(g, by_index)
+        rows.extend(images.get(K, {}) for K in lex_index(n, g.degree + 1)[0])
+    return rows
+
+
+def _unit_maps(n):
+    """Sparse Hom(T, Lambda^2 T) coordinates of the units, in order."""
+    return [{t: ONE} for t in range(hom_dim(n))]
 
 
 def _extension_rhs(pairs):
@@ -250,7 +236,7 @@ def _extension_system(n, pairs):
     pairs is a list of (generator form, target form); returns the sparse
     rows and the sparse rhs.
     """
-    m = _derivation_matrix([g for g, _ in pairs], _unit_images(n))
+    m = _derivation_matrix([g for g, _ in pairs], _unit_maps(n))
     return m, _extension_rhs(pairs)
 
 
@@ -280,7 +266,7 @@ class Analysis:
         """Elimination of the extension matrix of the generators."""
         if self._extension is None:
             self._extension = Elimination(_derivation_matrix(
-                list(self.s.generators.values()), _unit_images(self.s.n)),
+                list(self.s.generators.values()), _unit_maps(self.s.n)),
                 hom_dim(self.s.n))
         return self._extension
 
@@ -292,7 +278,7 @@ class Analysis:
             if basis:
                 elim = Elimination(_derivation_matrix(
                     list(self.s.generators.values()),
-                    [h.images for h in basis]), len(basis))
+                    [h.coords() for h in basis]), len(basis))
             self._equivariant = (basis, elim)
         return self._equivariant
 

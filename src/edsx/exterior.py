@@ -8,7 +8,11 @@ here and relied on everywhere else:
 * contraction by a decomposable multivector applies the rightmost vector
   first: (v1 ^ ... ^ vk) -| a = v1 -| (... (vk -| a));
 * coordinates run over p-subsets in lexicographic order (lex_index):
-  coords() gives them sparse, flatten() dense for output and tests.
+  coords() gives them sparse, flatten() dense for output;
+* a derivation is fixed by the images of the coframe, and
+  derivation_images is the one rule that applies it to a form's terms:
+  replace index i of e^I at position t by the image, sort with sign, and
+  multiply by (-1)^(t deg D) for a derivation D of degree deg D.
 
 Form literals are the scalar literal grammar with e[i,j,...] atoms added,
 e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
@@ -187,15 +191,6 @@ def wedge(a: Form, b: Form) -> Form:
     return f
 
 
-def wedge_all(forms):
-    if not forms:
-        raise ValueError("empty wedge product")
-    acc = forms[0]
-    for f in forms[1:]:
-        acc = wedge(acc, f)
-    return acc
-
-
 def contract(v, a: Form) -> Form:
     """Interior product v -| a for a vector v (list of n Scalars)."""
     vc = [as_scalar(x).c for x in v]
@@ -239,11 +234,42 @@ def contract_index(i, a: Form) -> Form:
     return f
 
 
-def contract_multi(vectors, a: Form) -> Form:
-    """(v1 ^ ... ^ vk) -| a, contracting the rightmost vector first."""
-    for v in reversed(list(vectors)):
-        a = contract(v, a)
-    return a
+def derivation_images(a: Form, by_index):
+    """{K: {u: coefficient of e^K in D_u(a)}} for the derivations D_u
+    with D_u(e^i) the sum of d e^J over the (u, J, d) in by_index[i-1],
+    d a kernel scalar; no zero and no empty row is stored.
+    """
+    out = {}
+    for I, c in a.terms.items():
+        cc = c.c
+        for t, i in enumerate(I):
+            head, tail = I[:t], I[t + 1:]
+            for u, J, d in by_index[i - 1]:
+                K, sign = _sort_sign(head + J + tail)
+                if sign == 0:
+                    continue
+                if t * (len(J) - 1) & 1:
+                    sign = -sign
+                row = out.get(K)
+                if row is None:
+                    row = out[K] = {}
+                add = s_mul(cc, d)
+                cur = s_add(row.get(u), add if sign > 0 else s_neg(add))
+                if cur:
+                    row[u] = cur
+                else:
+                    del row[u]
+                    if not row:
+                        del out[K]
+    return out
+
+
+def derivation_form(a: Form, by_index) -> Form:
+    """D_0(a) as a form, for the one derivation u = 0 of by_index."""
+    f = Form(a.n)
+    f.terms = {K: Scalar(row[0])
+               for K, row in derivation_images(a, by_index).items()}
+    return f
 
 
 def hodge(a: Form) -> Form:
@@ -362,8 +388,8 @@ _LEX = {}
 def lex_index(n, p):
     """(lex-ordered p-subsets of 1..n, {subset: position}), cached per (n, p).
 
-    The one column order of degree-p coordinates: flatten(), unflatten()
-    and coords() all read it.
+    The one column order of degree-p coordinates: flatten() and coords()
+    both read it.
     """
     lex = _LEX.get((n, p))
     if lex is None:
@@ -404,13 +430,6 @@ def flatten(a: Form, p=None):
             raise ValueError("flatten of the zero form needs an explicit degree")
     _check_degree(a, p)
     return [a.terms.get(I, Scalar()) for I in lex_index(a.n, p)[0]]
-
-
-def unflatten(vec, n, p) -> Form:
-    subsets = lex_index(n, p)[0]
-    if len(vec) != len(subsets):
-        raise ValueError("vector length %d != C(%d,%d)" % (len(vec), n, p))
-    return Form(n, dict(zip(subsets, vec)))
 
 
 def scalar_value(a: Form) -> Scalar:

@@ -6,8 +6,8 @@ from dense nested lists.  The action on the coframe is fixed globally as
 
     X . e^i = - sum_j X[j][i] e^j,
 
-extended to Lambda^* as a degree-0 derivation; on vectors X acts as
-v -> X v.  Both read the columns of X, so each action transposes X once.
+extended to Lambda^* as a degree-0 derivation (action_index, applied by
+exterior.derivation_images); on vectors X acts as v -> X v.
 Invariance kernels do not depend on this sign choice, and orbit spans
 {X . a} are the same set either way.
 
@@ -30,8 +30,8 @@ from __future__ import annotations
 from math import comb
 
 from ._kernel import ONE, s_add, s_mul, s_neg, s_quotient, s_sub
-from .exterior import (Form, _sort_sign, coords, flatten, from_coords,
-                       lex_index, unflatten)
+from .exterior import (Form, _sort_sign, coords, derivation_form,
+                       derivation_images, flatten, from_coords, lex_index)
 from .linalg import (Elimination, echelon_span, kernel_basis, span_rank,
                      transpose)
 from .scalar import Scalar, as_scalar
@@ -124,36 +124,20 @@ class LieRep:
         return consts
 
 
+def action_index(mats, n):
+    """The coframe action of each matrix as derivation_images wants it:
+    matrix u sends e^j to -sum_i x_ij e^i."""
+    by_index = [[] for _ in range(n)]
+    for u, x in enumerate(mats):
+        for i, row in enumerate(x):
+            for j, c in row.items():
+                by_index[j].append((u, (i + 1,), s_neg(c)))
+    return by_index
+
+
 def act_on_form(x, a: Form) -> Form:
     """Derivation action of the matrix x on a form."""
-    return _act_by_columns(transpose(x, a.n), a)
-
-
-def _act_by_columns(cols, a: Form) -> Form:
-    """act_on_form for the matrix whose transpose is cols."""
-    out = {}
-    for I, c in a.terms.items():
-        cc = c.c
-        for pos, i in enumerate(I):
-            for j, xc in cols[i - 1].items():
-                K, sign = _sort_sign(I[:pos] + (j + 1,) + I[pos + 1:])
-                if sign == 0:
-                    continue
-                add = s_mul(cc, xc)
-                if sign < 0:
-                    add = s_neg(add)
-                cur = out.get(K)
-                if cur is None:
-                    out[K] = s_neg(add)
-                else:
-                    cur = s_sub(cur, add)
-                    if cur:
-                        out[K] = cur
-                    else:
-                        del out[K]
-    f = Form(a.n)
-    f.terms = {K: Scalar(v) for K, v in out.items()}
-    return f
+    return derivation_form(a, action_index([x], a.n))
 
 
 def _combine_forms(forms, coeffs):
@@ -179,8 +163,8 @@ def invariants(g: LieRep, p: int):
     for x in g.basis:
         if not basis:
             return []
-        xcols = transpose(x, n)
-        cols = [coords(_act_by_columns(xcols, b), p) for b in basis]
+        index = action_index([x], n)
+        cols = [coords(derivation_form(b, index), p) for b in basis]
         basis = [_combine_forms(basis, c)
                  for c in kernel_basis(transpose(cols, dim), len(cols))]
     return [from_coords(row, n, p)
@@ -203,9 +187,8 @@ def gl_basis(n, skew=False):
 def orbit_matrix(a: Form, skew=False):
     """Sparse rows of the matrix whose columns are X . a over the gl(n)
     (or so(n)) basis."""
-    p = a.degree
-    cols = [coords(act_on_form(x, a), p) for x in gl_basis(a.n, skew=skew)]
-    return transpose(cols, comb(a.n, p))
+    images = derivation_images(a, action_index(gl_basis(a.n, skew), a.n))
+    return [images.get(K, {}) for K in lex_index(a.n, a.degree)[0]]
 
 
 def stabilizer(a: Form, skew=False, name=None) -> LieRep:
@@ -235,12 +218,6 @@ class HomMap:
     @classmethod
     def zero(cls, n):
         return cls(n, [Form(n) for _ in range(n)])
-
-    @classmethod
-    def unflatten(cls, n, vec):
-        step = comb(n, 2)
-        images = [unflatten(vec[i * step:(i + 1) * step], n, 2) for i in range(n)]
-        return cls(n, images)
 
     @classmethod
     def from_coords(cls, n, vec):
@@ -281,16 +258,18 @@ class HomMap:
 
 def act_on_hom(x, D: HomMap) -> HomMap:
     """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi."""
-    n = D.n
-    cols = transpose(x, n)
+    return _act_on_hom(action_index([x], D.n), D)
+
+
+def _act_on_hom(index, D: HomMap) -> HomMap:
+    """act_on_hom for the one matrix of an action index."""
     images = []
-    for i in range(n):
-        img = _act_by_columns(cols, D.images[i])
-        for j, xc in cols[i].items():
-            if not D.images[j].is_zero():
-                img = img + D.images[j].scale(Scalar(xc))
+    for i, img in enumerate(D.images):
+        img = derivation_form(img, index)
+        for _, (j,), d in index[i]:
+            img = img - D.images[j - 1].scale(Scalar(d))
         images.append(img)
-    return HomMap(n, images)
+    return HomMap(D.n, images)
 
 
 def hom_dim(n):
@@ -318,7 +297,8 @@ def _equivariant_basis(g: LieRep):
     for x in g.basis:
         if not basis:
             return []
-        cols = [act_on_hom(x, D).coords() for D in basis]
+        index = action_index([x], n)
+        cols = [_act_on_hom(index, D).coords() for D in basis]
         basis = [_combine_maps(basis, c) for c in
                  kernel_basis(transpose(cols, hom_dim(n)), len(cols))]
     return [HomMap.from_coords(n, row) for row in

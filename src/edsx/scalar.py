@@ -178,11 +178,6 @@ def ratio_text(n, d):
     return n if d == 1 else "%s/%s" % (n, _int_text(d))
 
 
-def rat_text(q):
-    """str(q) of a rational, n or n/d, at any number of digits."""
-    return ratio_text(q.numerator, q.denominator)
-
-
 def _term_text(divisor, x, den):
     if divisor == 1:
         return ratio_text(x, den)

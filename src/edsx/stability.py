@@ -2,16 +2,18 @@
 
 A p-form is stable when its gl(n)-orbit spans all of Lambda^p, and
 E-stable for a subspace E when the restricted orbit spans Lambda^p E.
-Both are rank computations on the matrix of elementary-matrix actions.
+Both are rank computations on the matrix of elementary-matrix actions:
+on a coordinate hyperplane its rows are those of the orbit matrix that
+avoid the dropped index, elsewhere the orbit forms are restricted.
 """
 
 from math import comb
 from random import Random
 
 from .scalar import Scalar, as_scalar
-from .exterior import Form, Subspace, coords, restrict
+from .exterior import Form, Subspace, coords, lex_index, restrict
 from .linalg import span_rank
-from .rep import gl_basis, act_on_form
+from .rep import act_on_form, gl_basis, orbit_matrix
 
 __all__ = [
     "StabilityReport",
@@ -64,10 +66,6 @@ def _homogeneous_degree(a: Form):
     return p
 
 
-def _orbit_forms(a: Form):
-    return [act_on_form(x, a) for x in gl_basis(a.n)]
-
-
 def e_stable(a: Form, w: Subspace) -> bool:
     """Whether the orbit of a restricted to w spans Lambda^p w."""
     p = _homogeneous_degree(a)
@@ -75,7 +73,7 @@ def e_stable(a: Form, w: Subspace) -> bool:
     want = comb(k, p)
     if want == 0:
         return True
-    rows = [coords(restrict(x, w), p) for x in _orbit_forms(a)]
+    rows = [coords(restrict(act_on_form(x, a), w), p) for x in gl_basis(a.n)]
     return span_rank(rows, want) == want
 
 
@@ -110,15 +108,15 @@ def stability(a: Form, sampled=False) -> StabilityReport:
     """
     p = _homogeneous_degree(a)
     n = a.n
-    orbit = _orbit_forms(a)
+    orbit = orbit_matrix(a)
     full = comb(n, p)
-    orbit_dim = span_rank([coords(x, p) for x in orbit], full)
+    orbit_dim = span_rank(orbit, n * n)
     per = {}
     want = comb(n - 1, p)
     for i in range(1, n + 1):
-        w = Subspace.hyperplane(n, i)
-        sub = [coords(restrict(x, w), p) for x in orbit]
-        per[i] = (span_rank(sub, want) == want)
+        # restricting to e_i^perp keeps the coordinates e^K with i not in K
+        sub = [row for K, row in zip(lex_index(n, p)[0], orbit) if i not in K]
+        per[i] = (span_rank(sub, n * n) == want)
     sampled_ok = None
     if sampled:
         sampled_ok = all(e_stable(a, w) for w in sampled_hyperplanes(n))

@@ -14,7 +14,7 @@ from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
-                      _unit_images, Analysis, analysis, check_operator,
+                      _unit_maps, Analysis, analysis, check_operator,
                       lie_tensor_rows, z_spaces)
 from edsx.linalg import (Elimination, kernel_basis, solve_affine,
                          span_rank, transpose)
@@ -76,7 +76,7 @@ def test_lie_ranks_are_the_stacked_ranks(name):
     g_rows = lie_tensor_rows(s.lie, s.n)
     width = hom_dim(s.n)
     kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
-                                             _unit_images(s.n)), width)
+                                             _unit_maps(s.n)), width)
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert analysis(s).lie_ranks() == want
     if name == "psu3":
@@ -94,7 +94,7 @@ def test_lie_ranks_reduce_rows_outside_the_kernel():
     g_rows = lie_tensor_rows(s.lie, n)
     width = hom_dim(n)
     kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
-                                             _unit_images(n)), width)
+                                             _unit_maps(n)), width)
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert Analysis(s).lie_ranks() == want
     assert want[1] > len(kernel)
@@ -123,7 +123,7 @@ def test_factored_solve_equals_solve_affine():
         basis, elim = analysis(s).equivariant()
         if basis:
             em = _derivation_matrix(list(s.generators.values()),
-                                    [h.images for h in basis])
+                                    [h.coords() for h in basis])
             assert elim.particular(rhs) \
                 == solve_affine(em, len(basis), rhs).particular
 

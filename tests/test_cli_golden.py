@@ -65,6 +65,21 @@ GOLDEN = [
     (["decompose", "--structure", "so3-9", "--space", "t-g"], 0,
      "a7eeb222ca46c45205ba9569ec4d35a041e7275c7cbd35252dc94381078febf0",
      "3918c16cf70ecf79b7ee7fd4683979327de4207be71479e937d470c93b589079"),
+    # the orbit-matrix paths: mixed hyperplane verdicts, the subset
+    # search, a nine-dimensional flag and a dual-form hyperplane
+    (["stability", "--structure", "so3-9", "--generator", "star-gamma"], 0,
+     "a56126215b8fe2b06c5565f3fd1620a8bd0a7c95cc409305ccd74bf57731f1f6",
+     "589fe14ece7333704dcaa41a373f845082d4b7d42e6d4fb983f4331b1a8e1007"),
+    (["cartan", "--structure", "so3-9", "--search"], 0,
+     "709c951c2513ee58716d459a7e8b9ec3db0555066e7d648c53ae3ddffb494e7e",
+     "0c962951643584b56540ea1635fb9616d448ec6640d2d71b0ebe4b4e2f250b44"),
+    (["cartan", "--structure", "su-odd:4"], 0,
+     "0ac7bab817f96f0c8e20f43e584ab11c03737ae5c08df0271b707d8671346bc3",
+     "7076ff1b568badac16d49af5cfc60e6d50e8983f0bc9868e4b378b4b1c666b41"),
+    (["restrict", "--structure", "psu3-dual", "--operator", "zero",
+      "--drop", "3"], 0,
+     "93a681926d81091a855e733561c23c7e386a581013335895511c04b30296cf55",
+     "b6fcbe6645d4be61157146a24263818d6d6a958480014d81d2253d985267fa46"),
 ]
 
 

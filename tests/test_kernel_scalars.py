@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from edsx._kernel import (ONE, PRIMES, s_add, s_from_fractions, s_inv,
                           s_mul, s_neg, s_sub, s_submul, s_to_fractions)
-from edsx.scalar import Scalar, rat_text
+from edsx.scalar import Scalar, ratio_text
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200,
                     deadline=None)
@@ -122,7 +122,8 @@ def test_values_past_the_int_text_limit():
     s = s_mul(s_from_fractions(a), s_from_fractions(b))
     check(s, want)
     coeffs = Scalar(s).coeffs()
-    texts = {d: rat_text(q) for d, q in coeffs.items()}
+    texts = {d: ratio_text(q.numerator, q.denominator)
+             for d, q in coeffs.items()}
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

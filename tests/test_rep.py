@@ -124,8 +124,9 @@ def test_hom_map_roundtrip():
     n = 4
     assert hom_dim(n) == n * n * (n - 1) // 2
     vec = [S(rng.randrange(-3, 4)) for _ in range(hom_dim(n))]
-    h = HomMap.unflatten(n, vec)
+    h = HomMap.from_coords(n, {k: x.c for k, x in enumerate(vec) if x})
     assert h.flatten() == vec
+    assert HomMap.from_coords(n, h.coords()) == h
     assert HomMap.zero(n).is_zero()
 
 

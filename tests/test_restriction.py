@@ -78,3 +78,13 @@ def test_report_json_is_serializable():
     assert json.loads(json.dumps(j, sort_keys=True)) == j
     assert j["surjectivity_dims"] == [52, 27, 24]
     assert j["kerp_condition"] is True
+
+
+def test_subspace_that_kills_every_generator():
+    # rho has no term inside span{e_1, e_2}: the subspace system is empty
+    rep = restrict_structure(get_structure("psu3"), "zero", None,
+                             Subspace.coordinate(8, [1, 2]))
+    out = rep.to_json()
+    assert out["p_image_gens"] == {} and out["f_w"] == {}
+    assert out["surjectivity_dims"] == [442, 8, 8]
+    assert out["extends_ok"] and out["hypotheses_ok"]

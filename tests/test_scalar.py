@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from edsx._kernel import ONE, s_from_fractions, s_inv, s_mul, s_to_fractions
-from edsx.scalar import Scalar, rat_text
+from edsx.scalar import Scalar, ratio_text
 
 
 def test_rational_arithmetic():
@@ -161,4 +161,4 @@ def test_rational_text_past_the_int_text_limit():
         want = [str(q) for q in rats]
     finally:
         sys.set_int_max_str_digits(limit)
-    assert [rat_text(q) for q in rats] == want
+    assert [ratio_text(q.numerator, q.denominator) for q in rats] == want
