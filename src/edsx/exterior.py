@@ -23,6 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._kernel import DIVISORS, s_add, s_mul, s_neg
+from .linalg import span_rank
 from .scalar import Scalar, _Literal, as_scalar, ratio_text
 
 
@@ -323,11 +324,22 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, n, vectors):
+        """Span of linearly independent vectors, in the given order."""
         vecs = [[as_scalar(x) for x in v] for v in vectors]
         for v in vecs:
             if len(v) != n:
                 raise ValueError("basis vector of wrong length")
+        if _vector_rank(vecs, n) < len(vecs):
+            raise ValueError("basis vectors are linearly dependent")
         return cls(n, vecs, None)
+
+    def completed(self):
+        """A basis of R^n: this basis, then coordinate vectors, greedily."""
+        basis = list(self.vectors)
+        for e in Subspace.coordinate(self.n, range(1, self.n + 1)).vectors:
+            if _vector_rank(basis + [e], self.n) > len(basis):
+                basis.append(e)
+        return Subspace(self.n, basis)
 
     @property
     def dim(self):
@@ -337,6 +349,12 @@ class Subspace:
         if self.coords is not None:
             return "Subspace(coords=%r of %d)" % (self.coords, self.n)
         return "Subspace(dim=%d of %d)" % (self.dim, self.n)
+
+
+def _vector_rank(vectors, n):
+    """Rank of vectors given as lists of n Scalars."""
+    return span_rank([{j: x.c for j, x in enumerate(v) if x}
+                      for v in vectors], n)
 
 
 def restrict(a: Form, w: Subspace) -> Form:

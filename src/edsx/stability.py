@@ -1,19 +1,20 @@
 """Stability of exterior forms via infinitesimal orbit ranks.
 
-A p-form is stable when its gl(n)-orbit spans all of Lambda^p, and
-E-stable for a subspace E when the restricted orbit spans Lambda^p E.
-Both are rank computations on the matrix of elementary-matrix actions:
-on a coordinate hyperplane its rows are those of the orbit matrix that
-avoid the dropped index, elsewhere the orbit forms are restricted.
+A p-form a is stable when its gl(n)-orbit spans all of Lambda^p, and
+E-stable for a subspace W when the restricted orbit spans Lambda^p W.
+For a coordinate W the rows of the orbit matrix with p-subset in W are
+Cartan's polar rows, so W is E-stable exactly when the polar count of a
+on W is C(dim W, p).  E-stability is GL(n)-invariant: any other W is
+e_1..e_k once a is pulled back along a basis of R^n that begins with W's.
 """
 
+from fractions import Fraction
 from math import comb
 from random import Random
 
-from .scalar import Scalar, as_scalar
-from .exterior import Form, Subspace, coords, lex_index, restrict
+from .exterior import Form, Subspace, lex_index, restrict
 from .linalg import span_rank
-from .rep import act_on_form, gl_basis, orbit_matrix
+from .rep import orbit_matrix
 
 __all__ = [
     "StabilityReport",
@@ -66,19 +67,38 @@ def _homogeneous_degree(a: Form):
     return p
 
 
+def _polar_rows(forms):
+    """(p-subset K, row) for the nonzero rows of each form's orbit matrix.
+
+    Leibniz gives d(e^I) the terms e^{I, i -> j} times w_ij, so up to sign
+    and column order these are the polar functionals; W keeps K in W.
+    """
+    return [(K, row) for a in forms if a.degree is not None
+            for K, row in zip(lex_index(a.n, a.degree)[0], orbit_matrix(a))
+            if row]
+
+
+def _polar_count(rows, prefix, n):
+    """c(W) for the coordinate subspace W spanned by the prefix."""
+    w = set(prefix)
+    return span_rank([row for K, row in rows if w.issuperset(K)], n * n)
+
+
 def e_stable(a: Form, w: Subspace) -> bool:
     """Whether the orbit of a restricted to w spans Lambda^p w."""
     p = _homogeneous_degree(a)
-    k = w.dim
-    want = comb(k, p)
-    if want == 0:
-        return True
-    rows = [coords(restrict(act_on_form(x, a), w), p) for x in gl_basis(a.n)]
-    return span_rank(rows, want) == want
+    if w.n != a.n:
+        raise ValueError("subspace of a different ambient space")
+    if w.coords is None:
+        return e_stable(restrict(a, w.completed()),
+                        Subspace.coordinate(a.n, range(1, w.dim + 1)))
+    return _polar_count(_polar_rows([a]), w.coords, a.n) == comb(w.dim, p)
 
 
 def sampled_hyperplanes(n):
     """Deterministic non-coordinate hyperplanes v^perp, as Subspaces."""
+    if n < 2:
+        return []  # R^1 has no non-coordinate hyperplane
     rng = Random(SAMPLE_SEED)
     out = []
     while len(out) < SAMPLE_COUNT:
@@ -86,17 +106,10 @@ def sampled_hyperplanes(n):
         if sum(1 for x in v if x) < 2:
             continue
         pivot = next(i for i, x in enumerate(v) if x)
-        piv = as_scalar(v[pivot])
-        basis = []
-        for j in range(n):
-            if j == pivot:
-                continue
-            vec = [Scalar() for _ in range(n)]
-            vec[j] = as_scalar(1)
-            if v[j]:
-                vec[pivot] = -as_scalar(v[j]) / piv
-            basis.append(vec)
-        out.append(Subspace.from_vectors(n, basis))
+        # the basis e_j - (v_j / v_pivot) e_pivot, j != pivot
+        out.append(Subspace.from_vectors(n, [
+            [Fraction(-v[j], v[pivot]) if i == pivot else int(i == j)
+             for i in range(n)] for j in range(n) if j != pivot]))
     return out
 
 
@@ -108,17 +121,12 @@ def stability(a: Form, sampled=False) -> StabilityReport:
     """
     p = _homogeneous_degree(a)
     n = a.n
-    orbit = orbit_matrix(a)
+    rows = _polar_rows([a])
     full = comb(n, p)
-    orbit_dim = span_rank(orbit, n * n)
-    per = {}
-    want = comb(n - 1, p)
-    for i in range(1, n + 1):
-        # restricting to e_i^perp keeps the coordinates e^K with i not in K
-        sub = [row for K, row in zip(lex_index(n, p)[0], orbit) if i not in K]
-        per[i] = (span_rank(sub, n * n) == want)
-    sampled_ok = None
-    if sampled:
-        sampled_ok = all(e_stable(a, w) for w in sampled_hyperplanes(n))
+    orbit_dim = _polar_count(rows, range(1, n + 1), n)
+    per = {i: _polar_count(rows, [j for j in range(1, n + 1) if j != i], n)
+           == comb(n - 1, p) for i in range(1, n + 1)}
+    sampled_ok = (all(e_stable(a, w) for w in sampled_hyperplanes(n))
+                  if sampled else None)
     return StabilityReport(n, p, orbit_dim, full, orbit_dim == full,
                            per, sampled_ok)

@@ -1,10 +1,11 @@
 import pytest
 
-from edsx.cartan import (CartanError, PolarReport, _polar_rows, flag_search,
-                         flag_test, stable_flag_test)
+from edsx.cartan import (CartanError, PolarReport, flag_search, flag_test,
+                         stable_flag_test)
 from edsx.catalog import get_structure
 from edsx.dga import analysis
 from edsx.linalg import span_rank
+from edsx.stability import _polar_rows
 
 
 def test_even_family_default_flag():
@@ -59,6 +60,19 @@ def test_stable_flag_for_the_plane_pair_form():
     w = get_structure("example-712").generators["w"]
     rep = stable_flag_test(w, 7)
     assert rep.codim_z0 == 34
+    assert rep.ordinary
+
+
+@pytest.mark.parametrize("name,gen,drop,c_values,codim", [
+    ("g2", "phi", 7, [0, 0, 0, 1, 4, 10, 20, 35], 35),
+    ("spin7", "cayley", 8, [0, 0, 0, 0, 1, 5, 15, 35, 43], 56),
+])
+def test_stable_flag_counts_are_pinned(name, gen, drop, c_values, codim):
+    # every proper prefix is stable here: c(E_k) = C(k, p) and the
+    # codimension is C(n, p + 1)
+    rep = stable_flag_test(get_structure(name).generators[gen], drop)
+    assert rep.c_values == c_values
+    assert rep.codim_z0 == codim
     assert rep.ordinary
 
 

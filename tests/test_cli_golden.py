@@ -80,6 +80,13 @@ GOLDEN = [
       "--drop", "3"], 0,
      "93a681926d81091a855e733561c23c7e386a581013335895511c04b30296cf55",
      "b6fcbe6645d4be61157146a24263818d6d6a958480014d81d2253d985267fa46"),
+    # E-stability on the sampled non-coordinate hyperplanes
+    (["stability", "--structure", "spin7", "--sampled"], 0,
+     "f8a5a772cadc570a170411306a119960d215ec8fd74e779cc43203b8a767e7cd",
+     "cd38c3b93aa058e8430e802e0dffd130a46b4f21e6a3f0efbce766c5a3265e61"),
+    (["stability", "--structure", "psu3", "--sampled"], 0,
+     "5252c3c2be47279785662d4241b29943068935fabe49b37ca057204e14cec396",
+     "2dea2fd06af9791070eae7203764089aa4125237d31444a25c0ba87ee5c3b2d1"),
 ]
 
 

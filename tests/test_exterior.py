@@ -168,3 +168,22 @@ def test_unclosed_monomial_bracket_is_named():
         parse_form("e[1,2", 3)
     with pytest.raises(ValueError, match=r"unclosed '\[' at position 8 "):
         parse_form("e[1] + e[2,3", 3)
+
+
+def test_subspace_rejects_dependent_vectors():
+    e = [[1 if i == j else 0 for i in range(3)] for j in range(3)]
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, e + [[1, 1, 1]])
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [[1, 2, 0], [2, 4, 0]])
+    assert Subspace.from_vectors(3, [[1, 1, 1], e[0]]).dim == 2
+
+
+def test_completed_basis_begins_with_the_subspace():
+    w = Subspace.from_vectors(4, [[1, 1, 0, 0], [0, 1, 1, 1]])
+    full = w.completed()
+    assert full.dim == 4
+    assert full.vectors[:2] == w.vectors
+    # e_2 is skipped: it lies in the span of w and e_1
+    assert full.vectors[2:] == Subspace.coordinate(4, [1, 3]).vectors
+    assert Subspace.from_vectors(4, full.vectors).dim == 4

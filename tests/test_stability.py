@@ -1,9 +1,31 @@
 import json
+from itertools import combinations
+from math import comb
 
+import pytest
+
+from edsx import cartan, rep as rep_module, stability as stability_module
 from edsx.catalog import get_structure
-from edsx.exterior import Subspace
+from edsx.exterior import Form, Subspace, coords, restrict
+from edsx.linalg import span_rank
+from edsx.rep import act_on_form, gl_basis
 from edsx.scalar import Scalar
 from edsx.stability import e_stable, sampled_hyperplanes, stability
+
+
+def orbit_forms(a):
+    """The n^2 orbit forms X . a over the gl(n) basis, one Form each."""
+    return [act_on_form(x, a) for x in gl_basis(a.n)]
+
+
+def oracle_e_stable(orbit, w, p):
+    """E-stability by definition: restrict every orbit form to w and
+    ask whether they span Lambda^p w."""
+    want = comb(w.dim, p)
+    if want == 0:
+        return True
+    rows = [coords(restrict(f, w), p) for f in orbit]
+    return span_rank(rows, want) == want
 
 
 def test_stable_forms():
@@ -62,3 +84,75 @@ def test_report_json():
     assert json.loads(json.dumps(j, sort_keys=True)) == j
     assert j["orbit_dim"] == 35
     assert j["stable"] is True
+
+
+def test_sampled_hyperplanes_of_a_line_are_none():
+    assert sampled_hyperplanes(1) == []
+    report = stability(Form(1, {(1,): 1}), sampled=True)
+    assert report.sampled_ok is True
+    assert report.stable and report.per_hyperplane == {1: True}
+
+
+@pytest.mark.parametrize("name", [
+    "su-even:2", "su-even:3", "su-odd:2", "su-odd:3", "g2", "example-712"])
+def test_e_stable_matches_the_oracle_on_coordinate_subsets(name):
+    # on a coordinate prefix this is also the guarantee of the stable
+    # flag test: the prefix is stable exactly when c = C(k, p)
+    s = get_structure(name)
+    for a in s.generators.values():
+        orbit = orbit_forms(a)
+        for k in range(s.n + 1):
+            for sub in combinations(range(1, s.n + 1), k):
+                w = Subspace.coordinate(s.n, sub)
+                assert e_stable(a, w) == oracle_e_stable(orbit, w, a.degree), \
+                    (name, a, sub)
+
+
+@pytest.mark.parametrize("name", [
+    "psu3", "psu3-dual", "so3-9", "spin7", "sp2sp1"])
+def test_e_stable_matches_the_oracle_on_hyperplanes_and_flags(name):
+    s = get_structure(name)
+    spaces = ([Subspace.hyperplane(s.n, i) for i in range(1, s.n + 1)]
+              + [Subspace.coordinate(s.n, s.default_flag[:k])
+                 for k in range(s.n + 1)])
+    for a in s.generators.values():
+        orbit = orbit_forms(a)
+        for w in spaces:
+            assert e_stable(a, w) == oracle_e_stable(orbit, w, a.degree), \
+                (name, a, w)
+
+
+@pytest.mark.parametrize("name,gen", [
+    ("g2", "phi"), ("psu3", "rho"), ("spin7", "cayley"), ("sp2sp1", "sigma")])
+def test_e_stable_matches_the_oracle_on_sampled_hyperplanes(name, gen):
+    a = get_structure(name).generators[gen]
+    orbit = orbit_forms(a)
+    for w in sampled_hyperplanes(a.n):
+        assert e_stable(a, w) == oracle_e_stable(orbit, w, a.degree)
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_stability_reads_one_orbit_matrix_per_form(monkeypatch):
+    calls = {}
+    # act_on_form builds one orbit form through rep's derivation_form, so
+    # counting both also sees a copy of act_on_form imported elsewhere
+    _count_calls(monkeypatch, rep_module, "act_on_form", calls)
+    _count_calls(monkeypatch, rep_module, "derivation_form", calls)
+    _count_calls(monkeypatch, stability_module, "orbit_matrix", calls)
+    cay = get_structure("spin7").generators["cayley"]
+    assert stability(cay, sampled=True).sampled_ok is True
+    # one orbit matrix for the form, one per sampled pullback
+    assert calls == {"orbit_matrix": 1 + 20}
+    calls.clear()
+    cartan.stable_flag_test(cay, 8)
+    assert calls == {"orbit_matrix": 1}
+
