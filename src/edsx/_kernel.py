@@ -309,26 +309,28 @@ def eliminate(srows, ncols, reduced=True, ops=None):
     row with the fewest nonzeros (the lower index on a tie) becomes the
     pivot row: it is normalized to a leading 1 and eliminated from the
     remaining rows that hold the column.  With reduced=True the rows are
-    then back-substituted in reverse pivot order.  The RREF of a row space
-    is unique, so the result is canonical whichever rows the pivots come
+    then back-substituted (back_substitute).  The RREF of a row space is
+    unique, so the result is canonical whichever rows the pivots come
     from, and reruns are bit-identical.
 
     Pivot row t holds the entries of the row whose leading 1 sits in
     column pivots[t], that leading 1 left out.  With reduced=True these
     are the nonzero rows of the RREF, so each holds only non-pivot
-    columns; with reduced=False they are the rows of the forward phase.
-    The dicts of srows are consumed: they become the pivot rows or are
-    emptied.  The scalars they hold are never mutated.
+    columns; with reduced=False they are the rows of the forward phase,
+    each holding only columns right of its pivot.  The dicts of srows are
+    consumed: they become the pivot rows or are emptied.  The scalars
+    they hold are never mutated.
 
-    When a list ops is passed, the row operations are appended to it in
-    the order they ran, on input row indices: (p, inv) makes row p the
-    next pivot row and scales it by inv, the inverse of its lead (ONE
-    when the lead is 1); (i, p, c) subtracts c times row p from row i.
-    With reduced=False it gets the forward phase only.  Replayed on a column b, a {row: scalar} dict,
-    they reduce b as they would reduce an augmented column of srows: the
-    entry of b on the row of the t-th (p, inv) is the entry of pivot row
-    t, and the entries on rows that never became pivot rows are the
-    entries of the zero rows.
+    When a list ops is passed, the row operations of the forward phase
+    are appended to it in the order they ran, on input row indices:
+    (p, inv) makes row p the next pivot row and scales it by inv, the
+    inverse of its lead (ONE when the lead is 1); (i, p, c) subtracts c
+    times row p from row i.  Replayed on a column b, a {row: scalar}
+    dict, they reduce b as they would reduce an augmented column of
+    srows: the entry of b on the row of the t-th (p, inv) is the entry of
+    forward pivot row t, and the entries on rows that never became pivot
+    rows are the entries of the zero rows.  Back-substitution is never
+    recorded.
     """
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
@@ -336,7 +338,6 @@ def eliminate(srows, ncols, reduced=True, ops=None):
             holding[j].add(i)
     pivots = []
     prows = []
-    sources = []
     for j in range(ncols):
         held = holding[j]
         if not held:
@@ -372,9 +373,18 @@ def eliminate(srows, ncols, reduced=True, ops=None):
         held.clear()
         pivots.append(j)
         prows.append(prow)
-        sources.append(p)
-    if not reduced:
-        return pivots, prows
+    if reduced:
+        back_substitute(pivots, prows)
+    return pivots, prows
+
+
+def back_substitute(pivots, prows):
+    """Reduce forward pivot rows to the nonzero rows of the RREF, in place.
+
+    pivots and prows are as eliminate(..., reduced=False) returns them.
+    Each pivot column is cleared from the rows above it, in reverse pivot
+    order, so afterwards every pivot row holds only non-pivot columns.
+    """
     # each pivot row holds, besides its pivot, only non-pivot columns
     # when it is subtracted, so back-substitution never adds a pivot
     # column to a row and the rows to clear are known before it starts
@@ -391,15 +401,12 @@ def eliminate(srows, ncols, reduced=True, ops=None):
         for t in above[s]:
             row = prows[t]
             c = row.pop(j)
-            if ops is not None:
-                ops.append((sources[t], sources[s], c))
             for k, v in pitems:
                 new = s_submul(row.get(k), c, v)
                 if new:
                     row[k] = new
                 else:
                     del row[k]
-    return pivots, prows
 
 
 def rref(rows, ncols, reduced=True):

@@ -16,7 +16,7 @@ an operator or a parameter value changes only a right-hand side.
 
 from math import comb
 
-from ._kernel import ONE, s_add, s_neg, s_submul
+from ._kernel import ONE, s_neg
 from .scalar import Scalar
 from .exterior import (Form, coords, derivation_form, derivation_images,
                        lex_index, wedge, _sort_sign)
@@ -178,9 +178,6 @@ class ZReport:
         self.z_doubleprime_dim = z_doubleprime_dim
         self.xi_f = xi_f
 
-    def z_prime_dim(self):
-        return self.z_prime.dim
-
     def to_json(self):
         e = "empty"
         return {
@@ -246,10 +243,11 @@ class Analysis:
     Each part is computed on first use: the closure, whose per-degree
     eliminations give the algebra's dimensions and express its elements;
     one elimination of the extension matrix, which depends only on the
-    generators, so that dim Z, codim Z_0 and a basis of Z' directions are
-    fixed and each operator only reduces its right-hand side; the
-    equivariant basis and the elimination of its extension columns; and
-    the ranks of g (x) T with and without ker m, which fix dim Z''.
+    generators, so that dim Z and codim Z_0 are fixed by its rank and each
+    operator only reduces its right-hand side (the Z' directions are
+    reduced from it only when a caller reads them); the equivariant basis
+    and the elimination of its extension columns; and the ranks of
+    g (x) T with and without ker m, which fix dim Z''.
     Only sparse kernel-form data, forms and integers are kept.
     """
 
@@ -283,31 +281,12 @@ class Analysis:
         return self._equivariant
 
     def lie_ranks(self):
-        """(rank of g (x) T, rank of g (x) T together with ker m).
-
-        A row g less sum_f g_f K_f, over the free columns f of m and their
-        kernel vectors K_f, is g reduced modulo ker m: it lies on the pivot
-        columns, so rank(G + ker m) = dim ker m + rank of the reduced G.
-        """
+        """(rank of g (x) T, rank of g (x) T together with ker m)."""
         if self._lie_ranks is None:
             ext = self.extension()
-            kernel = ext.kernel_vectors()
             g_rows = lie_tensor_rows(self.s.lie, self.s.n)
-            reduced = []
-            for g in g_rows:
-                res = {}
-                for j, c in g.items():
-                    v = kernel.get(j)
-                    if v is None:
-                        res[j] = s_add(res.get(j), c)
-                        continue
-                    for p, kc in v.items():
-                        if p != j:
-                            res[p] = s_submul(res.get(p), c, kc)
-                reduced.append({k: v for k, v in res.items() if v})
-            g_rank = span_rank(g_rows, ext.ncols)
-            with_kernel = len(kernel) + span_rank(reduced, ext.ncols)
-            self._lie_ranks = (g_rank, with_kernel)
+            self._lie_ranks = (span_rank(g_rows, ext.ncols),
+                               ext.rank_with_kernel(g_rows))
         return self._lie_ranks
 
 
@@ -415,7 +394,7 @@ def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
     sol = a.extension().solve(_extension_rhs(_generator_pairs(s, fvals)))
     if sol.is_empty:
         return ZReport(n, sol, None, None, None)
-    z_dim = len(sol.basis) + n * (n * (n + 1) // 2)
+    z_dim = sol.dim + n * (n * (n + 1) // 2)
     g_rank, with_kernel = a.lie_ranks()
     z2 = with_kernel - g_rank
     xi = HomMap.from_coords(n, sol.particular) if z2 == 0 else None
@@ -446,7 +425,7 @@ def strong_admissibility(s: StructureSpec):
     g_rank, with_kernel = a.lie_ranks()
     # the Z' directions are independent: g (x) T lies in their span exactly
     # when adding it leaves the rank unchanged
-    g_inside = (with_kernel == len(z0.z_prime.basis))
+    g_inside = (with_kernel == z0.z_prime.dim)
     report["z_doubleprime_dim"] = z0.z_doubleprime_dim
     report["codim_z0"] = codim
     report["dim_t_gperp"] = expected

@@ -6,9 +6,13 @@ and integer numerators, see edsx._kernel); exterior.coords builds them
 straight from Form.terms.  Everything reduces to one deterministic
 elimination (see edsx._kernel for the pivot rule), so ranks, kernels,
 and affine solves are canonical: the same input always yields the same
-basis vectors.  Elimination eliminates one matrix once and solves each
-later right-hand side by replaying the row operations of that
-elimination on it.  No function here mutates the rows it is given.
+basis vectors.  Elimination factors one matrix once, by the forward
+phase alone: its rank is the pivot count, and each later right-hand side
+is solved by replaying the forward row operations on it and then a
+triangular back-solve through the forward pivot rows.  Only a kernel
+needs the reduced form, so the back-substitution runs on demand, once,
+when the kernel is first read.  No function here mutates the rows it is
+given.
 
 Matrix, rank and rref are the dense boundary, for callers holding dense
 rows of Scalars: a Matrix holds dense lists of {mask: Fraction} cells
@@ -18,7 +22,7 @@ them to kernel scalars and back.
 
 from __future__ import annotations
 
-from ._kernel import eliminate
+from ._kernel import back_substitute, eliminate
 from ._kernel import rref as _rref_rows
 from ._kernel import ONE, s_mul, s_neg, s_submul, s_to_fractions
 from .scalar import as_scalar
@@ -65,14 +69,27 @@ class Matrix:
 
 
 class AffineSpace:
-    """Solution set x0 + span(basis); particular None marks empty."""
+    """Solution set x0 + span(basis); particular None marks empty.
 
-    __slots__ = ("ambient_dim", "particular", "basis")
+    basis is a list of sparse vectors, or the Elimination whose right
+    kernel spans the directions: then dim is read off its rank and the
+    list is built on first access, so a caller that needs only dim never
+    pays for the kernel.
+    """
+
+    __slots__ = ("ambient_dim", "particular", "_basis")
 
     def __init__(self, ambient_dim, particular, basis):
         self.ambient_dim = ambient_dim
         self.particular = particular
-        self.basis = basis
+        self._basis = basis
+
+    @property
+    def basis(self):
+        b = self._basis
+        if isinstance(b, Elimination):
+            b = self._basis = [dict(v) for v in b.kernel_vectors().values()]
+        return b
 
     @property
     def is_empty(self):
@@ -83,7 +100,10 @@ class AffineSpace:
         """Affine dimension, or None for the empty set."""
         if self.particular is None:
             return None
-        return len(self.basis)
+        b = self._basis
+        if isinstance(b, Elimination):
+            return b.ncols - b.rank
+        return len(b)
 
     def __repr__(self):
         if self.is_empty:
@@ -161,29 +181,36 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
 class Elimination:
     """Solves m x = b for every right-hand side b of one matrix m.
 
-    m is eliminated once, on first use, and three things are kept: the
-    pivot columns, the right kernel of m and the row operations of that
-    elimination (see edsx._kernel.eliminate).  particular(b) replays the
-    operations on b, which reduces b as solve_affine reduces its augmented
-    column: the entries left on rows that never became pivot rows are the
-    residual, which must be exactly zero, and the entries on pivot rows
-    give the canonical particular solution, zero on the free columns.
+    m is eliminated once, on first use, by the forward phase alone (see
+    edsx._kernel.eliminate), and three things are kept: the pivot
+    columns, the forward pivot rows F and the forward row operations.
+    Each query pays only for what it reads.  The rank is the number of
+    pivots.  particular(b) replays the operations on b, which reduces b
+    as the forward phase reduces an augmented column: the entries left on
+    rows that never became pivot rows are the residual, which must be
+    exactly zero, and the entries on pivot rows are the right-hand side
+    of the triangular system F x = y, which is back-solved with every
+    free column zero.  That solution is unique and the arithmetic exact,
+    so it is the canonical particular solution that solve_affine reads
+    off the RREF.  The right kernel needs the reduced rows: the first
+    kernel_vectors() call back-substitutes a copy of F, once.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_pivots", "_kernel", "_ops")
+    __slots__ = ("nrows", "ncols", "_rows", "_pivots", "_prows", "_ops",
+                 "_kernel")
 
     def __init__(self, rows, ncols):
         self.nrows = len(rows)
         self.ncols = ncols
         self._rows = rows
-        self._pivots = self._kernel = self._ops = None
+        self._pivots = self._prows = self._ops = self._kernel = None
 
     def _eliminate(self):
         if self._ops is None:
             self._ops = []
-            self._pivots, prows = eliminate(
-                [dict(r) for r in self._rows], self.ncols, ops=self._ops)
-            self._kernel = _kernel_vectors(self._pivots, prows, self.ncols)
+            self._pivots, self._prows = eliminate(
+                [dict(r) for r in self._rows], self.ncols, reduced=False,
+                ops=self._ops)
             self._rows = None
 
     @property
@@ -218,12 +245,21 @@ class Elimination:
                         b[i] = new
                     else:
                         del b[i]
-        part = {}
-        for j, p in zip(self._pivots, sources):
-            x = b.pop(p, None)
-            if x:
-                part[j] = x
-        return None if b else part
+        y = [b.pop(p, None) for p in sources]
+        if b:
+            return None
+        # back-solve F x = y, free columns zero: row t holds only columns
+        # right of its pivot, so x on them is known when row t is reached
+        x = {}
+        for t in range(len(y) - 1, -1, -1):
+            v = y[t]
+            for k, c in self._prows[t].items():
+                xk = x.get(k)
+                if xk:
+                    v = s_submul(v, c, xk)
+            if v:
+                x[self._pivots[t]] = v
+        return {j: x[j] for j in self._pivots if j in x}
 
     def kernel_vectors(self):
         """The right kernel as {free column: sparse vector}.
@@ -231,16 +267,45 @@ class Elimination:
         The vector of free column f is a unit there and zero on the other
         free columns.  The dicts are shared; callers must not mutate them.
         """
-        self._eliminate()
+        if self._kernel is None:
+            self._eliminate()
+            prows = [dict(r) for r in self._prows]
+            back_substitute(self._pivots, prows)
+            self._kernel = _kernel_vectors(self._pivots, prows, self.ncols)
         return self._kernel
 
+    def rank_with_kernel(self, rows):
+        """Rank of the sparse rows g together with the right kernel of m.
+
+        The span of the rows and ker m has dimension dim ker m plus the
+        rank of the vectors m g.  F has the row space of m, so F g is an
+        invertible image of m g and has the same rank: each F g is summed
+        through a column index of F, and no kernel vector is needed.
+        """
+        self._eliminate()
+        column = {}
+        for t, (j, prow) in enumerate(zip(self._pivots, self._prows)):
+            column.setdefault(j, []).append((t, ONE))
+            for k, c in prow.items():
+                column.setdefault(k, []).append((t, c))
+        images = []
+        for g in rows:
+            # -F g, whose rank is that of F g
+            out = {}
+            for k, gk in g.items():
+                for t, c in column.get(k, ()):
+                    out[t] = s_submul(out.get(t), c, gk)
+            images.append({t: v for t, v in out.items() if v})
+        return (self.ncols - len(self._pivots)
+                + span_rank(images, len(self._pivots)))
+
     def solve(self, rhs) -> AffineSpace:
-        """Equal to solve_affine(m, ncols, rhs)."""
+        """Equal to solve_affine(m, ncols, rhs); the basis is built from the
+        kernel on first access."""
         part = self.particular(rhs)
         if part is None:
             return AffineSpace(self.ncols, None, [])
-        return AffineSpace(self.ncols, part,
-                           [dict(v) for v in self.kernel_vectors().values()])
+        return AffineSpace(self.ncols, part, self)
 
 
 def span_rank(rows, ncols) -> int:

@@ -9,16 +9,18 @@ from types import SimpleNamespace
 import pytest
 
 from edsx import catalog, linalg
-from edsx._kernel import eliminate
+from edsx._kernel import back_substitute, eliminate
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
                       _unit_maps, Analysis, analysis, check_operator,
-                      lie_tensor_rows, z_spaces)
+                      lie_tensor_rows, strong_admissibility, z_spaces)
+from edsx.exterior import Subspace
 from edsx.linalg import (Elimination, kernel_basis, solve_affine,
                          span_rank, transpose)
 from edsx.rep import LieRep, equivariant_maps, gl_basis, hom_dim, mat_bracket
+from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
@@ -153,6 +155,9 @@ def _assert_solves_agree(elim, m, width, rhs):
     reference = solve_affine(m, width, rhs)
     factored = elim.solve(rhs)
     assert factored.particular == reference.particular
+    if not reference.is_empty:
+        assert list(factored.particular) == list(reference.particular)
+        assert factored.dim == reference.dim
     assert factored.basis == reference.basis
     return reference
 
@@ -253,6 +258,104 @@ def test_factored_solve_of_random_radical_systems():
                     {i: rng.choice(radicals).c for i in range(len(m))
                      if rng.random() < 0.5}, {}):
             _assert_solves_agree(elim, m, width, rhs)
+
+
+def test_factored_particular_is_the_back_solve_of_random_systems():
+    # wide, tall and rank-deficient radical systems; the rhs is m x, a
+    # random vector, zero, or held only by rows that never become pivot
+    # rows, which no combination of m's columns can reach
+    rng = random.Random(4412)
+    radicals = [Scalar.of(1), Scalar.sqrt(2), Scalar.sqrt(5),
+                Scalar.sqrt(7), Scalar.sqrt(2) - Scalar.sqrt(7),
+                Scalar.of(2) + Scalar.sqrt(5)]
+    one = Scalar.of(1).c
+    empty = unreachable = 0
+    for t in range(60):
+        nrows, width = [(rng.randint(2, 5), rng.randint(6, 12)),
+                        (rng.randint(6, 12), rng.randint(2, 5)),
+                        (rng.randint(4, 9), rng.randint(4, 9))][t % 3]
+        m = []
+        for _ in range(nrows):
+            row = {}
+            for k in range(width):
+                if rng.random() < 0.35:
+                    v = rng.choice(radicals) * Scalar.of(
+                        Fraction(rng.choice([-4, -1, 1, 3]),
+                                 rng.choice([1, 3, 5])))
+                    row[k] = v.c
+            m.append(row)
+        if t % 3 == 2:
+            # rank-deficient: a combination of two rows, and a zero column
+            i, j = rng.sample(range(nrows), 2)
+            c = rng.choice(radicals).c
+            m.append({k: v for k, v in (
+                (k, (Scalar(m[i].get(k)) - Scalar(c) * Scalar(m[j].get(k))).c)
+                for k in set(m[i]) | set(m[j])) if v})
+            dead = rng.randrange(width)
+            m = [{k: v for k, v in row.items() if k != dead} for row in m]
+        ops = []
+        eliminate([dict(r) for r in m], width, reduced=False, ops=ops)
+        pivot_rows = {op[0] for op in ops if len(op) == 2}
+        off_pivot = {i: one for i in range(len(m)) if i not in pivot_rows}
+        x = {k: rng.choice(radicals).c
+             for k in range(width) if rng.random() < 0.6}
+        elim = Elimination(m, width)
+        for rhs in (_times(m, x), {},
+                    {i: rng.choice(radicals).c for i in range(len(m))
+                     if rng.random() < 0.5}, off_pivot):
+            want = solve_affine(m, width, rhs).particular
+            got = elim.particular(rhs)
+            if want is None:
+                assert got is None
+                empty += 1
+            else:
+                assert list(got.items()) == list(want.items())
+            if rhs is off_pivot and rhs:
+                assert got is None
+                unreachable += 1
+        assert elim.particular(_times(m, x)) is not None
+    assert empty > unreachable > 10
+
+
+def _counted_back_substitutions(monkeypatch):
+    """Calls of the back-substitution that Elimination makes, each on a
+    fresh catalog; kernel_basis reaches it through eliminate and is not
+    counted."""
+    calls = []
+
+    def counted(pivots, prows):
+        calls.append(len(pivots))
+        return back_substitute(pivots, prows)
+
+    monkeypatch.setattr(linalg, "back_substitute", counted)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    return calls
+
+
+def test_only_the_z_prime_basis_back_substitutes(monkeypatch):
+    calls = _counted_back_substitutions(monkeypatch)
+    radical = _assignment(get_structure("su-odd:3").operators["A"],
+                          PARAMS[1])
+    for query in (lambda: z_spaces(get_structure("so3-9"), "zero"),
+                  lambda: flag_test(get_structure("psu3")),
+                  lambda: strong_admissibility(get_structure("spin7")),
+                  lambda: check_operator(get_structure("su-odd:3"), "A",
+                                         radical),
+                  lambda: z_spaces(get_structure("su-odd:3"), "A", radical)):
+        catalog._CACHE.clear()
+        query()
+        assert calls == []
+    hyperplane = Subspace.coordinate(8, range(1, 8))
+    for warm in (False, True):
+        catalog._CACHE.clear()
+        s = get_structure("psu3")
+        if warm:
+            flag_test(s)
+        restrict_structure(s, "zero", None, hyperplane)
+        assert len(calls) == 1
+        restrict_structure(s, "zero", None, hyperplane)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_equivariant_maps_returns_a_fresh_list():

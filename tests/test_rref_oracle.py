@@ -21,9 +21,17 @@ from sympy.polys.matrices import DomainMatrix
 
 from edsx._kernel import (DIVISORS, PRIMES, eliminate, rref, s_from_fractions,
                           s_inv, s_mul, s_to_fractions)
+from edsx.catalog import get_structure
+from edsx.dga import _derivation_matrix, _unit_maps
 from edsx.exterior import Form, hodge, wedge
-from edsx.linalg import Matrix, rank
+from edsx.linalg import Matrix, rank, span_rank
+from edsx.papercheck import SUITE_SEED, _rand_scalar
+from edsx.rep import hom_dim
 from edsx.scalar import Scalar
+
+CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
+           "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
+           "sp2sp1", "example-712")
 
 
 class Field:
@@ -242,3 +250,72 @@ def test_wedge_with_the_hodge_star_is_the_inner_product(fields):
         assert set(got.terms) <= {volume}
         have = got.terms.get(volume, Scalar()).c
         assert expand(inner - _sympy_value(have)) == 0, (a, c)
+
+
+# A prime p = 3 mod 4 below 2**61 under which 2, 3, 5 and 7 are squares:
+# sqrt(q) -> q^((p+1)/4) is then a ring map from the field's elements with
+# denominators prime to p onto Z/p, so a rank mod p is at most the exact
+# rank, and equal to it unless p divides some minor.
+P = 2 ** 61 - 3153
+ROOTS = [pow(q, (P + 1) // 4, P) for q in PRIMES]
+
+
+def _mod_p(c):
+    den, nums = c
+    acc = 0
+    for mask, x in nums.items():
+        for k, r in enumerate(ROOTS):
+            if mask >> k & 1:
+                x = x * r % P
+        acc += x
+    return acc * pow(den, -1, P) % P
+
+
+def _rank_mod_p(rows, ncols):
+    """Forward rank of sparse kernel-scalar rows, reduced mod P."""
+    rows = [{j: x for j, c in row.items() if (x := _mod_p(c))}
+            for row in rows]
+    rank = 0
+    for j in range(ncols):
+        held = [i for i, row in enumerate(rows) if j in row]
+        if not held:
+            continue
+        prow = rows.pop(held[0])
+        inv = pow(prow[j], -1, P)
+        for row in (rows[i - 1] for i in held[1:]):
+            f = row[j] * inv % P
+            for k, v in prow.items():
+                x = (row.get(k, 0) - f * v) % P
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+        rank += 1
+    return rank
+
+
+def test_the_roots_mod_p_are_square_roots():
+    assert P % 4 == 3 and pow(3, P - 1, P) == 1
+    assert all(r * r % P == q for q, r in zip(PRIMES, ROOTS))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_extension_ranks_agree_mod_p(name):
+    s = get_structure(name)
+    m = _derivation_matrix(list(s.generators.values()), _unit_maps(s.n))
+    width = hom_dim(s.n)
+    want = span_rank(m, width)
+    assert _rank_mod_p(m, width) == want
+    if name == "so3-9":
+        assert (want, width) == (200, 324)
+
+
+def test_rank_determinism_cases_agree_mod_p():
+    # the matrices of the paper-check rank-determinism suite
+    rng = random.Random(SUITE_SEED + 4)
+    for _ in range(1000):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        data = [[_rand_scalar(rng) for _ in range(ncols)]
+                for _ in range(nrows)]
+        rows = [{j: x.c for j, x in enumerate(row) if x} for row in data]
+        assert _rank_mod_p(rows, ncols) == rank(Matrix.from_rows(data))
