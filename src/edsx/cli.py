@@ -2,13 +2,14 @@
 
 Every subcommand accepts --json for a machine-readable payload with
 sorted keys, so output bytes are stable across runs.  Exit codes:
-0 all assertions pass, 1 an assertion failed, 2 usage error.  Lines
-tagged "flagged" report known misprints in the reproduced source and
-never affect the exit code.
+0 all assertions pass, 1 an assertion failed or stdout was closed
+early, 2 usage error.  Lines tagged "flagged" report known misprints in
+the reproduced source and never affect the exit code.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -361,10 +362,18 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except USAGE_ERRORS as exc:
         print("edsx: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: what Python flushes at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

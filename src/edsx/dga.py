@@ -20,8 +20,8 @@ from ._kernel import ONE, s_neg
 from .scalar import Scalar
 from .exterior import (Form, coords, derivation_form, derivation_images,
                        lex_index, wedge, _sort_sign)
-from .linalg import Elimination, span_rank, transpose
-from .rep import HomMap, _combine_maps, equivariant_maps, hom_dim, invariants
+from .linalg import Elimination, combine, span_rank, transpose
+from .rep import HomMap, equivariant_coords, hom_dim, invariants
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
@@ -269,15 +269,12 @@ class Analysis:
         return self._extension
 
     def equivariant(self):
-        """(equivariant basis, Elimination of its extension columns or None)."""
+        """(equivariant basis in Hom coordinates, Elimination of its
+        extension columns)."""
         if self._equivariant is None:
-            basis = equivariant_maps(self.s.lie)
-            elim = None
-            if basis:
-                elim = Elimination(_derivation_matrix(
-                    list(self.s.generators.values()),
-                    [h.coords() for h in basis]), len(basis))
-            self._equivariant = (basis, elim)
+            basis = equivariant_coords(self.s.lie)
+            self._equivariant = (basis, Elimination(_derivation_matrix(
+                list(self.s.generators.values()), basis), len(basis)))
         return self._equivariant
 
     def lie_ranks(self):
@@ -356,12 +353,9 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     equi = None
     if extends_ok:
         basis, elim = a.equivariant()
-        if basis:
-            coeffs = elim.particular(rhs)
-            if coeffs is not None:
-                equi = _combine_maps(basis, coeffs)
-        elif not rhs:
-            equi = HomMap.zero(n)
+        coeffs = elim.particular(rhs)
+        if coeffs is not None:
+            equi = HomMap.from_coords(n, combine(basis, coeffs))
     return OpCheck(leibniz_ok, square_zero_ok, extends_ok, witness, equi)
 
 

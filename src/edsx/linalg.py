@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._kernel import back_substitute, eliminate
 from ._kernel import rref as _rref_rows
-from ._kernel import ONE, s_mul, s_neg, s_submul, s_to_fractions
+from ._kernel import ONE, s_add, s_mul, s_neg, s_submul, s_to_fractions
 from .scalar import as_scalar
 
 
@@ -316,6 +316,19 @@ def span_rank(rows, ncols) -> int:
 def in_span(rows, v, ncols) -> bool:
     """True when the sparse vector v is a combination of the sparse rows."""
     return not solve_affine(transpose(rows, ncols), len(rows), v).is_empty
+
+
+def combine(rows, coeffs):
+    """The sparse sum of rows[k] times coeffs[k] over a sparse vector coeffs."""
+    out = {}
+    for k, c in coeffs.items():
+        for j, x in rows[k].items():
+            x = s_add(out.get(j), s_mul(x, c))
+            if x:
+                out[j] = x
+            else:
+                del out[j]
+    return out
 
 
 def echelon_span(rows, ncols):

@@ -11,6 +11,14 @@ exterior.derivation_images); on vectors X acts as v -> X v.
 Invariance kernels do not depend on this sign choice, and orbit spans
 {X . a} are the same set either way.
 
+On Hom(T, Lambda^2 T), in the sparse coordinates of HomMap, X acts by
+(X . D)(xi) = X . D(xi) - D(X . xi): the tensor rule X (x) 1 + 1 (x) X
+of the Casimir spaces, with -D o X on the coframe slot (read off
+action_index) and the coframe action on the unit 2-forms.  invariants
+and equivariant_coords intersect the generators' kernels one at a time
+in coordinates and end with one echelon_span, so their bases are
+canonical.
+
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
 from the scalar action of C = sum_b x_b^2 on T, then reads off spin
@@ -29,11 +37,11 @@ from __future__ import annotations
 
 from math import comb
 
-from ._kernel import ONE, s_add, s_mul, s_neg, s_quotient, s_sub
-from .exterior import (Form, _sort_sign, coords, derivation_form,
-                       derivation_images, flatten, from_coords, lex_index)
-from .linalg import (Elimination, echelon_span, kernel_basis, span_rank,
-                     transpose)
+from ._kernel import ONE, s_add, s_mul, s_neg, s_quotient
+from .exterior import (Form, coords, derivation_form, derivation_images,
+                       flatten, from_coords, lex_index)
+from .linalg import (Elimination, combine, echelon_span, kernel_basis,
+                     span_rank, transpose)
 from .scalar import Scalar, as_scalar
 
 
@@ -50,18 +58,10 @@ def mat_is_skew(m) -> bool:
 
 
 def mat_bracket(x, y):
-    """xy - yx."""
-    out = []
-    for xi, yi in zip(x, y):
-        row = {}
-        for k, a in xi.items():
-            for j, b in y[k].items():
-                row[j] = s_add(row.get(j), s_mul(a, b))
-        for k, a in yi.items():
-            for j, b in x[k].items():
-                row[j] = s_sub(row.get(j), s_mul(a, b))
-        out.append({j: c for j, c in row.items() if c})
-    return out
+    """xy - yx: row i combines the rows k of y by x[i][k], of x by -y[i][k]."""
+    n, rows = len(x), y + x
+    return [combine(rows, {**xi, **{n + k: s_neg(c) for k, c in yi.items()}})
+            for xi, yi in zip(x, y)]
 
 
 def _mat_coords(m):
@@ -140,35 +140,45 @@ def act_on_form(x, a: Form) -> Form:
     return derivation_form(a, action_index([x], a.n))
 
 
-def _combine_forms(forms, coeffs):
-    """The sum of forms[k] times coeffs[k] over a sparse coefficient vector."""
-    acc = Form(forms[0].n)
-    for k, c in coeffs.items():
-        acc = acc + forms[k].scale(Scalar(c))
-    return acc
+def _form_operators(mats, n, p):
+    """The coframe action of each matrix on degree-p forms as sparse rows
+    over the lex-ordered p-subsets; column t is the image of the t-th unit
+    form."""
+    subsets, pos = lex_index(n, p)
+    index = action_index(mats, n)
+    ops = [[{} for _ in subsets] for _ in mats]
+    for t, I in enumerate(subsets):
+        for K, row in derivation_images(Form(n, {I: 1}), index).items():
+            for u, c in row.items():
+                ops[u][pos[K]][t] = c
+    return ops
 
 
-def _combine_maps(maps, coeffs):
-    """The sum of maps[k] times coeffs[k], combined image by image."""
-    n = maps[0].n
-    return HomMap(n, [_combine_forms([h.images[i] for h in maps], coeffs)
-                      for i in range(n)])
+def _common_kernel(gens, images, dim):
+    """Echelon basis of the vectors over dim columns that every generator
+    kills, the kernels intersected one generator at a time; images(x,
+    basis) lists the images under x of the sparse basis vectors."""
+    basis = [{k: ONE} for k in range(dim)]
+    for x in gens:
+        if not basis:
+            return []
+        cols = images(x, basis)
+        basis = [combine(basis, c)
+                 for c in kernel_basis(transpose(cols, dim), len(cols))]
+    return echelon_span(basis, dim)
 
 
 def invariants(g: LieRep, p: int):
     """Echelon basis of the forms of degree p killed by every generator."""
     n = g.n
-    dim = comb(n, p)
-    basis = [Form(n, {I: 1}) for I in lex_index(n, p)[0]]
-    for x in g.basis:
-        if not basis:
-            return []
+
+    def images(x, basis):
         index = action_index([x], n)
-        cols = [coords(derivation_form(b, index), p) for b in basis]
-        basis = [_combine_forms(basis, c)
-                 for c in kernel_basis(transpose(cols, dim), len(cols))]
+        return [coords(derivation_form(from_coords(v, n, p), index), p)
+                for v in basis]
+
     return [from_coords(row, n, p)
-            for row in echelon_span([coords(f, p) for f in basis], dim)]
+            for row in _common_kernel(g.basis, images, comb(n, p))]
 
 
 def gl_basis(n, skew=False):
@@ -194,14 +204,9 @@ def orbit_matrix(a: Form, skew=False):
 def stabilizer(a: Form, skew=False, name=None) -> LieRep:
     """Matrices with X . a = 0, in gl(n) or intersected with so(n)."""
     gens = gl_basis(a.n, skew=skew)
-    mats = []
-    for c in kernel_basis(orbit_matrix(a, skew=skew), len(gens)):
-        acc = [{} for _ in range(a.n)]
-        for k, co in c.items():
-            for row, grow in zip(acc, gens[k]):
-                for j, x in grow.items():
-                    _add_entry(row, j, s_mul(x, co))
-        mats.append(acc)
+    by_row = list(zip(*gens))
+    mats = [[combine(rows, c) for rows in by_row]
+            for c in kernel_basis(orbit_matrix(a, skew=skew), len(gens))]
     label = name or ("stab(%s)" % a)
     return LieRep(label, a.n, mats, skew=skew)
 
@@ -214,10 +219,6 @@ class HomMap:
     def __init__(self, n, images):
         self.n = n
         self.images = images
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, [Form(n) for _ in range(n)])
 
     @classmethod
     def from_coords(cls, n, vec):
@@ -257,12 +258,9 @@ class HomMap:
 
 
 def act_on_hom(x, D: HomMap) -> HomMap:
-    """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi."""
-    return _act_on_hom(action_index([x], D.n), D)
-
-
-def _act_on_hom(index, D: HomMap) -> HomMap:
-    """act_on_hom for the one matrix of an action index."""
+    """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi, on
+    Forms; _hom_operator is the same action in Hom coordinates."""
+    index = action_index([x], D.n)
     images = []
     for i, img in enumerate(D.images):
         img = derivation_form(img, index)
@@ -276,33 +274,36 @@ def hom_dim(n):
     return n * (n * (n - 1) // 2)
 
 
-def equivariant_maps(g: LieRep):
-    """Basis of Hom(T, Lambda^2 T) commuting with the g-action.
-
-    Computed once per LieRep; each call returns a fresh list.
-    """
+def equivariant_coords(g: LieRep):
+    """Sparse Hom coordinates of the echelon basis of the maps
+    T -> Lambda^2 T commuting with the g-action; computed once per
+    LieRep and shared, so callers only read them."""
     if g._equivariant is None:
-        g._equivariant = _equivariant_basis(g)
-    return list(g._equivariant)
+        dim = hom_dim(g.n)
+
+        def images(x, basis):
+            cols = transpose(_hom_operator(x, g.n), dim)
+            return [combine(cols, v) for v in basis]
+
+        g._equivariant = tuple(_common_kernel(g.basis, images, dim))
+    return g._equivariant
 
 
-def hom_units(n):
-    """The unit maps of Hom(T, Lambda^2 T), in coordinate order."""
-    return [HomMap.from_coords(n, {t: ONE}) for t in range(hom_dim(n))]
+def equivariant_maps(g: LieRep):
+    """Basis of Hom(T, Lambda^2 T) commuting with the g-action, as fresh
+    HomMaps on each call."""
+    return [HomMap.from_coords(g.n, v) for v in equivariant_coords(g)]
 
 
-def _equivariant_basis(g: LieRep):
-    n = g.n
-    basis = hom_units(n)
-    for x in g.basis:
-        if not basis:
-            return []
-        index = action_index([x], n)
-        cols = [_act_on_hom(index, D).coords() for D in basis]
-        basis = [_combine_maps(basis, c) for c in
-                 kernel_basis(transpose(cols, hom_dim(n)), len(cols))]
-    return [HomMap.from_coords(n, row) for row in
-            echelon_span([D.coords() for D in basis], hom_dim(n))]
+def _hom_operator(x, n):
+    """The action of x on Hom(T, Lambda^2 T) as sparse rows in HomMap
+    coordinates, by the tensor rule x (x) 1 + 1 (x) x: -D o x on the
+    coframe slot, and the coframe action on the unit 2-forms."""
+    # -D(x . e^i) = -sum d D(e^j) over the (j, d) of x . e^i
+    slot = [{j - 1: s_neg(d) for _, (j,), d in entries}
+            for entries in action_index([x], n)]
+    return _tensor_operators([slot], _form_operators([x], n, 2), n,
+                             comb(n, 2))[1][0]
 
 
 def cartan_three_form(constants, inner=None) -> Form:
@@ -371,15 +372,11 @@ class CasimirDecomposition:
 
 
 def _sparse_square_sum(sparse_ops, dim):
-    """C = sum_b op_b^2 as sparse {column: coefficient} rows."""
-    C = [{} for _ in range(dim)]
-    for op in sparse_ops:
-        for i in range(dim):
-            row = C[i]
-            for k, a in op[i].items():
-                for j, b in op[k].items():
-                    row[j] = s_add(row.get(j), s_mul(a, b))
-    return [{j: c for j, c in row.items() if c} for row in C]
+    """C = sum_b op_b^2 as sparse {column: coefficient} rows: row i
+    combines the rows k of each op_b by op_b[i][k]."""
+    rows = [row for op in sparse_ops for row in op]
+    return [combine(rows, {b * dim + k: c for b, op in enumerate(sparse_ops)
+                           for k, c in op[i].items()}) for i in range(dim)]
 
 
 def _add_entry(row, k, c):
@@ -389,18 +386,6 @@ def _add_entry(row, k, c):
         row[k] = c
     else:
         del row[k]
-
-
-def _vec_act_pair(cols, pos, j, k):
-    """Column of the vector action of x on e_j ^ e_k (bivectors, no dual
-    twist), indexed by the pair positions pos; cols is the transpose of x."""
-    out = {}
-    for K, c in ([((l + 1, k), c) for l, c in cols[j - 1].items()]
-                 + [((j, l + 1), c) for l, c in cols[k - 1].items()]):
-        K, sign = _sort_sign(K)
-        if sign:
-            _add_entry(out, pos[K], c if sign > 0 else s_neg(c))
-    return out
 
 
 def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
@@ -425,11 +410,11 @@ def _space_operators(g: LieRep, label):
     if label == "T":
         return n, g.basis
     if label == "t-lambda2":
-        pairs, pos = lex_index(n, 2)
-        l2_ops = [transpose([_vec_act_pair(cols, pos, *J) for J in pairs],
-                            len(pairs))
-                  for cols in (transpose(x, n) for x in g.basis)]
-        return _tensor_operators(g.basis, l2_ops, n, len(pairs))
+        # x acts on bivectors e_j ^ e_k as -x acts on the coframe
+        neg = [[{j: s_neg(c) for j, c in row.items()} for row in x]
+               for x in g.basis]
+        return _tensor_operators(g.basis, _form_operators(neg, n, 2), n,
+                                 comb(n, 2))
     if label == "t-g":
         consts = g.structure_constants()
         k = g.dim
@@ -512,16 +497,10 @@ def _restrict_to_block(C, block):
 
 def _shift_diagonal(rows, c):
     """Fresh sparse rows of M + c I from the sparse rows of M."""
-    out = []
-    for i, row in enumerate(rows):
-        row = dict(row)
-        if c:
-            d = s_add(row.get(i), c)
-            if d:
-                row[i] = d
-            else:
-                del row[i]
-        out.append(row)
+    out = [dict(row) for row in rows]
+    if c:
+        for i, row in enumerate(out):
+            _add_entry(row, i, c)
     return out
 
 

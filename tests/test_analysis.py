@@ -16,7 +16,7 @@ from edsx.catalog import (get_structure, parse_structure_name,
 from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
                       _unit_maps, Analysis, analysis, check_operator,
                       lie_tensor_rows, strong_admissibility, z_spaces)
-from edsx.exterior import Subspace
+from edsx.exterior import Form, Subspace
 from edsx.linalg import (Elimination, kernel_basis, solve_affine,
                          span_rank, transpose)
 from edsx.rep import LieRep, equivariant_maps, gl_basis, hom_dim, mat_bracket
@@ -123,11 +123,9 @@ def test_factored_solve_equals_solve_affine():
         assert z_spaces(s, op, params).z_prime.particular \
             == reference.particular
         basis, elim = analysis(s).equivariant()
-        if basis:
-            em = _derivation_matrix(list(s.generators.values()),
-                                    [h.coords() for h in basis])
-            assert elim.particular(rhs) \
-                == solve_affine(em, len(basis), rhs).particular
+        em = _derivation_matrix(list(s.generators.values()), basis)
+        assert elim.particular(rhs) \
+            == solve_affine(em, len(basis), rhs).particular
 
 
 def _times(m, x):
@@ -367,6 +365,25 @@ def test_equivariant_maps_returns_a_fresh_list():
     again = equivariant_maps(lie)
     again.append(again[0])
     assert equivariant_maps(lie) == expected
+    # nor the maps themselves: mutating one leaves the next call intact
+    printed = [repr(h) for h in expected]
+    assert str(expected[0].images[0]) == "e[1,5]"
+    mutated = equivariant_maps(lie)
+    mutated[0].images[0] = Form.zero(5)
+    mutated[1].images[1].terms.clear()
+    assert [repr(h) for h in equivariant_maps(lie)] == printed
+
+
+def test_equivariant_maps_are_pinned():
+    # the flattened maps of the catalog, pinned before the action on
+    # Hom(T, Lambda^2 T) moved from Forms to sparse coordinates
+    flat = [[[str(x) for x in h.flatten()]
+             for h in equivariant_maps(get_structure(name).lie)]
+            for name in CATALOG]
+    assert [len(maps) for maps in flat] == [0, 2, 0, 7, 5, 3, 1, 1, 0, 1,
+                                            0, 0, 1]
+    assert hashlib.sha256(json.dumps(flat).encode()).hexdigest() == \
+        "0426275363e2954d85fcd626e4a6eff34b8240dc8bc3897bcb9bc84e258e8cf1"
 
 
 def test_analysis_is_built_by_the_first_query():

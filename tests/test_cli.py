@@ -149,6 +149,52 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == "c = [0,0,1,5,14,22], ordinary true\n"
 
 
+def _closed_pipe(write_through=False):
+    """A text stream on a pipe whose read end is closed: writing to it
+    raises BrokenPipeError, as when a reader such as head exits early.
+    Buffered, the error comes from the flush; written through, from the
+    first print."""
+    r, w = os.pipe()
+    os.close(r)
+    if write_through:
+        return io.TextIOWrapper(os.fdopen(w, "wb", buffering=0),
+                                write_through=True)
+    return os.fdopen(w, "w")
+
+
+def test_closed_stdout_exits_one_without_a_traceback(monkeypatch):
+    for argv, write_through in (
+            (["invariants", "--structure", "spin7", "--degree", "4"], False),
+            (["invariants", "--structure", "spin7", "--degree", "4"], True),
+            (["dga", "--structure", "su-odd:4", "--operator", "B",
+              "--params", "lambda=2,mu=r3", "--json"], False),
+            (["dga", "--structure", "su-odd:4", "--operator", "B",
+              "--params", "lambda=2,mu=r3", "--json"], True)):
+        out = _closed_pipe(write_through)
+        monkeypatch.setattr(sys, "stdout", out)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 1, argv
+        assert err.getvalue() == ""
+        # stdout now points at devnull, so closing it flushes quietly
+        out.close()
+
+
+def test_closed_stdout_pipe_of_a_process():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = _closed_pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "edsx", "invariants", "--structure",
+             "spin7", "--degree", "4"], cwd=ROOT, env=env, stdout=out,
+            stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        out.close()
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_stability_json_payload(capsys):
     code, out, _ = run(capsys, ["stability", "--structure", "g2", "--json"])
     assert code == 0

@@ -87,6 +87,16 @@ GOLDEN = [
     (["stability", "--structure", "psu3", "--sampled"], 0,
      "5252c3c2be47279785662d4241b29943068935fabe49b37ca057204e14cec396",
      "2dea2fd06af9791070eae7203764089aa4125237d31444a25c0ba87ee5c3b2d1"),
+    # equivariant witnesses at radical parameters, pinned before the action
+    # on Hom(T, Lambda^2 T) moved from Forms to sparse coordinates
+    (["dga", "--structure", "su-odd:4", "--operator", "B",
+      "--params", "lambda=2,mu=r3"], 0,
+     "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
+     "2c66f55e308b4c434d48361e4b7c871599cc71cfe89157e6548f393da91c9eab"),
+    (["dga", "--structure", "su-odd:3", "--operator", "D",
+      "--params", "lambda=2,mu=r3"], 0,
+     "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
+     "7e086ceae3904b527c9655b94ecf1b905dbf8806ec049361d2ac4b9afb6392b5"),
 ]
 
 

@@ -5,12 +5,13 @@ import pytest
 from edsx._kernel import ONE, s_neg, s_quotient, s_to_fractions
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
-from edsx.rep import (CasimirError, HomMap, LieRep, _space_operators,
-                      _weight_blocks, act_on_form, act_on_hom,
+from edsx import rep
+from edsx.rep import (CasimirError, HomMap, LieRep, _hom_operator,
+                      _space_operators, _weight_blocks, act_on_form, act_on_hom,
                       cartan_three_form, casimir_decompose, equivariant_maps,
                       gl_basis, hom_dim, invariants, mat_bracket, mat_from,
                       mat_is_skew, orbit_matrix, stabilizer)
-from edsx.linalg import span_rank
+from edsx.linalg import combine, span_rank, transpose
 from edsx.scalar import Scalar
 
 
@@ -127,7 +128,8 @@ def test_hom_map_roundtrip():
     h = HomMap.from_coords(n, {k: x.c for k, x in enumerate(vec) if x})
     assert h.flatten() == vec
     assert HomMap.from_coords(n, h.coords()) == h
-    assert HomMap.zero(n).is_zero()
+    assert HomMap.from_coords(n, {}).is_zero()
+    assert not h.is_zero()
 
 
 def test_act_on_hom_equivariance_of_invariant_maps():
@@ -137,6 +139,68 @@ def test_act_on_hom_equivariance_of_invariant_maps():
     for h in maps:
         for x in s.lie.basis:
             assert act_on_hom(x, h).is_zero()
+
+
+CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
+           "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
+           "sp2sp1", "example-712")
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_hom_operator_columns_are_the_form_action_on_units(name):
+    # column k of the coordinate operator is x . u_k for the unit map u_k,
+    # computed on Forms by act_on_hom
+    g = get_structure(name).lie
+    n = g.n
+    for x in g.basis:
+        cols = transpose(_hom_operator(x, n), hom_dim(n))
+        for k, col in enumerate(cols):
+            unit = HomMap.from_coords(n, {k: ONE})
+            assert col == act_on_hom(x, unit).coords(), (name, k)
+
+
+@pytest.mark.parametrize("name", ["su-odd:3", "g2"])
+def test_equivariant_maps_do_not_depend_on_the_basis_of_g(name):
+    g = get_structure(name).lie
+    rng = random.Random("recombine:" + name)
+    while True:
+        # each new generator mixes three old ones
+        coeffs = [{b: s_quotient(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                   for b in rng.sample(range(g.dim), 3)}
+                  for _ in range(g.dim)]
+        if span_rank(coeffs, g.dim) == g.dim:
+            break
+    by_row = list(zip(*g.basis))
+    mats = [[combine(rows, row) for rows in by_row] for row in coeffs]
+    other = LieRep(name + " recombined", g.n, mats)
+    assert other.basis != g.basis
+    assert equivariant_maps(other) == equivariant_maps(g)
+
+
+def test_stabilizer_of_phi_has_the_g2_maps():
+    s = get_structure("g2")
+    maps = equivariant_maps(stabilizer(s.generators["phi"]))
+    assert len(maps) == 1
+    assert maps == equivariant_maps(s.lie)
+
+
+def test_equivariant_maps_build_no_form_per_basis_element(monkeypatch):
+    calls = []
+    for name in ("act_on_hom", "derivation_form"):
+        real = getattr(rep, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(rep, name, counted)
+    g = get_structure("su-odd:4").lie
+    fresh = LieRep("su-odd:4 fresh", g.n, g.basis)
+    assert len(equivariant_maps(fresh)) == 3
+    assert calls == []
+    # the counters see the Form path where it is still taken
+    invariants(fresh, 2)
+    assert "derivation_form" in calls
 
 
 def test_structure_constants_of_rotations():
