@@ -259,16 +259,6 @@ _SU3_F = {
 }
 
 
-def _su3_f(a, b, c):
-    key = tuple(sorted((a, b, c)))
-    if len({a, b, c}) < 3 or key not in _SU3_F:
-        return Scalar()
-    base = as_scalar(_SU3_F[key])
-    perm = [key.index(x) for x in (a, b, c)]
-    inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
-    return base if inv % 2 == 0 else -base
-
-
 def _psu3_lie():
     """su(3) acting on itself; basis vector a acts by [u_a, -], the matrix
     of u_a holding -f_abc at row c and column b."""
@@ -309,7 +299,7 @@ def _so39_lie():
     lie = LieRep("so3-9", 9, [h, x, y])
     # bracket table [H,X] = sqrt2 Y, [H,Y] = -sqrt2 X, [X,Y] = sqrt2 H
     c = lie.structure_constants()
-    if (c[0][1], c[0][2], c[1][2]) != ([0, 0, r2], [0, -r2, 0], [r2, 0, 0]):
+    if (c[0, 1], c[0, 2], c[1, 2]) != ({2: r2.c}, {1: (-r2).c}, {0: r2.c}):
         raise CatalogError("so3-9 matrices do not satisfy the expected brackets")
     return lie
 

@@ -17,9 +17,9 @@ source for both `edsx paper-check` and the acceptance test module.
 import random
 from math import comb
 
-from ._kernel import s_mul
+from ._kernel import s_mul, s_neg
 from .cartan import flag_test
-from .catalog import _su3_f, get_structure
+from .catalog import _SU3_F, get_structure
 from .dga import (check_operator, derivation_value, strong_admissibility,
                   z_spaces)
 from .exterior import (Form, Subspace, contract, contract_index, coords,
@@ -29,7 +29,7 @@ from .rep import (act_on_form, cartan_three_form, casimir_decompose,
                   equivariant_maps, invariants, mat_bracket, mat_is_skew,
                   stabilizer)
 from .restriction import restrict_structure
-from .scalar import Scalar
+from .scalar import Scalar, as_scalar
 from .stability import stability
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
@@ -400,13 +400,24 @@ def check_restriction():
 # 9. the bracket three-form of the traceless unitary algebra
 
 
+def _su3_brackets():
+    """The pair rows (see LieRep.structure_constants) of [u_a, u_b] =
+    f_abc u_c on the Gell-Mann basis; the keys of _SU3_F are sorted."""
+    rows = {(a, b): {} for a in range(8) for b in range(a + 1, 8)}
+    for (a, b, c), text in _SU3_F.items():
+        f = as_scalar(text).c
+        rows[a - 1, b - 1][c - 1] = f
+        rows[a - 1, c - 1][b - 1] = s_neg(f)
+        rows[b - 1, c - 1][a - 1] = f
+    return rows
+
+
 def check_bracket_form():
     r = CheckResult("bracket-form",
                     "bracket three-form of the traceless unitary algebra")
     s = get_structure("psu3")
     rho = s.generators["rho"]
-    form = cartan_three_form([[[_su3_f(a, b, c) for c in range(1, 9)]
-                               for b in range(1, 9)] for a in range(1, 9)])
+    form = cartan_three_form(_su3_brackets(), 8)
     r.add(form == rho,
           "three-form built from the antisymmetric structure constants "
           "equals the catalog form", "derived")

@@ -11,6 +11,13 @@ exterior.derivation_images); on vectors X acts as v -> X v.
 Invariance kernels do not depend on this sign choice, and orbit spans
 {X . a} are the same set either way.
 
+The structure constants of a LieRep are pair rows: {(a, b): row} over
+every pair a < b of basis indices, row the sparse coordinates
+{d: kernel scalar} of [x_a, x_b] in the basis ({} when the bracket
+vanishes).  [x_b, x_a] is the negation and is never stored.  The rows are
+computed once per LieRep and shared, so callers must not mutate them;
+the ad operators of T (x) g and cartan_three_form read them.
+
 On Hom(T, Lambda^2 T), in the sparse coordinates of HomMap, X acts by
 (X . D)(xi) = X . D(xi) - D(X . xi): the tensor rule X (x) 1 + 1 (x) X
 of the Casimir spaces, with -D o X on the coframe slot (read off
@@ -99,18 +106,23 @@ class LieRep:
         self.structure_constants()
 
     def structure_constants(self):
-        """c[a][b] with [x_a, x_b] = sum_d c[a][b][d] x_d; raises when
-        a bracket leaves the span of the basis.
+        """The bracket rows {(a, b): {d: kernel scalar}} over every pair
+        a < b, with [x_a, x_b] = sum_d rows[a, b][d] x_d and {} for a
+        bracket that vanishes; [x_b, x_a] is the negation.  Raises when
+        the basis is linearly dependent or a bracket leaves its span.
 
-        Only the brackets with a < b are computed: c[b][a] = -c[a][b]
-        and c[a][a] = 0.
+        Computed once per LieRep and shared: callers must not mutate the
+        dict or its rows.
         """
         if self._constants is not None:
             return self._constants
         k = self.dim
         span = Elimination(
             transpose([_mat_coords(x) for x in self.basis], self.n ** 2), k)
-        consts = [[[Scalar()] * k for _ in range(k)] for _ in range(k)]
+        if span.rank < k:
+            raise ValueError("%s: basis is linearly dependent (rank %d of %d)"
+                             % (self.name, span.rank, k))
+        rows = {}
         for a in range(k):
             for b in range(a + 1, k):
                 br = mat_bracket(self.basis[a], self.basis[b])
@@ -118,10 +130,9 @@ class LieRep:
                 if part is None:
                     raise ValueError("%s: bracket [%d,%d] leaves the span"
                                      % (self.name, a, b))
-                consts[a][b] = [Scalar(part.get(d)) for d in range(k)]
-                consts[b][a] = [-v for v in consts[a][b]]
-        self._constants = consts
-        return consts
+                rows[a, b] = part
+        self._constants = rows
+        return rows
 
 
 def action_index(mats, n):
@@ -306,42 +317,12 @@ def _hom_operator(x, n):
                              comb(n, 2))[1][0]
 
 
-def cartan_three_form(constants, inner=None) -> Form:
-    """rho(x_a, x_b, x_c) = <[x_a, x_b], x_c> from a bracket table.
-
-    constants[a][b] is the coefficient vector of [x_a, x_b]; inner is a
-    symmetric Gram matrix (identity when omitted).
-    """
-    m = len(constants)
-    c = [[[as_scalar(v) for v in constants[a][b]] for b in range(m)]
-         for a in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if any(c[a][b][d] != -c[b][a][d] for d in range(m)):
-                raise ValueError("bracket table is not antisymmetric")
-    if inner is None:
-        gram = None
-    else:
-        gram = [[as_scalar(inner[i][j]) for j in range(m)] for i in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("inner product is not symmetric")
-    terms = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            vec = c[a][b]
-            for cc in range(b + 1, m):
-                if gram is None:
-                    val = vec[cc]
-                else:
-                    val = Scalar()
-                    for d in range(m):
-                        if vec[d] and gram[d][cc]:
-                            val = val + vec[d] * gram[d][cc]
-                if val:
-                    terms[(a + 1, b + 1, cc + 1)] = val
-    return Form(m, terms)
+def cartan_three_form(brackets, m) -> Form:
+    """rho(x_a, x_b, x_c) = <[x_a, x_b], x_c> for an orthonormal basis
+    x_1..x_m, from the bracket rows of structure_constants."""
+    return Form(m, {(a + 1, b + 1, c + 1): Scalar(v)
+                    for (a, b), row in sorted(brackets.items())
+                    for c, v in sorted(row.items()) if c > b})
 
 
 # ------------------------------------------------------------- casimir
@@ -416,11 +397,14 @@ def _space_operators(g: LieRep, label):
         return _tensor_operators(g.basis, _form_operators(neg, n, 2), n,
                                  comb(n, 2))
     if label == "t-g":
-        consts = g.structure_constants()
         k = g.dim
-        # ad(x_b) x_a = [x_b, x_a] = sum_d consts[b][a][d] x_d
-        ad_ops = [[{a: consts[b][a][d].c for a in range(k) if consts[b][a][d]}
-                   for d in range(k)] for b in range(k)]
+        # ad(x_a) x_b = [x_a, x_b] and ad(x_b) x_a = -[x_a, x_b]; pairs in
+        # lex order fill each row's columns in ascending order
+        ad_ops = [[{} for _ in range(k)] for _ in range(k)]
+        for (a, b), row in g.structure_constants().items():
+            for d, c in row.items():
+                ad_ops[a][d][b] = c
+                ad_ops[b][d][a] = s_neg(c)
         return _tensor_operators(ad_ops, g.basis, k, n)
     raise CasimirError("unknown representation space %r" % label)
 

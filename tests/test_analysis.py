@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from edsx import catalog, linalg
-from edsx._kernel import back_substitute, eliminate
+from edsx._kernel import back_substitute, eliminate, s_neg
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
@@ -17,9 +17,12 @@ from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
                       _unit_maps, Analysis, analysis, check_operator,
                       lie_tensor_rows, strong_admissibility, z_spaces)
 from edsx.exterior import Form, Subspace
-from edsx.linalg import (Elimination, kernel_basis, solve_affine,
+from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
                          span_rank, transpose)
-from edsx.rep import LieRep, equivariant_maps, gl_basis, hom_dim, mat_bracket
+from edsx.papercheck import _su3_brackets
+from edsx.rep import (LieRep, cartan_three_form, casimir_decompose,
+                      equivariant_coords, equivariant_maps, gl_basis,
+                      hom_dim, mat_bracket)
 from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
 
@@ -418,6 +421,75 @@ def test_structure_constants_equal_all_pairs(name):
         return {i * n + j: c for i, row in enumerate(m) for j, c in row.items()}
 
     span = Elimination(transpose([flat(x) for x in g.basis], n * n), g.dim)
-    want = [[[Scalar(span.particular(flat(mat_bracket(x, y))).get(d))
-              for d in range(g.dim)] for y in g.basis] for x in g.basis]
-    assert g.structure_constants() == want
+    c = g.structure_constants()
+    assert list(c) == [(a, b) for a in range(g.dim)
+                       for b in range(a + 1, g.dim)]
+    for a, x in enumerate(g.basis):
+        for b, y in enumerate(g.basis):
+            got = span.particular(flat(mat_bracket(x, y)))
+            if a < b:
+                assert got == c[a, b]
+            elif a > b:
+                assert got == {d: s_neg(v) for d, v in c[b, a].items()}
+            else:
+                assert got == {}
+
+
+def _negated(row):
+    return {d: s_neg(v) for d, v in row.items()}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_structure_constants_certified(name):
+    # an exact certificate that needs no elimination: every row
+    # recombines the basis into its bracket, and Jacobi holds on the rows
+    g = get_structure(name).lie
+    n, k = g.n, g.dim
+    c = g.structure_constants()
+    for (a, b), row in c.items():
+        assert [combine([x[i] for x in g.basis], row) for i in range(n)] \
+            == mat_bracket(g.basis[a], g.basis[b])
+    br = {(a, b): c[a, b] if a < b else _negated(c[b, a]) if a > b else {}
+          for a in range(k) for b in range(k)}
+    # [[x_a, x_b], x_c] + [[x_b, x_c], x_a] + [[x_c, x_a], x_b] = 0, with
+    # [[x_a, x_b], x_c] = sum_d c_ab^d [x_d, x_c]
+    for a in range(k):
+        for b in range(a + 1, k):
+            for e in range(b + 1, k):
+                rows, coeffs = [], {}
+                for u, v, w in ((a, b, e), (b, e, a), (e, a, b)):
+                    coeffs.update({len(rows) + d: x
+                                   for d, x in br[u, v].items()})
+                    rows.extend(br[d, w] for d in range(k))
+                assert combine(rows, coeffs) == {}
+
+
+def test_psu3_constants_are_minus_su3_f():
+    # the psu3 matrices hold -f_abc, so their brackets carry -f; the
+    # bracket-form check reads the +f table of _SU3_F, and gets +rho
+    s = get_structure("psu3")
+    c = s.lie.structure_constants()
+    f = _su3_brackets()
+    assert list(c) == list(f)
+    assert c == {pair: _negated(row) for pair, row in f.items()}
+    assert cartan_three_form(c, 8) == -s.generators["rho"]
+    assert cartan_three_form(f, 8) == s.generators["rho"]
+
+
+def test_lie_caches_hold_no_boxed_scalars():
+    # the caches on LieRep hold kernel scalars and integers only
+    def walk(x):
+        assert not isinstance(x, Scalar)
+        if isinstance(x, dict):
+            x = [*x.keys(), *x.values()]
+        if isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+
+    algebras = [get_structure(name).lie for name in CATALOG]
+    casimir_decompose(get_structure("so3-9").lie, "t-g")
+    for g in algebras:
+        equivariant_coords(g)
+        assert g._constants is not None and g._equivariant is not None
+        walk(g._constants)
+        walk(g._equivariant)

@@ -207,16 +207,21 @@ def test_structure_constants_of_rotations():
     mats = [rot(3, 3, 2), rot(3, 1, 3), rot(3, 2, 1)]
     g = validated("so3", 3, mats)
     c = g.structure_constants()
+    # one row per pair a < b, and nothing for b > a
+    assert list(c) == [(0, 1), (0, 2), (1, 2)]
     # [L_a, L_b] = eps_abc L_c
-    assert c[0][1] == [S(0), S(0), S(1)]
-    assert c[1][0] == [S(0), S(0), S(-1)]
-    assert c[0][2] == [S(0), S(-1), S(0)]
+    assert c[0, 1] == {2: ONE}
+    # [L_2, L_1] is read as the negation of the (0, 1) row
+    assert {d: s_neg(v) for d, v in c[0, 1].items()} == {2: s_neg(ONE)}
+    assert c[0, 2] == {1: s_neg(ONE)}
+    assert g.structure_constants() is c
 
 
 def test_structure_constants_reject_open_brackets():
     mats = [rot(3, 1, 2)]
     g = validated("t", 3, mats)
-    assert g.structure_constants() == [[[S(0)]]]
+    # one generator: no pair, so no row
+    assert g.structure_constants() == {}
     bad = LieRep("open", 3, [rot(3, 1, 2), rot(3, 2, 3)])
     with pytest.raises(ValueError):
         bad.structure_constants()
@@ -232,12 +237,20 @@ def test_validate_rejects_malformed_rows(rows, message):
         LieRep("bad", 3, [rows]).validate()
 
 
+def test_validate_rejects_dependent_basis():
+    # a repeated generator would make dim report 4 for so(3)
+    mats = [rot(3, 3, 2), rot(3, 1, 3), rot(3, 2, 1)]
+    dup = LieRep("dup", 3, mats + [mats[0]])
+    with pytest.raises(ValueError, match="dup: basis is linearly dependent"):
+        dup.validate()
+
+
 def test_cartan_three_form_of_rotations():
-    eps = [[[S(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for a, b, c, v in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)):
-        eps[a][b][c] = S(v)
-    assert cartan_three_form(eps) == parse_form("e[1,2,3]", 3)
+    # [L_a, L_b] = eps_abc L_c over the pairs a < b
+    eps = {(0, 1): {2: ONE}, (0, 2): {1: s_neg(ONE)}, (1, 2): {0: ONE}}
+    assert cartan_three_form(eps, 3) == parse_form("e[1,2,3]", 3)
+    g = validated("so3", 3, [rot(3, 3, 2), rot(3, 1, 3), rot(3, 2, 1)])
+    assert g.structure_constants() == eps
 
 
 def test_casimir_decomposition_of_rotation_triple():
