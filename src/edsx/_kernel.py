@@ -322,15 +322,17 @@ def eliminate(srows, ncols, reduced=True, ops=None):
     they hold are never mutated.
 
     When a list ops is passed, the row operations of the forward phase
-    are appended to it in the order they ran, on input row indices:
-    (p, inv) makes row p the next pivot row and scales it by inv, the
-    inverse of its lead (ONE when the lead is 1); (i, p, c) subtracts c
-    times row p from row i.  Replayed on a column b, a {row: scalar}
-    dict, they reduce b as they would reduce an augmented column of
-    srows: the entry of b on the row of the t-th (p, inv) is the entry of
-    forward pivot row t, and the entries on rows that never became pivot
-    rows are the entries of the zero rows.  Back-substitution is never
-    recorded.
+    are appended to it, one entry (p, inv, targets) per pivot step in the
+    order the steps ran, on input row indices: row p becomes the next
+    pivot row and is scaled by inv, the inverse of its lead (ONE when the
+    lead is 1), then for each (i, c) of the tuple targets, in order, c
+    times row p is subtracted from row i.  Replayed on a column b, a
+    {row: scalar} dict, they reduce b as they would reduce an augmented
+    column of srows: the entry of b on the row p of step t is the entry
+    of forward pivot row t, and the entries on rows that never became
+    pivot rows are the entries of the zero rows.  No target is p, so a
+    replay skips a whole step when b is zero on p.  Back-substitution is
+    never recorded.
     """
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
@@ -353,13 +355,11 @@ def eliminate(srows, ncols, reduced=True, ops=None):
             for k, v in prow.items():
                 prow[k] = s_mul(v, inv)
         if ops is not None:
-            ops.append((p, inv))
+            ops.append((p, inv, tuple((i, srows[i][j]) for i in held)))
         pitems = list(prow.items())
         for i in held:
             row = srows[i]
             c = row.pop(j)
-            if ops is not None:
-                ops.append((i, p, c))
             for k, v in pitems:
                 cur = row.get(k)
                 new = s_submul(cur, c, v)

@@ -229,14 +229,13 @@ def cmd_decompose(args):
     dec = casimir_decompose(s.lie, args.space)
     payload = {"command": "decompose", "structure": s.name,
                "space": dec.space, "dim": dec.dim,
-               "kappa": None if dec.kappa is None else str(dec.kappa),
+               "kappa": str(dec.kappa),
                "parts": [[d, m] for d, m in dec.parts],
                "components": dec.components, "provenance": "derived"}
     lines = ["%s: dim %d, %d irreducible components"
-             % (dec.space, dec.dim, dec.components)]
-    if dec.kappa is not None:
-        lines.append("casimir scale kappa = %s (eigenvalue kappa*j*(j+1) "
-                     "on the spin-j block)" % dec.kappa)
+             % (dec.space, dec.dim, dec.components),
+             "casimir scale kappa = %s (eigenvalue kappa*j*(j+1) "
+             "on the spin-j block)" % dec.kappa]
     lines.append("  " + " + ".join(
         "%d*V%d" % (m, d) if m > 1 else "V%d" % d for d, m in dec.parts))
     _emit(args, payload, lines)

@@ -185,7 +185,8 @@ class Elimination:
     edsx._kernel.eliminate), and three things are kept: the pivot
     columns, the forward pivot rows F and the forward row operations.
     Each query pays only for what it reads.  The rank is the number of
-    pivots.  particular(b) replays the operations on b, which reduces b
+    pivots.  particular(b) replays the operations on b, one pivot step at
+    a time, and skips a step whose pivot row is zero in b; this reduces b
     as the forward phase reduces an augmented column: the entries left on
     rows that never became pivot rows are the residual, which must be
     exactly zero, and the entries on pivot rows are the right-hand side
@@ -228,24 +229,19 @@ class Elimination:
             return {}
         self._eliminate()
         b = dict(rhs)
-        sources = []
-        for op in self._ops:
-            if len(op) == 2:
-                p, inv = op
-                sources.append(p)
-                x = b.get(p)
-                if x and inv is not ONE:
-                    b[p] = s_mul(x, inv)
-            else:
-                i, p, c = op
-                x = b.get(p)
-                if x:
-                    new = s_submul(b.get(i), c, x)
-                    if new:
-                        b[i] = new
-                    else:
-                        del b[i]
-        y = [b.pop(p, None) for p in sources]
+        for p, inv, targets in self._ops:
+            x = b.get(p)
+            if not x:
+                continue
+            if inv is not ONE:
+                x = b[p] = s_mul(x, inv)
+            for i, c in targets:
+                new = s_submul(b.get(i), c, x)
+                if new:
+                    b[i] = new
+                else:
+                    del b[i]
+        y = [b.pop(p, None) for p, _, _ in self._ops]
         if b:
             return None
         # back-solve F x = y, free columns zero: row t holds only columns

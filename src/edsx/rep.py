@@ -28,16 +28,21 @@ canonical.
 
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
-from the scalar action of C = sum_b x_b^2 on T, then reads off spin
-multiplicities as dim ker(C - lambda_j) / (2j + 1).
-
-C commutes with the first generator H, so the kernels are taken on the
-weight split of H: the blocks ker(H^2 + s m^2), m = 0, 1, 2, ..., hold
-the weights +-m, and only blocks with m <= j meet ker(C - lambda_j).  The
-scale s is read off T by the trace: its weights m = -j_T..j_T give
+from the scalar action of C = sum_b x_b^2 on T, and the weight scale s
+of the first generator H: H^2 = -s m^2 on the vectors of weight +-m.
+The scale is read off T by the trace: its weights m = -j_T..j_T give
 tr(H_T^2) = -s j_T (j_T + 1) n / 3, so s = -3 tr(H_T^2) / (j_T (j_T + 1) n)
 (s = 2 for the so3-9 basis, where tr(H_T^2) = -120).  A zero trace
-leaves no weights to split by and raises CasimirError.
+leaves no weights to read and raises CasimirError.
+
+T has odd dimension, so every summand has integer spin and exactly one
+vector of weight 0.  The spin multiplicities are therefore read on the
+zero-weight block B_0 = ker H alone, where C acts because it commutes
+with H: mult_j = dim ker(C|B_0 - lambda_j), for j = 0, 1, ... until they
+fill B_0.  The other weights are a certificate, not a computation: for
+m = 1..J the block ker(H^2 + s m^2) must hold 2 sum_{j >= m} mult_j
+vectors, counted by a forward-only rank, and sum_j mult_j (2j + 1) must
+be the dimension of the space; any mismatch raises CasimirError.
 """
 
 from __future__ import annotations
@@ -352,12 +357,12 @@ class CasimirDecomposition:
         return "CasimirDecomposition(%s: dim %d = %s)" % (self.space, self.dim, body)
 
 
-def _sparse_square_sum(sparse_ops, dim):
-    """C = sum_b op_b^2 as sparse {column: coefficient} rows: row i
-    combines the rows k of each op_b by op_b[i][k]."""
+def _sparse_square_sum(sparse_ops, dim, at):
+    """The rows at of C = sum_b op_b^2, as sparse {column: coefficient}
+    rows: row i combines the rows k of each op_b by op_b[i][k]."""
     rows = [row for op in sparse_ops for row in op]
     return [combine(rows, {b * dim + k: c for b, op in enumerate(sparse_ops)
-                           for k, c in op[i].items()}) for i in range(dim)]
+                           for k, c in op[i].items()}) for i in at]
 
 
 def _add_entry(row, k, c):
@@ -415,7 +420,7 @@ def _calibrate(g: LieRep):
     or H has no weights on T."""
     n = g.n
     dim, ops = _space_operators(g, "T")
-    C = _sparse_square_sum(ops, dim)
+    C = _sparse_square_sum(ops, dim, range(dim))
     c0 = C[0].get(0)
     if any(row != ({i: c0} if c0 else {}) for i, row in enumerate(C)):
         raise CasimirError("Casimir is not scalar on T; calibration fails")
@@ -424,7 +429,7 @@ def _calibrate(g: LieRep):
     j_t = (n - 1) // 2
     # the weights m = -j_T..j_T of T give tr(H^2) = -s j_T (j_T + 1) n / 3
     tr = None
-    for i, row in enumerate(_sparse_square_sum(ops[:1], dim)):
+    for i, row in enumerate(_sparse_square_sum(ops[:1], dim, range(dim))):
         tr = s_add(tr, row.get(i))
     if not tr or not j_t:
         raise CasimirError("the first generator has no weights on T; calibration fails")
@@ -432,34 +437,9 @@ def _calibrate(g: LieRep):
     return Scalar(c0) / (j_t * (j_t + 1)), s
 
 
-def _weight_blocks(hop, s, dim):
-    """Blocks ker(H^2 + s m^2) of the first generator's action hop.
-
-    A list of (m, block) per weight m with nonempty kernel.  A block maps
-    each free column to its kernel vector, a sparse {column: coefficient}
-    dict that is a unit on that column and zero on the block's other free
-    columns.
-    """
-    h2 = _sparse_square_sum([hop], dim)
-    blocks = []
-    seen = 0
-    m = 0
-    while seen < dim:
-        # weight m needs a spin j >= m, of dimension 2j + 1
-        if 2 * m + 1 > dim:
-            raise CasimirError("weights of the first generator do not fit the scale of T")
-        rows = _shift_diagonal(h2, s_mul(s, s_quotient(m * m)))
-        # a kernel vector is zero past its free column
-        kern = {max(v): v for v in kernel_basis(rows, dim)}
-        if kern:
-            blocks.append((m, kern))
-            seen += len(kern)
-        m += 1
-    return blocks
-
-
 def _restrict_to_block(C, block):
-    """C on a weight block as sparse rows, in the block's coordinates.
+    """C on a block of weight vectors as sparse rows, in the block's
+    coordinates; C maps each free column of the block to its row of C.
 
     C commutes with the weight operator, so C v lies in the block; as the
     vectors are units on their free columns and zero on the others', the
@@ -488,9 +468,23 @@ def _shift_diagonal(rows, c):
     return out
 
 
-def _kernel_dim_shift(rows, lam, dim):
-    """dim ker(M - lam I) for sparse {column: coefficient} rows."""
-    return dim - span_rank(_shift_diagonal(rows, s_neg(lam.c)), dim)
+def _kernel_dim_shift(rows, c, dim):
+    """dim ker(M + c I) for sparse {column: coefficient} rows and a kernel
+    scalar c, by a forward-only rank."""
+    return dim - span_rank(_shift_diagonal(rows, c), dim)
+
+
+def _check_weights(mult, sizes, dim):
+    """Raise CasimirError unless the spin multiplicities mult[j], j = 0..J,
+    fit the weight blocks and the space: the block of weights +-m holds
+    two vectors per summand of spin j >= m, so sizes[m - 1] = dim
+    ker(H^2 + s m^2) must be 2 sum_{j >= m} mult[j] for m = 1..J, and the
+    summands must fill dim = sum_j mult[j] (2j + 1)."""
+    for m, size in enumerate(sizes, 1):
+        if size != 2 * sum(mult[m:]):
+            raise CasimirError("weights of the first generator do not fit the scale of T")
+    if sum(k * (2 * j + 1) for j, k in enumerate(mult)) != dim:
+        raise CasimirError("spin multiplicities do not fill dimension %d" % dim)
 
 
 def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
@@ -510,23 +504,21 @@ def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
         return CasimirDecomposition(space, dim, whole.kappa, parts)
     kappa, s = _calibrate(g)
     dim, ops = _space_operators(g, space)
-    C = _sparse_square_sum(ops, dim)
-    restricted = [(m, _restrict_to_block(C, b))
-                  for m, b in _weight_blocks(ops[0], s, dim)]
-    parts = []
-    seen = 0
-    j = 0
-    while seen < dim:
+    # the zero-weight block B_0 = ker H; a kernel vector is zero past its
+    # free column
+    zero = {max(v): v for v in kernel_basis(ops[0], dim)}
+    C = dict(zip(zero, _sparse_square_sum(ops, dim, zero)))
+    rows = _restrict_to_block(C, zero)
+    # each summand of spin j has one weight-0 vector
+    mult = []
+    while sum(mult) < len(zero):
+        j = len(mult)
         if (2 * j + 1) > dim + 1:
             raise CasimirError("spectrum of C exceeds the expected spins")
         lam = kappa * (j * (j + 1))
-        # a spin-j irreducible has no weight above j
-        kd = sum(_kernel_dim_shift(rows, lam, len(rows))
-                 for m, rows in restricted if m <= j)
-        if kd:
-            if kd % (2 * j + 1):
-                raise CasimirError("kernel of C - lambda_%d is not a multiple of %d" % (j, 2 * j + 1))
-            parts.append((2 * j + 1, kd // (2 * j + 1)))
-            seen += kd
-        j += 1
+        mult.append(_kernel_dim_shift(rows, s_neg(lam.c), len(rows)))
+    h2 = _sparse_square_sum(ops[:1], dim, range(dim))
+    _check_weights(mult, [_kernel_dim_shift(h2, s_mul(s, s_quotient(m * m)), dim)
+                          for m in range(1, len(mult))], dim)
+    parts = [(2 * j + 1, k) for j, k in enumerate(mult) if k]
     return CasimirDecomposition(space, dim, kappa, parts)

@@ -296,7 +296,7 @@ def test_factored_particular_is_the_back_solve_of_random_systems():
             m = [{k: v for k, v in row.items() if k != dead} for row in m]
         ops = []
         eliminate([dict(r) for r in m], width, reduced=False, ops=ops)
-        pivot_rows = {op[0] for op in ops if len(op) == 2}
+        pivot_rows = {p for p, _, _ in ops}
         off_pivot = {i: one for i in range(len(m)) if i not in pivot_rows}
         x = {k: rng.choice(radicals).c
              for k in range(width) if rng.random() < 0.6}

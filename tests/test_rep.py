@@ -1,13 +1,17 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from edsx._kernel import ONE, s_neg, s_quotient, s_to_fractions
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
-from edsx import rep
-from edsx.rep import (CasimirError, HomMap, LieRep, _hom_operator,
-                      _space_operators, _weight_blocks, act_on_form, act_on_hom,
+from edsx import linalg, rep
+from edsx.rep import (CasimirError, HomMap, LieRep, _check_weights,
+                      _hom_operator, _space_operators, act_on_form, act_on_hom,
                       cartan_three_form, casimir_decompose, equivariant_maps,
                       gl_basis, hom_dim, invariants, mat_bracket, mat_from,
                       mat_is_skew, orbit_matrix, stabilizer)
@@ -272,8 +276,42 @@ def test_casimir_needs_three_dimensional_algebra():
         casimir_decompose(g, "t-gperp")
 
 
+def _recorded_casimir(monkeypatch, g, space):
+    """casimir_decompose(g, space) with the arguments and results of its
+    kernel_basis and span_rank calls, and the arguments of _check_weights."""
+    calls = {"kernel": [], "rank": [], "check": []}
+
+    def kernel(rows, ncols):
+        out = linalg.kernel_basis(rows, ncols)
+        calls["kernel"].append((rows, ncols, out))
+        return out
+
+    def rank(rows, ncols):
+        calls["rank"].append((len(rows), ncols))
+        return linalg.span_rank(rows, ncols)
+
+    def check(mult, sizes, dim):
+        calls["check"].append((list(mult), list(sizes), dim))
+        return _check_weights(mult, sizes, dim)
+
+    monkeypatch.setattr(rep, "kernel_basis", kernel)
+    monkeypatch.setattr(rep, "span_rank", rank)
+    monkeypatch.setattr(rep, "_check_weights", check)
+    return casimir_decompose(g, space), calls
+
+
+def _kernel_dim_qq(rows, dim, m):
+    """dim ker(M^2 + m^2 I) over QQ, for sparse rows of Fractions, by
+    sympy's elimination."""
+    M = DomainMatrix({i: {j: QQ(q.numerator, q.denominator)
+                          for j, q in row.items()}
+                      for i, row in enumerate(rows) if row}, (dim, dim), QQ)
+    shift = DomainMatrix.eye(dim, QQ).to_sparse() * QQ(m * m)
+    return dim - (M * M + shift).rank()
+
+
 @pytest.mark.parametrize("space", ["T", "t-g", "t-lambda2"])
-def test_weight_blocks_are_kernels_of_the_shifted_square(space):
+def test_weight_blocks_are_kernels_of_the_shifted_square(space, monkeypatch):
     g = get_structure("so3-9").lie
     dim, ops = _space_operators(g, space)
     # the first generator is r2 times a rational matrix Hhat
@@ -290,19 +328,101 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
                 out[i] = x
         return out
 
-    # H^2 = 2 Hhat^2, so the scale s of ker(H^2 + s m^2) is 2
-    blocks = _weight_blocks(ops[0], s_quotient(2), dim)
-    assert sum(len(block) for _, block in blocks) == dim
-    for m, block in blocks:
-        for f, vec in block.items():
-            assert all(set(s_to_fractions(c)) == {0} for c in vec.values())
-            v = {j: s_to_fractions(c)[0] for j, c in vec.items()}
-            # a unit on its free column, zero on the block's other ones
-            assert v[f] == 1
-            assert not any(k in v for k in block if k != f)
-            h2v = apply(apply(v))
-            for j in set(h2v) | set(v):
-                assert h2v.get(j, 0) + m * m * v.get(j, 0) == 0
+    _, calls = _recorded_casimir(monkeypatch, g, space)
+    # one kernel, of H on the whole space: the zero-weight block B_0
+    (rows, ncols, zero), = calls["kernel"]
+    assert (rows, ncols) == (ops[0], dim)
+    (mult, sizes, checked_dim), = calls["check"]
+    assert checked_dim == dim
+    # H^2 = 2 Hhat^2, so the scale s of ker(H^2 + s m^2) is 2 and the
+    # block sizes are dim ker(Hhat^2 + m^2) over QQ
+    assert len(zero) == _kernel_dim_qq(hhat, dim, 0)
+    assert sizes == [_kernel_dim_qq(hhat, dim, m)
+                     for m in range(1, len(sizes) + 1)]
+    assert len(zero) + sum(sizes) == dim
+    assert _kernel_dim_qq(hhat, dim, len(sizes) + 1) == 0
+    free = [max(vec) for vec in zero]
+    for f, vec in zip(free, zero):
+        assert all(set(s_to_fractions(c)) == {0} for c in vec.values())
+        v = {j: s_to_fractions(c)[0] for j, c in vec.items()}
+        # a unit on its free column, zero on the block's other ones
+        assert v[f] == 1
+        assert not any(k in v for k in free if k != f)
+        assert apply(v) == {}
+
+
+def _spin_parts(weights):
+    """Sorted (2j + 1, multiplicity) of a module with these integer
+    weights: mult_j = n(j) - n(j + 1), n(w) the count of weight w."""
+    n = Counter(weights)
+    return [(2 * j + 1, n[j] - n[j + 1])
+            for j in range(max(weights, default=-1) + 1) if n[j] != n[j + 1]]
+
+
+def _weight_oracle(n, space):
+    """(dim, parts) of a Casimir space over T = V_n, from weights alone:
+    T has weights -j_T..j_T, g the weights -1, 0, 1, Lambda^2 T the sums
+    over pairs of distinct weight positions, a tensor product the
+    pairwise sums."""
+    t = range(-(n // 2), n // 2 + 1)
+
+    def tensor(v, w):
+        return [a + b for a in v for b in w]
+
+    weights = {"T": list(t), "t-g": tensor((-1, 0, 1), t),
+               "t-lambda2": tensor(t, [a + b for a, b in combinations(t, 2)])}
+    if space != "t-gperp":
+        return len(weights[space]), _spin_parts(weights[space])
+    whole = dict(_spin_parts(weights["t-lambda2"]))
+    for d, m in _spin_parts(weights["t-g"]):
+        whole[d] -= m
+    return (len(weights["t-lambda2"]) - len(weights["t-g"]),
+            sorted((d, m) for d, m in whole.items() if m))
+
+
+def _reordered(order):
+    h, x, y = get_structure("so3-9").lie.basis
+    mats = {"H": h, "X": x, "Y": y}
+    return LieRep("so3-9 (%s)" % ", ".join(order), 9,
+                  [mats[k] for k in order])
+
+
+@pytest.mark.parametrize("space", ["T", "t-g", "t-lambda2", "t-gperp"])
+@pytest.mark.parametrize("algebra", ["so3-9", "rotations", "Y, H, X", "X, Y, H"])
+def test_casimir_parts_match_the_weight_count(algebra, space):
+    g = {"so3-9": lambda: get_structure("so3-9").lie,
+         "rotations": _rotations,
+         "Y, H, X": lambda: _reordered("YHX"),
+         "X, Y, H": lambda: _reordered("XYH")}[algebra]()
+    dec = casimir_decompose(g, space)
+    assert (dec.dim, dec.parts) == _weight_oracle(g.n, space)
+    assert dec.dim == sum(d * m for d, m in dec.parts)
+
+
+def test_weight_certificate_accepts_only_matching_sizes():
+    # T (x) g of so3-9 is V7 + V9 + V11: spins 3, 4, 5 on 27 dimensions
+    mult = [0, 0, 0, 1, 1, 1]
+    _check_weights(mult, [6, 6, 6, 4, 2], 27)
+    with pytest.raises(CasimirError, match="weights of the first generator"):
+        _check_weights(mult, [8, 6, 6, 4, 2], 27)
+    with pytest.raises(CasimirError, match="weights of the first generator"):
+        _check_weights(mult, [6, 6, 6, 4, 0], 27)
+    with pytest.raises(CasimirError, match="do not fill dimension 29"):
+        _check_weights(mult, [6, 6, 6, 4, 2], 29)
+    with pytest.raises(CasimirError, match="do not fill dimension 27"):
+        _check_weights([1, 0, 0, 1, 1, 1], [6, 6, 6, 4, 2], 27)
+
+
+def test_casimir_ranks_c_only_on_the_zero_weight_block(monkeypatch):
+    g = get_structure("so3-9").lie
+    dec, calls = _recorded_casimir(monkeypatch, g, "t-lambda2")
+    assert dec.dim == 324
+    # one kernel on the whole space, of H: B_0, one vector per summand
+    (_, ncols, zero), = calls["kernel"]
+    assert ncols == 324 and len(zero) == dec.components == 28
+    # C - lambda_j is ranked on B_0 for j = 0..11, and the weight blocks
+    # m = 1..11 are only counted, by ranks on the whole space
+    assert calls["rank"] == [(28, 28)] * 12 + [(324, 324)] * 11
 
 
 def _rotations():
