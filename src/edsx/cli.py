@@ -211,8 +211,8 @@ def cmd_restrict(args):
     if rep.f_w is None:
         lines.append("f_W: undefined (ker p condition fails)")
     else:
-        for g in sorted(rep.f_w.values):
-            lines.append("  f_W(%s) = %s" % (g, rep.f_w.values[g].parts[None]))
+        for g in sorted(rep.f_w):
+            lines.append("  f_W(%s) = %s" % (g, rep.f_w[g]))
     lines.append("dims Z' %s, projection %s, Z'_W %s"
                  % tuple(j["surjectivity_dims"]))
     lines.append("projection onto %s, dims match %s"

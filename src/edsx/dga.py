@@ -21,7 +21,7 @@ from .scalar import Scalar
 from .exterior import (Form, coords, derivation_form, derivation_images,
                        lex_index, wedge, _sort_sign)
 from .linalg import Elimination, combine, span_rank, transpose
-from .rep import HomMap, equivariant_coords, hom_dim, invariants
+from .rep import HomMap, equivariant_coords, hom_dim, invariants, sym_dim
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
@@ -305,12 +305,18 @@ def _instantiated(s, op, params):
 
 
 def _check_expressible(closure, fvals):
+    """Each nonzero value as (word, coefficient) pairs, in order; raises
+    DgaError when a value lies outside the algebra."""
+    exprs = []
     for gname, val in fvals.items():
         if val.is_zero():
             continue
-        if closure.express(val, val.degree) is None:
+        expr = closure.express(val, val.degree)
+        if expr is None:
             raise DgaError(
                 "value of %r does not lie in the algebra" % gname)
+        exprs.append(expr)
+    return exprs
 
 
 def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
@@ -318,7 +324,7 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     spec, fvals = _instantiated(s, op, params)
     a = analysis(s)
     closure = a.closure
-    _check_expressible(closure, fvals)
+    exprs = _check_expressible(closure, fvals)
     n = s.n
 
     leibniz_ok = True
@@ -334,10 +340,7 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
             break
 
     square_zero_ok = True
-    for gname, val in fvals.items():
-        if val.is_zero():
-            continue
-        expr = closure.express(val, val.degree)
+    for expr in exprs:
         second = Form.zero(n)
         for widx, coef in expr:
             second = second + closure.induced_value(widx, fvals).scale(coef)
@@ -388,7 +391,7 @@ def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
     sol = a.extension().solve(_extension_rhs(_generator_pairs(s, fvals)))
     if sol.is_empty:
         return ZReport(n, sol, None, None, None)
-    z_dim = sol.dim + n * (n * (n + 1) // 2)
+    z_dim = sol.dim + sym_dim(n)
     g_rank, with_kernel = a.lie_ranks()
     z2 = with_kernel - g_rank
     xi = HomMap.from_coords(n, sol.particular) if z2 == 0 else None

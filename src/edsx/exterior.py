@@ -222,19 +222,6 @@ def contract(v, a: Form) -> Form:
     return f
 
 
-def contract_index(i, a: Form) -> Form:
-    """e_i -| a, the coordinate fast path."""
-    out = {}
-    for I, c in a.terms.items():
-        if i in I:
-            pos = I.index(i)
-            K = I[:pos] + I[pos + 1:]
-            out[K] = -c if pos & 1 else c
-    f = Form(a.n)
-    f.terms = out
-    return f
-
-
 def derivation_images(a: Form, by_index):
     """{K: {u: coefficient of e^K in D_u(a)}} for the derivations D_u
     with D_u(e^i) the sum of d e^J over the (u, J, d) in by_index[i-1],

@@ -22,8 +22,8 @@ from .cartan import flag_test
 from .catalog import _SU3_F, get_structure
 from .dga import (check_operator, derivation_value, strong_admissibility,
                   z_spaces)
-from .exterior import (Form, Subspace, contract, contract_index, coords,
-                       hodge, parse_form, restrict, wedge)
+from .exterior import (Form, Subspace, contract, coords, hodge, parse_form,
+                       restrict, wedge)
 from .linalg import Matrix, in_span, rank, rref
 from .rep import (act_on_form, cartan_three_form, casimir_decompose,
                   equivariant_maps, invariants, mat_bracket, mat_is_skew,
@@ -249,12 +249,16 @@ def check_rotation_triple():
 # 7. derivation operators on the unitary families
 
 
+def _units(n):
+    return Subspace.coordinate(n, range(1, n + 1)).vectors
+
+
 def _nk_witness_images(s, lam, mu):
     omp = s.generators["omega-plus"]
     omm = s.generators["omega-minus"]
     third = Scalar.of(1) / Scalar.of(3)
     target = omp.scale(Scalar.of(mu) * third) - omm.scale(Scalar.of(lam) * third)
-    return [contract_index(i, target) for i in range(1, s.n + 1)]
+    return [contract(e, target) for e in _units(s.n)]
 
 
 def check_operators():
@@ -279,8 +283,7 @@ def check_operators():
               for g in s.generators),
           "contraction witness e_i -| (-omega-) extends nearly-kahler(3,0)",
           "derived")
-    printed = [contract_index(i, omp.scale(Scalar.of(3)))
-               for i in range(1, s.n + 1)]
+    printed = [contract(e, omp.scale(Scalar.of(3))) for e in _units(s.n)]
     printed_ok = all(derivation_value(printed, s.generators[g]) == fvals[g]
                      for g in s.generators)
     r.flag("printed witness e_i -| (3 omega+) %s reproduce the operator; "
@@ -346,12 +349,11 @@ def check_restriction():
           "su-even:3 zero  restricted generators e12+e34, e135-e245, "
           "e145+e235", "paper")
     r.add(hy.kerp_condition and hy.f_w is not None
-          and all(v.parts[None].is_zero()
-                  for v in hy.f_w.values.values())
+          and all(v.is_zero() for v in hy.f_w.values())
           and hy.hypotheses_ok,
           "su-even:3 zero  ker p condition holds and f_W = 0", "paper")
     nh = restrict_structure(s, "nearly-kahler", {"lambda": 3, "mu": 0})
-    fw = {g: p.parts[None] for g, p in nh.f_w.values.items()}
+    fw = nh.f_w
     pg = nh.p_image_gens
     r.add(nh.kerp_condition
           and fw["F"] == pg["omega-plus"].scale(Scalar.of(3))
@@ -365,7 +367,7 @@ def check_restriction():
     for n in (2, 3):
         so = get_structure("su-odd:%d" % n)
         rb = restrict_structure(so, "B", {"lambda": 1, "mu": 1})
-        fb = {g: p.parts[None] for g, p in rb.f_w.values.items()}
+        fb = rb.f_w
         pb = rb.p_image_gens
         r.add(fb["alpha"] == pb["F"]
               and fb["F"].is_zero()

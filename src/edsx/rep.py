@@ -290,6 +290,11 @@ def hom_dim(n):
     return n * (n * (n - 1) // 2)
 
 
+def sym_dim(n):
+    """dim T (x) S^2 T, the kernel of gl(T) (x) T -> Hom(T, Lambda^2 T)."""
+    return n * (n * (n + 1) // 2)
+
+
 def equivariant_coords(g: LieRep):
     """Sparse Hom coordinates of the echelon basis of the maps
     T -> Lambda^2 T commuting with the g-action; computed once per

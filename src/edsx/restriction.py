@@ -4,8 +4,14 @@ The pullback p sends the invariant algebra of the ambient structure onto
 an algebra on the subspace W.  An operator f descends to f_W exactly when
 ker p stays inside ker p o f.  The integral space of f_W is computed on
 the subspace with the same machinery used for the ambient structure, and
-the report sets its dimension against the coordinate projection
-gl(T) (x) T -> gl(W) (x) W of the ambient integral space.
+the report sets its dimension against the coordinate projection of the
+ambient integral space.
+
+Integral elements live in gl(T) (x) T, and the antisymmetrization onto
+Hom(T, Lambda^2 T) has kernel T (x) S^2 T, which the coordinate projection
+P maps onto W (x) S^2 W, the kernel on W.  Since delta_W o P = P_Hom o
+delta_T, the projection is compared entirely in Hom(W, Lambda^2 W)
+coordinates, and T (x) S^2 T enters only as its dimension k.k(k+1)/2.
 
 Neither space needs to contain the other.  Compressing an ambient
 solution discards the mixed terms that couple W to its complement, so
@@ -16,15 +22,15 @@ report therefore carries both dimensions and an exact test of whether
 the projection covers the subspace solutions, and forces neither.
 """
 
-from itertools import product
 from math import comb
 
-from ._kernel import ONE, s_sub
-from .exterior import Form, Subspace, coords, lex_index, restrict
-from .linalg import solve_affine, span_rank
-from .rep import hom_dim
-from .catalog import StructureSpec, DiffOpSpec, ParamForm
-from .dga import analysis, z_spaces, _extension_system, _resolve_op
+from ._kernel import ONE, s_neg
+from .exterior import Form, Subspace, coords, lex_index, restrict, _sort_sign
+from .linalg import combine, solve_affine, span_rank
+from .rep import hom_dim, sym_dim
+from .catalog import StructureSpec
+from .dga import (analysis, _extension_rhs, _extension_system,
+                  _generator_pairs, _resolve_op)
 
 __all__ = [
     "RestrictionError",
@@ -38,7 +44,11 @@ class RestrictionError(ValueError):
 
 
 class RestrictionReport:
-    """Outcome of restricting one operator to a coordinate subspace."""
+    """Outcome of restricting one operator to a coordinate subspace.
+
+    f_w maps each generator with a nonzero restriction to the Form f_W
+    gives it, or is None when the ker p condition fails.
+    """
 
     __slots__ = ("coords", "p_image_gens", "kerp_condition", "f_w",
                  "surjectivity_dims", "projection_onto",
@@ -69,7 +79,7 @@ class RestrictionReport:
         e = "empty"
         fw = e
         if self.f_w is not None:
-            fw = {g: str(pf.parts[None]) for g, pf in self.f_w.values.items()}
+            fw = {g: str(v) for g, v in self.f_w.items()}
         return {
             "coords": list(self.coords),
             "p_image_gens": {g: str(v) for g, v in self.p_image_gens.items()},
@@ -101,38 +111,24 @@ def _kerp_holds(closure, fvals, w):
     return True
 
 
-def _sym_kernel_units(n):
-    """Sparse gl(n) x T vectors spanning the antisymmetrization kernel."""
-    one = ONE
-    out = []
-    idx = range(1, n + 1)
-    for i in idx:
-        for u in idx:
-            for v in idx:
-                if u > v:
-                    continue
-                vec = {((i - 1) * n + (u - 1)) * n + (v - 1): one}
-                if u != v:
-                    vec[((i - 1) * n + (v - 1)) * n + (u - 1)] = one
-                out.append(vec)
-    return out
+def _project_hom(vec, n, kept):
+    """The Hom(W, Lambda^2 W) part of sparse Hom(T, Lambda^2 T) coordinates.
 
-
-def _hom_preimage(n, hom):
-    """One gl(n) x T preimage of sparse Hom(T, Lambda^2 T) coordinates."""
+    An entry (i, {u, v}) is kept when i, u and v lie in W and is moved to
+    W's positions of them; it changes sign when W's order reverses u, v.
+    """
     pairs = lex_index(n, 2)[0]
-    vec = {}
-    for key, c in hom.items():
+    wpos = lex_index(len(kept), 2)[1]
+    at = {c: j for j, c in enumerate(kept, 1)}
+    out = {}
+    for key, c in vec.items():
         i, t = divmod(key, len(pairs))
         u, v = pairs[t]
-        vec[(i * n + (v - 1)) * n + (u - 1)] = c
-    return vec
-
-
-def _project_glt(vec, local):
-    """The sparse gl(W) x W part of a sparse gl(n) x T vector, through the
-    map local from ambient to subspace positions."""
-    return {local[x]: c for x, c in vec.items() if x in local}
+        if i + 1 in at and u in at and v in at:
+            K, sign = _sort_sign((at[u], at[v]))
+            out[(at[i + 1] - 1) * len(wpos) + wpos[K]] = (
+                c if sign > 0 else s_neg(c))
+    return out
 
 
 def restrict_structure(s: StructureSpec, op, params=None,
@@ -151,9 +147,8 @@ def restrict_structure(s: StructureSpec, op, params=None,
     kept = tuple(w.coords)
     k = len(kept)
 
-    spec = _resolve_op(s, op)
-    fvals = spec.instantiate(params)
-    closure = analysis(s).closure
+    fvals = _resolve_op(s, op).instantiate(params)
+    a = analysis(s)
 
     p_gens = {}
     for gname, g in s.generators.items():
@@ -161,50 +156,36 @@ def restrict_structure(s: StructureSpec, op, params=None,
         if not img.is_zero():
             p_gens[gname] = img
 
-    kerp = _kerp_holds(closure, fvals, w)
+    kerp = _kerp_holds(a.closure, fvals, w)
 
     f_w = None
     solw = None
     zw_dim = None
     if kerp:
-        values = {}
-        for gname in p_gens:
-            val = restrict(fvals.get(gname, Form.zero(n)), w)
-            values[gname] = ParamForm(k, {None: val})
-        f_w = DiffOpSpec("%s|%s" % (spec.name, ",".join(map(str, kept))),
-                         (), values)
-        pairs = [(p_gens[g], f_w.values[g].parts[None]) for g in p_gens]
-        mw, rhsw = _extension_system(k, pairs)
+        f_w = {g: restrict(fvals.get(g, Form.zero(n)), w) for g in p_gens}
+        mw, rhsw = _extension_system(k, [(p_gens[g], f_w[g]) for g in p_gens])
         solw = solve_affine(mw, hom_dim(k), rhsw)
         if not solw.is_empty:
-            zw_dim = len(solw.basis) + k * (k * (k + 1) // 2)
+            zw_dim = solw.dim + sym_dim(k)
 
-    zr = z_spaces(s, op, params)
-    z_dim = zr.z_dim
+    sol = a.extension().solve(_extension_rhs(_generator_pairs(s, fvals)))
+    z_dim = None
     proj_dim = None
     onto = None
-    if z_dim is not None:
-        local = {((i - 1) * n + (j - 1)) * n + (m - 1): t
-                 for t, (i, j, m) in enumerate(product(kept, repeat=3))}
-        directions = _sym_kernel_units(n)
-        directions.extend(_hom_preimage(n, b) for b in zr.z_prime.basis)
-        projected = [_project_glt(v, local) for v in directions]
-        proj_dim = span_rank(projected, k ** 3)
+    if not sol.is_empty:
+        z_dim = sol.dim + sym_dim(n)
+        projected = [_project_hom(b, n, kept) for b in sol.basis]
+        rank = span_rank(projected, hom_dim(k))
+        proj_dim = sym_dim(k) + rank
         if zw_dim is not None:
             # does every subspace solution come from an ambient one: the
             # subspace directions and the particular gap would all lie in
             # the projected span
-            extra = [_hom_preimage(k, b) for b in solw.basis]
-            gap = _hom_preimage(k, solw.particular)
-            amb = _project_glt(_hom_preimage(n, zr.z_prime.particular), local)
-            for x, c in amb.items():
-                d = s_sub(gap.get(x), c)
-                if d:
-                    gap[x] = d
-                else:
-                    gap.pop(x, None)
-            extra.append(gap)
-            onto = span_rank(projected + extra, k ** 3) == proj_dim
+            gap = combine([solw.particular,
+                           _project_hom(sol.particular, n, kept)],
+                          {0: ONE, 1: s_neg(ONE)})
+            onto = span_rank(projected + solw.basis + [gap],
+                             hom_dim(k)) == rank
 
     rel = False
     if set(kept) == set(s.default_flag[:k]):

@@ -97,6 +97,16 @@ GOLDEN = [
       "--params", "lambda=2,mu=r3"], 0,
      "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
      "7e086ceae3904b527c9655b94ecf1b905dbf8806ec049361d2ac4b9afb6392b5"),
+    # a projection that misses hyperplane solutions, and a radical operator
+    # on a hyperplane off the default flag, pinned before the projection
+    # moved from gl(T) (x) T to Hom(T, Lambda^2 T) coordinates
+    (["restrict", "--structure", "so3-9", "--operator", "zero"], 0,
+     "34d46d0a8cb51db526f8b53bc53ffd11852b26372ac8018c800ce03861b81618",
+     "dc128e6a133b726ec636a0f502ad72a0027cd42052e41510c27a1ef1473830f7"),
+    (["restrict", "--structure", "su-odd:3", "--operator", "B",
+      "--params", "lambda=1,mu=r2", "--drop", "2"], 0,
+     "0dcac04ee50eaf2d3f17ef59daf9988b0caf76faa9a43831b334346f1359ed47",
+     "af5e8fadcd49461091c4ee80bdbc9fd5d6777c495f8947c89dc461fda75d587a"),
 ]
 
 

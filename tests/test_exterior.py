@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from edsx.exterior import (Form, Subspace, contract, contract_index, coords,
-                           flatten, form_literal, from_coords, hodge,
-                           lex_index, parse_form, restrict, scalar_value,
-                           wedge)
+from edsx.exterior import (Form, Subspace, contract, coords, flatten,
+                           form_literal, from_coords, hodge, lex_index,
+                           parse_form, restrict, scalar_value, wedge)
 from edsx.scalar import Scalar
 
 
@@ -61,9 +60,10 @@ def test_wedge_associativity():
 
 def test_contract_known_values():
     a = F("e[1,2,3]", 4)
-    assert contract_index(1, a) == F("e[2,3]", 4)
-    assert contract_index(2, a) == F("-e[1,3]", 4)
-    assert contract_index(4, a).is_zero()
+    e = Subspace.coordinate(4, range(1, 5)).vectors
+    assert contract(e[0], a) == F("e[2,3]", 4)
+    assert contract(e[1], a) == F("-e[1,3]", 4)
+    assert contract(e[3], a).is_zero()
     v = [Scalar.of(0), Scalar.of(2), Scalar.of(0), Scalar.of(0)]
     assert contract(v, a) == F("-2*e[1,3]", 4)
 

@@ -1,10 +1,18 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
-from edsx.catalog import get_structure
-from edsx.exterior import Subspace, parse_form, wedge
-from edsx.restriction import RestrictionError, restrict_structure
+from edsx._kernel import ONE, s_sub
+from edsx.catalog import DiffOpSpec, get_structure
+from edsx.dga import Analysis, _extension_system, z_spaces
+from edsx.exterior import Subspace, lex_index, parse_form, restrict, wedge
+from edsx.linalg import solve_affine, span_rank
+from edsx.papercheck import RESTRICTION_BATTERY
+from edsx.rep import HomMap, hom_dim
+from edsx.restriction import (RestrictionError, _project_hom,
+                              restrict_structure)
 from edsx.scalar import Scalar
 
 
@@ -21,14 +29,14 @@ def test_restricted_generators_of_even_structure():
         "omega-minus": parse_form("e[1,4,5]+e[2,3,5]", 5),
     }
     assert rep.kerp_condition
-    assert all(pf.parts[None].is_zero() for pf in rep.f_w.values.values())
+    assert all(v.is_zero() for v in rep.f_w.values())
     assert rep.hypotheses_ok
 
 
 def test_restriction_of_evolution_operator():
     rep = restrict_structure(get_structure("su-odd:2"), "B",
                              {"lambda": 1, "mu": 1})
-    fw = {g: pf.parts[None] for g, pf in rep.f_w.values.items()}
+    fw = rep.f_w
     pg = rep.p_image_gens
     assert fw["alpha"] == pg["F"]
     assert fw["F"].is_zero()
@@ -88,3 +96,156 @@ def test_subspace_that_kills_every_generator():
     assert out["p_image_gens"] == {} and out["f_w"] == {}
     assert out["surjectivity_dims"] == [442, 8, 8]
     assert out["extends_ok"] and out["hypotheses_ok"]
+
+
+# The reference below compares the spaces in gl(T) (x) T, k^3 columns: the
+# antisymmetrization kernel T (x) S^2 T spelled out as units, one preimage
+# of each Hom(T, Lambda^2 T) vector, and the coordinate projection onto
+# gl(W) (x) W.  restrict_structure works in Hom(W, Lambda^2 W) instead.
+
+def _sym_kernel_units(n):
+    """Sparse gl(n) x T vectors spanning the antisymmetrization kernel."""
+    out = []
+    idx = range(1, n + 1)
+    for i in idx:
+        for u in idx:
+            for v in idx:
+                if u > v:
+                    continue
+                vec = {((i - 1) * n + (u - 1)) * n + (v - 1): ONE}
+                if u != v:
+                    vec[((i - 1) * n + (v - 1)) * n + (u - 1)] = ONE
+                out.append(vec)
+    return out
+
+
+def _hom_preimage(n, hom):
+    """One gl(n) x T preimage of sparse Hom(T, Lambda^2 T) coordinates."""
+    pairs = lex_index(n, 2)[0]
+    vec = {}
+    for key, c in hom.items():
+        i, t = divmod(key, len(pairs))
+        u, v = pairs[t]
+        vec[(i * n + (v - 1)) * n + (u - 1)] = c
+    return vec
+
+
+def _project_glt(vec, local):
+    """The sparse gl(W) x W part of a sparse gl(n) x T vector, through the
+    map local from ambient to subspace positions."""
+    return {local[x]: c for x, c in vec.items() if x in local}
+
+
+def _reference(s, op, params, rep):
+    """(dim Z', projection dim, dim Z'_W) and the onto verdict of rep, in
+    gl(T) (x) T coordinates."""
+    n, kept = s.n, rep.coords
+    k = len(kept)
+    solw = None
+    zw_dim = None
+    if rep.f_w is not None:
+        pairs = [(rep.p_image_gens[g], rep.f_w[g]) for g in rep.p_image_gens]
+        m, rhs = _extension_system(k, pairs)
+        solw = solve_affine(m, hom_dim(k), rhs)
+        if not solw.is_empty:
+            zw_dim = len(solw.basis) + k * (k * (k + 1) // 2)
+    zr = z_spaces(s, op, params)
+    if zr.z_dim is None:
+        return (None, None, zw_dim), None
+    local = {((i - 1) * n + (j - 1)) * n + (m - 1): t
+             for t, (i, j, m) in enumerate(product(kept, repeat=3))}
+    directions = _sym_kernel_units(n)
+    directions.extend(_hom_preimage(n, b) for b in zr.z_prime.basis)
+    projected = [_project_glt(v, local) for v in directions]
+    proj_dim = span_rank(projected, k ** 3)
+    onto = None
+    if zw_dim is not None:
+        extra = [_hom_preimage(k, b) for b in solw.basis]
+        gap = _hom_preimage(k, solw.particular)
+        amb = _project_glt(_hom_preimage(n, zr.z_prime.particular), local)
+        for x, c in amb.items():
+            d = s_sub(gap.get(x), c)
+            if d:
+                gap[x] = d
+            else:
+                gap.pop(x, None)
+        extra.append(gap)
+        onto = span_rank(projected + extra, k ** 3) == proj_dim
+    return (zr.z_dim, proj_dim, zw_dim), onto
+
+
+def _hyperplanes(name, n):
+    return [(name, "zero", None, [c for c in range(1, n + 1) if c != d])
+            for d in range(1, n + 1)]
+
+
+ORACLE_CASES = (
+    [(name, op, params, None)
+     for name, op, params, *_ in RESTRICTION_BATTERY]
+    + _hyperplanes("psu3", 8) + _hyperplanes("su-odd:3", 7)
+    + _hyperplanes("so3-9", 9)
+    + [("su-even:3", "zero", None, (2, 1, 4, 3, 5)),
+       ("su-even:3", "zero", None, (5, 3, 1, 2, 4)),
+       ("su-even:3", "zero", None, (3, 1, 2)),
+       ("g2", "zero", None, (7, 1, 3, 5, 2, 4)),
+       ("g2", "zero", None, (7, 6, 5, 4)),
+       ("psu3", "zero", None, (8, 1, 2, 3, 4, 5)),
+       ("su-even:3", "zero", None, (6, 5, 4, 3, 2, 1)),
+       ("su-even:3", "zero", None, ()),
+       ("su-even:3", "zero", None, (4,)),
+       ("psu3", "zero", None, (1, 2)),
+       ("so3-9", "zero", None, (9, 1, 3, 2)),
+       ("su-odd:2", "B", {"lambda": 1, "mu": 1}, (3, 1, 2, 5)),
+       ("su-odd:3", "B", {"lambda": 1, "mu": "r2"}, (2, 1, 4, 3, 5, 7))])
+
+
+@pytest.mark.parametrize(
+    "name,op,params,kept", ORACLE_CASES,
+    ids=["%s %s %s" % (c[0], c[1], "default" if c[3] is None
+                       else ",".join(map(str, c[3])) or "empty")
+         for c in ORACLE_CASES])
+def test_hom_projection_matches_the_gl_tensor_reference(name, op, params,
+                                                        kept):
+    s = get_structure(name)
+    if kept is None:
+        kept = sorted(s.default_flag[:s.n - 1])
+    rep = restrict_structure(s, op, params, Subspace.coordinate(s.n, kept))
+    assert rep.coords == tuple(kept)
+    assert (rep.surjectivity_dims, rep.projection_onto) \
+        == _reference(s, op, params, rep)
+
+
+@pytest.mark.parametrize("n,kept", [(6, (2, 1, 4, 3, 5)), (7, (7, 6, 5, 4)),
+                                    (7, (7, 1, 3, 5, 2, 4)), (8, (1, 2)),
+                                    (5, (3,)), (4, ())])
+def test_hom_projection_restricts_the_images(n, kept):
+    # P(D) sends e^j of W to the restriction of D(e^kept[j]) to W
+    rng = random.Random(n * 100 + len(kept))
+    vec = {t: Scalar.of(rng.randrange(-3, 4)).c
+           for t in rng.sample(range(hom_dim(n)), hom_dim(n) // 2)}
+    vec = {t: c for t, c in vec.items() if c}
+    images = HomMap.from_coords(n, vec).images
+    w = Subspace.coordinate(n, kept)
+    want = HomMap(len(kept), [restrict(images[c - 1], w) for c in kept])
+    assert _project_hom(vec, n, kept) == want.coords()
+
+
+def test_restriction_instantiates_once_and_skips_z_doubleprime(monkeypatch):
+    calls = []
+    instantiate = DiffOpSpec.instantiate
+
+    def counted(self, assignment):
+        calls.append(self.name)
+        return instantiate(self, assignment)
+
+    def refuse(self):
+        raise AssertionError("dim Z'' is not part of the report")
+
+    monkeypatch.setattr(DiffOpSpec, "instantiate", counted)
+    monkeypatch.setattr(Analysis, "lie_ranks", refuse)
+    for name, op, params in (("su-odd:3", "B", {"lambda": 1, "mu": 1}),
+                             ("so3-9", "zero", None),
+                             ("so3-9", "gamma-dual", {"lambda": 1})):
+        calls.clear()
+        restrict_structure(get_structure(name), op, params)
+        assert calls == [op]
