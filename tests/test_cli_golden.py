@@ -107,6 +107,17 @@ GOLDEN = [
       "--params", "lambda=1,mu=r2", "--drop", "2"], 0,
      "0dcac04ee50eaf2d3f17ef59daf9988b0caf76faa9a43831b334346f1359ed47",
      "af5e8fadcd49461091c4ee80bdbc9fd5d6777c495f8947c89dc461fda75d587a"),
+    # the failure paths: a false ker p condition (no f_W, Z'_W empty) and
+    # an operator that neither respects the relations nor extends, pinned
+    # before the relation test moved into edsx.dga
+    (["restrict", "--structure", "su-odd:2", "--operator", "B",
+      "--params", "lambda=1,mu=1", "--drop", "5"], 0,
+     "f87fb5e9da4c316221dca19545d3faa3c20ffb9bd5fc88b01ef2df94d0cfc765",
+     "5eb195fea4a07b8ba428e7b785a1b94751167735e6d531f5979f32b522100efa"),
+    (["dga", "--structure", "so3-9", "--operator", "gamma-dual",
+      "--params", "lambda=1"], 1,
+     "6affbeb507c8cf6c7879649c99665243f3283b1bb21fac07522cc6db382fe984",
+     "3ba381bc4d41366f2abde9bbbbc36bf8e872223283ea4b336b5bbf0fb2856fe0"),
 ]
 
 

@@ -249,3 +249,17 @@ def test_restriction_instantiates_once_and_skips_z_doubleprime(monkeypatch):
         calls.clear()
         restrict_structure(get_structure(name), op, params)
         assert calls == [op]
+
+
+@pytest.mark.parametrize("name,drop", [("su-odd:2", 5), ("su-odd:3", 7)])
+def test_false_kerp_condition_leaves_f_w_undefined(name, drop):
+    # dropping the last coordinate kills alpha = e[n] but not B(alpha) = F
+    s = get_structure(name)
+    rep = restrict_structure(s, "B", {"lambda": 1, "mu": 1},
+                             Subspace.hyperplane(s.n, drop))
+    assert rep.kerp_condition is False
+    assert rep.f_w is None
+    assert rep.surjectivity_dims[2] is None
+    assert rep.projection_onto is None
+    assert rep.hypotheses_ok is False
+    assert rep.to_json()["f_w"] == "empty"
