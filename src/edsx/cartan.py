@@ -14,10 +14,8 @@ which reads E-stability of W off the same rows: c(W) = C(dim W, p)).
 from math import comb
 
 from .exterior import Form
-from .linalg import span_rank
 from .catalog import StructureSpec
-from .dga import analysis, _extension_system
-from .rep import hom_dim
+from .dga import analysis, extension
 from .stability import _polar_count, _polar_rows
 
 __all__ = [
@@ -102,8 +100,7 @@ def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
     flag = tuple(j for j in range(1, n + 1) if j != i) + (i,)
     rows = _polar_rows([a])
     c_values = [_polar_count(rows, flag[:k], n) for k in range(n + 1)]
-    m, _ = _extension_system(n, [(a, Form.zero(n))])
-    codim = span_rank(m, hom_dim(n))
+    codim = extension(n, [a]).rank
     if (all(c_values[k] == comb(k, p) for k in range(n))
             and codim != comb(n, p + 1)):
         raise CartanError(

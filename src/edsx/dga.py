@@ -1,25 +1,27 @@
 """Degree-raising operators on invariant algebras and their integral spaces.
 
 The algebra A is handled through its span-closure: every wedge product of
-generators, organized by degree.  An operator given on generators induces
-values on products through the graded Leibniz rule; whether that assignment
-is well defined on linear relations is a rank condition, checked degree by
-degree.  Extensions to derivations of the full exterior algebra are found by
-solving a linear system over Hom(T, Lambda^2 T), whose solution set is the
-affine space Z'; Z and Z'' dimensions follow by bookkeeping.
-
-Everything that depends only on the structure (the closure, one
-elimination of the extension matrix, the equivariant basis and the ranks
-that fix dim Z'') is computed once per StructureSpec, by its Analysis;
-an operator or a parameter value changes only a right-hand side.
+generators, organized by degree, each word a shorter prefix word times one
+generator.  An operator given on generators induces values on products
+through the graded Leibniz rule, one prefix at a time; whether that
+assignment is well defined on linear relations is a rank condition, checked
+degree by degree (Closure.respects).  Extensions to derivations of the full
+exterior algebra are found by solving a linear system over
+Hom(T, Lambda^2 T) (extension, extension_rhs), whose solution set is the
+affine space Z'; Z and Z'' dimensions follow by bookkeeping.  An extension
+D respects every relation, since it gives each word the value d_D(word),
+so the relations are tested only for an operator that has none.
+edsx.restriction runs the same relation test and extension system on a
+subspace, and edsx.cartan reads codim Z_0 off the extension rank.
 """
 
 from math import comb
 
 from ._kernel import ONE, s_neg
 from .scalar import Scalar
-from .exterior import (Form, coords, derivation_form, derivation_images,
-                       lex_index, wedge, _sort_sign)
+from .exterior import (Form, Subspace, coords, derivation_form,
+                       derivation_images, lex_index, restrict, wedge,
+                       _sort_sign)
 from .linalg import Elimination, combine, span_rank, transpose
 from .rep import HomMap, equivariant_coords, hom_dim, invariants, sym_dim
 from .catalog import StructureSpec, DiffOpSpec
@@ -32,6 +34,9 @@ __all__ = [
     "derivation_value",
     "OpCheck",
     "ZReport",
+    "extension",
+    "extension_rhs",
+    "operator_values",
     "check_operator",
     "z_spaces",
     "strong_admissibility",
@@ -43,20 +48,15 @@ class DgaError(ValueError):
     pass
 
 
-def _resolve_op(s: StructureSpec, op):
-    if isinstance(op, DiffOpSpec):
-        return op
-    if op in s.operators:
-        return s.operators[op]
-    raise DgaError("structure %r has no operator %r" % (s.name, op))
-
-
 class Closure:
     """Span-closure of a finite set of generating forms.
 
     Words are multisets of generator positions in nondecreasing order; the
     associated form is the wedge product in that order.  Zero products are
     kept: they encode relations that an induced operator must respect.
+    Every word past the generators is a shorter word, its prefix, times
+    one generator; prefixes[i] is the position of word i's prefix, or None
+    for a generator.
     """
 
     def __init__(self, n, generators):
@@ -68,19 +68,22 @@ class Closure:
             if form.degree is None:
                 raise DgaError("generator %r is zero" % name)
             self.gen_degrees.append(form.degree)
-        self.words = []
+        self.words = [((i,), form, deg) for i, (form, deg)
+                      in enumerate(zip(self.gen_forms, self.gen_degrees))]
+        self.prefixes = [None] * len(self.words)
         self.by_degree = {}
-        queue = []
-        for i in range(len(self.gen_forms)):
-            queue.append(((i,), self.gen_forms[i], self.gen_degrees[i]))
-        while queue:
-            word, form, deg = queue.pop(0)
-            self.words.append((word, form, deg))
-            self.by_degree.setdefault(deg, []).append(len(self.words) - 1)
+        # breadth first, with the word list as its own queue
+        at = 0
+        while at < len(self.words):
+            word, form, deg = self.words[at]
+            self.by_degree.setdefault(deg, []).append(at)
             for j in range(word[-1], len(self.gen_forms)):
                 nd = deg + self.gen_degrees[j]
                 if nd <= n:
-                    queue.append((word + (j,), wedge(form, self.gen_forms[j]), nd))
+                    self.words.append(
+                        (word + (j,), wedge(form, self.gen_forms[j]), nd))
+                    self.prefixes.append(at)
+            at += 1
         self._solvers = {}
 
     def _solver(self, p):
@@ -108,24 +111,53 @@ class Closure:
             return None
         return [(idxs[k], Scalar(c)) for k, c in part.items()]
 
-    def induced_value(self, word_idx, fvals):
-        """Leibniz expansion of the operator on the given word."""
-        word, _, _ = self.words[word_idx]
-        n = self.n
-        total = None
-        for t in range(len(word)):
-            img = fvals.get(self.gen_names[word[t]])
-            if img is None or img.is_zero():
+    def induced_values(self, fvals):
+        """The Leibniz value of an operator on every word, in word order.
+
+        fvals maps generator names to values; a missing one is zero.  The
+        word u ^ g with prefix u takes f(u) ^ g + (-1)^deg(u) u ^ f(g).
+        """
+        zero = Form.zero(self.n)
+        gvals = [fvals.get(g, zero) for g in self.gen_names]
+        values = []
+        for (word, _, _), at in zip(self.words, self.prefixes):
+            g = word[-1]
+            if at is None:
+                values.append(gvals[g])
                 continue
-            shift = sum(self.gen_degrees[g] for g in word[:t])
-            piece = img if shift % 2 == 0 else img.scale(Scalar.of(-1))
-            for u, g in enumerate(word):
-                if u == t:
-                    continue
-                factor = self.gen_forms[g]
-                piece = wedge(factor, piece) if u < t else wedge(piece, factor)
-            total = piece if total is None else total + piece
-        return Form.zero(n) if total is None else total
+            _, u, deg = self.words[at]
+            tail = wedge(u, gvals[g])
+            values.append(wedge(values[at], self.gen_forms[g])
+                          + (-tail if deg % 2 else tail))
+        return values
+
+    def respects(self, values, w: Subspace = None):
+        """Whether word values, one per word, respect the words' relations.
+
+        In each degree p, appending the values to the words must leave
+        their rank that of the words alone: then every linear relation
+        among the words holds among the values.  With a subspace w, words
+        and values are first pulled back to w (the ker p condition of
+        edsx.restriction).
+        """
+        k = self.n if w is None else w.dim
+        for p, idxs in sorted(self.by_degree.items()):
+            if p >= k:
+                break  # the values, of degree p + 1 > k, vanish
+            words = [self.words[i][1] for i in idxs]
+            vals = [values[i] for i in idxs]
+            if w is not None:
+                words = [restrict(x, w) for x in words]
+                vals = [restrict(x, w) for x in vals]
+            width = comb(k, p)
+            left = [coords(x, p) for x in words]
+            rank = (self.degree_dim(p) if w is None
+                    else span_rank(left, width))
+            aug = [{**row, **coords(v, p + 1, width)}
+                   for row, v in zip(left, vals)]
+            if span_rank(aug, width + comb(k, p + 1)) != rank:
+                return False
+        return True
 
 
 def derivation_value(images, a: Form) -> Form:
@@ -190,15 +222,6 @@ class ZReport:
         }
 
 
-def _stacked(parts):
-    """Sparse coordinates of the (degree, form) parts placed side by side."""
-    out, at = {}, 0
-    for p, form in parts:
-        out.update(coords(form, p, at))
-        at += comb(form.n, p)
-    return out
-
-
 def _derivation_matrix(forms, maps):
     """Sparse rows of the matrix whose columns are d_D(g) stacked over the
     forms, one column per map D given by its sparse Hom coordinates."""
@@ -223,18 +246,38 @@ def _unit_maps(n):
     return [{t: ONE} for t in range(hom_dim(n))]
 
 
-def _extension_rhs(pairs):
-    return _stacked([(g.degree + 1, target) for g, target in pairs])
+def extension(n, forms) -> Elimination:
+    """Elimination of the extension matrix of forms on R^n.
 
-
-def _extension_system(n, pairs):
-    """Rows of the linear system d_D(g) = f(g) over the hom_dim(n) units.
-
-    pairs is a list of (generator form, target form); returns the sparse
-    rows and the sparse rhs.
+    Its columns are the units of Hom(T, Lambda^2 T) and its rows stack
+    d_D(g) over the forms g, so it solves d_D(g) = f(g) for D, with the
+    right-hand side from extension_rhs.
     """
-    m = _derivation_matrix([g for g, _ in pairs], _unit_maps(n))
-    return m, _extension_rhs(pairs)
+    return Elimination(_derivation_matrix(list(forms), _unit_maps(n)),
+                       hom_dim(n))
+
+
+def extension_rhs(generators, fvals):
+    """Sparse f(g) stacked over the {name: form} generators, in order, as
+    the rows of extension(n, generators.values()); fvals maps names to
+    values, and a missing one is zero."""
+    out, at = {}, 0
+    for name, g in generators.items():
+        p = g.degree + 1
+        if name in fvals:
+            out.update(coords(fvals[name], p, at))
+        at += comb(g.n, p)
+    return out
+
+
+def operator_values(s: StructureSpec, op, params=None):
+    """{generator name: Form} of the operator, a DiffOpSpec or the name of
+    one of s's, at the parameter assignment."""
+    if not isinstance(op, DiffOpSpec):
+        if op not in s.operators:
+            raise DgaError("structure %r has no operator %r" % (s.name, op))
+        op = s.operators[op]
+    return op.instantiate(params)
 
 
 class Analysis:
@@ -263,9 +306,7 @@ class Analysis:
     def extension(self) -> Elimination:
         """Elimination of the extension matrix of the generators."""
         if self._extension is None:
-            self._extension = Elimination(_derivation_matrix(
-                list(self.s.generators.values()), _unit_maps(self.s.n)),
-                hom_dim(self.s.n))
+            self._extension = extension(self.s.n, self.s.generators.values())
         return self._extension
 
     def equivariant(self):
@@ -294,16 +335,6 @@ def analysis(s: StructureSpec) -> Analysis:
     return s._analysis
 
 
-def _generator_pairs(s, fvals):
-    return [(form, fvals.get(gname, Form.zero(s.n)))
-            for gname, form in s.generators.items()]
-
-
-def _instantiated(s, op, params):
-    spec = _resolve_op(s, op)
-    return spec, spec.instantiate(params)
-
-
 def _check_expressible(closure, fvals):
     """Each nonzero value as (word, coefficient) pairs, in order; raises
     DgaError when a value lies outside the algebra."""
@@ -320,38 +351,28 @@ def _check_expressible(closure, fvals):
 
 
 def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
-    """Leibniz well-definedness, squaring to zero, and extension solving."""
-    spec, fvals = _instantiated(s, op, params)
+    """Leibniz well-definedness, squaring to zero, and extension solving.
+
+    An extension D gives every word the value d_D(word), which is linear
+    in the word, so the operator respects every relation; the relations
+    are tested only when no extension exists.
+    """
+    fvals = operator_values(s, op, params)
     a = analysis(s)
     closure = a.closure
     exprs = _check_expressible(closure, fvals)
     n = s.n
 
-    leibniz_ok = True
-    for p, idxs in sorted(closure.by_degree.items()):
-        if p == n:
-            continue
-        aug = [_stacked([(p, closure.words[i][1]),
-                         (p + 1, closure.induced_value(i, fvals))])
-               for i in idxs]
-        if span_rank(aug, comb(n, p) + comb(n, p + 1)) \
-                != closure.degree_dim(p):
-            leibniz_ok = False
-            break
-
-    square_zero_ok = True
-    for expr in exprs:
-        second = Form.zero(n)
-        for widx, coef in expr:
-            second = second + closure.induced_value(widx, fvals).scale(coef)
-        if not second.is_zero():
-            square_zero_ok = False
-            break
-
-    rhs = _extension_rhs(_generator_pairs(s, fvals))
+    rhs = extension_rhs(s.generators, fvals)
     part = a.extension().particular(rhs)
     extends_ok = part is not None
     witness = HomMap.from_coords(n, part) if extends_ok else None
+
+    values = closure.induced_values(fvals)
+    leibniz_ok = extends_ok or closure.respects(values)
+    square_zero_ok = all(
+        sum((values[i].scale(c) for i, c in expr), Form.zero(n)).is_zero()
+        for expr in exprs)
 
     equi = None
     if extends_ok:
@@ -385,10 +406,10 @@ def lie_tensor_rows(lie, n):
 
 def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
     """Z', Z and Z'' dimensions for an operator on the structure."""
-    spec, fvals = _instantiated(s, op, params)
+    fvals = operator_values(s, op, params)
     n = s.n
     a = analysis(s)
-    sol = a.extension().solve(_extension_rhs(_generator_pairs(s, fvals)))
+    sol = a.extension().solve(extension_rhs(s.generators, fvals))
     if sol.is_empty:
         return ZReport(n, sol, None, None, None)
     z_dim = sol.dim + sym_dim(n)

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from ._kernel import DIVISORS, s_add, s_mul, s_neg
 from .linalg import span_rank
-from .scalar import Scalar, _Literal, as_scalar, ratio_text
+from .scalar import Scalar, _Literal, _term_text, as_scalar
 
 
 def _merge_sign(I, J):
@@ -517,16 +517,9 @@ def _coeff_text(c: Scalar):
     if len(nums) > 1:
         return "+", "(%s)*" % str(c)
     (k, x), = nums.items()
-    d = DIVISORS[k]
-    sign = "-" if x < 0 else "+"
-    x = abs(x)
-    if d == 1:
-        body = "" if x == den else "%s*" % ratio_text(x, den)
-    elif x == den:
-        body = "r%d*" % d
-    else:
-        body = "%s*r%d*" % (ratio_text(x, den), d)
-    return sign, body
+    body = ("" if k == 0 and abs(x) == den
+            else _term_text(DIVISORS[k], abs(x), den) + "*")
+    return ("-" if x < 0 else "+"), body
 
 
 def form_literal(a: Form) -> str:

@@ -2,10 +2,11 @@
 
 The pullback p sends the invariant algebra of the ambient structure onto
 an algebra on the subspace W.  An operator f descends to f_W exactly when
-ker p stays inside ker p o f.  The integral space of f_W is computed on
-the subspace with the same machinery used for the ambient structure, and
-the report sets its dimension against the coordinate projection of the
-ambient integral space.
+ker p stays inside ker p o f: the relation test of edsx.dga.Closure.respects
+on the words and their Leibniz values pulled back to W.  The integral space
+of f_W is solved on the subspace with the extension system of edsx.dga,
+and the report sets its dimension against the coordinate projection of
+the ambient integral space.
 
 Integral elements live in gl(T) (x) T, and the antisymmetrization onto
 Hom(T, Lambda^2 T) has kernel T (x) S^2 T, which the coordinate projection
@@ -19,18 +20,18 @@ the compressed map need not solve the subspace system; conversely a
 subspace solution extends to an ambient one over every subspace of an
 ordinary flag, but can fail to extend when no such flag exists.  The
 report therefore carries both dimensions and an exact test of whether
-the projection covers the subspace solutions, and forces neither.
+the projection covers the subspace solutions, and forces neither: the
+projected directions and the gap between the two particular solutions,
+together with the kernel of the subspace system, must span no more than
+the projected directions alone.
 """
 
-from math import comb
-
 from ._kernel import ONE, s_neg
-from .exterior import Form, Subspace, coords, lex_index, restrict, _sort_sign
-from .linalg import combine, solve_affine, span_rank
+from .exterior import Form, Subspace, lex_index, restrict, _sort_sign
+from .linalg import combine, span_rank
 from .rep import hom_dim, sym_dim
 from .catalog import StructureSpec
-from .dga import (analysis, _extension_rhs, _extension_system,
-                  _generator_pairs, _resolve_op)
+from .dga import analysis, extension, extension_rhs, operator_values
 
 __all__ = [
     "RestrictionError",
@@ -95,22 +96,6 @@ class RestrictionReport:
         }
 
 
-def _kerp_holds(closure, fvals, w):
-    k = w.dim
-    for p, idxs in sorted(closure.by_degree.items()):
-        left = []
-        aug = []
-        for i in idxs:
-            lrow = coords(restrict(closure.words[i][1], w), p)
-            val = restrict(closure.induced_value(i, fvals), w)
-            left.append(lrow)
-            aug.append({**lrow, **coords(val, p + 1, comb(k, p))})
-        if span_rank(left, comb(k, p)) != span_rank(
-                aug, comb(k, p) + comb(k, p + 1)):
-            return False
-    return True
-
-
 def _project_hom(vec, n, kept):
     """The Hom(W, Lambda^2 W) part of sparse Hom(T, Lambda^2 T) coordinates.
 
@@ -147,7 +132,7 @@ def restrict_structure(s: StructureSpec, op, params=None,
     kept = tuple(w.coords)
     k = len(kept)
 
-    fvals = _resolve_op(s, op).instantiate(params)
+    fvals = operator_values(s, op, params)
     a = analysis(s)
 
     p_gens = {}
@@ -156,19 +141,17 @@ def restrict_structure(s: StructureSpec, op, params=None,
         if not img.is_zero():
             p_gens[gname] = img
 
-    kerp = _kerp_holds(a.closure, fvals, w)
+    kerp = a.closure.respects(a.closure.induced_values(fvals), w)
 
-    f_w = None
-    solw = None
-    zw_dim = None
+    f_w = zw_dim = None
     if kerp:
         f_w = {g: restrict(fvals.get(g, Form.zero(n)), w) for g in p_gens}
-        mw, rhsw = _extension_system(k, [(p_gens[g], f_w[g]) for g in p_gens])
-        solw = solve_affine(mw, hom_dim(k), rhsw)
+        ext_w = extension(k, p_gens.values())
+        solw = ext_w.solve(extension_rhs(p_gens, f_w))
         if not solw.is_empty:
             zw_dim = solw.dim + sym_dim(k)
 
-    sol = a.extension().solve(_extension_rhs(_generator_pairs(s, fvals)))
+    sol = a.extension().solve(extension_rhs(s.generators, fvals))
     z_dim = None
     proj_dim = None
     onto = None
@@ -179,13 +162,12 @@ def restrict_structure(s: StructureSpec, op, params=None,
         proj_dim = sym_dim(k) + rank
         if zw_dim is not None:
             # does every subspace solution come from an ambient one: the
-            # subspace directions and the particular gap would all lie in
-            # the projected span
+            # subspace directions (the kernel of the subspace system) and
+            # the particular gap would all lie in the projected span
             gap = combine([solw.particular,
                            _project_hom(sol.particular, n, kept)],
                           {0: ONE, 1: s_neg(ONE)})
-            onto = span_rank(projected + solw.basis + [gap],
-                             hom_dim(k)) == rank
+            onto = ext_w.rank_with_kernel(projected + [gap]) == rank
 
     rel = False
     if set(kept) == set(s.default_flag[:k]):

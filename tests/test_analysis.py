@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -13,10 +14,10 @@ from edsx._kernel import back_substitute, eliminate, s_neg
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
-from edsx.dga import (_derivation_matrix, _extension_system, _generator_pairs,
-                      _unit_maps, Analysis, analysis, check_operator,
+from edsx.dga import (_derivation_matrix, _unit_maps, Analysis, analysis,
+                      check_operator, extension, extension_rhs,
                       lie_tensor_rows, strong_admissibility, z_spaces)
-from edsx.exterior import Form, Subspace
+from edsx.exterior import Form, Subspace, coords
 from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
                          span_rank, transpose)
 from edsx.papercheck import _su3_brackets
@@ -60,8 +61,19 @@ def _queries():
 
 
 def _reference_system(s, op, params):
+    """The extension matrix and rhs, built from their definition: a block
+    of rows d_D(g) = f(g) per generator, the rhs zero where f(g) is."""
     fvals = s.operators[op].instantiate(params)
-    return _extension_system(s.n, _generator_pairs(s, fvals))
+    rhs, at = {}, 0
+    for gname, g in s.generators.items():
+        target = fvals.get(gname, Form.zero(s.n))
+        rhs.update(coords(target, g.degree + 1, at))
+        at += comb(s.n, g.degree + 1)
+    m = _derivation_matrix(list(s.generators.values()), _unit_maps(s.n))
+    assert extension_rhs(s.generators, fvals) == rhs
+    assert extension(s.n, s.generators.values()).rank \
+        == span_rank(m, hom_dim(s.n))
+    return m, rhs
 
 
 @pytest.mark.parametrize("name", CATALOG)

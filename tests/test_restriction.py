@@ -6,7 +6,8 @@ import pytest
 
 from edsx._kernel import ONE, s_sub
 from edsx.catalog import DiffOpSpec, get_structure
-from edsx.dga import Analysis, _extension_system, z_spaces
+from edsx.dga import (Analysis, _derivation_matrix, _unit_maps, extension_rhs,
+                      z_spaces)
 from edsx.exterior import Subspace, lex_index, parse_form, restrict, wedge
 from edsx.linalg import solve_affine, span_rank
 from edsx.papercheck import RESTRICTION_BATTERY
@@ -144,8 +145,8 @@ def _reference(s, op, params, rep):
     solw = None
     zw_dim = None
     if rep.f_w is not None:
-        pairs = [(rep.p_image_gens[g], rep.f_w[g]) for g in rep.p_image_gens]
-        m, rhs = _extension_system(k, pairs)
+        m = _derivation_matrix(list(rep.p_image_gens.values()), _unit_maps(k))
+        rhs = extension_rhs(rep.p_image_gens, rep.f_w)
         solw = solve_affine(m, hom_dim(k), rhs)
         if not solw.is_empty:
             zw_dim = len(solw.basis) + k * (k * (k + 1) // 2)
