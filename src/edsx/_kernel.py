@@ -12,7 +12,11 @@ is never mutated once built, so rows and forms share them freely.
 
 Rationals (fractions.Fraction) appear only at the dense boundary: the
 cells of rref() are {mask: rational} dicts, converted by s_from_fractions
-and s_to_fractions.
+and s_to_fractions.  The one exception is the integer loop of eliminate():
+a long elimination whose remaining rows are radically graded (each entry
+one term, its mask a row mask XOR a column mask) finishes its forward
+phase on integer rows with rational multipliers, and returns exactly what
+the scalar loop would.
 """
 
 from fractions import Fraction
@@ -299,6 +303,11 @@ def s_inv(a):
     return den, dict(sorted(nums.items()))
 
 
+# the scalar loop of eliminate() tests its remaining rows for a radical
+# grading once its row updates pass SWITCH * nnz + 64
+SWITCH = 4
+
+
 def eliminate(srows, ncols, reduced=True, ops=None):
     """Row reduction of sparse rows; returns (pivots, pivot rows).
 
@@ -333,17 +342,31 @@ def eliminate(srows, ncols, reduced=True, ops=None):
     pivot rows are the entries of the zero rows.  No target is p, so a
     replay skips a whole step when b is zero on p.  Back-substitution is
     never recorded.
+
+    Once the row updates made pass SWITCH * nnz + 64, the rows that are
+    not yet pivot rows are tested, once, for a radical grading
+    (_grading); when they have one, the rest of the forward phase runs on
+    integers (_forward_graded), with the same steps, rows and operations.
     """
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
         for j in row:
             holding[j].add(i)
+    budget = SWITCH * sum(map(len, srows)) + 64
+    updates = 0
     pivots = []
     prows = []
     for j in range(ncols):
         held = holding[j]
         if not held:
             continue
+        if updates > budget:
+            budget = float("inf")
+            grading = _grading(srows, holding, j)
+            if grading is not None:
+                _forward_graded(srows, holding, j, grading, pivots, prows,
+                                ops)
+                break
         p = min(held, key=lambda i: (len(srows[i]), i))
         prow = srows[p]
         for k in prow:
@@ -370,12 +393,152 @@ def eliminate(srows, ncols, reduced=True, ops=None):
                 else:
                     del row[k]
                     holding[k].discard(i)
+        updates += len(held) * len(pitems)
         held.clear()
         pivots.append(j)
         prows.append(prow)
     if reduced:
         back_substitute(pivots, prows)
     return pivots, prows
+
+
+def _grading(srows, holding, j0):
+    """Row and column masks grading the rows not yet pivot rows, or None.
+
+    The rows are those holding a column j0 or beyond.  They are graded
+    when every entry (i, k) is one term q * sqrt(DIVISORS[m]) with
+    m = rmask[i] ^ cmask[k].  One breadth-first search over the entries
+    fixes the masks of each connected block, its first row at 0, and
+    returns None at the first entry that fits no grading.
+    """
+    rmask = {}
+    cmask = {}
+    for k0 in range(j0, len(holding)):
+        for start in holding[k0]:
+            if start in rmask:
+                continue
+            rmask[start] = 0
+            queue = [start]
+            for i in queue:
+                r = rmask[i]
+                for k, (_, nums) in srows[i].items():
+                    if len(nums) != 1:
+                        return None
+                    m, = nums
+                    c = cmask.get(k)
+                    if c is None:
+                        cmask[k] = c = r ^ m
+                        for i2 in holding[k]:
+                            if i2 not in rmask:
+                                rmask[i2] = c ^ next(iter(srows[i2][k][1]))
+                                queue.append(i2)
+                    elif c != r ^ m:
+                        return None
+    return rmask, cmask
+
+
+def _graded_entry(n, d, mask):
+    """The scalar n/d * sqrt(DIVISORS[mask]), for nonzero integers n, d."""
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return d, {mask: n}
+
+
+def _forward_graded(srows, holding, j0, grading, pivots, prows, ops):
+    """The forward phase of eliminate() from column j0 on, over integers.
+
+    grading is _grading's (rmask, cmask).  Since sqrt(DIVISORS[r]) *
+    sqrt(DIVISORS[c]) = DIVISORS[r & c] * sqrt(DIVISORS[r ^ c]), entry
+    (i, k) is q * sqrt(DIVISORS[rmask[i]]) * sqrt(DIVISORS[cmask[k]]) for
+    a rational q: the rows are diagonally similar to rational ones.  Each
+    row i is held as lam[i] times a row of coprime integers, in place.  A
+    step is the scalar loop's step: the same pivot row, the same holding
+    sets and the same key order, so the same targets in the same order.
+    Row i becomes (a/g) * row i - (c/g) * pivot row, for its lead c, the
+    pivot lead a and g = gcd(a, c), and is then divided by its content.
+    The pivot rows, their inverses and the targets are converted back to
+    scalars, so pivots, prows and ops come out as the scalar loop's.
+    lam is updated only when ops is passed, the one reader of the leads.
+    """
+    rmask, cmask = grading
+    lam = {}
+    for i, r in rmask.items():
+        row = srows[i]
+        den = 1
+        for k, (d, _) in row.items():
+            d *= DIVISORS[r & cmask[k]]
+            den = den // gcd(den, d) * d
+        for k, (d, nums) in list(row.items()):
+            x, = nums.values()
+            row[k] = x * (den // (d * DIVISORS[r & cmask[k]]))
+        g = gcd(*row.values())
+        if g != 1:
+            for k in row:
+                row[k] //= g
+        lam[i] = Fraction(g, den)
+    for j in range(j0, len(holding)):
+        held = holding[j]
+        if not held:
+            continue
+        p = min(held, key=lambda i: (len(srows[i]), i))
+        prow = srows[p]
+        for k in prow:
+            holding[k].discard(p)
+        lead = prow.pop(j)
+        pitems = list(prow.items())
+        cj = cmask[j]
+        dj = lead * DIVISORS[cj]
+        for k, v in pitems:
+            ck = cmask[k]
+            prow[k] = _graded_entry(v * DIVISORS[ck & cj], dj, ck ^ cj)
+        if ops is not None:
+            q = lam[p]
+            r = rmask[p]
+            lead_s = _graded_entry(q.numerator * lead * DIVISORS[r & cj],
+                                   q.denominator, r ^ cj)
+            inv = ONE if lead_s == ONE else s_inv(lead_s)
+            targets = []
+            for i in held:
+                q = lam[i]
+                r = rmask[i]
+                targets.append((i, _graded_entry(
+                    q.numerator * srows[i][j] * DIVISORS[r & cj],
+                    q.denominator, r ^ cj)))
+            ops.append((p, inv, tuple(targets)))
+        for i in held:
+            row = srows[i]
+            c = row.pop(j)
+            g = gcd(lead, c)
+            a = lead // g
+            c //= g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in pitems:
+                cur = row.get(k)
+                if cur is None:
+                    row[k] = -c * v
+                    holding[k].add(i)
+                else:
+                    cur -= c * v
+                    if cur:
+                        row[k] = cur
+                    else:
+                        del row[k]
+                        holding[k].discard(i)
+            h = gcd(*row.values()) if row else 1
+            if h != 1:
+                for k in row:
+                    row[k] //= h
+            if ops is not None:
+                lam[i] *= Fraction(h, a)
+        held.clear()
+        pivots.append(j)
+        prows.append(prow)
 
 
 def back_substitute(pivots, prows):

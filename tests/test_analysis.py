@@ -9,8 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from edsx import catalog, linalg
-from edsx._kernel import back_substitute, eliminate, s_neg
+from edsx import _kernel, catalog, linalg
+from edsx._kernel import PRIMES, back_substitute, eliminate, s_neg
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
@@ -273,7 +273,53 @@ def test_factored_solve_of_random_radical_systems():
             _assert_solves_agree(elim, m, width, rhs)
 
 
-def test_factored_particular_is_the_back_solve_of_random_systems():
+def _random_system(rng, t, entry, factor):
+    """Sparse rows m and their width: wide, tall, or (t % 3 == 2)
+    rank-deficient, with one row minus factor(i, j) times another
+    appended and a zero column; entry (i, k) is entry(i, k) times a
+    rational."""
+    nrows, width = [(rng.randint(2, 5), rng.randint(6, 12)),
+                    (rng.randint(6, 12), rng.randint(2, 5)),
+                    (rng.randint(4, 9), rng.randint(4, 9))][t % 3]
+    m = []
+    for i in range(nrows):
+        row = {}
+        for k in range(width):
+            if rng.random() < 0.35:
+                v = entry(i, k) * Scalar.of(
+                    Fraction(rng.choice([-4, -1, 1, 3]),
+                             rng.choice([1, 3, 5])))
+                row[k] = v.c
+        m.append(row)
+    if t % 3 == 2:
+        i, j = rng.sample(range(nrows), 2)
+        c = factor(i, j).c
+        m.append({k: v for k, v in (
+            (k, (Scalar(m[i].get(k)) - Scalar(c) * Scalar(m[j].get(k))).c)
+            for k in set(m[i]) | set(m[j])) if v})
+        dead = rng.randrange(width)
+        m = [{k: v for k, v in row.items() if k != dead} for row in m]
+    return m, width
+
+
+def _right_hand_sides(rng, m, width, radicals):
+    """m x for a random x, zero, a random vector, and the unit vector on
+    every row that never becomes a pivot row, which no combination of
+    m's columns can reach."""
+    one = Scalar.of(1).c
+    ops = []
+    eliminate([dict(r) for r in m], width, reduced=False, ops=ops)
+    pivot_rows = {p for p, _, _ in ops}
+    off_pivot = {i: one for i in range(len(m)) if i not in pivot_rows}
+    x = {k: rng.choice(radicals).c
+         for k in range(width) if rng.random() < 0.6}
+    return (_times(m, x), {},
+            {i: rng.choice(radicals).c for i in range(len(m))
+             if rng.random() < 0.5}, off_pivot)
+
+
+def test_factored_particular_is_the_back_solve_of_random_systems(
+        monkeypatch):
     # wide, tall and rank-deficient radical systems; the rhs is m x, a
     # random vector, zero, or held only by rows that never become pivot
     # rows, which no combination of m's columns can reach
@@ -281,41 +327,13 @@ def test_factored_particular_is_the_back_solve_of_random_systems():
     radicals = [Scalar.of(1), Scalar.sqrt(2), Scalar.sqrt(5),
                 Scalar.sqrt(7), Scalar.sqrt(2) - Scalar.sqrt(7),
                 Scalar.of(2) + Scalar.sqrt(5)]
-    one = Scalar.of(1).c
     empty = unreachable = 0
     for t in range(60):
-        nrows, width = [(rng.randint(2, 5), rng.randint(6, 12)),
-                        (rng.randint(6, 12), rng.randint(2, 5)),
-                        (rng.randint(4, 9), rng.randint(4, 9))][t % 3]
-        m = []
-        for _ in range(nrows):
-            row = {}
-            for k in range(width):
-                if rng.random() < 0.35:
-                    v = rng.choice(radicals) * Scalar.of(
-                        Fraction(rng.choice([-4, -1, 1, 3]),
-                                 rng.choice([1, 3, 5])))
-                    row[k] = v.c
-            m.append(row)
-        if t % 3 == 2:
-            # rank-deficient: a combination of two rows, and a zero column
-            i, j = rng.sample(range(nrows), 2)
-            c = rng.choice(radicals).c
-            m.append({k: v for k, v in (
-                (k, (Scalar(m[i].get(k)) - Scalar(c) * Scalar(m[j].get(k))).c)
-                for k in set(m[i]) | set(m[j])) if v})
-            dead = rng.randrange(width)
-            m = [{k: v for k, v in row.items() if k != dead} for row in m]
-        ops = []
-        eliminate([dict(r) for r in m], width, reduced=False, ops=ops)
-        pivot_rows = {p for p, _, _ in ops}
-        off_pivot = {i: one for i in range(len(m)) if i not in pivot_rows}
-        x = {k: rng.choice(radicals).c
-             for k in range(width) if rng.random() < 0.6}
+        m, width = _random_system(rng, t, lambda i, k: rng.choice(radicals),
+                                  lambda i, j: rng.choice(radicals))
+        rhs_list = _right_hand_sides(rng, m, width, radicals)
         elim = Elimination(m, width)
-        for rhs in (_times(m, x), {},
-                    {i: rng.choice(radicals).c for i in range(len(m))
-                     if rng.random() < 0.5}, off_pivot):
+        for rhs in rhs_list:
             want = solve_affine(m, width, rhs).particular
             got = elim.particular(rhs)
             if want is None:
@@ -323,11 +341,63 @@ def test_factored_particular_is_the_back_solve_of_random_systems():
                 empty += 1
             else:
                 assert list(got.items()) == list(want.items())
-            if rhs is off_pivot and rhs:
+            if rhs is rhs_list[-1] and rhs:
                 assert got is None
                 unreachable += 1
-        assert elim.particular(_times(m, x)) is not None
+        assert elim.particular(rhs_list[0]) is not None
     assert empty > unreachable > 10
+
+    # radical-graded systems, entry (i, k) a rational times
+    # sqrt(D[r_i ^ c_k]), factored with the switch to the integer loop
+    # forced and checked against solve_affine with the switch off
+    switches = []
+    graded = _kernel._forward_graded
+
+    def counted(*args):
+        switches.append(args[2])
+        return graded(*args)
+
+    monkeypatch.setattr(_kernel, "_forward_graded", counted)
+    rng = random.Random(4413)
+    units = [Scalar.of(1) for _ in range(16)]
+    for mask in range(1, 16):
+        for bit, p in enumerate(PRIMES):
+            if mask >> bit & 1:
+                units[mask] = units[mask] * Scalar.sqrt(p)
+    empty = 0
+    for t in range(60):
+        rmask = [rng.randrange(16) for _ in range(12)]
+        cmask = [rng.randrange(16) for _ in range(12)]
+        m, width = _random_system(
+            rng, t, lambda i, k: units[rmask[i] ^ cmask[k]],
+            lambda i, j: units[rmask[i] ^ rmask[j]] * Scalar.of(
+                Fraction(rng.randrange(1, 9), rng.randrange(1, 9))))
+        monkeypatch.setattr(_kernel, "SWITCH", 10 ** 9)
+        rhs_list = _right_hand_sides(rng, m, width, units)
+        g = [{k: units[rng.randrange(16)].c for k in range(width)
+              if rng.random() < 0.3} for _ in range(3)]
+        monkeypatch.setattr(_kernel, "SWITCH", -10 ** 9)
+        before = len(switches)
+        elim = Elimination(m, width)
+        kernel = elim.kernel_vectors()
+        with_kernel = elim.rank_with_kernel(g)
+        assert len(switches) > before
+        monkeypatch.setattr(_kernel, "SWITCH", 10 ** 9)
+        for rhs in rhs_list:
+            reference = solve_affine(m, width, rhs)
+            got = elim.solve(rhs)
+            if reference.is_empty:
+                assert got.particular is None and got.dim is None
+                empty += 1
+            else:
+                assert list(got.particular.items()) \
+                    == list(reference.particular.items())
+                assert got.dim == reference.dim
+        basis = solve_affine(m, width, {}).basis
+        assert [list(v.items()) for v in kernel.values()] \
+            == [list(v.items()) for v in basis]
+        assert with_kernel == span_rank(g + basis, width)
+    assert empty > 20
 
 
 def _counted_back_substitutions(monkeypatch):

@@ -4,6 +4,8 @@ sympy's DomainMatrix.rref over QQ, and over algebraic fields spanned by
 three of the four square roots, is an independent implementation of the
 same canonical form: pivots and every entry of the RREF must agree.  The
 sparse core, eliminate(), must give what its dense entry rref() gives.
+These RREF tests run twice, the second time with eliminate()'s switch
+to its integer loop forced, so the rational cases meet sympy there too.
 sympy's division in those fields is an independent inverse.  Wedge
 coefficients are recomputed as shuffle sums with sympy's permutation
 signs and sqrt arithmetic, and the Hodge star is held to a ^ *b =
@@ -19,6 +21,7 @@ from sympy import QQ, Integer, Rational, expand, sqrt
 from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 
+from edsx import _kernel
 from edsx._kernel import (DIVISORS, PRIMES, eliminate, rref, s_from_fractions,
                           s_inv, s_mul, s_to_fractions)
 from edsx.catalog import get_structure
@@ -103,6 +106,19 @@ SHAPES = [(1, 1), (1, 5), (5, 1), (3, 3), (2, 7), (7, 2), (4, 6), (6, 4),
           (5, 5), (8, 3), (3, 8)]
 
 
+def _over_switch(params):
+    """Each parameter tuple twice: with eliminate()'s SWITCH at its
+    default (the id of the tuple alone) and at a value that moves every
+    radically graded matrix, the rational ones among them, to the integer
+    loop at its first pivot column (the id ending in -switched)."""
+    out = []
+    for args in params:
+        name = "-".join(map(str, args))
+        out.append(pytest.param(*args, _kernel.SWITCH, id=name))
+        out.append(pytest.param(*args, -10 ** 9, id=name + "-switched"))
+    return out
+
+
 def _cases(field, seed, count):
     rng = random.Random(seed)
     for t in range(count):
@@ -110,8 +126,10 @@ def _cases(field, seed, count):
         yield _matrix(rng, field, nrows, ncols), ncols
 
 
-@pytest.mark.parametrize("which,count", [(0, 220), (1, 110), (2, 110)])
-def test_rref_matches_sympy(fields, which, count):
+@pytest.mark.parametrize("which,count,switch", _over_switch(
+    [(0, 220), (1, 110), (2, 110)]))
+def test_rref_matches_sympy(monkeypatch, fields, which, count, switch):
+    monkeypatch.setattr(_kernel, "SWITCH", switch)
     field = fields[which]
     for rows, ncols in _cases(field, 9100 + which, count):
         want, want_piv = field.matrix(rows, ncols).rref()
@@ -134,8 +152,10 @@ def _dense(pivots, prows, nrows, ncols):
                   for _ in range(nrows - len(pivots))]
 
 
-@pytest.mark.parametrize("which", [0, 1, 2])
-def test_sparse_core_matches_the_dense_entry(fields, which):
+@pytest.mark.parametrize("which,switch", _over_switch([(0,), (1,), (2,)]))
+def test_sparse_core_matches_the_dense_entry(monkeypatch, fields, which,
+                                             switch):
+    monkeypatch.setattr(_kernel, "SWITCH", switch)
     field = fields[which]
     for rows, ncols in _cases(field, 9100 + which, 110):
         before = [[dict(c) for c in r] for r in rows]
@@ -160,8 +180,10 @@ def test_sparse_core_matches_the_dense_entry(fields, which):
         assert rows == before
 
 
-@pytest.mark.parametrize("which", [0, 1, 2])
-def test_forward_only_pivots_equal_full_pivots(fields, which):
+@pytest.mark.parametrize("which,switch", _over_switch([(0,), (1,), (2,)]))
+def test_forward_only_pivots_equal_full_pivots(monkeypatch, fields, which,
+                                               switch):
+    monkeypatch.setattr(_kernel, "SWITCH", switch)
     field = fields[which]
     for rows, ncols in _cases(field, 9200 + which, 44):
         before = [[dict(c) for c in r] for r in rows]
