@@ -40,9 +40,20 @@ vector of weight 0.  The spin multiplicities are therefore read on the
 zero-weight block B_0 = ker H alone, where C acts because it commutes
 with H: mult_j = dim ker(C|B_0 - lambda_j), for j = 0, 1, ... until they
 fill B_0.  The other weights are a certificate, not a computation: for
-m = 1..J the block ker(H^2 + s m^2) must hold 2 sum_{j >= m} mult_j
-vectors, counted by a forward-only rank, and sum_j mult_j (2j + 1) must
-be the dimension of the space; any mismatch raises CasimirError.
+m = 1..J the vectors of weight +-m must number 2 sum_{j >= m} mult_j, and
+sum_j mult_j (2j + 1) must be the dimension of the space; any mismatch
+raises CasimirError.
+
+The weights are counted on the tensor factors, never on the whole space.
+H acts on V (x) W as H_V (x) 1 + 1 (x) H_W, so a weight of V (x) W is a
+weight of V plus one of W (Fulton and Harris, Representation Theory,
+section 11).  Each factor (T; Lambda^2 T; g under ad) is counted once by
+forward-only ranks on its own columns: n(0) = dim ker H_V and
+n(+-a) = dim ker(H_V^2 + s a^2) / 2 for a = 1, 2, ... until the counts
+fill dim V; a factor they cannot fill, or a block of odd size, has no
+integer weights in the scale s and raises CasimirError.  The sizes of the
+product are then sums over a + b = +-m of n_V(a) n_W(b).  T is a factor
+of both halves of t-gperp, and the calibration and T's counts serve both.
 """
 
 from __future__ import annotations
@@ -394,18 +405,19 @@ def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
     return dim_v * dim_w, ops
 
 
-def _space_operators(g: LieRep, label):
-    """(dimension, [action of each generator as sparse rows]) for a space
-    label; on T these are the basis matrices themselves."""
+def _factor_operators(g: LieRep, label):
+    """The tensor factors of a space label as (name, dimension, [action of
+    each generator as sparse rows]); T is its own single factor, and its
+    operators are the basis matrices themselves."""
     n = g.n
+    t = ("T", n, g.basis)
     if label == "T":
-        return n, g.basis
+        return [t]
     if label == "t-lambda2":
         # x acts on bivectors e_j ^ e_k as -x acts on the coframe
         neg = [[{j: s_neg(c) for j, c in row.items()} for row in x]
                for x in g.basis]
-        return _tensor_operators(g.basis, _form_operators(neg, n, 2), n,
-                                 comb(n, 2))
+        return [t, ("Lambda^2 T", comb(n, 2), _form_operators(neg, n, 2))]
     if label == "t-g":
         k = g.dim
         # ad(x_a) x_b = [x_a, x_b] and ad(x_b) x_a = -[x_a, x_b]; pairs in
@@ -415,8 +427,23 @@ def _space_operators(g: LieRep, label):
             for d, c in row.items():
                 ad_ops[a][d][b] = c
                 ad_ops[b][d][a] = s_neg(c)
-        return _tensor_operators(ad_ops, g.basis, k, n)
+        return [("g", k, ad_ops), t]
     raise CasimirError("unknown representation space %r" % label)
+
+
+def _product_operators(factors):
+    """(dimension, [action of each generator as sparse rows]) on the tensor
+    product of the factors."""
+    (_, dim, ops), *rest = factors
+    for _, dim_w, w_ops in rest:
+        dim, ops = _tensor_operators(ops, w_ops, dim, dim_w)
+    return dim, ops
+
+
+def _space_operators(g: LieRep, label):
+    """(dimension, [action of each generator as sparse rows]) for a space
+    label; on T these are the basis matrices themselves."""
+    return _product_operators(_factor_operators(g, label))
 
 
 def _calibrate(g: LieRep):
@@ -492,23 +519,46 @@ def _check_weights(mult, sizes, dim):
         raise CasimirError("spin multiplicities do not fill dimension %d" % dim)
 
 
-def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
-    """Decompose a representation space under a 3-dimensional g."""
-    if g.dim != 3:
-        raise CasimirError("casimir_decompose needs a 3-dimensional Lie algebra")
-    if space in ("t-gperp", "quotient"):
-        whole = casimir_decompose(g, "t-lambda2")
-        sub = casimir_decompose(g, "t-g")
-        parts = dict(whole.parts)
-        for d, m in sub.parts:
-            if parts.get(d, 0) < m:
-                raise CasimirError("g (x) T does not embed in T (x) Lambda^2 T")
-            parts[d] -= m
-        parts = sorted((d, m) for d, m in parts.items() if m)
-        dim = whole.dim - sub.dim
-        return CasimirDecomposition(space, dim, whole.kappa, parts)
-    kappa, s = _calibrate(g)
-    dim, ops = _space_operators(g, space)
+def _weight_counts(h, dim, s):
+    """[n(0), n(1), ...] for the first generator h on a factor of dimension
+    dim: n(0) = dim ker h, and n(a) = dim ker(h^2 + s a^2) / 2 vectors of
+    each weight +a and -a, for a = 1, 2, ... until they fill dim.  Raises
+    CasimirError when they cannot: h is then not semisimple with integer
+    weights in the scale s."""
+    counts = [dim - span_rank(h, dim)]
+    left = dim - counts[0]
+    h2 = _sparse_square_sum([h], dim, range(dim))
+    while left:
+        a = len(counts)
+        size = _kernel_dim_shift(h2, s_mul(s, s_quotient(a * a)), dim)
+        if a == dim or size % 2:
+            raise CasimirError("weights of the first generator do not fit the scale of T")
+        counts.append(size // 2)
+        left -= size
+    return counts
+
+
+def _tensor_weight_sizes(counts, top):
+    """sizes[m - 1] = the number of vectors of weight +m or -m on the tensor
+    product of factors with the weight counts n(a) = n(-a) of
+    _weight_counts, for m = 1..top; a weight of the product is a sum of one
+    weight of each factor."""
+    total = {0: 1}
+    for n in counts:
+        out = {}
+        for w, c in total.items():
+            for v in range(1 - len(n), len(n)):
+                out[w + v] = out.get(w + v, 0) + c * n[abs(v)]
+        total = out
+    return [total.get(m, 0) + total.get(-m, 0) for m in range(1, top + 1)]
+
+
+def _decompose(g: LieRep, space, kappa, s, counts):
+    """casimir_decompose of one tensor space, given the calibration (kappa,
+    s); counts holds the weight counts of each factor by name, filled on
+    first use and shared between calls."""
+    factors = _factor_operators(g, space)
+    dim, ops = _product_operators(factors)
     # the zero-weight block B_0 = ker H; a kernel vector is zero past its
     # free column
     zero = {max(v): v for v in kernel_basis(ops[0], dim)}
@@ -522,8 +572,31 @@ def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
             raise CasimirError("spectrum of C exceeds the expected spins")
         lam = kappa * (j * (j + 1))
         mult.append(_kernel_dim_shift(rows, s_neg(lam.c), len(rows)))
-    h2 = _sparse_square_sum(ops[:1], dim, range(dim))
-    _check_weights(mult, [_kernel_dim_shift(h2, s_mul(s, s_quotient(m * m)), dim)
-                          for m in range(1, len(mult))], dim)
+    for name, d, f_ops in factors:
+        if name not in counts:
+            counts[name] = _weight_counts(f_ops[0], d, s)
+    sizes = _tensor_weight_sizes([counts[name] for name, _, _ in factors],
+                                 len(mult) - 1)
+    _check_weights(mult, sizes, dim)
     parts = [(2 * j + 1, k) for j, k in enumerate(mult) if k]
     return CasimirDecomposition(space, dim, kappa, parts)
+
+
+def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
+    """Decompose a representation space under a 3-dimensional g."""
+    if g.dim != 3:
+        raise CasimirError("casimir_decompose needs a 3-dimensional Lie algebra")
+    kappa, s = _calibrate(g)
+    # T is a factor of both halves of t-gperp: its weights are counted once
+    counts = {}
+    if space not in ("t-gperp", "quotient"):
+        return _decompose(g, space, kappa, s, counts)
+    whole = _decompose(g, "t-lambda2", kappa, s, counts)
+    sub = _decompose(g, "t-g", kappa, s, counts)
+    parts = dict(whole.parts)
+    for d, m in sub.parts:
+        if parts.get(d, 0) < m:
+            raise CasimirError("g (x) T does not embed in T (x) Lambda^2 T")
+        parts[d] -= m
+    parts = sorted((d, m) for d, m in parts.items() if m)
+    return CasimirDecomposition(space, whole.dim - sub.dim, kappa, parts)

@@ -6,7 +6,7 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import ONE, s_neg, s_quotient, s_to_fractions
+from edsx._kernel import ONE, s_mul, s_neg, s_quotient, s_to_fractions
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx import linalg, rep
@@ -387,13 +387,16 @@ def _reordered(order):
                   [mats[k] for k in order])
 
 
+ALGEBRAS = {"so3-9": lambda: get_structure("so3-9").lie,
+            "rotations": lambda: _rotations(),
+            "Y, H, X": lambda: _reordered("YHX"),
+            "X, Y, H": lambda: _reordered("XYH")}
+
+
 @pytest.mark.parametrize("space", ["T", "t-g", "t-lambda2", "t-gperp"])
-@pytest.mark.parametrize("algebra", ["so3-9", "rotations", "Y, H, X", "X, Y, H"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_casimir_parts_match_the_weight_count(algebra, space):
-    g = {"so3-9": lambda: get_structure("so3-9").lie,
-         "rotations": _rotations,
-         "Y, H, X": lambda: _reordered("YHX"),
-         "X, Y, H": lambda: _reordered("XYH")}[algebra]()
+    g = ALGEBRAS[algebra]()
     dec = casimir_decompose(g, space)
     assert (dec.dim, dec.parts) == _weight_oracle(g.n, space)
     assert dec.dim == sum(d * m for d, m in dec.parts)
@@ -420,9 +423,86 @@ def test_casimir_ranks_c_only_on_the_zero_weight_block(monkeypatch):
     # one kernel on the whole space, of H: B_0, one vector per summand
     (_, ncols, zero), = calls["kernel"]
     assert ncols == 324 and len(zero) == dec.components == 28
-    # C - lambda_j is ranked on B_0 for j = 0..11, and the weight blocks
-    # m = 1..11 are only counted, by ranks on the whole space
-    assert calls["rank"] == [(28, 28)] * 12 + [(324, 324)] * 11
+    # C - lambda_j is ranked on B_0 for j = 0..11; the weight blocks are
+    # counted on the factors alone: ker H and m = 1..4 on T = V9, ker H and
+    # m = 1..7 on Lambda^2 T = V15 + V11 + V7 + V3
+    assert calls["rank"] == [(28, 28)] * 12 + [(9, 9)] * 5 + [(36, 36)] * 8
+    assert all(ncols != 324 for _, ncols in calls["rank"])
+    # n(a) on Lambda^2 T is 4, 4, 3, 3, 2, 2, 1, 1: the sizes are their
+    # sums over a + b = +-m with the weights of T
+    (_, sizes, _), = calls["check"]
+    assert sizes == [56, 52, 48, 40, 32, 24, 18, 12, 8, 4, 2]
+
+
+def test_t_gperp_calibrates_and_counts_t_once(monkeypatch):
+    g = get_structure("so3-9").lie
+    calibrations = []
+
+    def calibrate(g):
+        calibrations.append(g)
+        return real(g)
+
+    real = rep._calibrate
+    monkeypatch.setattr(rep, "_calibrate", calibrate)
+    dec, calls = _recorded_casimir(monkeypatch, g, "t-gperp")
+    assert (dec.dim, dec.components) == (297, 25)
+    assert calibrations == [g]
+    # t-lambda2 counts T and Lambda^2 T; t-g then ranks C on its B_0 of 3
+    # vectors for j = 0..5 and counts only g = V3, reusing T's counts
+    assert calls["rank"] == ([(28, 28)] * 12 + [(9, 9)] * 5 + [(36, 36)] * 8
+                             + [(3, 3)] * 6 + [(3, 3)] * 2)
+    assert [dim for _, _, dim in calls["check"]] == [324, 27]
+
+
+def _whole_space_sizes(g, space, top):
+    """dim ker(H^2 + s m^2) for m = 1..top, by ranks over every column of
+    the tensor space's own first-generator operator H."""
+    _, s = rep._calibrate(g)
+    dim, ops = _space_operators(g, space)
+    h2 = rep._sparse_square_sum(ops[:1], dim, range(dim))
+    return [rep._kernel_dim_shift(h2, s_mul(s, s_quotient(m * m)), dim)
+            for m in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("space", ["t-lambda2", "t-g"])
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_factor_weight_counts_match_the_whole_space_ranks(algebra, space):
+    g = ALGEBRAS[algebra]()
+    _, s = rep._calibrate(g)
+    factors = rep._factor_operators(g, space)
+    counts = [rep._weight_counts(ops[0], dim, s) for _, dim, ops in factors]
+    # each factor's counts fill it: n(0) + 2 sum_a n(a) = dim
+    assert [2 * sum(n) - n[0] for n in counts] == [d for _, d, _ in factors]
+    top = max(d for d, _ in casimir_decompose(g, space).parts) // 2 + 1
+    sizes = rep._tensor_weight_sizes(counts, top)
+    assert sizes == _whole_space_sizes(g, space, top)
+    assert sizes[-1] == 0
+
+
+@pytest.mark.parametrize("h, dim, s", [
+    # a nilpotent Jordan block: ker h has 1 of 3 dimensions and no weight
+    # +-a fills the rest
+    (lambda: [{1: ONE}, {2: ONE}, {}], 3, 2),
+    # the weights of so3-9's H are integers in the scale 2, not 3
+    (lambda: get_structure("so3-9").lie.basis[0], 9, 3),
+    # a rotation of the plane has weights +-1/2 in the scale 4
+    (lambda: [{1: ONE}, {0: s_neg(ONE)}], 2, 4),
+    # real weights 1 and 0 in the scale -1: the block of +-1 has odd size
+    (lambda: [{0: ONE}, {}], 2, -1),
+], ids=["jordan", "so3-9-scale-3", "half-weights", "odd-block"])
+def test_weight_counts_reject_a_factor_off_the_scale(h, dim, s):
+    with pytest.raises(CasimirError,
+                       match="^weights of the first generator do not fit "
+                             "the scale of T$"):
+        rep._weight_counts(h(), dim, s_quotient(s))
+
+
+def test_weight_counts_of_a_factor():
+    g = get_structure("so3-9").lie
+    # T = V9: weights -4..4, one each
+    assert rep._weight_counts(g.basis[0], 9, s_quotient(2)) == [1] * 5
+    # the plane's rotation in the scale 1: weights +-1
+    assert rep._weight_counts([{1: ONE}, {0: s_neg(ONE)}], 2, ONE) == [0, 1]
 
 
 def _rotations():
