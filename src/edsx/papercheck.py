@@ -390,9 +390,8 @@ def check_restriction():
         if proj is not None and zw is not None and proj != zw:
             mismatches.append("%s %s (%d vs %d)" % (name, op, proj, zw))
         if onto is False:
-            r.flag("%s %s  projection misses hyperplane solutions "
-                   "(%d of %d covered); the flag here is not ordinary"
-                   % (name, op, proj, zw))
+            r.flag("%s %s  projection misses hyperplane solutions; the "
+                   "flag here is not ordinary" % (name, op))
     r.flag("projection dim = dim Z'_W fails off example-712: "
            + "; ".join(mismatches))
     return r

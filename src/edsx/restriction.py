@@ -20,15 +20,19 @@ the compressed map need not solve the subspace system; conversely a
 subspace solution extends to an ambient one over every subspace of an
 ordinary flag, but can fail to extend when no such flag exists.  The
 report therefore carries both dimensions and an exact test of whether
-the projection covers the subspace solutions, and forces neither: the
-projected directions and the gap between the two particular solutions,
-together with the kernel of the subspace system, must span no more than
-the projected directions alone.
+the projection covers the subspace solutions, and forces neither.  Both
+are ranks of the ambient elimination of E, of rank r over N columns: for
+units the unit rows of the columns off S = Hom(W, Lambda^2 W),
+rank_with_kernel(units) = N - r + r', r' the rank of E off S, so
+proj_dim = sym_dim(k) + rank_with_kernel(units) - |units|.  Z'_W is
+covered exactly when the subspace kernel and the gap x_W - P(x_T),
+lifted onto S, leave that rank unchanged.  No proof is known that the
+ker p condition puts the gap in P(ker E); it never decided a verdict,
+and it stays as an exact certificate.
 """
 
-from ._kernel import ONE, s_neg
+from ._kernel import ONE, s_neg, s_sub
 from .exterior import Form, Subspace, lex_index, restrict, _sort_sign
-from .linalg import combine, span_rank
 from .rep import hom_dim, sym_dim
 from .catalog import StructureSpec
 from .dga import analysis, extension, extension_rhs, operator_values
@@ -96,23 +100,18 @@ class RestrictionReport:
         }
 
 
-def _project_hom(vec, n, kept):
-    """The Hom(W, Lambda^2 W) part of sparse Hom(T, Lambda^2 T) coordinates.
-
-    An entry (i, {u, v}) is kept when i, u and v lie in W and is moved to
-    W's positions of them; it changes sign when W's order reverses u, v.
-    """
-    pairs = lex_index(n, 2)[0]
-    wpos = lex_index(len(kept), 2)[1]
-    at = {c: j for j, c in enumerate(kept, 1)}
+def _lift(vec, n, kept):
+    """Sparse Hom(W, Lambda^2 W) coordinates carried to Hom(T, Lambda^2 T)
+    by the transpose of P: the entry (a, {b, c}) moves to (kept[a],
+    {kept[b], kept[c]}), negated when the ambient order reverses them."""
+    pos = lex_index(n, 2)[1]
+    wpairs = lex_index(len(kept), 2)[0]
     out = {}
-    for key, c in vec.items():
-        i, t = divmod(key, len(pairs))
-        u, v = pairs[t]
-        if i + 1 in at and u in at and v in at:
-            K, sign = _sort_sign((at[u], at[v]))
-            out[(at[i + 1] - 1) * len(wpos) + wpos[K]] = (
-                c if sign > 0 else s_neg(c))
+    for key, x in vec.items():
+        a, t = divmod(key, len(wpairs))
+        b, c = wpairs[t]
+        pair, sign = _sort_sign((kept[b - 1], kept[c - 1]))
+        out[(kept[a] - 1) * len(pos) + pos[pair]] = x if sign > 0 else s_neg(x)
     return out
 
 
@@ -151,23 +150,20 @@ def restrict_structure(s: StructureSpec, op, params=None,
         if not solw.is_empty:
             zw_dim = solw.dim + sym_dim(k)
 
-    sol = a.extension().solve(extension_rhs(s.generators, fvals))
-    z_dim = None
-    proj_dim = None
-    onto = None
-    if not sol.is_empty:
-        z_dim = sol.dim + sym_dim(n)
-        projected = [_project_hom(b, n, kept) for b in sol.basis]
-        rank = span_rank(projected, hom_dim(k))
-        proj_dim = sym_dim(k) + rank
+    ext = a.extension()
+    x_t = ext.particular(extension_rhs(s.generators, fvals))
+    z_dim = proj_dim = onto = None
+    if x_t is not None:
+        z_dim = hom_dim(n) - ext.rank + sym_dim(n)
+        on_w = set(_lift({j: ONE for j in range(hom_dim(k))}, n, kept))
+        units = [{c: ONE} for c in range(hom_dim(n)) if c not in on_w]
+        rank = ext.rank_with_kernel(units)
+        proj_dim = sym_dim(k) + rank - len(units)
         if zw_dim is not None:
-            # does every subspace solution come from an ambient one: the
-            # subspace directions (the kernel of the subspace system) and
-            # the particular gap would all lie in the projected span
-            gap = combine([solw.particular,
-                           _project_hom(sol.particular, n, kept)],
-                          {0: ONE, 1: s_neg(ONE)})
-            onto = ext_w.rank_with_kernel(projected + [gap]) == rank
+            x_w = _lift(solw.particular, n, kept)
+            gap = {c: g for c in on_w if (g := s_sub(x_w.get(c), x_t.get(c)))}
+            lifted = [_lift(b, n, kept) for b in solw.basis] + [gap]
+            onto = ext.rank_with_kernel(units + lifted) == rank
 
     rel = False
     if set(kept) == set(s.default_flag[:k]):

@@ -37,8 +37,8 @@ def test_criterion(results, num, key):
 # sha256 and length of the bytes `edsx paper-check --json` prints; the
 # payload is built as cli.cmd_paper_check builds it, from the results above
 PAPER_CHECK_JSON_SHA256 = (
-    "af2c16ced0d9cbf724ab374716b3afe02457fd25d5f4ffee3a6efcc3aa91125c")
-PAPER_CHECK_JSON_BYTES = 22869
+    "399692a260118d5087043cf42b0584da26f0f753a06c9be471a191f0e58cd6cd")
+PAPER_CHECK_JSON_BYTES = 22827
 
 
 def test_paper_check_json_is_pinned(results):

@@ -17,7 +17,7 @@ from edsx.catalog import (get_structure, parse_structure_name,
 from edsx.dga import (_derivation_matrix, _unit_maps, Analysis, analysis,
                       check_operator, extension, extension_rhs,
                       lie_tensor_rows, strong_admissibility, z_spaces)
-from edsx.exterior import Form, Subspace, coords
+from edsx.exterior import Form, Subspace, coords, restrict
 from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
                          span_rank, transpose)
 from edsx.papercheck import _su3_brackets
@@ -415,7 +415,7 @@ def _counted_back_substitutions(monkeypatch):
     return calls
 
 
-def test_only_the_z_prime_basis_back_substitutes(monkeypatch):
+def test_a_restriction_back_substitutes_only_the_subspace(monkeypatch):
     calls = _counted_back_substitutions(monkeypatch)
     radical = _assignment(get_structure("su-odd:3").operators["A"],
                           PARAMS[1])
@@ -428,16 +428,20 @@ def test_only_the_z_prime_basis_back_substitutes(monkeypatch):
         catalog._CACHE.clear()
         query()
         assert calls == []
+    # the ambient system is never back-substituted: the one call of each
+    # restriction reads the kernel of the subspace system
     hyperplane = Subspace.coordinate(8, range(1, 8))
     for warm in (False, True):
         catalog._CACHE.clear()
         s = get_structure("psu3")
         if warm:
             flag_test(s)
-        restrict_structure(s, "zero", None, hyperplane)
-        assert len(calls) == 1
-        restrict_structure(s, "zero", None, hyperplane)
-        assert len(calls) == 1
+        ext_w = extension(7, [restrict(g, hyperplane)
+                              for g in s.generators.values()])
+        for _ in range(2):
+            restrict_structure(s, "zero", None, hyperplane)
+        assert analysis(s).extension().rank != ext_w.rank
+        assert calls == [ext_w.rank] * 2
         calls.clear()
 
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from edsx._kernel import ONE, s_sub
+from edsx._kernel import ONE, s_neg, s_sub
 from edsx.catalog import DiffOpSpec, get_structure
 from edsx.dga import (Analysis, _derivation_matrix, _unit_maps, extension_rhs,
                       z_spaces)
@@ -12,8 +12,7 @@ from edsx.exterior import Subspace, lex_index, parse_form, restrict, wedge
 from edsx.linalg import solve_affine, span_rank
 from edsx.papercheck import RESTRICTION_BATTERY
 from edsx.rep import HomMap, hom_dim
-from edsx.restriction import (RestrictionError, _project_hom,
-                              restrict_structure)
+from edsx.restriction import RestrictionError, _lift, restrict_structure
 from edsx.scalar import Scalar
 
 
@@ -220,7 +219,9 @@ def test_hom_projection_matches_the_gl_tensor_reference(name, op, params,
                                     (7, (7, 1, 3, 5, 2, 4)), (8, (1, 2)),
                                     (5, (3,)), (4, ())])
 def test_hom_projection_restricts_the_images(n, kept):
-    # P(D) sends e^j of W to the restriction of D(e^kept[j]) to W
+    # P(D) sends e^j of W to the restriction of D(e^kept[j]) to W, and P
+    # is read through its transpose: W column j is the ambient entry
+    # that lift puts the unit of j on, times its sign
     rng = random.Random(n * 100 + len(kept))
     vec = {t: Scalar.of(rng.randrange(-3, 4)).c
            for t in rng.sample(range(hom_dim(n)), hom_dim(n) // 2)}
@@ -228,7 +229,14 @@ def test_hom_projection_restricts_the_images(n, kept):
     images = HomMap.from_coords(n, vec).images
     w = Subspace.coordinate(n, kept)
     want = HomMap(len(kept), [restrict(images[c - 1], w) for c in kept])
-    assert _project_hom(vec, n, kept) == want.coords()
+    projected, cols = {}, set()
+    for j in range(hom_dim(len(kept))):
+        (col, sign), = _lift({j: ONE}, n, kept).items()
+        assert col not in cols and sign in (ONE, s_neg(ONE))
+        cols.add(col)
+        if col in vec:
+            projected[j] = vec[col] if sign == ONE else s_neg(vec[col])
+    assert projected == want.coords()
 
 
 def test_restriction_instantiates_once_and_skips_z_doubleprime(monkeypatch):
