@@ -12,7 +12,11 @@ here and relied on everywhere else:
 * a derivation is fixed by the images of the coframe, and
   derivation_images is the one rule that applies it to a form's terms:
   replace index i of e^I at position t by the image, sort with sign, and
-  multiply by (-1)^(t deg D) for a derivation D of degree deg D.
+  multiply by (-1)^(t deg D) for a derivation D of degree deg D;
+* the sign of a reordering is the parity of its inversions, counted on
+  bitmasks: an index i placed after the indices of mask m passes
+  (m >> i).bit_count() of them.  _sort_sign is the one rule, and wedge
+  counts the same way on the masks of its two factors.
 
 Form literals are the scalar literal grammar with e[i,j,...] atoms added,
 e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
@@ -27,43 +31,28 @@ from .linalg import span_rank
 from .scalar import Scalar, _Literal, _term_text, as_scalar
 
 
-def _merge_sign(I, J):
-    """Sorted merge of disjoint index tuples with the wedge sign."""
-    out = []
-    sign = 1
-    i = j = 0
-    li, lj = len(I), len(J)
-    while i < li and j < lj:
-        a, b = I[i], J[j]
-        if a == b:
-            return None, 0
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (li - i) & 1:
-                sign = -sign
-    out.extend(I[i:])
-    out.extend(J[j:])
-    return tuple(out), sign
+def _mask(idx):
+    """The bitmask of an index tuple: bit i for each index i."""
+    m = 0
+    for i in idx:
+        m |= 1 << i
+    return m
 
 
 def _sort_sign(idx):
-    """Sort an index tuple, returning (sorted tuple, sign); 0 on repeats."""
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j] < lst[j - 1]:
-            lst[j], lst[j - 1] = lst[j - 1], lst[j]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i] == lst[i - 1]:
+    """Sort an index tuple, returning (sorted tuple, sign); 0 on repeats.
+
+    The sign is the parity of the inversions: each index i follows
+    (seen >> i).bit_count() larger ones, seen the mask of those before it.
+    """
+    seen = inv = 0
+    for i in idx:
+        bit = 1 << i
+        if seen & bit:
             return None, 0
-    return tuple(lst), sign
+        inv += (seen >> i).bit_count()
+        seen |= bit
+    return tuple(sorted(idx)), -1 if inv & 1 else 1
 
 
 class Form:
@@ -99,7 +88,11 @@ class Form:
     @classmethod
     def monomial(cls, n, idx, coeff=1):
         """coeff * e^{idx}; idx may be unsorted and is sorted with sign."""
-        sidx, sign = _sort_sign(tuple(idx))
+        idx = tuple(idx)
+        if any(not 1 <= i <= n for i in idx):
+            raise ValueError("index out of range 1..%d: %r"
+                             % (n, tuple(sorted(idx))))
+        sidx, sign = _sort_sign(idx)
         if sign == 0:
             return cls(n)
         c = as_scalar(coeff)
@@ -169,14 +162,19 @@ def wedge(a: Form, b: Form) -> Form:
     if a.n != b.n:
         raise ValueError("forms on different spaces")
     out = {}
+    bterms = [(J, _mask(J), cb.c) for J, cb in b.terms.items()]
     for I, ca in a.terms.items():
         cac = ca.c
-        for J, cb in b.terms.items():
-            K, sign = _merge_sign(I, J)
-            if K is None:
+        mI = _mask(I)
+        for J, mJ, cbc in bterms:
+            if mI & mJ:
                 continue
-            c = s_mul(cac, cb.c)
-            if sign < 0:
+            inv = 0
+            for j in J:
+                inv += (mI >> j).bit_count()
+            K = tuple(sorted(I + J))
+            c = s_mul(cac, cbc)
+            if inv & 1:
                 c = s_neg(c)
             cur = out.get(K)
             if cur is None:
@@ -268,12 +266,7 @@ def hodge(a: Form) -> Form:
     for I, c in a.terms.items():
         iset = set(I)
         Ic = tuple(j for j in full if j not in iset)
-        inv = 0
-        for i in I:
-            for j in Ic:
-                if i > j:
-                    inv += 1
-        out[Ic] = -c if inv & 1 else c
+        out[Ic] = c if _sort_sign(I + Ic)[1] > 0 else -c
     f = Form(n)
     f.terms = out
     return f

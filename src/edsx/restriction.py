@@ -34,6 +34,7 @@ and it stays as an exact certificate.
 from ._kernel import ONE, s_neg, s_sub
 from .exterior import Form, Subspace, lex_index, restrict, _sort_sign
 from .rep import hom_dim, sym_dim
+from .cartan import flag_test
 from .catalog import StructureSpec
 from .dga import analysis, extension, extension_rhs, operator_values
 
@@ -167,7 +168,6 @@ def restrict_structure(s: StructureSpec, op, params=None,
 
     rel = False
     if set(kept) == set(s.default_flag[:k]):
-        from .cartan import flag_test
         rel = flag_test(s).ordinary
 
     return RestrictionReport(kept, p_gens, kerp, f_w,

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
-from edsx.exterior import (Form, Subspace, contract, coords, flatten,
-                           form_literal, from_coords, hodge, lex_index,
-                           parse_form, restrict, scalar_value, wedge)
+from edsx.exterior import (Form, Subspace, _sort_sign, contract, coords,
+                           flatten, form_literal, from_coords, hodge,
+                           lex_index, parse_form, restrict, scalar_value,
+                           wedge)
 from edsx.scalar import Scalar
 
 
@@ -25,6 +27,43 @@ def test_monomial_ordering_and_sign():
     a = Form.monomial(4, (2, 1), 1)
     assert a == Form.monomial(4, (1, 2), -1)
     assert Form.monomial(4, (1, 1), 1).is_zero()
+
+
+def _subsets(n):
+    return [I for p in range(n + 1) for I in combinations(range(1, n + 1), p)]
+
+
+def test_sort_sign_is_the_inversion_parity():
+    count = 0
+    for length in range(6):
+        for idx in product(range(1, 8), repeat=length):
+            count += 1
+            got = _sort_sign(idx)
+            if len(set(idx)) < length:
+                assert got == (None, 0)
+                continue
+            inv = sum(1 for s in range(length) for t in range(s + 1, length)
+                      if idx[s] > idx[t])
+            assert got == (tuple(sorted(idx)), -1 if inv & 1 else 1)
+    assert count == 19608
+
+
+def test_wedge_of_basis_forms_is_the_sorted_monomial():
+    n = 6
+    subsets = _subsets(n)
+    assert len(subsets) ** 2 == 4096
+    for I in subsets:
+        for J in subsets:
+            got = wedge(Form.monomial(n, I), Form.monomial(n, J))
+            assert got == Form.monomial(n, I + J)
+
+
+def test_wedge_with_hodge_is_the_volume_form():
+    for n in range(1, 7):
+        vol = Form.monomial(n, range(1, n + 1))
+        for I in _subsets(n):
+            e = Form.monomial(n, I)
+            assert wedge(e, hodge(e)) == vol
 
 
 def test_degree_property():

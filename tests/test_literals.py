@@ -93,6 +93,10 @@ FORM_ERRORS = [
     ("e[9]", V, "index out of range 1..4: (9,)"),
     ("e[0]", V, "index out of range 1..4: (0,)"),
     ("e[-1]", V, "index out of range 1..4: (-1,)"),
+    ("e[3,-1]", V, "index out of range 1..4: (-1, 3)"),
+    ("e[9,9]", V, "index out of range 1..4: (9, 9)"),
+    ("e[0,0]", V, "index out of range 1..4: (0, 0)"),
+    ("e[-1,-1]", V, "index out of range 1..4: (-1, -1)"),
     ("e[1,2]+e[3]", V, "adding forms of different degrees"),
     ("e[1]]", V, "unexpected character ']' in form literal"),
     ("r0*e[1]", V, "r0 is not a squarefree divisor of 210"),
