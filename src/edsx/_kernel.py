@@ -10,13 +10,14 @@ Every scalar is canonical: den and the numerators have no common factor
 so two scalars are equal exactly when they are equal as pairs.  A scalar
 is never mutated once built, so rows and forms share them freely.
 
-Rationals (fractions.Fraction) appear only at the dense boundary: the
-cells of rref() are {mask: rational} dicts, converted by s_from_fractions
-and s_to_fractions.  The one exception is the integer loop of eliminate():
-a long elimination whose remaining rows are radically graded (each entry
-one term, its mask a row mask XOR a column mask) finishes its forward
-phase on integer rows with rational multipliers, and returns exactly what
-the scalar loop would.
+Rationals (fractions.Fraction) appear only at the dense boundary, which
+only the benchmark reaches (see edsx.linalg): the cells of rref() are
+{mask: rational} dicts, converted by s_from_fractions and s_to_fractions.
+The one exception is the integer loop of eliminate(): a long elimination
+whose remaining rows are radically graded (each entry one term, its mask
+a row mask XOR a column mask) finishes its forward phase on integer rows
+with rational multipliers, and returns exactly what the scalar loop
+would.
 """
 
 from fractions import Fraction

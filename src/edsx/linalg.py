@@ -14,10 +14,14 @@ needs the reduced form, so the back-substitution runs on demand, once,
 when the kernel is first read.  No function here mutates the rows it is
 given.
 
-Matrix, rank and rref are the dense boundary, for callers holding dense
-rows of Scalars: a Matrix holds dense lists of {mask: Fraction} cells
-and rank and rref pass them to the kernel's dense entry, which converts
-them to kernel scalars and back.
+Matrix, rank and rref are the dense boundary.  Nothing in this package
+calls them: they stay only because the benchmark calls Matrix.from_rows
+and rank (perfbench/child.py, perfbench/verify.py) and its tracer's
+self-test requires every name it wraps, the kernel's dense entry
+included.  They go when the benchmark moves onto span_rank.  A Matrix
+holds dense lists of {mask: Fraction} cells, and rank and rref pass them
+to the kernel's dense entry, which converts them to kernel scalars and
+back.
 """
 
 from __future__ import annotations
@@ -28,13 +32,9 @@ from ._kernel import ONE, s_add, s_mul, s_neg, s_submul, s_to_fractions
 from .scalar import as_scalar
 
 
-def _unwrap(v):
-    return [s_to_fractions(as_scalar(x).c) for x in v]
-
-
 class Matrix:
     """Dense matrix; entries are Scalars on the outside, {mask: Fraction}
-    cells inside."""
+    cells inside.  Only the benchmark uses it (see the module docstring)."""
 
     __slots__ = ("nrows", "ncols", "_rows")
 
@@ -45,7 +45,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
-        rows = [_unwrap(r) for r in rows]
+        rows = [[s_to_fractions(as_scalar(x).c) for x in r] for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         for r in rows:
@@ -57,15 +57,6 @@ class Matrix:
         rows = [[dict(self._rows[i][j]) for i in range(self.nrows)]
                 for j in range(self.ncols)]
         return Matrix(self.ncols, self.nrows, rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.nrows, self.ncols, self._rows) == (
-            other.nrows, other.ncols, other._rows)
-
-    def __repr__(self):
-        return "Matrix(%d x %d)" % (self.nrows, self.ncols)
 
 
 class AffineSpace:
@@ -311,7 +302,8 @@ def span_rank(rows, ncols) -> int:
 
 def in_span(rows, v, ncols) -> bool:
     """True when the sparse vector v is a combination of the sparse rows."""
-    return not solve_affine(transpose(rows, ncols), len(rows), v).is_empty
+    return Elimination(transpose(rows, ncols), len(rows)).particular(v) \
+        is not None
 
 
 def combine(rows, coeffs):

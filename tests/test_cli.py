@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from edsx._kernel import s_to_fractions
 from edsx.catalog import get_structure
 from edsx.cli import main
 from edsx.dga import check_operator
@@ -127,9 +126,9 @@ def test_values_past_the_int_text_limit_print(capsys):
     assert max(len(t) for t in texts) > 5000
     chk = check_operator(get_structure("su-even:3"), "nearly-kahler",
                          {"lambda": Scalar.parse(big), "mu": Scalar.of(0)})
-    cells = [s_to_fractions(v.c) for v in chk.extension_witness.flatten()]
-    want = [c.get(0, 0) for c in cells]
-    assert all(not set(c) - {0} for c in cells)
+    cells = [v.coeffs() for v in chk.extension_witness.flatten()]
+    want = [c.get(1, 0) for c in cells]
+    assert all(not set(c) - {1} for c in cells)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

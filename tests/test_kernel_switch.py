@@ -17,19 +17,17 @@ from fractions import Fraction
 import pytest
 
 from edsx import _kernel, catalog
-from edsx._kernel import (DIVISORS, ONE, eliminate, s_from_fractions,
-                          s_quotient)
+from edsx._kernel import DIVISORS, ONE, eliminate, s_quotient
 from edsx.cartan import flag_test
 from edsx.catalog import get_structure
 from edsx.dga import _derivation_matrix, _unit_maps, check_operator, z_spaces
 from edsx.exterior import Subspace
-from edsx.linalg import (Elimination, Matrix, kernel_basis, rank,
-                         span_rank)
+from edsx.linalg import Elimination, kernel_basis, span_rank
 from edsx.rep import hom_dim
 from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
 
-from test_rref_oracle import CATALOG
+from test_rref_oracle import CATALOG, _snapshot
 
 NEVER = 10 ** 9
 AT_ONCE = -10 ** 9
@@ -120,6 +118,11 @@ def test_catalog_extension_matrices_agree_across_the_switch(
         assert midway > first
 
 
+def _term(mask, q):
+    """The kernel scalar q * sqrt(DIVISORS[mask]) of a nonzero rational q."""
+    return q.denominator, {mask: q.numerator}
+
+
 def _graded(rng, nrows, ncols, density=0.4, big=False):
     """Random rows q * sqrt(D[r_i ^ c_k]) and their row masks."""
     rmask = [rng.randrange(16) for _ in range(nrows)]
@@ -132,7 +135,7 @@ def _graded(rng, nrows, ncols, density=0.4, big=False):
             if rng.random() < density:
                 q = Fraction(rng.choice((-1, 1)) * rng.randrange(1, top),
                              rng.randrange(1, top))
-                row[k] = s_from_fractions({rmask[i] ^ cmask[k]: q})
+                row[k] = _term(rmask[i] ^ cmask[k], q)
         rows.append(row)
     return rows, rmask
 
@@ -161,7 +164,7 @@ def _plant(rng, rows, rmask):
         (mask, q), = acc.items()
         if q:
             # sqrt(D[m]) * q sqrt(D[mask]) = q D[m & mask] sqrt(D[m ^ mask])
-            row[j] = s_from_fractions({m ^ mask: q * DIVISORS[m & mask]})
+            row[j] = _term(m ^ mask, q * DIVISORS[m & mask])
     rows.append(row)
 
 
@@ -203,22 +206,17 @@ def test_ungraded_matrices_stay_on_the_scalar_loop(monkeypatch, switches):
     rows, _ = _graded(rng, 8, 8, density=0.6)
     # a block on columns 8 and 9 that no other row holds, so it is still
     # there when the switch is tested midway: one entry of two terms
-    two = s_from_fractions({0: Fraction(1, 2), 5: Fraction(-3)})
+    two = (2, {0: 1, 5: -6})
     multi = rows + [{8: two, 9: ONE}, {8: ONE, 9: ONE}]
     # and single terms whose masks admit no grading: r0 ^ c8 = r0 ^ c9 =
     # r1 ^ c8 = 0 forces r1 ^ c9 = 0
-    root2 = s_from_fractions({1: Fraction(2)})
+    root2 = (1, {1: 2})
     odd = rows + [{8: ONE, 9: ONE}, {8: ONE, 9: root2}]
     for case in (multi, odd):
         at_once, midway = _three_ways(monkeypatch, switches, case, 10)
         assert at_once is None and midway is None
     # each of the 2 cases is tested at once and midway, reduced or not
     assert len(tested) == 8 and tested == [None] * 8
-
-
-def _snapshot(rows):
-    return [(id(r), [(k, id(v), _shape(v)) for k, v in r.items()])
-            for r in rows]
 
 
 def test_callers_rows_are_unchanged_by_the_integer_loop(monkeypatch,
@@ -292,5 +290,6 @@ def test_the_switch_fires_only_on_the_so3_9_extension_matrix(monkeypatch,
     check_operator(get_structure("su-odd:3"), "A",
                    {"lambda": Scalar.parse("1 + r2"),
                     "mu": Scalar.parse("-r3")})
-    rank(Matrix.from_rows(_field_rank_rows()))
+    span_rank([{j: x.c for j, x in enumerate(row) if x}
+               for row in _field_rank_rows()], 6)
     assert len(switches) == 1

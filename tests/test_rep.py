@@ -6,7 +6,7 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import ONE, s_mul, s_neg, s_quotient, s_to_fractions
+from edsx._kernel import ONE, s_mul, s_neg, s_quotient
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx import linalg, rep
@@ -315,9 +315,9 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space, monkeypatch):
     g = get_structure("so3-9").lie
     dim, ops = _space_operators(g, space)
     # the first generator is r2 times a rational matrix Hhat
-    hhat = [{j: s_to_fractions(c)[1] for j, c in row.items()}
+    hhat = [{j: Scalar(c).coeffs()[2] for j, c in row.items()}
             for row in ops[0]]
-    assert all(set(s_to_fractions(c)) == {1}
+    assert all(set(Scalar(c).coeffs()) == {2}
                for row in ops[0] for c in row.values())
 
     def apply(v):
@@ -343,8 +343,8 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space, monkeypatch):
     assert _kernel_dim_qq(hhat, dim, len(sizes) + 1) == 0
     free = [max(vec) for vec in zero]
     for f, vec in zip(free, zero):
-        assert all(set(s_to_fractions(c)) == {0} for c in vec.values())
-        v = {j: s_to_fractions(c)[0] for j, c in vec.items()}
+        assert all(set(Scalar(c).coeffs()) == {1} for c in vec.values())
+        v = {j: Scalar(c).coeffs()[1] for j, c in vec.items()}
         # a unit on its free column, zero on the block's other ones
         assert v[f] == 1
         assert not any(k in v for k in free if k != f)

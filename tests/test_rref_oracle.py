@@ -2,14 +2,15 @@
 
 sympy's DomainMatrix.rref over QQ, and over algebraic fields spanned by
 three of the four square roots, is an independent implementation of the
-same canonical form: pivots and every entry of the RREF must agree.  The
-sparse core, eliminate(), must give what its dense entry rref() gives.
-These RREF tests run twice, the second time with eliminate()'s switch
-to its integer loop forced, so the rational cases meet sympy there too.
-sympy's division in those fields is an independent inverse.  Wedge
-coefficients are recomputed as shuffle sums with sympy's permutation
-signs and sqrt arithmetic, and the Hodge star is held to a ^ *b =
-<a, b> e^{1...n}.
+same canonical form: the pivots and every entry of eliminate()'s RREF
+must agree with it, and eliminate()'s forward rows must reduce to that
+RREF.  These RREF tests run twice, the second time with eliminate()'s
+switch to its integer loop forced, so the rational cases meet sympy
+there too.  The dense entry rref(), which only the benchmark reaches,
+must give what eliminate() gives.  sympy's division in those fields is
+an independent inverse.  Wedge coefficients are recomputed as shuffle
+sums with sympy's permutation signs and sqrt arithmetic, and the Hodge
+star is held to a ^ *b = <a, b> e^{1...n}.
 """
 
 import random
@@ -22,15 +23,17 @@ from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 
 from edsx import _kernel
-from edsx._kernel import (DIVISORS, PRIMES, eliminate, rref, s_from_fractions,
-                          s_inv, s_mul, s_to_fractions)
+from edsx._kernel import (DIVISORS, ONE, PRIMES, eliminate, rref, s_inv,
+                          s_mul)
 from edsx.catalog import get_structure
 from edsx.dga import _derivation_matrix, _unit_maps
 from edsx.exterior import Form, hodge, wedge
-from edsx.linalg import Matrix, rank, span_rank
+from edsx.linalg import span_rank
 from edsx.papercheck import SUITE_SEED, _rand_scalar
 from edsx.rep import hom_dim
 from edsx.scalar import Scalar
+
+from test_kernel_scalars import cell_of, scalar_of
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
            "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
@@ -56,14 +59,18 @@ class Field:
                 self.unit[mask] = e
 
     def to_sympy(self, c):
+        """A kernel scalar as an element of the field."""
         acc = self.dom.zero
-        for mask, q in c.items():
-            acc += self.dom.convert(QQ(q.numerator, q.denominator)) \
-                * self.unit[mask]
+        if c:
+            den, nums = c
+            for mask, x in nums.items():
+                acc += self.dom.convert(QQ(x, den)) * self.unit[mask]
         return acc
 
     def matrix(self, rows, ncols):
-        data = [[self.to_sympy(c) for c in row] for row in rows]
+        """Sparse rows as a DomainMatrix."""
+        data = [[self.to_sympy(row.get(j)) for j in range(ncols)]
+                for row in rows]
         return DomainMatrix(data, (len(rows), ncols), self.dom)
 
 
@@ -74,31 +81,32 @@ def fields():
 
 def _scalar(rng, field, density):
     if rng.random() > density:
-        return {}
+        return None
     out = {}
     for _ in range(rng.randrange(1, 3)):
         q = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         if q:
             out[rng.choice(field.masks)] = q
-    return out
+    return scalar_of(out)
 
 
 def _matrix(rng, field, nrows, ncols):
+    """Random sparse rows, with a zero, a repeated or a scaled row."""
     density = rng.choice((0.25, 0.5, 1.0))
-    rows = [[_scalar(rng, field, density) for _ in range(ncols)]
+    rows = [{j: c for j in range(ncols)
+             if (c := _scalar(rng, field, density))}
             for _ in range(nrows)]
     if nrows > 1:
         shape = rng.randrange(4)
         i, k = rng.sample(range(nrows), 2)
         if shape == 0:
-            rows[i] = [{} for _ in range(ncols)]
+            rows[i] = {}
         elif shape == 1:
-            rows[i] = [dict(c) for c in rows[k]]
+            rows[i] = dict(rows[k])
         elif shape == 2:
-            f = s_from_fractions(
-                {rng.choice(field.masks): Fraction(rng.randrange(1, 4), 2)})
-            rows[i] = [s_to_fractions(s_mul(s_from_fractions(c), f))
-                       for c in rows[k]]
+            f = scalar_of({rng.choice(field.masks):
+                           Fraction(rng.randrange(1, 4), 2)})
+            rows[i] = {j: s_mul(c, f) for j, c in rows[k].items()}
     return rows
 
 
@@ -126,6 +134,17 @@ def _cases(field, seed, count):
         yield _matrix(rng, field, nrows, ncols), ncols
 
 
+def _with_leads(pivots, prows, nrows):
+    """Pivot rows of eliminate() with their leading 1, then zero rows."""
+    return [{j: ONE, **prow} for j, prow in zip(pivots, prows)] + [
+        {} for _ in range(nrows - len(pivots))]
+
+
+def _snapshot(rows):
+    return [(id(r), [(k, id(v), v[0], tuple(v[1].items()))
+                     for k, v in r.items()]) for r in rows]
+
+
 @pytest.mark.parametrize("which,count,switch", _over_switch(
     [(0, 220), (1, 110), (2, 110)]))
 def test_rref_matches_sympy(monkeypatch, fields, which, count, switch):
@@ -133,51 +152,27 @@ def test_rref_matches_sympy(monkeypatch, fields, which, count, switch):
     field = fields[which]
     for rows, ncols in _cases(field, 9100 + which, count):
         want, want_piv = field.matrix(rows, ncols).rref()
-        got = [list(r) for r in rows]
-        pivots = rref(got, ncols)
-        assert tuple(pivots) == tuple(want_piv)
-        assert field.matrix(got, ncols) == want
-
-
-def _dense(pivots, prows, nrows, ncols):
-    """Pivot rows of eliminate() as the dense rows rref() writes."""
-    out = []
-    for j, prow in zip(pivots, prows):
-        row = [{} for _ in range(ncols)]
-        row[j] = {0: Fraction(1)}
-        for k, v in prow.items():
-            row[k] = s_to_fractions(v)
-        out.append(row)
-    return out + [[{} for _ in range(ncols)]
-                  for _ in range(nrows - len(pivots))]
-
-
-@pytest.mark.parametrize("which,switch", _over_switch([(0,), (1,), (2,)]))
-def test_sparse_core_matches_the_dense_entry(monkeypatch, fields, which,
-                                             switch):
-    monkeypatch.setattr(_kernel, "SWITCH", switch)
-    field = fields[which]
-    for rows, ncols in _cases(field, 9100 + which, 110):
-        before = [[dict(c) for c in r] for r in rows]
-        want = [list(r) for r in rows]
-        want_piv = rref(want, ncols)
+        before = _snapshot(rows)
         for reduced in (True, False):
-            srows = [{j: s_from_fractions(c) for j, c in enumerate(r) if c}
-                     for r in rows]
-            pivots, prows = eliminate(srows, ncols, reduced)
-            assert pivots == want_piv
+            pivots, prows = eliminate([dict(r) for r in rows], ncols,
+                                      reduced)
+            assert tuple(pivots) == tuple(want_piv)
             assert len(prows) == len(pivots)
             for j, prow in zip(pivots, prows):
                 assert all(k > j for k in prow)
                 assert all(prow.values())
             if reduced:
                 assert all(k not in pivots for p in prows for k in p)
-                assert _dense(pivots, prows, len(rows), ncols) == want
             else:
-                # the forward rows span the row space: their RREF is rref's
-                forward = _dense(pivots, prows, len(rows), ncols)
-                assert rref(forward, ncols) == want_piv and forward == want
-        assert rows == before
+                # the forward rows span the row space: they reduce to
+                # the RREF
+                forward = _with_leads(pivots, prows, len(rows))
+                pivots, prows = eliminate(forward, ncols)
+                assert tuple(pivots) == tuple(want_piv)
+            got = _with_leads(pivots, prows, len(rows))
+            assert field.matrix(got, ncols) == want
+        # eliminate() consumes the dicts it is given, never their scalars
+        assert _snapshot(rows) == before
 
 
 @pytest.mark.parametrize("which,switch", _over_switch([(0,), (1,), (2,)]))
@@ -186,21 +181,21 @@ def test_forward_only_pivots_equal_full_pivots(monkeypatch, fields, which,
     monkeypatch.setattr(_kernel, "SWITCH", switch)
     field = fields[which]
     for rows, ncols in _cases(field, 9200 + which, 44):
-        before = [[dict(c) for c in r] for r in rows]
-        ids = [id(r) for r in rows]
-        pivots = rref(rows, ncols, reduced=False)
-        assert rows == before and [id(r) for r in rows] == ids
-        assert pivots == rref([list(r) for r in rows], ncols)
+        before = _snapshot(rows)
+        pivots, _ = eliminate([dict(r) for r in rows], ncols, reduced=False)
+        assert _snapshot(rows) == before
+        assert pivots == eliminate([dict(r) for r in rows], ncols)[0]
+        assert span_rank(rows, ncols) == len(pivots)
 
 
 def test_rank_leaves_the_matrix_unchanged(fields):
     rng = random.Random(9300)
     for nrows, ncols in SHAPES:
-        m = Matrix(nrows, ncols, _matrix(rng, fields[1], nrows, ncols))
-        before = Matrix(nrows, ncols, [[dict(c) for c in r] for r in m._rows])
-        r = rank(m)
-        assert m == before
-        assert r == fields[1].matrix(m._rows, ncols).rank()
+        rows = _matrix(rng, fields[1], nrows, ncols)
+        before = _snapshot(rows)
+        r = span_rank(rows, ncols)
+        assert _snapshot(rows) == before
+        assert r == fields[1].matrix(rows, ncols).rank()
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -212,15 +207,17 @@ def test_inverse_matches_sympy(fields, which):
             a = {k: Fraction(rng.choice((-1, 1)) * rng.randrange(1, 30),
                              rng.randrange(1, 10))
                  for k in rng.sample(field.masks, size)}
-            want = field.dom.quo(field.dom.one, field.to_sympy(a))
-            assert field.to_sympy(
-                s_to_fractions(s_inv(s_from_fractions(a)))) == want
+            want = field.dom.quo(field.dom.one, field.to_sympy(scalar_of(a)))
+            assert field.to_sympy(s_inv(scalar_of(a))) == want
 
 
 def _sympy_value(c):
     """A kernel scalar as a sympy expression in sqrt."""
-    return sum((Rational(q.numerator, q.denominator) * sqrt(DIVISORS[k])
-                for k, q in s_to_fractions(c).items()), Integer(0))
+    if not c:
+        return Integer(0)
+    den, nums = c
+    return sum((Rational(x, den) * sqrt(DIVISORS[k])
+                for k, x in nums.items()), Integer(0))
 
 
 def _random_form(rng, field, n, p):
@@ -228,7 +225,7 @@ def _random_form(rng, field, n, p):
     for idx in combinations(range(1, n + 1), p):
         c = _scalar(rng, field, 0.6)
         if c:
-            terms[idx] = Scalar(s_from_fractions(c))
+            terms[idx] = Scalar(c)
     return Form(n, terms)
 
 
@@ -337,7 +334,32 @@ def test_rank_determinism_cases_agree_mod_p():
     rng = random.Random(SUITE_SEED + 4)
     for _ in range(1000):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
-        data = [[_rand_scalar(rng) for _ in range(ncols)]
+        rows = [{j: x.c for j in range(ncols) if (x := _rand_scalar(rng))}
                 for _ in range(nrows)]
-        rows = [{j: x.c for j, x in enumerate(row) if x} for row in data]
-        assert _rank_mod_p(rows, ncols) == rank(Matrix.from_rows(data))
+        assert _rank_mod_p(rows, ncols) == span_rank(rows, ncols)
+
+
+# The dense entry, which only the benchmark reaches, through linalg.Matrix
+# and linalg.rank: rows of {mask: Fraction} cells in, the same RREF out.
+
+def _cells(rows, ncols):
+    return [[cell_of(row.get(j)) for j in range(ncols)]
+            for row in rows]
+
+
+@pytest.mark.parametrize("which,switch", _over_switch([(0,), (1,), (2,)]))
+def test_sparse_core_matches_the_dense_entry(monkeypatch, fields, which,
+                                             switch):
+    monkeypatch.setattr(_kernel, "SWITCH", switch)
+    field = fields[which]
+    for rows, ncols in _cases(field, 9100 + which, 110):
+        cells = _cells(rows, ncols)
+        before = [[dict(c) for c in r] for r in cells]
+        ids = [id(r) for r in cells]
+        pivots, prows = eliminate([dict(r) for r in rows], ncols)
+        assert rref(cells, ncols, reduced=False) == pivots
+        assert cells == before and [id(r) for r in cells] == ids
+        got = [list(r) for r in cells]
+        assert rref(got, ncols) == pivots
+        assert got == _cells(_with_leads(pivots, prows, len(rows)), ncols)
+        assert cells == before

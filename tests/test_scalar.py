@@ -5,8 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from edsx._kernel import ONE, s_from_fractions, s_inv, s_mul, s_to_fractions
+from edsx._kernel import ONE, s_inv, s_mul
 from edsx.scalar import Scalar, ratio_text
+
+from test_kernel_scalars import cell_of, scalar_of
 
 
 def test_rational_arithmetic():
@@ -106,14 +108,14 @@ def _element(rng, keys):
 def _certified_inverse(cell):
     """s_inv(a) of the scalar a of a {mask: Fraction} cell, checked by
     a * s_inv(a) == 1 and s_inv(s_inv(a)) == a, as a {mask: Fraction} cell."""
-    a = s_from_fractions(cell)
+    a = scalar_of(cell)
     before = (a[0], list(a[1].items()))
     inv = s_inv(a)
     assert (a[0], list(a[1].items())) == before
     assert s_mul(a, inv) == ONE
     assert list(inv[1]) == sorted(inv[1])
     assert s_inv(inv) == a
-    return s_to_fractions(inv)
+    return cell_of(inv)
 
 
 def test_inverse_of_every_key_set_of_size_at_most_two():
