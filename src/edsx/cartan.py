@@ -6,9 +6,11 @@ of a coordinate subspace W leaves a linear functional in the w_ij; the
 rank of all such functionals is c(W).  Cartan's test compares the
 partial sums of c along a flag with the codimension of the integral space
 Z_0.  The polar functionals are the rows of the generator's gl(n) orbit
-matrix (edsx.rep.orbit_matrix) whose p-subset lies in W, so each test
-builds them once per generator and selects them per prefix (edsx.stability,
-which reads E-stability of W off the same rows: c(W) = C(dim W, p)).
+matrix (edsx.rep.orbit_matrix) whose p-subset lies in W.  c(W) depends
+only on the structure and the index set of W, so the structure's Analysis
+builds the rows once and keeps c(W) per index set, shared by every flag
+test and flag search of the structure (edsx.stability builds the rows per
+form and reads E-stability of W off them: c(W) = C(dim W, p)).
 """
 
 from math import comb
@@ -74,14 +76,11 @@ def _check_flag(n, flag):
 def flag_test(s: StructureSpec, flag=None) -> PolarReport:
     """Cartan's test for the coordinate flag given by an insertion order."""
     flag = _check_flag(s.n, s.default_flag if flag is None else flag)
-    return _flag_report(s, flag, _polar_rows(s.generators.values()))
-
-
-def _flag_report(s, flag, rows):
-    c_values = [_polar_count(rows, flag[:k], s.n) for k in range(s.n + 1)]
+    a = analysis(s)
+    c_values = [a.polar_count(flag[:k]) for k in range(s.n + 1)]
     # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
     # n*C(n,2) + n*C(n+1,2) = n^3
-    return PolarReport(flag, c_values, analysis(s).extension().rank)
+    return PolarReport(flag, c_values, a.extension().rank)
 
 
 def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
@@ -113,17 +112,12 @@ def flag_search(s: StructureSpec) -> PolarReport:
     """Best coordinate flag by total polar count, via subset recursion.
 
     c(W) depends only on the underlying index set, so the maximal partial
-    sum over insertion orders is a maximum over chains of subsets.
+    sum over insertion orders is a maximum over chains of subsets.  The
+    counts come from the structure's table, so the chosen flag's report
+    ranks nothing new.
     """
     n = s.n
-    rows = _polar_rows(s.generators.values())
-    cdim = {}
-
-    def c_of(subset):
-        if subset not in cdim:
-            cdim[subset] = _polar_count(rows, subset, n)
-        return cdim[subset]
-
+    c_of = analysis(s).polar_count
     best = {frozenset(): 0}
     parent = {}
     layer = [frozenset()]
@@ -135,10 +129,9 @@ def flag_search(s: StructureSpec) -> PolarReport:
                     continue
                 big = small | {x}
                 score = best[small] + c_of(big)
-                key = frozenset(big)
-                if key not in nxt or score > nxt[key]:
-                    nxt[key] = score
-                    parent[key] = (small, x)
+                if big not in nxt or score > nxt[big]:
+                    nxt[big] = score
+                    parent[big] = (small, x)
         best.update(nxt)
         layer = sorted(nxt, key=lambda f: tuple(sorted(f)))
     top = max(layer, key=lambda f: (best[f], tuple(sorted(f))))
@@ -150,4 +143,4 @@ def flag_search(s: StructureSpec) -> PolarReport:
         cur = prev
     order.reverse()
     missing = next(j for j in range(1, n + 1) if j not in top)
-    return _flag_report(s, tuple(order) + (missing,), rows)
+    return flag_test(s, tuple(order) + (missing,))

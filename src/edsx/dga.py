@@ -12,7 +12,8 @@ affine space Z'; Z and Z'' dimensions follow by bookkeeping.  An extension
 D respects every relation, since it gives each word the value d_D(word),
 so the relations are tested only for an operator that has none.
 edsx.restriction runs the same relation test and extension system on a
-subspace, and edsx.cartan reads codim Z_0 off the extension rank.
+subspace, and edsx.cartan reads codim Z_0 off the extension rank and c(W)
+off the polar counts that Analysis keeps.
 """
 
 from math import comb
@@ -24,6 +25,7 @@ from .exterior import (Form, Subspace, coords, derivation_form,
                        _sort_sign)
 from .linalg import Elimination, combine, span_rank, transpose
 from .rep import HomMap, equivariant_coords, hom_dim, invariants, sym_dim
+from .stability import _polar_count, _polar_rows
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
@@ -289,12 +291,15 @@ class Analysis:
     generators, so that dim Z and codim Z_0 are fixed by its rank and each
     operator only reduces its right-hand side (the Z' directions are
     reduced from it only when a caller reads them); the equivariant basis
-    and the elimination of its extension columns; and the ranks of
-    g (x) T with and without ker m, which fix dim Z''.
+    and the elimination of its extension columns; the ranks of
+    g (x) T with and without ker m, which fix dim Z''; and the polar rows
+    of the generators with the polar count c(W) of each coordinate
+    subspace asked for, keyed by its index set.
     Only sparse kernel-form data, forms and integers are kept.
     """
 
-    __slots__ = ("s", "closure", "_extension", "_equivariant", "_lie_ranks")
+    __slots__ = ("s", "closure", "_extension", "_equivariant", "_lie_ranks",
+                 "_polar_rows", "_polar_counts")
 
     def __init__(self, s: StructureSpec):
         self.s = s
@@ -302,6 +307,8 @@ class Analysis:
         self._extension = None
         self._equivariant = None
         self._lie_ranks = None
+        self._polar_rows = None
+        self._polar_counts = None
 
     def extension(self) -> Elimination:
         """Elimination of the extension matrix of the generators."""
@@ -326,6 +333,18 @@ class Analysis:
             self._lie_ranks = (span_rank(g_rows, ext.ncols),
                                ext.rank_with_kernel(g_rows))
         return self._lie_ranks
+
+    def polar_count(self, subset):
+        """c(W) for the coordinate subspace W spanned by the indices."""
+        if self._polar_counts is None:
+            self._polar_rows = _polar_rows(self.s.generators.values())
+            self._polar_counts = {}
+        key = frozenset(subset)
+        c = self._polar_counts.get(key)
+        if c is None:
+            c = self._polar_counts[key] = _polar_count(self._polar_rows, key,
+                                                       self.s.n)
+        return c
 
 
 def analysis(s: StructureSpec) -> Analysis:

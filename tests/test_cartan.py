@@ -1,11 +1,20 @@
+import sys
+from itertools import permutations
+from pathlib import Path
+from random import Random
+
 import pytest
 
+import edsx.dga
+import edsx.stability
+from edsx import catalog
 from edsx.cartan import (CartanError, PolarReport, flag_search, flag_test,
                          stable_flag_test)
 from edsx.catalog import get_structure
-from edsx.dga import analysis
+from edsx.dga import analysis, extension
 from edsx.linalg import span_rank
-from edsx.stability import _polar_rows
+from edsx.restriction import restrict_structure
+from edsx.stability import _polar_count, _polar_rows
 
 
 def test_even_family_default_flag():
@@ -92,3 +101,129 @@ def test_report_json_shape():
     assert j["ordinary"] is True
     assert j["c_values"] == [0, 0, 3, 9, 13]
     assert j["flag"] == [1, 3, 2, 4]
+
+
+def _battery(name):
+    """Every flag of a small structure, or 30 seeded ones of a larger."""
+    n = get_structure(name).n
+    if n <= 5:
+        return list(permutations(range(1, n + 1)))
+    rng = Random("flag-battery:" + name)
+    flags = []
+    for _ in range(30):
+        flag = list(range(1, n + 1))
+        rng.shuffle(flag)
+        flags.append(tuple(flag))
+    return flags
+
+
+def _reference_reports(name, flags):
+    """flag_test's JSON for each flag, from ranks outside the polar table."""
+    s = get_structure(name)
+    n = s.n
+    rows = _polar_rows(s.generators.values())
+    codim = extension(n, s.generators.values()).rank
+    out = []
+    for flag in flags:
+        c = [_polar_count(rows, flag[:k], n) for k in range(n + 1)]
+        ordinary = sum(c[:n]) == codim
+        out.append({"flag": list(flag), "c_values": c, "codim_z0": codim,
+                    "sum_c_partial": sum(c[:n]), "ordinary": ordinary,
+                    "relatively_admissible_positions":
+                        list(range(n + 1)) if ordinary else []})
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    "su-even:2", "su-odd:2", "psu3", "psu3-dual", "so3-9", "g2", "spin7"])
+def test_polar_table_reports_match_uncached_ranks(name, monkeypatch):
+    # the table must give each flag the report of the per-flag ranks,
+    # whatever the structure has been asked before: cold, after a flag
+    # search has filled most of it, and with the flags in reverse order
+    flags = _battery(name)
+    want = _reference_reports(name, flags)
+    cold = []
+    for flag in flags:
+        monkeypatch.setattr(catalog, "_CACHE", {})
+        cold.append(flag_test(get_structure(name), flag).to_json())
+    assert cold == want
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    s = get_structure(name)
+    flag_search(s)
+    assert [flag_test(s, flag).to_json() for flag in flags] == want
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    s = get_structure(name)
+    assert [flag_test(s, flag).to_json() for flag in reversed(flags)] == \
+        want[::-1]
+
+
+def _workload_flags():
+    """The 22 psu3 flags of the radical benchmark workload at seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [tuple(q["flag"]) for q in workloads.generate("radical", 1)
+            if q["kind"] == "flag_test"]
+
+
+def test_polar_table_builds_rows_once_and_ranks_each_subset_once(
+        monkeypatch):
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    built, ranked = [], []
+    orbit_matrix = edsx.stability.orbit_matrix
+    polar_count = edsx.dga._polar_count
+
+    def counted_orbit_matrix(a, *args):
+        built.append(a)
+        return orbit_matrix(a, *args)
+
+    def counted_polar_count(rows, prefix, n):
+        # the rows of one table share one degree, psu3's 3 and its dual's 5
+        ranked.append((len(rows[0][0]), frozenset(prefix)))
+        return polar_count(rows, prefix, n)
+
+    monkeypatch.setattr(edsx.stability, "orbit_matrix", counted_orbit_matrix)
+    monkeypatch.setattr(edsx.dga, "_polar_count", counted_polar_count)
+    flags = _workload_flags()
+    assert len(flags) == 22
+    psu3, dual = get_structure("psu3"), get_structure("psu3-dual")
+    for flag in flags:
+        flag_test(psu3, flag)
+    for s in (psu3, dual):
+        assert restrict_structure(s, "zero").relatively_admissible
+    assert built == [psu3.generators["rho"], dual.generators["star-rho"]]
+    assert len(ranked) == len(set(ranked))
+    want = {(3, frozenset(f[:k])) for f in flags + [psu3.default_flag]
+            for k in range(3, 9)}
+    want |= {(5, frozenset(dual.default_flag[:k])) for k in range(5, 9)}
+    assert {(p, w) for p, w in ranked if len(w) >= p} == want
+
+    # a second search over all 2^9 subsets asks the table only
+    s = get_structure("so3-9")
+    built.clear()
+    first = flag_search(s).to_json()
+    assert built == list(s.generators.values())
+    built.clear()
+    ranked.clear()
+    assert flag_search(s).to_json() == first
+    assert built == [] and ranked == []
+
+
+@pytest.mark.parametrize("name", ["su-even:2", "su-odd:2", "example-712"])
+def test_flag_search_attains_the_best_partial_sum(name):
+    # brute force over every insertion order: the search must report the
+    # largest sum of c over proper prefixes, on a flag that attains it
+    s = get_structure(name)
+    n = s.n
+    c = analysis(s).polar_count
+
+    def partial(flag):
+        return sum(c(flag[:k]) for k in range(n))
+
+    best = max(partial(f) for f in permutations(range(1, n + 1)))
+    rep = flag_search(s)
+    assert rep.sum_c_partial == best
+    assert partial(rep.flag) == best
+    assert rep.to_json() == flag_test(s, rep.flag).to_json()

@@ -254,3 +254,25 @@ def test_only_linalg_reaches_the_elimination_core():
             if names & core:
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_only_stability_and_the_polar_table_build_polar_rows():
+    # c(W) of a structure is read off the one table its Analysis keeps;
+    # only the bare-form tests of stability and stable_flag_test build
+    # rows of their own
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "_polar_rows"):
+            callers.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(edsx.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert {c for c in callers if c[0] != "stability"} == {
+        ("dga", "polar_count"), ("cartan", "stable_flag_test")}
