@@ -18,11 +18,11 @@ off the polar counts that Analysis keeps.
 
 from math import comb
 
-from ._kernel import ONE, s_neg
+from ._kernel import s_neg
 from .scalar import Scalar
 from .exterior import (Form, Subspace, coords, derivation_form,
-                       derivation_images, lex_index, restrict, wedge,
-                       _sort_sign)
+                       derivation_images, lex_index, restrict, unit_images,
+                       wedge, _sort_sign)
 from .linalg import Elimination, combine, span_rank, transpose
 from .rep import HomMap, equivariant_coords, hom_dim, invariants, sym_dim
 from .stability import _polar_count, _polar_rows
@@ -226,7 +226,8 @@ class ZReport:
 
 def _derivation_matrix(forms, maps):
     """Sparse rows of the matrix whose columns are d_D(g) stacked over the
-    forms, one column per map D given by its sparse Hom coordinates."""
+    forms, one column per map D given by its sparse Hom coordinates (the
+    equivariant basis: units go through extension)."""
     if not forms:
         return []
     n = forms[0].n
@@ -243,20 +244,19 @@ def _derivation_matrix(forms, maps):
     return rows
 
 
-def _unit_maps(n):
-    """Sparse Hom(T, Lambda^2 T) coordinates of the units, in order."""
-    return [{t: ONE} for t in range(hom_dim(n))]
-
-
 def extension(n, forms) -> Elimination:
     """Elimination of the extension matrix of forms on R^n.
 
     Its columns are the units of Hom(T, Lambda^2 T) and its rows stack
     d_D(g) over the forms g, so it solves d_D(g) = f(g) for D, with the
-    right-hand side from extension_rhs.
+    right-hand side from extension_rhs.  Unit (i - 1) C(n, 2) + t sends
+    e^i to the t-th unit 2-form; exterior.unit_images reads off the rows.
     """
-    return Elimination(_derivation_matrix(list(forms), _unit_maps(n)),
-                       hom_dim(n))
+    pairs = lex_index(n, 2)[0]
+    units = [[(i * len(pairs) + t, J, False) for t, J in enumerate(pairs)]
+             for i in range(n)]
+    return Elimination([row for g in forms
+                        for row in unit_images(g, units, 2)], hom_dim(n))
 
 
 def extension_rhs(generators, fvals):

@@ -12,7 +12,8 @@ here and relied on everywhere else:
 * a derivation is fixed by the images of the coframe, and
   derivation_images is the one rule that applies it to a form's terms:
   replace index i of e^I at position t by the image, sort with sign, and
-  multiply by (-1)^(t deg D) for a derivation D of degree deg D;
+  multiply by (-1)^(t deg D) for a derivation D of degree deg D, and
+  unit_images gives its rows for units (e^i -> +-e^J) with no product;
 * the sign of a reordering is the parity of its inversions, counted on
   bitmasks: an index i placed after the indices of mask m passes
   (m >> i).bit_count() of them.  _sort_sign is the one rule, and wedge
@@ -24,7 +25,9 @@ e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 from ._kernel import DIVISORS, s_add, s_mul, s_neg
 from .linalg import span_rank
@@ -258,6 +261,32 @@ def derivation_form(a: Form, by_index) -> Form:
     return f
 
 
+def unit_images(a: Form, units, d):
+    """The rows of derivation_images over the lex-ordered
+    (deg a - 1 + d)-subsets, key order included, for unit derivations of
+    image degree d: units[i-1] lists the (u, J, negate) with D_u(e^i) = e^J,
+    or -e^J when negate is true.  The term c e^I at position t of i, with
+    L = I minus i, puts +-c in row L + J, column u, when J misses L; its
+    sign, (-1)^(t (d - 1)) times the sort sign of I[:t] + J + I[t+1:], has
+    the parity of t + sum_j |L below j|, read off J's sign mask.  For the
+    units of gl(n), so(n) and Hom(T, Lambda^2 T) each cell is written once.
+    """
+    table = [[(u, _mask(J), reduce(xor, [(1 << j) - 1 for j in J]), negate)
+              for u, J, negate in entries] for entries in units]
+    at = _mask_index(a.n, a.degree - 1 + d)
+    rows = [{} for _ in at]
+    for I, c in a.terms.items():
+        cs = (c.c, s_neg(c.c))
+        m = _mask(I)
+        for t, i in enumerate(I):
+            L = m ^ (1 << i)
+            for u, jm, sm, negate in table[i - 1]:
+                if not L & jm:
+                    rows[at[L | jm]][u] = cs[(t + (L & sm).bit_count()
+                                              + negate) & 1]
+    return rows
+
+
 def hodge(a: Form) -> Form:
     """Hodge star for the orthonormal coframe with volume e^{1...n}."""
     n = a.n
@@ -394,6 +423,17 @@ def lex_index(n, p):
         subsets = tuple(combinations(range(1, n + 1), p))
         lex = _LEX[(n, p)] = (subsets, {I: t for t, I in enumerate(subsets)})
     return lex
+
+
+_MASKS = {}
+
+
+def _mask_index(n, p):
+    """{bitmask: lex position} of the p-subsets of 1..n, cached per (n, p)."""
+    if (n, p) not in _MASKS:
+        _MASKS[n, p] = {sum(c): t for t, c in enumerate(
+            combinations([1 << i for i in range(1, n + 1)], p))}
+    return _MASKS[n, p]
 
 
 def _check_degree(a: Form, p):

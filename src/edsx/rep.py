@@ -9,7 +9,8 @@ from dense nested lists.  The action on the coframe is fixed globally as
 extended to Lambda^* as a degree-0 derivation (action_index, applied by
 exterior.derivation_images); on vectors X acts as v -> X v.
 Invariance kernels do not depend on this sign choice, and orbit spans
-{X . a} are the same set either way.
+{X . a} are the same set either way.  The gl(n) and so(n) bases act by
+units, so orbit_matrix reads its rows off exterior.unit_images.
 
 The structure constants of a LieRep are pair rows: {(a, b): row} over
 every pair a < b of basis indices, row the sparse coordinates
@@ -20,11 +21,11 @@ the ad operators of T (x) g and cartan_three_form read them.
 
 On Hom(T, Lambda^2 T), in the sparse coordinates of HomMap, X acts by
 (X . D)(xi) = X . D(xi) - D(X . xi): the tensor rule X (x) 1 + 1 (x) X
-of the Casimir spaces, with -D o X on the coframe slot (read off
-action_index) and the coframe action on the unit 2-forms.  invariants
-and equivariant_coords intersect the generators' kernels one at a time
-in coordinates and end with one echelon_span, so their bases are
-canonical.
+of the Casimir spaces, with -D o X on the coframe slot and the coframe
+action on the unit 2-forms, read off action_index for each column that
+the current basis touches (_hom_column).  invariants and
+equivariant_coords intersect the generators' kernels one at a time in
+coordinates and end with one echelon_span, so their bases are canonical.
 
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
@@ -58,11 +59,12 @@ of both halves of t-gperp, and the calibration and T's counts serve both.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from ._kernel import ONE, s_add, s_mul, s_neg, s_quotient
 from .exterior import (Form, coords, derivation_form, derivation_images,
-                       flatten, from_coords, lex_index)
+                       flatten, from_coords, lex_index, unit_images)
 from .linalg import (Elimination, combine, echelon_span, kernel_basis,
                      span_rank, transpose)
 from .scalar import Scalar, as_scalar
@@ -223,9 +225,15 @@ def gl_basis(n, skew=False):
 
 def orbit_matrix(a: Form, skew=False):
     """Sparse rows of the matrix whose columns are X . a over the gl(n)
-    (or so(n)) basis."""
-    images = derivation_images(a, action_index(gl_basis(a.n, skew), a.n))
-    return [images.get(K, {}) for K in lex_index(a.n, a.degree)[0]]
+    (or so(n)) basis, in the order of gl_basis: E_ij sends e^j to -e^i,
+    and E_ij - E_ji sends e^i to e^j as well."""
+    units = [[] for _ in range(a.n)]
+    for u, (i, j) in enumerate(lex_index(a.n, 2)[0] if skew
+                               else product(range(1, a.n + 1), repeat=2)):
+        units[j - 1].append((u, (i,), True))
+        if skew:
+            units[i - 1].append((u, (j,), False))
+    return unit_images(a, units, 1)
 
 
 def stabilizer(a: Form, skew=False, name=None) -> LieRep:
@@ -286,7 +294,7 @@ class HomMap:
 
 def act_on_hom(x, D: HomMap) -> HomMap:
     """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi, on
-    Forms; _hom_operator is the same action in Hom coordinates."""
+    Forms; _hom_column is the same action in Hom coordinates."""
     index = action_index([x], D.n)
     images = []
     for i, img in enumerate(D.images):
@@ -311,31 +319,43 @@ def equivariant_coords(g: LieRep):
     T -> Lambda^2 T commuting with the g-action; computed once per
     LieRep and shared, so callers only read them."""
     if g._equivariant is None:
-        dim = hom_dim(g.n)
-
         def images(x, basis):
-            cols = transpose(_hom_operator(x, g.n), dim)
+            index = action_index([x], g.n)
+            cols = {}
+            for v in basis:
+                for k in v:
+                    if k not in cols:
+                        cols[k] = _hom_column(x, index, k)
             return [combine(cols, v) for v in basis]
 
-        g._equivariant = tuple(_common_kernel(g.basis, images, dim))
+        g._equivariant = tuple(_common_kernel(g.basis, images,
+                                              hom_dim(g.n)))
     return g._equivariant
+
+
+def _hom_column(x, index, k):
+    """x . D, keys ascending, for the unit D = coordinate k, which sends
+    e^(b+1) to the l-th unit 2-form e^p ^ e^q for k = b C(n, 2) + l, with
+    index = action_index([x], n): -D o x puts x[b][a] in row (a, l), and
+    (x . e^p) ^ e^q + e^p ^ (x . e^q) fills block b."""
+    pairs, pos = lex_index(len(x), 2)
+    b, l = divmod(k, len(pairs))
+    col = {a * len(pairs) + l: c for a, c in x[b].items()}
+    p, q = pairs[l]
+    for src, other in ((p, q), (q, p)):
+        for _, (r,), d in index[src - 1]:
+            if r != other:
+                # e^r ^ e^q, or e^p ^ e^r, sorted
+                _add_entry(col, b * len(pairs) + pos[min(r, other),
+                                                    max(r, other)],
+                           d if (r < other) == (src == p) else s_neg(d))
+    return {row: col[row] for row in sorted(col)}
 
 
 def equivariant_maps(g: LieRep):
     """Basis of Hom(T, Lambda^2 T) commuting with the g-action, as fresh
     HomMaps on each call."""
     return [HomMap.from_coords(g.n, v) for v in equivariant_coords(g)]
-
-
-def _hom_operator(x, n):
-    """The action of x on Hom(T, Lambda^2 T) as sparse rows in HomMap
-    coordinates, by the tensor rule x (x) 1 + 1 (x) x: -D o x on the
-    coframe slot, and the coframe action on the unit 2-forms."""
-    # -D(x . e^i) = -sum d D(e^j) over the (j, d) of x . e^i
-    slot = [{j - 1: s_neg(d) for _, (j,), d in entries}
-            for entries in action_index([x], n)]
-    return _tensor_operators([slot], _form_operators([x], n, 2), n,
-                             comb(n, 2))[1][0]
 
 
 def cartan_three_form(brackets, m) -> Form:

@@ -14,7 +14,7 @@ from edsx._kernel import PRIMES, back_substitute, eliminate, s_neg
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
-from edsx.dga import (_derivation_matrix, _unit_maps, Analysis, analysis,
+from edsx.dga import (_derivation_matrix, Analysis, analysis,
                       check_operator, extension, extension_rhs,
                       lie_tensor_rows, strong_admissibility, z_spaces)
 from edsx.exterior import Form, Subspace, coords, restrict
@@ -26,6 +26,8 @@ from edsx.rep import (LieRep, cartan_three_form, casimir_decompose,
                       hom_dim, mat_bracket)
 from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
+
+from test_unit_tables import unit_extension_rows
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
            "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
@@ -69,7 +71,7 @@ def _reference_system(s, op, params):
         target = fvals.get(gname, Form.zero(s.n))
         rhs.update(coords(target, g.degree + 1, at))
         at += comb(s.n, g.degree + 1)
-    m = _derivation_matrix(list(s.generators.values()), _unit_maps(s.n))
+    m = unit_extension_rows(list(s.generators.values()), s.n)
     assert extension_rhs(s.generators, fvals) == rhs
     assert extension(s.n, s.generators.values()).rank \
         == span_rank(m, hom_dim(s.n))
@@ -92,8 +94,8 @@ def test_lie_ranks_are_the_stacked_ranks(name):
     s = get_structure(name)
     g_rows = lie_tensor_rows(s.lie, s.n)
     width = hom_dim(s.n)
-    kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
-                                             _unit_maps(s.n)), width)
+    kernel = kernel_basis(unit_extension_rows(list(s.generators.values()),
+                                              s.n), width)
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert analysis(s).lie_ranks() == want
     if name == "psu3":
@@ -110,8 +112,8 @@ def test_lie_ranks_reduce_rows_outside_the_kernel():
                         lie=LieRep("so5", n, gl_basis(n, skew=True)))
     g_rows = lie_tensor_rows(s.lie, n)
     width = hom_dim(n)
-    kernel = kernel_basis(_derivation_matrix(list(s.generators.values()),
-                                             _unit_maps(n)), width)
+    kernel = kernel_basis(unit_extension_rows(list(s.generators.values()),
+                                              n), width)
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert Analysis(s).lie_ranks() == want
     assert want[1] > len(kernel)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from edsx.catalog import get_structure
-from edsx.dga import _derivation_matrix, _unit_maps
+from edsx.dga import extension
 from edsx.exterior import (Form, Subspace, coords, derivation_images,
                            lex_index, restrict, wedge)
 from edsx.rep import act_on_form, gl_basis, hom_dim, orbit_matrix
@@ -158,5 +158,4 @@ def test_unit_extension_matrix_matches_leibniz(name, drop):
         w = Subspace.hyperplane(n, drop)
         forms = [f for f in (restrict(g, w) for g in forms) if not f.is_zero()]
         n = w.dim
-    assert _derivation_matrix(forms, _unit_maps(n)) \
-        == unit_matrix_reference(forms, n)
+    assert extension(n, forms)._rows == unit_matrix_reference(forms, n)

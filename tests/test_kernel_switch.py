@@ -20,7 +20,7 @@ from edsx import _kernel, catalog
 from edsx._kernel import DIVISORS, ONE, eliminate, s_quotient
 from edsx.cartan import flag_test
 from edsx.catalog import get_structure
-from edsx.dga import _derivation_matrix, _unit_maps, check_operator, z_spaces
+from edsx.dga import check_operator, extension, z_spaces
 from edsx.exterior import Subspace
 from edsx.linalg import Elimination, kernel_basis, span_rank
 from edsx.rep import hom_dim
@@ -101,8 +101,7 @@ def _three_ways(monkeypatch, switches, rows, ncols):
 
 def _extension(name):
     s = get_structure(name)
-    return (_derivation_matrix(list(s.generators.values()), _unit_maps(s.n)),
-            hom_dim(s.n))
+    return extension(s.n, s.generators.values())._rows, hom_dim(s.n)
 
 
 @pytest.mark.parametrize("name", CATALOG)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from sympy import QQ
@@ -9,13 +10,14 @@ from sympy.polys.matrices import DomainMatrix
 from edsx._kernel import ONE, s_mul, s_neg, s_quotient
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
-from edsx import linalg, rep
+from edsx import _kernel, dga, exterior, linalg, rep
 from edsx.rep import (CasimirError, HomMap, LieRep, _check_weights,
-                      _hom_operator, _space_operators, act_on_form, act_on_hom,
-                      cartan_three_form, casimir_decompose, equivariant_maps,
-                      gl_basis, hom_dim, invariants, mat_bracket, mat_from,
+                      _hom_column, _space_operators, act_on_form, act_on_hom,
+                      action_index, cartan_three_form, casimir_decompose,
+                      equivariant_coords, equivariant_maps, gl_basis,
+                      hom_dim, invariants, mat_bracket, mat_from,
                       mat_is_skew, orbit_matrix, stabilizer)
-from edsx.linalg import combine, span_rank, transpose
+from edsx.linalg import combine, span_rank
 from edsx.scalar import Scalar
 
 
@@ -152,15 +154,34 @@ CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_hom_operator_columns_are_the_form_action_on_units(name):
-    # column k of the coordinate operator is x . u_k for the unit map u_k,
-    # computed on Forms by act_on_hom
+    # column k of the action in Hom coordinates is x . u_k for the unit map
+    # u_k, computed on Forms by act_on_hom, with its rows ascending
     g = get_structure(name).lie
     n = g.n
     for x in g.basis:
-        cols = transpose(_hom_operator(x, n), hom_dim(n))
-        for k, col in enumerate(cols):
+        index = action_index([x], n)
+        for k in range(hom_dim(n)):
+            col = _hom_column(x, index, k)
             unit = HomMap.from_coords(n, {k: ONE})
             assert col == act_on_hom(x, unit).coords(), (name, k)
+            assert list(col) == sorted(col), (name, k)
+
+
+def test_hom_columns_of_matrices_with_a_diagonal():
+    # diagonal entries put -D o x and x . (e^p ^ e^q) on one cell, where
+    # diag(1, -1, 2, -2) cancels the 2-form part on e^1 ^ e^2
+    n = 4
+    mats = gl_basis(n) + [mat_from([[1, 0, 0, 0], [0, -1, 0, 0],
+                                    [0, 0, 2, 0], [0, 0, 0, -2]]),
+                          mat_from([[1, 2, 0, 0], [0, 3, 0, -1],
+                                    [1, 0, 1, 0], [0, 0, 5, 2]])]
+    for x in mats:
+        index = action_index([x], n)
+        for k in range(hom_dim(n)):
+            col = _hom_column(x, index, k)
+            unit = HomMap.from_coords(n, {k: ONE})
+            assert col == act_on_hom(x, unit).coords(), k
+            assert list(col) == sorted(col), k
 
 
 @pytest.mark.parametrize("name", ["su-odd:3", "g2"])
@@ -188,23 +209,51 @@ def test_stabilizer_of_phi_has_the_g2_maps():
     assert maps == equivariant_maps(s.lie)
 
 
+def _count(monkeypatch, modules, names, calls):
+    for module in modules:
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+
 def test_equivariant_maps_build_no_form_per_basis_element(monkeypatch):
     calls = []
-    for name in ("act_on_hom", "derivation_form"):
-        real = getattr(rep, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(rep, name, counted)
+    _count(monkeypatch, [rep], ["act_on_hom", "derivation_form",
+                                "derivation_images", "_form_operators",
+                                "_tensor_operators"], calls)
     g = get_structure("su-odd:4").lie
     fresh = LieRep("su-odd:4 fresh", g.n, g.basis)
+    assert len(equivariant_coords(fresh)) == 3
     assert len(equivariant_maps(fresh)) == 3
     assert calls == []
     # the counters see the Form path where it is still taken
     invariants(fresh, 2)
     assert "derivation_form" in calls
+
+
+def test_unit_tables_run_no_product(monkeypatch):
+    # the extension and orbit rows are signed copies of the coefficients
+    s = get_structure("so3-9")
+    forms = list(s.generators.values())
+    a = s.generators["star-gamma"]
+    calls = []
+    _count(monkeypatch, [exterior, dga, rep], ["derivation_images"], calls)
+    _count(monkeypatch, [_kernel, exterior, linalg, rep], ["s_mul"], calls)
+    ext = dga.extension(9, forms)
+    assert len(orbit_matrix(a)) == comb(9, a.degree)
+    assert len(orbit_matrix(a, skew=True)) == comb(9, a.degree)
+    assert calls == []
+    # the counters see the products where they are still taken: in the
+    # elimination, and in the general rule
+    assert ext.rank == 200
+    assert "s_mul" in calls and "derivation_images" not in calls
+    rep.act_on_form(gl_basis(9)[1], a)
+    assert calls.count("derivation_images") == 1
 
 
 def test_structure_constants_of_rotations():

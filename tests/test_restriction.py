@@ -6,14 +6,15 @@ import pytest
 
 from edsx._kernel import ONE, s_neg, s_sub
 from edsx.catalog import DiffOpSpec, get_structure
-from edsx.dga import (Analysis, _derivation_matrix, _unit_maps, extension_rhs,
-                      z_spaces)
+from edsx.dga import Analysis, extension_rhs, z_spaces
 from edsx.exterior import Subspace, lex_index, parse_form, restrict, wedge
 from edsx.linalg import solve_affine, span_rank
 from edsx.papercheck import RESTRICTION_BATTERY
 from edsx.rep import HomMap, hom_dim
 from edsx.restriction import RestrictionError, _lift, restrict_structure
 from edsx.scalar import Scalar
+
+from test_unit_tables import unit_extension_rows
 
 
 def test_default_hyperplane_is_sorted():
@@ -144,7 +145,7 @@ def _reference(s, op, params, rep):
     solw = None
     zw_dim = None
     if rep.f_w is not None:
-        m = _derivation_matrix(list(rep.p_image_gens.values()), _unit_maps(k))
+        m = unit_extension_rows(list(rep.p_image_gens.values()), k)
         rhs = extension_rhs(rep.p_image_gens, rep.f_w)
         solw = solve_affine(m, hom_dim(k), rhs)
         if not solw.is_empty:

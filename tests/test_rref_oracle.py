@@ -26,7 +26,7 @@ from edsx import _kernel
 from edsx._kernel import (DIVISORS, ONE, PRIMES, eliminate, rref, s_inv,
                           s_mul)
 from edsx.catalog import get_structure
-from edsx.dga import _derivation_matrix, _unit_maps
+from edsx.dga import extension
 from edsx.exterior import Form, hodge, wedge
 from edsx.linalg import span_rank
 from edsx.papercheck import SUITE_SEED, _rand_scalar
@@ -321,7 +321,7 @@ def test_the_roots_mod_p_are_square_roots():
 @pytest.mark.parametrize("name", CATALOG)
 def test_extension_ranks_agree_mod_p(name):
     s = get_structure(name)
-    m = _derivation_matrix(list(s.generators.values()), _unit_maps(s.n))
+    m = extension(s.n, s.generators.values())._rows
     width = hom_dim(s.n)
     want = span_rank(m, width)
     assert _rank_mod_p(m, width) == want
