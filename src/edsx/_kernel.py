@@ -18,10 +18,25 @@ whose remaining rows are radically graded (each entry one term, its mask
 a row mask XOR a column mask) finishes its forward phase on integer rows
 with rational multipliers, and returns exactly what the scalar loop
 would.
+
+A rank-only elimination (eliminate with certify, which linalg.span_rank
+and the dense entry's forward-only branch pass) first tries a certificate
+mod P at its first pivot lead with more than one term, where the scalar
+loop would enter s_inv's conjugate tower.  P = 2^61 - 3153 is 3 mod 4 and
+2, 3, 5 and 7 are squares mod P, so sqrt(q) -> q^((P+1)/4) maps every
+scalar whose denominator P does not divide onto Z/P as a ring map
+(pivots_mod_p; a denominator divisible by P is its guard and gives no
+answer).  Minors map to minors, so the rank mod P is a lower bound on the
+exact rank, and min(rows, cols) is an upper bound: when they meet, the
+rank is exact.  The pivot columns are exact only when the mod-P pivots are
+the leading columns as well: a full rank can sit on other columns mod P
+than over the field, as in [[P*(1 + sqrt2), 1 + sqrt2]].  Otherwise the
+exact elimination goes on from where it stopped.  Rows whose leads are
+all one term (rational or graded) never reach the certificate.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 PRIMES = (2, 3, 5, 7)
 
@@ -41,6 +56,13 @@ DIVISORS = tuple(_divisor(m) for m in range(16))
 MASK_OF_DIVISOR = {d: m for m, d in enumerate(DIVISORS)}
 
 ONE = (1, {0: 1})
+
+P = 2 ** 61 - 3153
+
+# ROOTS_MOD_P[mask] is the image of sqrt(DIVISORS[mask]) in Z/P; x ->
+# x^((P+1)/4) is multiplicative, so it is the product of the images of
+# the square roots of the primes in mask
+ROOTS_MOD_P = tuple(pow(d, (P + 1) // 4, P) for d in DIVISORS)
 
 
 def _canon(den, nums):
@@ -309,7 +331,7 @@ def s_inv(a):
 SWITCH = 4
 
 
-def eliminate(srows, ncols, reduced=True, ops=None):
+def eliminate(srows, ncols, reduced=True, ops=None, certify=None):
     """Row reduction of sparse rows; returns (pivots, pivot rows).
 
     srows is a list of {column: scalar} dicts over columns 0..ncols-1,
@@ -348,6 +370,13 @@ def eliminate(srows, ncols, reduced=True, ops=None):
     not yet pivot rows are tested, once, for a radical grading
     (_grading); when they have one, the rest of the forward phase runs on
     integers (_forward_graded), with the same steps, rows and operations.
+
+    certify is for the rank-only callers, with reduced=False and no ops:
+    "rank" when only the number of pivots is read, "pivots" when the
+    pivot list is.  At the first pivot lead with more than one term, the
+    rows not yet pivot rows are ranked mod P, once (_certified); when
+    that certifies the answer, eliminate returns (pivots, None) at once,
+    and with "rank" only the length of those pivots is exact.
     """
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
@@ -369,6 +398,11 @@ def eliminate(srows, ncols, reduced=True, ops=None):
                                 ops)
                 break
         p = min(held, key=lambda i: (len(srows[i]), i))
+        if certify and len(srows[p][j][1]) > 1:
+            done = _certified(srows, holding, j, pivots, certify)
+            if done is not None:
+                return done, None
+            certify = None
         prow = srows[p]
         for k in prow:
             holding[k].discard(p)
@@ -401,6 +435,68 @@ def eliminate(srows, ncols, reduced=True, ops=None):
     if reduced:
         back_substitute(pivots, prows)
     return pivots, prows
+
+
+def pivots_mod_p(srows, ncols):
+    """The leftmost pivot columns of sparse rows mapped into Z/P, or None
+    when P divides a denominator (see the module docstring).
+
+    Each row is first scaled by the lcm of its denominators, which P
+    divides exactly when it divides one of them; the rows are then
+    reduced fraction-free, row <- a row - c pivot row, so no inverse is
+    taken mod P.  Neither step changes the pivots.
+    """
+    rows = []
+    for row in srows:
+        if not row:
+            continue
+        den = lcm(*[d for d, _ in row.values()])
+        if not den % P:
+            return None
+        out = [0] * ncols
+        for k, (d, nums) in row.items():
+            x = 0
+            for m, y in nums.items():
+                x += y * ROOTS_MOD_P[m]
+            out[k] = x * (den // d) % P
+        rows.append(out)
+    pivots = []
+    for j in range(ncols):
+        for t, prow in enumerate(rows):
+            if prow[j]:
+                break
+        else:
+            continue
+        del rows[t]
+        a = prow[j]
+        for row in rows:
+            c = row[j]
+            if c:
+                for k in range(j, ncols):
+                    row[k] = (row[k] * a - c * prow[k]) % P
+        pivots.append(j)
+    return pivots
+
+
+def _certified(srows, holding, j0, pivots, certify):
+    """The answer of a rank-only eliminate() from column j0 on, or None.
+
+    The exact rank is len(pivots) plus the rank of the rows not yet pivot
+    rows, which hold only columns j0 and beyond.  When their mod-P pivots,
+    put after pivots, make r = min(rows, cols) columns, the exact rank is
+    r as well.  For certify == "pivots" they must also be columns 0..r-1:
+    each leading minor is then nonzero mod P, hence over the field, so the
+    exact leftmost pivots are the same columns.
+    """
+    r = min(len(srows), len(holding))
+    rest = pivots_mod_p([srows[i] for i in set().union(*holding[j0:])],
+                        len(holding))
+    if rest is None or len(pivots) + len(rest) != r:
+        return None
+    found = pivots + rest
+    if certify == "pivots" and found != list(range(r)):
+        return None
+    return found
 
 
 def _grading(srows, holding, j0):
@@ -580,12 +676,14 @@ def rref(rows, ncols, reduced=True):
     {mask: rational} dict, converted to scalars here and back on the way
     out.  With reduced=True the items of rows are replaced by new lists:
     the pivot rows first, sorted by pivot column with leading 1, then zero
-    rows.  With reduced=False only the forward phase runs and rows is left
-    as it was.  The row lists and cells passed in are never mutated.
+    rows.  With reduced=False only the forward phase runs, behind the
+    certificate mod P, and rows is left as it was.  The row lists and
+    cells passed in are never mutated.
     """
     pivots, prows = eliminate(
         [{j: s for j, c in enumerate(row) if c and (s := s_from_fractions(c))}
-         for row in rows], ncols, reduced)
+         for row in rows], ncols, reduced,
+        certify=None if reduced else "pivots")
     if not reduced:
         return pivots
     for t, (j, prow) in enumerate(zip(pivots, prows)):

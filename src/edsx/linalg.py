@@ -12,7 +12,15 @@ is solved by replaying the forward row operations on it and then a
 triangular back-solve through the forward pivot rows.  Only a kernel
 needs the reduced form, so the back-substitution runs on demand, once,
 when the kernel is first read.  No function here mutates the rows it is
-given.
+given; only an Elimination consumes the rows it is built from.
+
+Rank-only questions have a shortcut: span_rank (and the dense rank,
+through the kernel's dense entry) first tries a rank mod P at its first
+multi-term pivot lead, and answers from it only when it is certified
+exact: the rank mod P, a lower bound, reaches the upper bound
+min(rows, cols), and for a pivot list the pivots mod P are the leading
+columns.  Every other case goes on with the exact elimination (see
+edsx._kernel).
 
 Matrix, rank and rref are the dense boundary.  Nothing in this package
 calls them: they stay only because the benchmark calls Matrix.from_rows
@@ -186,6 +194,10 @@ class Elimination:
     so it is the canonical particular solution that solve_affine reads
     off the RREF.  The right kernel needs the reduced rows: the first
     kernel_vectors() call back-substitutes a copy of F, once.
+
+    An Elimination consumes the rows it is built from: the elimination
+    reduces the dicts in place, so a caller that reads them again passes
+    copies.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_pivots", "_prows", "_ops",
@@ -201,8 +213,7 @@ class Elimination:
         if self._ops is None:
             self._ops = []
             self._pivots, self._prows = eliminate(
-                [dict(r) for r in self._rows], self.ncols, reduced=False,
-                ops=self._ops)
+                self._rows, self.ncols, reduced=False, ops=self._ops)
             self._rows = None
 
     @property
@@ -296,8 +307,11 @@ class Elimination:
 
 
 def span_rank(rows, ncols) -> int:
-    """Rank of sparse rows over ncols columns."""
-    return len(eliminate([dict(r) for r in rows], ncols, reduced=False)[0])
+    """Rank of sparse rows over ncols columns; a rank mod P that reaches
+    min(rows, cols) answers it without the rest of the exact elimination
+    (see edsx._kernel)."""
+    return len(eliminate([dict(r) for r in rows], ncols, reduced=False,
+                         certify="rank")[0])
 
 
 def in_span(rows, v, ncols) -> bool:

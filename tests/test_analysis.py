@@ -181,7 +181,7 @@ def test_factored_solve_of_an_inconsistent_rhs_is_empty():
     s = get_structure("su-odd:2")
     m, rhs = _reference_system(s, "zero", None)
     width = hom_dim(s.n)
-    elim = Elimination(m, width)
+    elim = Elimination([dict(r) for r in m], width)
     # the rank eliminates m; the solves below replay its row operations
     assert elim.rank == span_rank(m, width)
     one = Scalar.of(1).c
@@ -220,7 +220,7 @@ def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
         return eliminate(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "eliminate", counted)
-    elim = Elimination(m, width)
+    elim = Elimination([dict(r) for r in m], width)
     queries = {"rank": lambda: elim.rank,
                "kernel": elim.kernel_vectors,
                "consistent": lambda: elim.particular(consistent),
@@ -236,7 +236,7 @@ def test_factored_solve_of_a_radical_rhs(name):
     s = get_structure(name)
     m, _ = _reference_system(s, "zero", None)
     width = hom_dim(s.n)
-    elim = Elimination(m, width)
+    elim = Elimination([dict(r) for r in m], width)
     rhs = _times(m, _radical_vector(width))
     assert any(len(c[1]) > 1 or 0 not in c[1] for c in rhs.values())
     assert not _assert_solves_agree(elim, m, width, rhs).is_empty
@@ -266,7 +266,7 @@ def test_factored_solve_of_random_radical_systems():
             m.append(row)
         m[rng.randrange(nrows)] = {}
         m.append(dict(m[rng.randrange(nrows)]))
-        elim = Elimination(m, width)
+        elim = Elimination([dict(r) for r in m], width)
         x = {k: rng.choice(radicals).c
              for k in range(width) if rng.random() < 0.6}
         for rhs in (_times(m, x),
@@ -334,7 +334,7 @@ def test_factored_particular_is_the_back_solve_of_random_systems(
         m, width = _random_system(rng, t, lambda i, k: rng.choice(radicals),
                                   lambda i, j: rng.choice(radicals))
         rhs_list = _right_hand_sides(rng, m, width, radicals)
-        elim = Elimination(m, width)
+        elim = Elimination([dict(r) for r in m], width)
         for rhs in rhs_list:
             want = solve_affine(m, width, rhs).particular
             got = elim.particular(rhs)
@@ -380,7 +380,7 @@ def test_factored_particular_is_the_back_solve_of_random_systems(
               if rng.random() < 0.3} for _ in range(3)]
         monkeypatch.setattr(_kernel, "SWITCH", -10 ** 9)
         before = len(switches)
-        elim = Elimination(m, width)
+        elim = Elimination([dict(r) for r in m], width)
         kernel = elim.kernel_vectors()
         with_kernel = elim.rank_with_kernel(g)
         assert len(switches) > before

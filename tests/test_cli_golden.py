@@ -87,6 +87,12 @@ GOLDEN = [
     (["stability", "--structure", "psu3", "--sampled"], 0,
      "5252c3c2be47279785662d4241b29943068935fabe49b37ca057204e14cec396",
      "2dea2fd06af9791070eae7203764089aa4125237d31444a25c0ba87ee5c3b2d1"),
+    # multi-term ranks on every sampled hyperplane, pinned before
+    # span_rank answered full ranks from the certificate mod P
+    (["stability", "--structure", "so3-9", "--generator", "star-gamma",
+      "--sampled"], 0,
+     "a3c425c482535e7f0d7f3129cdd8fc35f3ac8164977ea46c128f6c94ebef4dda",
+     "d89fe75bdffbe89326acc9bb90aee37b7a43b6a2dfec8b0b3595dc89ac530fd9"),
     # equivariant witnesses at radical parameters, pinned before the action
     # on Hom(T, Lambda^2 T) moved from Forms to sparse coordinates
     (["dga", "--structure", "su-odd:4", "--operator", "B",

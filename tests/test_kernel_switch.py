@@ -226,7 +226,7 @@ def test_callers_rows_are_unchanged_by_the_integer_loop(monkeypatch,
     before = _snapshot(rows)
     monkeypatch.setattr(_kernel, "SWITCH", AT_ONCE)
     span_rank(rows, 10)
-    elim = Elimination(rows, 10)
+    elim = Elimination([dict(r) for r in rows], 10)
     assert elim.rank == span_rank(rows, 10)
     elim.kernel_vectors()
     kernel_basis(rows, 10)

@@ -237,9 +237,10 @@ def test_only_linalg_reaches_the_elimination_core():
     # every other module goes through the linalg entry points, so the
     # kernel's contract for eliminate (input rows consumed, pivot rows
     # without the leading 1, the list of row operations) has one client,
-    # and no module reaches the integer loop behind eliminate
+    # and no module reaches the integer loop or the certificate mod P
+    # behind eliminate
     core = {"eliminate", "back_substitute", "_kernel_vectors", "_grading",
-            "_forward_graded", "_graded_entry"}
+            "_forward_graded", "_graded_entry", "pivots_mod_p", "_certified"}
     offenders = []
     for path in sorted(Path(edsx.__file__).parent.glob("*.py")):
         if path.name == "linalg.py":

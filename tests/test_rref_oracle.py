@@ -10,7 +10,10 @@ there too.  The dense entry rref(), which only the benchmark reaches,
 must give what eliminate() gives.  sympy's division in those fields is
 an independent inverse.  Wedge coefficients are recomputed as shuffle
 sums with sympy's permutation signs and sqrt arithmetic, and the Hodge
-star is held to a ^ *b = <a, b> e^{1...n}.
+star is held to a ^ *b = <a, b> e^{1...n}.  The ranks mod P behind the
+certificate of span_rank and of the dense forward entry are held to the
+exact elimination, and each way the certificate can refuse must still
+give the exact answer.
 """
 
 import random
@@ -23,14 +26,14 @@ from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 
 from edsx import _kernel
-from edsx._kernel import (DIVISORS, ONE, PRIMES, eliminate, rref, s_inv,
-                          s_mul)
+from edsx._kernel import (DIVISORS, ONE, P, PRIMES, ROOTS_MOD_P, eliminate,
+                          pivots_mod_p, rref, s_add, s_inv, s_mul)
 from edsx.catalog import get_structure
 from edsx.dga import extension
 from edsx.exterior import Form, hodge, wedge
-from edsx.linalg import span_rank
+from edsx.linalg import span_rank, transpose
 from edsx.papercheck import SUITE_SEED, _rand_scalar
-from edsx.rep import hom_dim
+from edsx.rep import hom_dim, orbit_matrix
 from edsx.scalar import Scalar
 
 from test_kernel_scalars import cell_of, scalar_of
@@ -271,51 +274,19 @@ def test_wedge_with_the_hodge_star_is_the_inner_product(fields):
         assert expand(inner - _sympy_value(have)) == 0, (a, c)
 
 
-# A prime p = 3 mod 4 below 2**61 under which 2, 3, 5 and 7 are squares:
-# sqrt(q) -> q^((p+1)/4) is then a ring map from the field's elements with
-# denominators prime to p onto Z/p, so a rank mod p is at most the exact
-# rank, and equal to it unless p divides some minor.
-P = 2 ** 61 - 3153
-ROOTS = [pow(q, (P + 1) // 4, P) for q in PRIMES]
+# The certificate mod P (see edsx._kernel): pivots_mod_p is checked here
+# against the exact elimination, eliminate(..., reduced=False) without
+# certify, never against span_rank, which answers from it.
 
-
-def _mod_p(c):
-    den, nums = c
-    acc = 0
-    for mask, x in nums.items():
-        for k, r in enumerate(ROOTS):
-            if mask >> k & 1:
-                x = x * r % P
-        acc += x
-    return acc * pow(den, -1, P) % P
-
-
-def _rank_mod_p(rows, ncols):
-    """Forward rank of sparse kernel-scalar rows, reduced mod P."""
-    rows = [{j: x for j, c in row.items() if (x := _mod_p(c))}
-            for row in rows]
-    rank = 0
-    for j in range(ncols):
-        held = [i for i, row in enumerate(rows) if j in row]
-        if not held:
-            continue
-        prow = rows.pop(held[0])
-        inv = pow(prow[j], -1, P)
-        for row in (rows[i - 1] for i in held[1:]):
-            f = row[j] * inv % P
-            for k, v in prow.items():
-                x = (row.get(k, 0) - f * v) % P
-                if x:
-                    row[k] = x
-                else:
-                    row.pop(k, None)
-        rank += 1
-    return rank
+def _exact_pivots(rows, ncols):
+    return eliminate([dict(r) for r in rows], ncols, reduced=False)[0]
 
 
 def test_the_roots_mod_p_are_square_roots():
     assert P % 4 == 3 and pow(3, P - 1, P) == 1
-    assert all(r * r % P == q for q, r in zip(PRIMES, ROOTS))
+    assert all(r * r % P == d for r, d in zip(ROOTS_MOD_P, DIVISORS))
+    assert all(ROOTS_MOD_P[a | b] == ROOTS_MOD_P[a] * ROOTS_MOD_P[b] % P
+               for a in range(16) for b in range(16) if not a & b)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -323,20 +294,115 @@ def test_extension_ranks_agree_mod_p(name):
     s = get_structure(name)
     m = extension(s.n, s.generators.values())._rows
     width = hom_dim(s.n)
-    want = span_rank(m, width)
-    assert _rank_mod_p(m, width) == want
+    want = _exact_pivots(m, width)
+    assert pivots_mod_p(m, width) == want
     if name == "so3-9":
-        assert (want, width) == (200, 324)
+        assert (len(want), width) == (200, 324)
 
 
-def test_rank_determinism_cases_agree_mod_p():
+def _rank_determinism_cases():
     # the matrices of the paper-check rank-determinism suite
     rng = random.Random(SUITE_SEED + 4)
     for _ in range(1000):
         nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
-        rows = [{j: x.c for j in range(ncols) if (x := _rand_scalar(rng))}
-                for _ in range(nrows)]
-        assert _rank_mod_p(rows, ncols) == span_rank(rows, ncols)
+        yield [{j: x.c for j in range(ncols) if (x := _rand_scalar(rng))}
+               for _ in range(nrows)], ncols
+
+
+def test_rank_determinism_cases_agree_mod_p():
+    for rows, ncols in _rank_determinism_cases():
+        assert pivots_mod_p(rows, ncols) == _exact_pivots(rows, ncols)
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The answers of _kernel._certified, in call order (None: refused)."""
+    seen = []
+    inner = _kernel._certified
+
+    def spy(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(_kernel, "_certified", spy)
+    return seen
+
+
+def _rank_and_pivots(rows, ncols):
+    """(span_rank, the dense entry's forward pivots) of sparse rows."""
+    return (span_rank(rows, ncols),
+            rref(_cells(rows, ncols), ncols, reduced=False))
+
+
+def test_certified_answers_are_the_exact_ones(certified):
+    hits = 0
+    for rows, ncols in _rank_determinism_cases():
+        want = _exact_pivots(rows, ncols)
+        start = len(certified)
+        assert _rank_and_pivots(rows, ncols) == (len(want), want)
+        hits += any(x is not None for x in certified[start:])
+        rows_t = transpose(rows, ncols)
+        assert span_rank(rows_t, len(rows)) == len(want)
+    # 734 of the 1,000 answers come from the certificate
+    assert hits > 700
+
+
+R2 = scalar_of({0: 1, 1: 1})      # 1 + sqrt2
+R3 = scalar_of({0: 2, 2: -1})     # 2 - sqrt3
+
+
+def test_a_rank_below_the_bound_falls_back(certified):
+    a = {0: R2, 1: ONE, 2: R3}
+    b = {0: ONE, 1: R3, 2: R2}
+    c = {j: s_add(s_mul(x, R3), s_mul(b[j], R2)) for j, x in a.items()}
+    assert _rank_and_pivots([a, b, c], 3) == (2, [0, 1])
+    assert certified == [None, None]
+
+
+def test_a_denominator_divisible_by_p_falls_back(certified, monkeypatch):
+    guarded = []
+    inner = _kernel.pivots_mod_p
+
+    def spy(rows, ncols):
+        guarded.append(inner(rows, ncols))
+        return guarded[-1]
+
+    monkeypatch.setattr(_kernel, "pivots_mod_p", spy)
+    over_p = (P, {0: 1, 1: 1})    # (1 + sqrt2) / P
+    rows = [{0: over_p, 1: ONE}, {0: ONE, 1: R3}]
+    assert _rank_and_pivots(rows, 2) == (2, [0, 1])
+    assert guarded == [None, None] and certified == [None, None]
+
+
+def test_full_rank_off_the_leading_columns_answers_only_the_rank(certified):
+    # mod P the first entry vanishes: the rank mod P is 1, which certifies
+    # the rank, but on column 1, while the exact pivot is column 0
+    p_r2 = scalar_of({0: P, 1: P})
+    rows = [{0: p_r2, 1: R2}]
+    assert pivots_mod_p(rows, 2) == [1]
+    assert _rank_and_pivots(rows, 2) == (1, [0])
+    assert certified == [[1], None]
+
+
+def test_zero_rows_and_zero_columns():
+    assert _rank_and_pivots([], 3) == (0, [])
+    assert _rank_and_pivots([{}, {}], 0) == (0, [])
+    assert _rank_and_pivots([{}, {}, {}], 2) == (0, [])
+    assert pivots_mod_p([{}, {}], 2) == []
+    # a zero row and a zero column keep the bound out of reach
+    assert _rank_and_pivots([{0: R2, 1: R3}, {}], 2) == (1, [0])
+    assert _rank_and_pivots([{1: R2}, {1: R3}], 2) == (1, [1])
+
+
+def test_single_term_rows_never_reach_the_certificate(certified):
+    # graded radical rows (the polar rows of psu3) and rational rows
+    s = get_structure("psu3")
+    rows = orbit_matrix(s.generators["rho"])
+    assert span_rank(rows, s.n ** 2) == 56
+    rational = [{j: scalar_of({0: Fraction(i + 1, j + 2)}) for j in range(4)}
+                for i in range(3)]
+    assert _rank_and_pivots(rational, 4) == (1, [0])
+    assert certified == []
 
 
 # The dense entry, which only the benchmark reaches, through linalg.Matrix

@@ -5,9 +5,9 @@ from math import comb
 import pytest
 
 from edsx import cartan, rep as rep_module, stability as stability_module
+from edsx._kernel import eliminate
 from edsx.catalog import get_structure
 from edsx.exterior import Form, Subspace, coords, restrict
-from edsx.linalg import span_rank
 from edsx.rep import act_on_form, gl_basis
 from edsx.scalar import Scalar
 from edsx.stability import e_stable, sampled_hyperplanes, stability
@@ -25,7 +25,8 @@ def oracle_e_stable(orbit, w, p):
     if want == 0:
         return True
     rows = [coords(restrict(f, w), p) for f in orbit]
-    return span_rank(rows, want) == want
+    # the exact elimination, not span_rank's certificate mod P
+    return len(eliminate(rows, want, reduced=False)[0]) == want
 
 
 def test_stable_forms():
