@@ -56,6 +56,7 @@ DIVISORS = tuple(_divisor(m) for m in range(16))
 MASK_OF_DIVISOR = {d: m for m, d in enumerate(DIVISORS)}
 
 ONE = (1, {0: 1})
+NEG_ONE = (1, {0: -1})
 
 P = 2 ** 61 - 3153
 

@@ -18,13 +18,14 @@ off the polar counts that Analysis keeps.
 
 from math import comb
 
-from ._kernel import s_neg
+from ._kernel import ONE, s_neg
 from .scalar import Scalar
 from .exterior import (Form, Subspace, coords, derivation_form,
-                       derivation_images, lex_index, restrict, unit_images,
-                       wedge, _sort_sign)
+                       derivation_images, lex_index, lex_masks, restrict,
+                       wedge)
 from .linalg import Elimination, combine, span_rank, transpose
-from .rep import HomMap, equivariant_coords, hom_dim, invariants, sym_dim
+from .rep import (HomMap, action_index, equivariant_coords, hom_dim,
+                  invariants, sym_dim)
 from .stability import _polar_count, _polar_rows
 from .catalog import StructureSpec, DiffOpSpec
 
@@ -224,23 +225,26 @@ class ZReport:
         }
 
 
-def _derivation_matrix(forms, maps):
+def _derivation_matrix(n, forms, maps):
     """Sparse rows of the matrix whose columns are d_D(g) stacked over the
-    forms, one column per map D given by its sparse Hom coordinates (the
-    equivariant basis: units go through extension)."""
-    if not forms:
-        return []
-    n = forms[0].n
+    forms on R^n, one column per map D given by its sparse Hom coordinates
+    (the equivariant basis)."""
     pairs = lex_index(n, 2)[0]
     by_index = [[] for _ in range(n)]
     for u, vec in enumerate(maps):
         for k, c in vec.items():
             i, t = divmod(k, len(pairs))
             by_index[i].append((u, pairs[t], c))
+    return _derivation_rows(n, forms, by_index)
+
+
+def _derivation_rows(n, forms, by_index):
+    """The rows of d_D(g) over the lex-ordered (deg g + 1)-subsets, stacked
+    over the forms on R^n, one column per derivation D of by_index."""
     rows = []
     for g in forms:
         images = derivation_images(g, by_index)
-        rows.extend(images.get(K, {}) for K in lex_index(n, g.degree + 1)[0])
+        rows += [images.get(m, {}) for m in lex_masks(n, g.degree + 1)]
     return rows
 
 
@@ -250,13 +254,12 @@ def extension(n, forms) -> Elimination:
     Its columns are the units of Hom(T, Lambda^2 T) and its rows stack
     d_D(g) over the forms g, so it solves d_D(g) = f(g) for D, with the
     right-hand side from extension_rhs.  Unit (i - 1) C(n, 2) + t sends
-    e^i to the t-th unit 2-form; exterior.unit_images reads off the rows.
+    e^i to the t-th unit 2-form, so the rows take no product.
     """
     pairs = lex_index(n, 2)[0]
-    units = [[(i * len(pairs) + t, J, False) for t, J in enumerate(pairs)]
+    units = [[(i * len(pairs) + t, J, ONE) for t, J in enumerate(pairs)]
              for i in range(n)]
-    return Elimination([row for g in forms
-                        for row in unit_images(g, units, 2)], hom_dim(n))
+    return Elimination(_derivation_rows(n, forms, units), hom_dim(n))
 
 
 def extension_rhs(generators, fvals):
@@ -322,7 +325,7 @@ class Analysis:
         if self._equivariant is None:
             basis = equivariant_coords(self.s.lie)
             self._equivariant = (basis, Elimination(_derivation_matrix(
-                list(self.s.generators.values()), basis), len(basis)))
+                self.s.n, self.s.generators.values(), basis), len(basis)))
         return self._equivariant
 
     def lie_ranks(self):
@@ -406,20 +409,19 @@ def lie_tensor_rows(lie, n):
     """Sparse Hom(T, Lambda^2 T) coordinates of the basis of g (x) T.
 
     The pair (X, e_m) maps to the derivation candidate sending e^i to
-    e^m wedge sum_j X_ij e^j, matching d(theta_i) = sum_j w_ij theta_j.
+    e^m wedge X . e^i, the coframe action of rep.action_index: for a skew
+    X, e^m wedge sum_j X_ij e^j, matching d(theta_i) = sum_j w_ij theta_j.
     """
     pos = lex_index(n, 2)[1]
     step = len(pos)
-    rows = []
-    for x in lie.basis:
-        for m in range(1, n + 1):
-            row = {}
-            for i, xrow in enumerate(x):
-                for j, c in xrow.items():
-                    K, sign = _sort_sign((m, j + 1))
-                    if sign:
-                        row[i * step + pos[K]] = c if sign > 0 else s_neg(c)
-            rows.append(row)
+    rows = [{} for _ in range(lie.dim * n)]
+    for i, entries in enumerate(action_index(lie.basis, n)):
+        for u, (j,), d in entries:
+            for m in range(1, n + 1):
+                if m < j:
+                    rows[u * n + m - 1][i * step + pos[m, j]] = d
+                elif m > j:
+                    rows[u * n + m - 1][i * step + pos[j, m]] = s_neg(d)
     return rows
 
 

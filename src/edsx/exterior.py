@@ -10,14 +10,15 @@ here and relied on everywhere else:
 * coordinates run over p-subsets in lexicographic order (lex_index):
   coords() gives them sparse, flatten() dense for output;
 * a derivation is fixed by the images of the coframe, and
-  derivation_images is the one rule that applies it to a form's terms:
-  replace index i of e^I at position t by the image, sort with sign, and
-  multiply by (-1)^(t deg D) for a derivation D of degree deg D, and
-  unit_images gives its rows for units (e^i -> +-e^J) with no product;
+  derivation_images is the one rule that applies it to a form's terms,
+  unit tables (e^i -> +-e^J, no product) and general ones alike: replace
+  index i of e^I at position t by the image, sort with sign, and multiply
+  by (-1)^(t deg D) for a derivation D of degree deg D, all read off
+  bitmasks as one parity;
 * the sign of a reordering is the parity of its inversions, counted on
   bitmasks: an index i placed after the indices of mask m passes
-  (m >> i).bit_count() of them.  _sort_sign is the one rule, and wedge
-  counts the same way on the masks of its two factors.
+  (m >> i).bit_count() of them.  _sort_sign counts it for a tuple, and
+  wedge counts the same way on the masks of its two factors.
 
 Form literals are the scalar literal grammar with e[i,j,...] atoms added,
 e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
@@ -25,11 +26,10 @@ e.g. "-1/4*r5*e[2,5,8,9] + e[1,3]"; * between forms is a wedge.
 
 from __future__ import annotations
 
-from functools import reduce
+from collections import defaultdict
 from itertools import combinations
-from operator import xor
 
-from ._kernel import DIVISORS, s_add, s_mul, s_neg
+from ._kernel import DIVISORS, NEG_ONE, ONE, s_add, s_mul, s_neg
 from .linalg import span_rank
 from .scalar import Scalar, _Literal, _term_text, as_scalar
 
@@ -224,67 +224,68 @@ def contract(v, a: Form) -> Form:
 
 
 def derivation_images(a: Form, by_index):
-    """{K: {u: coefficient of e^K in D_u(a)}} for the derivations D_u
-    with D_u(e^i) the sum of d e^J over the (u, J, d) in by_index[i-1],
+    """{mask of K: {u: coefficient of e^K in D_u(a)}} for the derivations
+    D_u with D_u(e^i) the sum of d e^J over the (u, J, d) in by_index[i-1],
     d a kernel scalar; no zero and no empty row is stored.
+
+    The term c e^I with i at position t, and L = I minus i, adds +-c d to
+    row L + J, column u, when J misses L.  Its sign, (-1)^(t deg D) times
+    the sort sign of I[:t] + J + I[t+1:], has the parity of the bits of L
+    in the sign mask of _entries; d = +-1 takes no product.
     """
-    out = {}
+    table, out = {}, defaultdict(dict)
     for I, c in a.terms.items():
-        cc = c.c
-        for t, i in enumerate(I):
-            head, tail = I[:t], I[t + 1:]
-            for u, J, d in by_index[i - 1]:
-                K, sign = _sort_sign(head + J + tail)
-                if sign == 0:
+        cs = (c.c, s_neg(c.c))
+        m = _mask(I)
+        for i in I:
+            L = m ^ (1 << i)
+            entries = table.get(i)
+            if entries is None:
+                entries = table[i] = _entries(i, by_index[i - 1])
+            for u, jm, sm, neg, d in entries:
+                if L & jm:
                     continue
-                if t * (len(J) - 1) & 1:
-                    sign = -sign
-                row = out.get(K)
-                if row is None:
-                    row = out[K] = {}
-                add = s_mul(cc, d)
-                cur = s_add(row.get(u), add if sign > 0 else s_neg(add))
+                x = cs[((L & sm).bit_count() + neg) & 1]
+                if d is not None:
+                    x = s_mul(x, d)
+                row = out[L | jm]
+                if u not in row:
+                    row[u] = x
+                    continue
+                cur = s_add(row[u], x)
                 if cur:
                     row[u] = cur
                 else:
                     del row[u]
                     if not row:
-                        del out[K]
+                        del out[L | jm]
+    return out
+
+
+def _entries(i, entries):
+    """The (u, J, d) of e^i as (u, mask of J, sign mask, neg, d or None for
+    d = +-1).  The sign is the parity of t + sum_j |L below j|, and
+    t = |L below i|, so the sign mask sets bit l when an odd number of i
+    and the j in J exceed l."""
+    out = []
+    for u, J, d in entries:
+        jm, sm = 0, (1 << i) - 1
+        for j in J:
+            jm |= 1 << j
+            sm ^= (1 << j) - 1
+        out.append((u, jm, sm, d == NEG_ONE,
+                    None if d == ONE or d == NEG_ONE else d))
     return out
 
 
 def derivation_form(a: Form, by_index) -> Form:
     """D_0(a) as a form, for the one derivation u = 0 of by_index."""
+    images = derivation_images(a, by_index)
     f = Form(a.n)
-    f.terms = {K: Scalar(row[0])
-               for K, row in derivation_images(a, by_index).items()}
+    if images:
+        subsets = lex_masks(a.n, next(iter(images)).bit_count())
+        f.terms = {subsets[K]: Scalar(row[0]) for K, row in images.items()}
     return f
-
-
-def unit_images(a: Form, units, d):
-    """The rows of derivation_images over the lex-ordered
-    (deg a - 1 + d)-subsets, key order included, for unit derivations of
-    image degree d: units[i-1] lists the (u, J, negate) with D_u(e^i) = e^J,
-    or -e^J when negate is true.  The term c e^I at position t of i, with
-    L = I minus i, puts +-c in row L + J, column u, when J misses L; its
-    sign, (-1)^(t (d - 1)) times the sort sign of I[:t] + J + I[t+1:], has
-    the parity of t + sum_j |L below j|, read off J's sign mask.  For the
-    units of gl(n), so(n) and Hom(T, Lambda^2 T) each cell is written once.
-    """
-    table = [[(u, _mask(J), reduce(xor, [(1 << j) - 1 for j in J]), negate)
-              for u, J, negate in entries] for entries in units]
-    at = _mask_index(a.n, a.degree - 1 + d)
-    rows = [{} for _ in at]
-    for I, c in a.terms.items():
-        cs = (c.c, s_neg(c.c))
-        m = _mask(I)
-        for t, i in enumerate(I):
-            L = m ^ (1 << i)
-            for u, jm, sm, negate in table[i - 1]:
-                if not L & jm:
-                    rows[at[L | jm]][u] = cs[(t + (L & sm).bit_count()
-                                              + negate) & 1]
-    return rows
 
 
 def hodge(a: Form) -> Form:
@@ -428,11 +429,12 @@ def lex_index(n, p):
 _MASKS = {}
 
 
-def _mask_index(n, p):
-    """{bitmask: lex position} of the p-subsets of 1..n, cached per (n, p)."""
+def lex_masks(n, p):
+    """{bitmask of K: K} over the lex-ordered p-subsets K of 1..n, cached
+    per (n, p): the row order in which matrices read derivation_images."""
     if (n, p) not in _MASKS:
-        _MASKS[n, p] = {sum(c): t for t, c in enumerate(
-            combinations([1 << i for i in range(1, n + 1)], p))}
+        bits = combinations([1 << i for i in range(1, n + 1)], p)
+        _MASKS[n, p] = dict(zip(map(sum, bits), lex_index(n, p)[0]))
     return _MASKS[n, p]
 
 

@@ -10,7 +10,8 @@ extended to Lambda^* as a degree-0 derivation (action_index, applied by
 exterior.derivation_images); on vectors X acts as v -> X v.
 Invariance kernels do not depend on this sign choice, and orbit spans
 {X . a} are the same set either way.  The gl(n) and so(n) bases act by
-units, so orbit_matrix reads its rows off exterior.unit_images.
+units, so orbit_matrix hands derivation_images coefficients +-1 and its
+rows take no product.
 
 The structure constants of a LieRep are pair rows: {(a, b): row} over
 every pair a < b of basis indices, row the sparse coordinates
@@ -62,9 +63,9 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from ._kernel import ONE, s_add, s_mul, s_neg, s_quotient
+from ._kernel import NEG_ONE, ONE, s_add, s_mul, s_neg, s_quotient
 from .exterior import (Form, coords, derivation_form, derivation_images,
-                       flatten, from_coords, lex_index, unit_images)
+                       flatten, from_coords, lex_index, lex_masks)
 from .linalg import (Elimination, combine, echelon_span, kernel_basis,
                      span_rank, transpose)
 from .scalar import Scalar, as_scalar
@@ -174,12 +175,13 @@ def _form_operators(mats, n, p):
     over the lex-ordered p-subsets; column t is the image of the t-th unit
     form."""
     subsets, pos = lex_index(n, p)
+    masks = lex_masks(n, p)
     index = action_index(mats, n)
     ops = [[{} for _ in subsets] for _ in mats]
     for t, I in enumerate(subsets):
         for K, row in derivation_images(Form(n, {I: 1}), index).items():
             for u, c in row.items():
-                ops[u][pos[K]][t] = c
+                ops[u][pos[masks[K]]][t] = c
     return ops
 
 
@@ -230,10 +232,11 @@ def orbit_matrix(a: Form, skew=False):
     units = [[] for _ in range(a.n)]
     for u, (i, j) in enumerate(lex_index(a.n, 2)[0] if skew
                                else product(range(1, a.n + 1), repeat=2)):
-        units[j - 1].append((u, (i,), True))
+        units[j - 1].append((u, (i,), NEG_ONE))
         if skew:
-            units[i - 1].append((u, (j,), False))
-    return unit_images(a, units, 1)
+            units[i - 1].append((u, (j,), ONE))
+    images = derivation_images(a, units)
+    return [images.get(m, {}) for m in lex_masks(a.n, a.degree)]
 
 
 def stabilizer(a: Form, skew=False, name=None) -> LieRep:
@@ -460,19 +463,12 @@ def _product_operators(factors):
     return dim, ops
 
 
-def _space_operators(g: LieRep, label):
-    """(dimension, [action of each generator as sparse rows]) for a space
-    label; on T these are the basis matrices themselves."""
-    return _product_operators(_factor_operators(g, label))
-
-
 def _calibrate(g: LieRep):
     """(kappa, s) with C|_T = kappa j_T (j_T + 1) and H^2 = -s m^2 on the
     weight-m vectors of the first generator H; errors if C is not scalar
     or H has no weights on T."""
     n = g.n
-    dim, ops = _space_operators(g, "T")
-    C = _sparse_square_sum(ops, dim, range(dim))
+    C = _sparse_square_sum(g.basis, n, range(n))
     c0 = C[0].get(0)
     if any(row != ({i: c0} if c0 else {}) for i, row in enumerate(C)):
         raise CasimirError("Casimir is not scalar on T; calibration fails")
@@ -481,7 +477,7 @@ def _calibrate(g: LieRep):
     j_t = (n - 1) // 2
     # the weights m = -j_T..j_T of T give tr(H^2) = -s j_T (j_T + 1) n / 3
     tr = None
-    for i, row in enumerate(_sparse_square_sum(ops[:1], dim, range(dim))):
+    for i, row in enumerate(_sparse_square_sum(g.basis[:1], n, range(n))):
         tr = s_add(tr, row.get(i))
     if not tr or not j_t:
         raise CasimirError("the first generator has no weights on T; calibration fails")

@@ -11,6 +11,7 @@ atoms added, so a scalar literal is a degree-0 form literal.
 from __future__ import annotations
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -128,10 +129,9 @@ class Scalar:
         return self.c == o.c
 
     def __hash__(self):
-        if not self.c:
-            return hash(None)
-        den, nums = self.c
-        return hash((den, tuple(sorted(nums.items()))))
+        # a rational scalar equals its Fraction, so it hashes as one
+        q = self.coeffs()
+        return hash(q.get(1, 0) if q.keys() <= {1} else tuple(q.items()))
 
     def __str__(self):
         return format_scalar(self)
@@ -149,23 +149,20 @@ def as_scalar(x) -> Scalar:
     return Scalar.of(x)
 
 
-# Python refuses int -> str past sys.get_int_max_str_digits() digits (at
-# least 640 wherever the limit is on), so long integers are written in
-# chunks of _CHUNK_DIGITS digits
-_CHUNK_DIGITS = 600
-_CHUNK = 10 ** _CHUNK_DIGITS
+# Python refuses int <-> str past sys.get_int_max_str_digits() digits (at
+# least 640 wherever the limit is on), so longer integers pass through
+# Decimal, which converts them exactly at any length
+_SHORT_DIGITS = 600
+_SHORT = 10 ** _SHORT_DIGITS
 
 
 def _int_text(k):
-    if -_CHUNK < k < _CHUNK:
-        return str(k)
-    sign, k = ("-" if k < 0 else ""), abs(k)
-    chunks = []
-    while k >= _CHUNK:
-        k, r = divmod(k, _CHUNK)
-        chunks.append(str(r).zfill(_CHUNK_DIGITS))
-    chunks.append(str(k))
-    return sign + "".join(reversed(chunks))
+    return str(k if -_SHORT < k < _SHORT else Decimal(k))
+
+
+def _int_value(digits):
+    """int(digits) for ASCII digits of any length."""
+    return int(digits if len(digits) <= _SHORT_DIGITS else Decimal(digits))
 
 
 def ratio_text(n, d):
@@ -240,11 +237,12 @@ class _Literal:
             j = i + 1
             if ch in "+-*/()":
                 tok = ch
-            elif ch.isdigit() or ch == "r" and text[j:j + 1].isdigit():
-                while j < end and text[j].isdigit():
+            elif "0" <= ch <= "9" or ch == "r" and "0" <= text[j:j + 1] <= "9":
+                # ASCII digits only: str.isdigit() takes other scripts' too
+                while j < end and "0" <= text[j] <= "9":
                     j += 1
-                tok = (("int", int(text[i:j])) if ch != "r"
-                       else ("rad", int(text[i + 1:j])))
+                tok = (("int", _int_value(text[i:j])) if ch != "r"
+                       else ("rad", _int_value(text[i + 1:j])))
             else:
                 tok, j = self._other(text, i)
             self.toks.append(tok)

@@ -27,7 +27,7 @@ from edsx.rep import (LieRep, cartan_three_form, casimir_decompose,
 from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
 
-from test_unit_tables import unit_extension_rows
+from test_derivation import unit_matrix_reference
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
            "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
@@ -71,7 +71,7 @@ def _reference_system(s, op, params):
         target = fvals.get(gname, Form.zero(s.n))
         rhs.update(coords(target, g.degree + 1, at))
         at += comb(s.n, g.degree + 1)
-    m = unit_extension_rows(list(s.generators.values()), s.n)
+    m = unit_matrix_reference(list(s.generators.values()), s.n)
     assert extension_rhs(s.generators, fvals) == rhs
     assert extension(s.n, s.generators.values()).rank \
         == span_rank(m, hom_dim(s.n))
@@ -94,8 +94,8 @@ def test_lie_ranks_are_the_stacked_ranks(name):
     s = get_structure(name)
     g_rows = lie_tensor_rows(s.lie, s.n)
     width = hom_dim(s.n)
-    kernel = kernel_basis(unit_extension_rows(list(s.generators.values()),
-                                              s.n), width)
+    kernel = kernel_basis(
+        unit_matrix_reference(list(s.generators.values()), s.n), width)
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert analysis(s).lie_ranks() == want
     if name == "psu3":
@@ -112,8 +112,8 @@ def test_lie_ranks_reduce_rows_outside_the_kernel():
                         lie=LieRep("so5", n, gl_basis(n, skew=True)))
     g_rows = lie_tensor_rows(s.lie, n)
     width = hom_dim(n)
-    kernel = kernel_basis(unit_extension_rows(list(s.generators.values()),
-                                              n), width)
+    kernel = kernel_basis(
+        unit_matrix_reference(list(s.generators.values()), n), width)
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert Analysis(s).lie_ranks() == want
     assert want[1] > len(kernel)
@@ -140,7 +140,7 @@ def test_factored_solve_equals_solve_affine():
         assert z_spaces(s, op, params).z_prime.particular \
             == reference.particular
         basis, elim = analysis(s).equivariant()
-        em = _derivation_matrix(list(s.generators.values()), basis)
+        em = _derivation_matrix(s.n, s.generators.values(), basis)
         assert elim.particular(rhs) \
             == solve_affine(em, len(basis), rhs).particular
 

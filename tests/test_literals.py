@@ -178,6 +178,41 @@ def test_nesting_up_to_the_bound_parses():
                           + ")" * (MAX_NESTING - 1), 4)) == "-e[2]"
 
 
+def test_long_digit_runs_round_trip():
+    # numerators print past Python's int -> str limit (4300 digits by
+    # default), and the parser reads them back
+    big = Scalar.of(10 ** 5000 - 1) / 7 - Scalar.sqrt(2) * 3 ** 11000
+    assert len(str(big)) > 10000
+    assert Scalar.parse(str(big)) == big
+    assert Scalar.parse("9" * 5000) == Scalar.of(10 ** 5000 - 1)
+    f = parse_form("e[1,2] - r3*e[2,4]", 4).scale(big)
+    assert parse_form(str(f), 4) == f
+
+
+@pytest.mark.parametrize("entry,text,message", [
+    ("scalar", "\u0661\u0662/\u0663",
+     "unexpected character '\u0661' in scalar"),
+    ("scalar", "\u00b2", "unexpected character '\u00b2' in scalar"),
+    ("scalar", "r\u0662", "bad radical token at 'r\u0662'"),
+    ("form", "\u0663*e[1]", "unexpected character '\u0663' in form literal"),
+])
+def test_only_ascii_digits_are_digits(entry, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(entry, text)
+    assert str(info.value) == message
+
+
+def test_cli_params_read_long_and_reject_non_ascii_digits(capsys):
+    argv = ["dga", "--structure", "su-even:3", "--operator", "nearly-kahler",
+            "--params"]
+    assert main(argv + ["lambda=%s,mu=0" % ("9" * 5000)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["lambda=\u0661\u0662,mu=0"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "edsx: bad value for 'lambda': unexpected "
+                              "character '\u0661' in scalar\n")
+
+
 PROPERTY = settings(derandomize=True, database=None, max_examples=300,
                     deadline=None)
 

@@ -14,7 +14,7 @@ from edsx.rep import HomMap, hom_dim
 from edsx.restriction import RestrictionError, _lift, restrict_structure
 from edsx.scalar import Scalar
 
-from test_unit_tables import unit_extension_rows
+from test_derivation import unit_matrix_reference
 
 
 def test_default_hyperplane_is_sorted():
@@ -145,7 +145,7 @@ def _reference(s, op, params, rep):
     solw = None
     zw_dim = None
     if rep.f_w is not None:
-        m = unit_extension_rows(list(rep.p_image_gens.values()), k)
+        m = unit_matrix_reference(list(rep.p_image_gens.values()), k)
         rhs = extension_rhs(rep.p_image_gens, rep.f_w)
         solw = solve_affine(m, hom_dim(k), rhs)
         if not solw.is_empty:

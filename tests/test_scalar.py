@@ -74,6 +74,11 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Scalar.sqrt(3)
+    # a rational scalar equals, so hashes as, its int or Fraction
+    for q in (0, 2, -7, 10 ** 30, Fraction(3, 4), Fraction(-5, 12)):
+        assert Scalar.of(q) == q
+        assert hash(Scalar.of(q)) == hash(q)
+        assert Scalar.of(q) in {q} and q in {Scalar.of(q)}
 
 
 def test_str_roundtrip():

@@ -1,12 +1,13 @@
-"""The unit tables on bitmasks against the general derivation rule.
+"""The unit tables against references that share no code with them.
 
 dga.extension and rep.orbit_matrix read their rows off the forms' terms
-with exterior.unit_images, and equivariant_coords builds each
-generator's action on Hom(T, Lambda^2 T) one touched column at a time.
-The references take the general path: exterior.derivation_images with
-unit by_index tables, and the whole Hom operator of the tensor rule,
-transposed, for every generator.  Rows are compared as lists of items,
-so the key order, which fixes the pivots downstream, is pinned as well.
+through exterior.derivation_images with unit coefficients, and
+equivariant_coords builds each generator's action on Hom(T, Lambda^2 T)
+one touched column at a time.  The extension and orbit references expand
+each unit derivation by Leibniz (test_derivation.leibniz, which knows only
+wedge and Form.monomial, so its signs are its own); the equivariant
+reference takes the whole Hom operator of the tensor rule, transposed, for
+every generator.
 """
 
 import random
@@ -17,13 +18,14 @@ import pytest
 from edsx._kernel import ONE, s_neg
 from edsx.catalog import get_structure
 from edsx.dga import extension
-from edsx.exterior import Subspace, derivation_images, lex_index, restrict
+from edsx.exterior import Subspace, coords, lex_index, restrict
 from edsx.linalg import combine, echelon_span, kernel_basis, transpose
 from edsx.rep import (LieRep, _form_operators, _tensor_operators,
                       action_index, equivariant_coords, gl_basis, hom_dim,
                       mat_from, orbit_matrix)
 
-from test_derivation import rand_form
+from test_derivation import (coframe_images, leibniz, rand_form,
+                             unit_matrix_reference)
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
            "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
@@ -34,23 +36,16 @@ def items(rows):
     return [list(row.items()) for row in rows]
 
 
-def unit_extension_rows(forms, n):
-    """The extension matrix through derivation_images: unit
-    (i - 1) C(n, 2) + t sends e^i to the t-th unit 2-form."""
-    pairs = lex_index(n, 2)[0]
-    by_index = [[(i * len(pairs) + t, J, ONE) for t, J in enumerate(pairs)]
-                for i in range(n)]
-    rows = []
-    for g in forms:
-        images = derivation_images(g, by_index)
-        rows.extend(images.get(K, {}) for K in lex_index(n, g.degree + 1)[0])
-    return rows
-
-
 def orbit_rows(a, skew):
-    """The orbit matrix through derivation_images over gl_basis."""
-    images = derivation_images(a, action_index(gl_basis(a.n, skew), a.n))
-    return [images.get(K, {}) for K in lex_index(a.n, a.degree)[0]]
+    """The orbit matrix by Leibniz, column u the action of the u-th element
+    of gl_basis: E_ij sends e^j to -e^i, and E_ij - E_ji sends e^i to e^j
+    as well."""
+    n, p = a.n, a.degree
+    rows = [{} for _ in lex_index(n, p)[0]]
+    for u, x in enumerate(gl_basis(n, skew)):
+        for r, c in coords(leibniz(a, coframe_images(x, n), 0), p).items():
+            rows[r][u] = c
+    return rows
 
 
 def hom_operator(x, n):
@@ -82,21 +77,19 @@ def operator_kernel(g):
 def test_extension_rows_are_the_unit_derivation_images(name):
     s = get_structure(name)
     forms = list(s.generators.values())
-    assert items(extension(s.n, forms)._rows) \
-        == items(unit_extension_rows(forms, s.n))
+    assert extension(s.n, forms)._rows == unit_matrix_reference(forms, s.n)
     for drop in range(1, s.n + 1):
         w = Subspace.hyperplane(s.n, drop)
         local = [f for f in (restrict(g, w) for g in forms) if not f.is_zero()]
-        assert items(extension(w.dim, local)._rows) \
-            == items(unit_extension_rows(local, w.dim)), drop
+        assert extension(w.dim, local)._rows \
+            == unit_matrix_reference(local, w.dim), drop
 
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_orbit_rows_are_the_gl_and_so_actions(name):
     for gname, a in get_structure(name).generators.items():
         for skew in (False, True):
-            assert items(orbit_matrix(a, skew)) == items(orbit_rows(a, skew)), \
-                (gname, skew)
+            assert orbit_matrix(a, skew) == orbit_rows(a, skew), (gname, skew)
 
 
 def test_orbit_rows_of_random_forms():
@@ -114,7 +107,7 @@ def test_orbit_rows_of_random_forms():
                                rng.randrange(1, 6)))
     for a in forms:
         for skew in (False, True):
-            assert items(orbit_matrix(a, skew)) == items(orbit_rows(a, skew))
+            assert orbit_matrix(a, skew) == orbit_rows(a, skew)
 
 
 @pytest.mark.parametrize("name", CATALOG)
