@@ -18,6 +18,7 @@ from math import comb
 from .exterior import Form
 from .catalog import StructureSpec
 from .dga import analysis, extension
+from .scalar import int_text
 from .stability import _polar_count, _polar_rows
 
 __all__ = [
@@ -68,8 +69,8 @@ class PolarReport:
 def _check_flag(n, flag):
     flag = tuple(flag)
     if sorted(flag) != list(range(1, n + 1)):
-        raise CartanError("flag must order the indices 1..%d, got %r"
-                          % (n, flag))
+        raise CartanError("flag must order the indices 1..%d, got (%s)"
+                          % (n, ", ".join(map(int_text, flag))))
     return flag
 
 

@@ -12,7 +12,7 @@ every generator is annihilated by every basis matrix.
 from itertools import permutations
 
 from ._kernel import s_neg, s_quotient
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar, as_scalar, integer
 from .exterior import (Form, _sort_sign, derivation_images, form_literal,
                        hodge, parse_form, wedge)
 from .rep import LieRep, action_index, stabilizer
@@ -437,7 +437,7 @@ def parse_structure_name(text):
     if ":" in text:
         base, _, num = text.partition(":")
         try:
-            n = int(num)
+            n = integer(num)
         except ValueError:
             raise CatalogError("bad structure suffix %r" % num)
         return base, n

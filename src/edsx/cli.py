@@ -19,7 +19,7 @@ from .dga import DgaError, check_operator, z_spaces
 from .exterior import Subspace, form_literal
 from .rep import CasimirError, casimir_decompose, invariants
 from .restriction import RestrictionError, restrict_structure
-from .scalar import Scalar
+from .scalar import Scalar, int_text, integer
 from .stability import stability
 from . import papercheck
 
@@ -57,7 +57,7 @@ def _parse_params(text):
 
 def _parse_flag(text):
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple(integer(t) for t in text.split(","))
     except ValueError:
         raise CartanError("flag %r is not a comma-separated integer list"
                           % text)
@@ -96,8 +96,8 @@ def cmd_invariants(args):
     s = get_structure(args.structure)
     if args.degree is not None:
         if not 0 <= args.degree <= s.n:
-            raise CatalogError("--degree %d outside 0..%d"
-                               % (args.degree, s.n))
+            raise CatalogError("--degree %s outside 0..%d"
+                               % (int_text(args.degree), s.n))
         basis = invariants(s.lie, args.degree)
         payload = {"command": "invariants", "structure": s.name,
                    "degree": args.degree, "dim": len(basis),
@@ -194,8 +194,8 @@ def cmd_restrict(args):
     w = None
     if args.drop is not None:
         if not 1 <= args.drop <= s.n:
-            raise RestrictionError("--drop %d outside 1..%d"
-                                   % (args.drop, s.n))
+            raise RestrictionError("--drop %s outside 1..%d"
+                                   % (int_text(args.drop), s.n))
         w = Subspace.hyperplane(s.n, args.drop)
     rep = restrict_structure(s, args.operator, _parse_params(args.params), w)
     payload = {"command": "restrict", "structure": s.name,
@@ -244,7 +244,7 @@ def cmd_decompose(args):
 
 def cmd_paper_check(args):
     if args.cases < 0:
-        raise UsageError("--cases %d is negative" % args.cases)
+        raise UsageError("--cases %s is negative" % int_text(args.cases))
     results = papercheck.run_all(args.cases)
     flagged = [l["text"] for res in results for l in res.lines
                if l["status"] == "flagged"]
@@ -289,7 +289,7 @@ def build_parser():
     p = sub.add_parser("invariants",
                        help="invariant forms of a structure's algebra")
     _add_structure(p)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--degree", type=integer, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_invariants)
 
@@ -333,7 +333,7 @@ def build_parser():
     _add_structure(p)
     p.add_argument("--operator", required=True)
     p.add_argument("--params", default=None, metavar="k=v,...")
-    p.add_argument("--drop", type=int, default=None,
+    p.add_argument("--drop", type=integer, default=None,
                    help="coordinate to drop (default: the one off the "
                         "default flag's hyperplane)")
     p.add_argument("--json", action="store_true")
@@ -349,7 +349,7 @@ def build_parser():
 
     p = sub.add_parser("paper-check", help="run the full reproduction "
                                            "battery")
-    p.add_argument("--cases", type=int, default=1000,
+    p.add_argument("--cases", type=integer, default=1000,
                    help="randomized cases per property suite")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_paper_check)

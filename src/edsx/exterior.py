@@ -31,7 +31,7 @@ from itertools import combinations
 
 from ._kernel import DIVISORS, NEG_ONE, ONE, s_add, s_mul, s_neg
 from .linalg import span_rank
-from .scalar import Scalar, _Literal, _term_text, as_scalar
+from .scalar import Scalar, _Literal, _term_text, as_scalar, integer
 
 
 def _mask(idx):
@@ -223,17 +223,19 @@ def contract(v, a: Form) -> Form:
     return f
 
 
-def derivation_images(a: Form, by_index):
+def derivation_images(a: Form, by_index, table=None):
     """{mask of K: {u: coefficient of e^K in D_u(a)}} for the derivations
     D_u with D_u(e^i) the sum of d e^J over the (u, J, d) in by_index[i-1],
-    d a kernel scalar; no zero and no empty row is stored.
+    d a kernel scalar; no zero and no empty row is stored.  A caller that
+    applies one by_index to many forms passes one dict as table, which
+    keeps the _entries of each index between the calls.
 
     The term c e^I with i at position t, and L = I minus i, adds +-c d to
     row L + J, column u, when J misses L.  Its sign, (-1)^(t deg D) times
     the sort sign of I[:t] + J + I[t+1:], has the parity of the bits of L
     in the sign mask of _entries; d = +-1 takes no product.
     """
-    table, out = {}, defaultdict(dict)
+    table, out = {} if table is None else table, defaultdict(dict)
     for I, c in a.terms.items():
         cs = (c.c, s_neg(c.c))
         m = _mask(I)
@@ -507,7 +509,7 @@ class _FormLiteral(_Literal):
         idx, at = [], i + 2
         for piece in text[at:j].split(",") if at < j else ():
             try:
-                idx.append(int(piece))
+                idx.append(integer(piece))
             except ValueError:
                 raise ValueError("bad index %r at position %d in form literal"
                                  % (piece, at)) from None

@@ -20,13 +20,14 @@ vanishes).  [x_b, x_a] is the negation and is never stored.  The rows are
 computed once per LieRep and shared, so callers must not mutate them;
 the ad operators of T (x) g and cartan_three_form read them.
 
-On Hom(T, Lambda^2 T), in the sparse coordinates of HomMap, X acts by
-(X . D)(xi) = X . D(xi) - D(X . xi): the tensor rule X (x) 1 + 1 (x) X
-of the Casimir spaces, with -D o X on the coframe slot and the coframe
-action on the unit 2-forms, read off action_index for each column that
-the current basis touches (_hom_column).  invariants and
-equivariant_coords intersect the generators' kernels one at a time in
-coordinates and end with one echelon_span, so their bases are canonical.
+Every module action is read by columns: X . e^I for a unit p-form comes
+from derivation_images (_unit_columns).  On Hom(T, Lambda^2 T), in the
+sparse coordinates of HomMap, (X . D)(xi) = X . D(xi) - D(X . xi) is the
+tensor rule X (x) 1 + 1 (x) X of the Casimir spaces (_tensor_line): row b
+of X on the coframe slot, -D o X, and the unit column l on Lambda^2 T
+give column (b, l).  invariants and equivariant_coords intersect the
+generators' kernels one at a time on the columns that the current basis
+touches, and end with one echelon_span, so their bases are canonical.
 
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
@@ -60,6 +61,7 @@ of both halves of t-gperp, and the calibration and T's counts serve both.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -170,46 +172,42 @@ def act_on_form(x, a: Form) -> Form:
     return derivation_form(a, action_index([x], a.n))
 
 
-def _form_operators(mats, n, p):
-    """The coframe action of each matrix on degree-p forms as sparse rows
-    over the lex-ordered p-subsets; column t is the image of the t-th unit
-    form."""
-    subsets, pos = lex_index(n, p)
-    masks = lex_masks(n, p)
-    index = action_index(mats, n)
-    ops = [[{} for _ in subsets] for _ in mats]
-    for t, I in enumerate(subsets):
-        for K, row in derivation_images(Form(n, {I: 1}), index).items():
-            for u, c in row.items():
-                ops[u][pos[masks[K]]][t] = c
-    return ops
+def _unit_forms(n, p):
+    """The unit forms e^I over the lex-ordered p-subsets I of 1..n."""
+    return [from_coords({t: ONE}, n, p) for t in range(comb(n, p))]
 
 
-def _common_kernel(gens, images, dim):
+def _unit_columns(x, n, p, units):
+    """The coframe action of the matrix x on degree-p forms, by columns:
+    column t is x . units[t] (see _unit_forms), keyed by lex position,
+    read off derivation_images; the calls share one table."""
+    pos, masks = lex_index(n, p)[1], lex_masks(n, p)
+    index, table = action_index([x], n), {}
+    return lambda t: {pos[masks[K]]: row[0] for K, row
+                      in derivation_images(units[t], index, table).items()}
+
+
+def _common_kernel(columns, dim):
     """Echelon basis of the vectors over dim columns that every generator
-    kills, the kernels intersected one generator at a time; images(x,
-    basis) lists the images under x of the sparse basis vectors."""
+    kills, the kernels intersected one generator at a time; columns holds
+    one function per generator, k -> the image of the k-th unit vector,
+    called once for each k that the current basis touches."""
     basis = [{k: ONE} for k in range(dim)]
-    for x in gens:
+    for column in columns:
         if not basis:
             return []
-        cols = images(x, basis)
+        cols = {k: column(k) for k in set().union(*basis)}
+        images = [combine(cols, v) for v in basis]
         basis = [combine(basis, c)
-                 for c in kernel_basis(transpose(cols, dim), len(cols))]
+                 for c in kernel_basis(transpose(images, dim), len(images))]
     return echelon_span(basis, dim)
 
 
 def invariants(g: LieRep, p: int):
     """Echelon basis of the forms of degree p killed by every generator."""
-    n = g.n
-
-    def images(x, basis):
-        index = action_index([x], n)
-        return [coords(derivation_form(from_coords(v, n, p), index), p)
-                for v in basis]
-
-    return [from_coords(row, n, p)
-            for row in _common_kernel(g.basis, images, comb(n, p))]
+    units = _unit_forms(g.n, p)
+    return [from_coords(row, g.n, p) for row in _common_kernel(
+        (_unit_columns(x, g.n, p, units) for x in g.basis), len(units))]
 
 
 def gl_basis(n, skew=False):
@@ -296,16 +294,10 @@ class HomMap:
 
 
 def act_on_hom(x, D: HomMap) -> HomMap:
-    """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi, on
-    Forms; _hom_column is the same action in Hom coordinates."""
-    index = action_index([x], D.n)
-    images = []
-    for i, img in enumerate(D.images):
-        img = derivation_form(img, index)
-        for _, (j,), d in index[i]:
-            img = img - D.images[j - 1].scale(Scalar(d))
-        images.append(img)
-    return HomMap(D.n, images)
+    """(x . D)(xi) = x . D(xi) - D(x . xi) for a coframe element xi: the
+    Hom columns of x combined by the coordinates of D."""
+    column, vec = _hom_columns(x, D.n, _unit_forms(D.n, 2)), D.coords()
+    return HomMap.from_coords(D.n, combine({k: column(k) for k in vec}, vec))
 
 
 def hom_dim(n):
@@ -322,37 +314,24 @@ def equivariant_coords(g: LieRep):
     T -> Lambda^2 T commuting with the g-action; computed once per
     LieRep and shared, so callers only read them."""
     if g._equivariant is None:
-        def images(x, basis):
-            index = action_index([x], g.n)
-            cols = {}
-            for v in basis:
-                for k in v:
-                    if k not in cols:
-                        cols[k] = _hom_column(x, index, k)
-            return [combine(cols, v) for v in basis]
-
-        g._equivariant = tuple(_common_kernel(g.basis, images,
-                                              hom_dim(g.n)))
+        units = _unit_forms(g.n, 2)
+        g._equivariant = tuple(_common_kernel(
+            (_hom_columns(x, g.n, units) for x in g.basis), hom_dim(g.n)))
     return g._equivariant
 
 
-def _hom_column(x, index, k):
-    """x . D, keys ascending, for the unit D = coordinate k, which sends
-    e^(b+1) to the l-th unit 2-form e^p ^ e^q for k = b C(n, 2) + l, with
-    index = action_index([x], n): -D o x puts x[b][a] in row (a, l), and
-    (x . e^p) ^ e^q + e^p ^ (x . e^q) fills block b."""
-    pairs, pos = lex_index(len(x), 2)
-    b, l = divmod(k, len(pairs))
-    col = {a * len(pairs) + l: c for a, c in x[b].items()}
-    p, q = pairs[l]
-    for src, other in ((p, q), (q, p)):
-        for _, (r,), d in index[src - 1]:
-            if r != other:
-                # e^r ^ e^q, or e^p ^ e^r, sorted
-                _add_entry(col, b * len(pairs) + pos[min(r, other),
-                                                    max(r, other)],
-                           d if (r < other) == (src == p) else s_neg(d))
-    return {row: col[row] for row in sorted(col)}
+def _hom_columns(x, n, units):
+    """The action of x on Hom(T, Lambda^2 T), by columns: the unit map
+    k = b C(n, 2) + l sends e^(b+1) to the l-th unit 2-form, and its
+    image is line (b, l) of the tensor rule, with row b of x on the
+    coframe slot (-D o x) and x . e^l, built once per l, on the 2-forms."""
+    pairs = len(units)
+    forms = cache(_unit_columns(x, n, 2, units))
+
+    def column(k):
+        b, l = divmod(k, pairs)
+        return _tensor_line(x[b], forms(l), b, l, pairs)
+    return column
 
 
 def equivariant_maps(g: LieRep):
@@ -413,19 +392,20 @@ def _add_entry(row, k, c):
         del row[k]
 
 
+def _tensor_line(v_line, w_line, a, i, dim_w):
+    """Line (a, i) of x (x) 1 + 1 (x) x on V (x) W, v_a (x) w_i at column
+    a * dim_w + i, from line a of x on V and line i of x on W."""
+    line = {b * dim_w + i: c for b, c in v_line.items()}
+    for l, c in w_line.items():
+        _add_entry(line, a * dim_w + l, c)
+    return line
+
+
 def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
     """x (x) 1 + 1 (x) x on V (x) W, v_a (x) w_i at column a * dim_w + i."""
-    ops = []
-    for xv, xw in zip(v_ops, w_ops):
-        rows = []
-        for a in range(dim_v):
-            for i in range(dim_w):
-                row = {b * dim_w + i: c for b, c in xv[a].items()}
-                for l, c in xw[i].items():
-                    _add_entry(row, a * dim_w + l, c)
-                rows.append(row)
-        ops.append(rows)
-    return dim_v * dim_w, ops
+    return dim_v * dim_w, [[_tensor_line(xv[a], xw[i], a, i, dim_w)
+                            for a in range(dim_v) for i in range(dim_w)]
+                           for xv, xw in zip(v_ops, w_ops)]
 
 
 def _factor_operators(g: LieRep, label):
@@ -437,10 +417,15 @@ def _factor_operators(g: LieRep, label):
     if label == "T":
         return [t]
     if label == "t-lambda2":
-        # x acts on bivectors e_j ^ e_k as -x acts on the coframe
+        # x acts on bivectors e_j ^ e_k as -x acts on the coframe; the rows
+        # are the transposed unit columns
+        units = _unit_forms(n, 2)
+        m = len(units)
         neg = [[{j: s_neg(c) for j, c in row.items()} for row in x]
                for x in g.basis]
-        return [t, ("Lambda^2 T", comb(n, 2), _form_operators(neg, n, 2))]
+        return [t, ("Lambda^2 T", m, [
+            transpose(list(map(_unit_columns(x, n, 2, units), range(m))), m)
+            for x in neg])]
     if label == "t-g":
         k = g.dim
         # ad(x_a) x_b = [x_a, x_b] and ad(x_b) x_a = -[x_a, x_b]; pairs in

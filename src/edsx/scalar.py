@@ -156,13 +156,24 @@ _SHORT_DIGITS = 600
 _SHORT = 10 ** _SHORT_DIGITS
 
 
-def _int_text(k):
+def int_text(k):
+    """str(k) for an integer k of any number of digits."""
     return str(k if -_SHORT < k < _SHORT else Decimal(k))
 
 
 def _int_value(digits):
-    """int(digits) for ASCII digits of any length."""
+    """int(digits) for an optional sign and ASCII digits, of any length."""
     return int(digits if len(digits) <= _SHORT_DIGITS else Decimal(digits))
+
+
+def integer(text):
+    """The integer of text, ASCII whitespace around an optional sign and
+    ASCII digits; underscores or other scripts' digits raise ValueError."""
+    body = text.strip(" \t\n\r\v\f")
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not digits or digits.strip("0123456789"):
+        raise ValueError("invalid integer %r" % text)
+    return _int_value(body)
 
 
 def ratio_text(n, d):
@@ -171,8 +182,8 @@ def ratio_text(n, d):
     if g != 1:
         n //= g
         d //= g
-    n = _int_text(n)
-    return n if d == 1 else "%s/%s" % (n, _int_text(d))
+    n = int_text(n)
+    return n if d == 1 else "%s/%s" % (n, int_text(d))
 
 
 def _term_text(divisor, x, den):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from edsx.catalog import get_structure
@@ -305,6 +306,47 @@ def fuzz_argv(draw):
         # a valid count runs the whole battery, which takes many seconds
         argv += ["--cases", draw(FUZZ_OPTIONS["--cases"])]
     return argv
+
+
+def test_integer_options_read_only_ascii_digits(capsys):
+    # the one integer reader: int() would take these as 3, 1, 8 and 1
+    for name in ("su-even:\u0663", "su-even:0_3"):
+        code, out, err = run(capsys, ["invariants", "--structure", name])
+        assert (code, out) == (2, "")
+        assert err == "edsx: bad structure suffix %r\n" % name.split(":")[1]
+    code, out, err = run(capsys, ["cartan", "--structure", "su-even:3",
+                                  "--flag", "\u0661,2,3,4,5,6"])
+    assert (code, out) == (2, "")
+    assert err == ("edsx: flag '\u0661,2,3,4,5,6' is not a comma-separated "
+                   "integer list\n")
+    for argv in (["invariants", "--structure", "g2", "--degree", "\u0663"],
+                 ["restrict", "--structure", "psu3", "--operator", "zero",
+                  "--drop", "\u0668"],
+                 ["paper-check", "--cases", "\u0661"],
+                 ["invariants", "--structure", "g2", "--degree", "1_0"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument %s: invalid integer value: %r\n" % tuple(argv[-2:]))
+    # signs and ASCII whitespace are read, and so are long digit runs
+    assert run(capsys, ["invariants", "--structure", "su-even:+2",
+                        "--degree", " 2"])[:2] \
+        == run(capsys, ["invariants", "--structure", "su-even:2",
+                        "--degree", "2"])[:2]
+    big = "9" * 5000
+    for argv, message in (
+            (["invariants", "--structure", "g2", "--degree", big],
+             "--degree %s outside 0..7" % big),
+            (["restrict", "--structure", "psu3", "--operator", "zero",
+              "--drop", big], "--drop %s outside 1..8" % big),
+            (["paper-check", "--cases", "-" + big],
+             "--cases -%s is negative" % big),
+            (["cartan", "--structure", "su-even:3", "--flag",
+              "1,2,3,4,5," + big],
+             "flag must order the indices 1..6, got (1, 2, 3, 4, 5, %s)" % big)):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "edsx: %s\n" % message)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

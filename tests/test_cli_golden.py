@@ -21,6 +21,17 @@ GOLDEN = [
     (["invariants", "--structure", "g2"], 0,
      "9fa5e23e1757c54d7dd4a26ad86b8ee2627d5fb0c74b29c833a7fc69bdcaf3d7",
      "4cb444e9616dc57b3b3592e55f5fa99bf6381a5b84b221651e7c535952dc4592"),
+    # odd degrees, the unit form of degree 0 and a radical basis, pinned
+    # before invariants read unit columns in place of Forms
+    (["invariants", "--structure", "su-odd:3", "--degree", "3"], 0,
+     "bbf7aea3908e0e6da6a52fba417fadde7a8f36c534329427d81d026979588597",
+     "e151669278aeccc0f35ea3c459deb3f34e43a2a65de8d79cacda33b2450d4542"),
+    (["invariants", "--structure", "psu3", "--degree", "0"], 0,
+     "58bed2b716abef10b9aaf649da6ea41f4f2d037a1ee23d9e6be3413667720cff",
+     "922b1ac2b0b05d65dedb6b37943fa53998185c8e2979a58d81f1bfb778cb23ef"),
+    (["invariants", "--structure", "psu3", "--degree", "3"], 0,
+     "f1133ab44c84e519765324fef10fa8921a9fcb934bcc31acebb2bf09866e7c97",
+     "667d41b19937979f9a17104faacfc11cd4271001e3b3cd706430727424fe2828"),
     (["stability", "--structure", "spin7"], 0,
      "7ca18ccbb0fc3cba473e657a5c861e0010d71e6637c888e4fe0b80bf6dccf525",
      "2396719cb0843df10fe7fbc73989240c672cc1fcfcb30db8f25d69d7d9003dc3"),
@@ -103,6 +114,12 @@ GOLDEN = [
       "--params", "lambda=2,mu=r3"], 0,
      "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
      "7e086ceae3904b527c9655b94ecf1b905dbf8806ec049361d2ac4b9afb6392b5"),
+    # pinned before the Hom columns shared the tensor rule of the Casimir
+    # spaces
+    (["dga", "--structure", "su-odd:3", "--operator", "D",
+      "--params", "lambda=1,mu=r2"], 0,
+     "89c5f8701215984b4f62f8c24aa76eafd5baaa28e44e91ec62e2a60d538def81",
+     "ddd29aa6c794128ac42991d181245951a956bcb65dcc612529ff99be2ff1d3c1"),
     # a projection that misses hyperplane solutions, and a radical operator
     # on a hyperplane off the default flag, pinned before the projection
     # moved from gl(T) (x) T to Hom(T, Lambda^2 T) coordinates

@@ -15,7 +15,7 @@ from edsx.catalog import get_structure
 from edsx.dga import extension
 from edsx.exterior import (Form, Subspace, coords, derivation_images,
                            lex_index, restrict, wedge)
-from edsx.rep import act_on_form, gl_basis, hom_dim, orbit_matrix
+from edsx.rep import HomMap, act_on_form, gl_basis, hom_dim, orbit_matrix
 from edsx.scalar import Scalar
 
 RADICALS = [Scalar.of(1)] + [Scalar.sqrt(d) for d in (2, 3, 5, 7)]
@@ -64,6 +64,25 @@ def coframe_images(x, n):
     return images
 
 
+def hom_column_reference(x, n, k):
+    """x . D in Hom coordinates for the unit map D = coordinate k, which
+    sends e^(b+1) to the l-th unit 2-form u for k = b C(n, 2) + l:
+    (x . D)(e^(a+1)) = x . D(e^(a+1)) - D(x . e^(a+1)), that is x . u by
+    Leibniz on block b, less the coefficient of e^(b+1) in x . e^(a+1)
+    times u on every block a."""
+    pairs = lex_index(n, 2)[0]
+    b, l = divmod(k, len(pairs))
+    unit = Form.monomial(n, pairs[l])
+    images = coframe_images(x, n)
+    blocks = [leibniz(unit, images, 0) if a == b else Form(n)
+              for a in range(n)]
+    for a in range(n):
+        c = images[a].terms.get((b + 1,))
+        if c:
+            blocks[a] = blocks[a] - unit.scale(c)
+    return HomMap(n, blocks).coords()
+
+
 def by_index_of(maps):
     """The by_index of derivation_images for derivations u = 0, 1, ...,
     map u given by its coframe images."""
@@ -93,7 +112,7 @@ def assert_stores_no_zero(images_by_K):
 
 @pytest.mark.parametrize("degree", [0, 1])
 def test_several_derivations_match_leibniz(degree):
-    rng = random.Random(41 + degree)
+    rng, other = random.Random(41 + degree), random.Random(51 + degree)
     for _ in range(25):
         n = rng.randrange(3, 7)
         p = rng.randrange(1, n + 1)
@@ -106,6 +125,13 @@ def test_several_derivations_match_leibniz(degree):
         assert_stores_no_zero(got)
         assert split(got, count, n) == [leibniz(a, images, degree)
                                         for images in maps]
+        # one table shared by the calls on one by_index, as rep's unit
+        # columns share it, changes no result
+        by_index, table = by_index_of(maps), {}
+        for b in (rand_form(other, n, other.randrange(1, n + 1), 2), a):
+            got = derivation_images(b, by_index, table)
+            assert split(got, count, n) == [leibniz(b, images, degree)
+                                            for images in maps]
 
 
 def test_exact_cancellation_stores_nothing():

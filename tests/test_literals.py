@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from edsx.cli import main
 from edsx.exterior import parse_form
-from edsx.scalar import MAX_NESTING, Scalar
+from edsx.scalar import MAX_NESTING, Scalar, integer
 
 # text -> canonical text, through Scalar.parse
 SCALARS = [
@@ -200,6 +200,37 @@ def test_only_ascii_digits_are_digits(entry, text, message):
     with pytest.raises(ValueError) as info:
         parse(entry, text)
     assert str(info.value) == message
+
+
+def test_one_integer_reader():
+    # ASCII whitespace, an optional sign and ASCII digits, at any length
+    for text, value in (("7", 7), (" 12\t", 12), ("+3", 3), ("-04", -4),
+                        ("9" * 5000, 10 ** 5000 - 1)):
+        assert integer(text) == value
+    for text in ("", " ", "+", "-", "+-1", "1 2", "1_0", "\u0661",
+                 "\uff13", "\u00b2", "\u30003", "3\u3000", "\x1c3", "0x3",
+                 "3.0"):
+        with pytest.raises(ValueError) as info:
+            integer(text)
+        assert str(info.value) == "invalid integer %r" % text
+
+
+@pytest.mark.parametrize("text,index,at", [
+    ("e[1_0,2]", "1_0", 2), ("e[\u0661,2]", "\u0661", 2),
+    ("e[1,\uff12]", "\uff12", 4), ("e[\u30001]", "\u30001", 2),
+    ("e[1 2]", "1 2", 2),
+])
+def test_form_indices_are_ascii_integers(text, index, at):
+    with pytest.raises(ValueError) as info:
+        parse_form(text, 10)
+    assert str(info.value) == ("bad index %r at position %d in form literal"
+                               % (index, at))
+
+
+def test_pinned_index_spellings_still_parse():
+    assert str(parse_form("e[1, 2]", 10)) == "e[1,2]"
+    assert str(parse_form("e[ 1 ]", 10)) == "e[1]"
+    assert str(parse_form("e[+1]", 10)) == "e[1]"
 
 
 def test_cli_params_read_long_and_reject_non_ascii_digits(capsys):

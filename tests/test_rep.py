@@ -12,13 +12,15 @@ from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx import _kernel, dga, exterior, linalg, rep
 from edsx.rep import (CasimirError, HomMap, LieRep, _check_weights,
-                      _hom_column, act_on_form, act_on_hom,
-                      action_index, cartan_three_form, casimir_decompose,
+                      _hom_columns, _unit_forms, act_on_form, act_on_hom,
+                      cartan_three_form, casimir_decompose,
                       equivariant_coords, equivariant_maps, gl_basis,
                       hom_dim, invariants, mat_bracket, mat_from,
                       mat_is_skew, orbit_matrix, stabilizer)
 from edsx.linalg import combine, span_rank
 from edsx.scalar import Scalar
+
+from test_derivation import hom_column_reference
 
 
 def S(q):
@@ -152,19 +154,24 @@ CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
            "sp2sp1", "example-712")
 
 
+def assert_hom_columns(x, n):
+    """Every column of x on Hom(T, Lambda^2 T), and act_on_hom of every
+    unit map, is the Leibniz reference, which knows only wedge."""
+    column = _hom_columns(x, n, _unit_forms(n, 2))
+    for k in range(hom_dim(n)):
+        want = hom_column_reference(x, n, k)
+        assert column(k) == want, k
+        assert act_on_hom(x, HomMap.from_coords(n, {k: ONE})).coords() \
+            == want, k
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_hom_operator_columns_are_the_form_action_on_units(name):
     # column k of the action in Hom coordinates is x . u_k for the unit map
-    # u_k, computed on Forms by act_on_hom, with its rows ascending
+    # u_k, expanded on Forms by Leibniz
     g = get_structure(name).lie
-    n = g.n
     for x in g.basis:
-        index = action_index([x], n)
-        for k in range(hom_dim(n)):
-            col = _hom_column(x, index, k)
-            unit = HomMap.from_coords(n, {k: ONE})
-            assert col == act_on_hom(x, unit).coords(), (name, k)
-            assert list(col) == sorted(col), (name, k)
+        assert_hom_columns(x, g.n)
 
 
 def test_hom_columns_of_matrices_with_a_diagonal():
@@ -176,12 +183,7 @@ def test_hom_columns_of_matrices_with_a_diagonal():
                           mat_from([[1, 2, 0, 0], [0, 3, 0, -1],
                                     [1, 0, 1, 0], [0, 0, 5, 2]])]
     for x in mats:
-        index = action_index([x], n)
-        for k in range(hom_dim(n)):
-            col = _hom_column(x, index, k)
-            unit = HomMap.from_coords(n, {k: ONE})
-            assert col == act_on_hom(x, unit).coords(), k
-            assert list(col) == sorted(col), k
+        assert_hom_columns(x, n)
 
 
 @pytest.mark.parametrize("name", ["su-odd:3", "g2"])
@@ -222,18 +224,43 @@ def _count(monkeypatch, modules, names, calls):
 
 
 def test_equivariant_maps_build_no_form_per_basis_element(monkeypatch):
-    calls = []
-    _count(monkeypatch, [rep], ["act_on_hom", "derivation_form",
-                                "derivation_images", "_form_operators",
-                                "_tensor_operators"], calls)
+    # the kernels combine unit columns: each call builds the unit forms of
+    # (n, p) once and no other Form but the ones invariants returns, and
+    # derivation_images runs at most once per generator and unit form
     g = get_structure("su-odd:4").lie
+    forms, calls = [], []
+    real_init, real_images = Form.__init__, rep.derivation_images
+
+    def init(self, *args, **kwargs):
+        forms.append(args)
+        real_init(self, *args, **kwargs)
+
+    def images(a, by_index, table=None):
+        calls.append((repr(by_index), a))
+        return real_images(a, by_index, table)
+
+    def check_calls(p):
+        assert calls
+        assert len({(index, id(a)) for index, a in calls}) == len(calls)
+        assert all(list(a.terms.values()) == [Scalar.of(1)]
+                   and len(next(iter(a.terms))) == p for _, a in calls)
+
+    monkeypatch.setattr(Form, "__init__", init)
+    monkeypatch.setattr(rep, "derivation_images", images)
     fresh = LieRep("su-odd:4 fresh", g.n, g.basis)
     assert len(equivariant_coords(fresh)) == 3
+    assert len(forms) == comb(g.n, 2)
+    check_calls(2)
+    calls.clear()
+    # equivariant_maps reads the shared coordinates
     assert len(equivariant_maps(fresh)) == 3
     assert calls == []
-    # the counters see the Form path where it is still taken
-    invariants(fresh, 2)
-    assert "derivation_form" in calls
+    for p in (2, 3):
+        forms.clear()
+        basis = invariants(fresh, p)
+        assert len(forms) == comb(g.n, p) + len(basis)
+        check_calls(p)
+        calls.clear()
 
 
 def test_unit_tables_run_no_product(monkeypatch):

@@ -6,26 +6,24 @@ equivariant_coords builds each generator's action on Hom(T, Lambda^2 T)
 one touched column at a time.  The extension and orbit references expand
 each unit derivation by Leibniz (test_derivation.leibniz, which knows only
 wedge and Form.monomial, so its signs are its own); the equivariant
-reference takes the whole Hom operator of the tensor rule, transposed, for
-every generator.
+reference takes the whole Hom operator of every generator, each column
+x . D for a unit map D by Leibniz on Forms (hom_column_reference).
 """
 
 import random
-from math import comb
 
 import pytest
 
-from edsx._kernel import ONE, s_neg
+from edsx._kernel import ONE
 from edsx.catalog import get_structure
 from edsx.dga import extension
 from edsx.exterior import Subspace, coords, lex_index, restrict
 from edsx.linalg import combine, echelon_span, kernel_basis, transpose
-from edsx.rep import (LieRep, _form_operators, _tensor_operators,
-                      action_index, equivariant_coords, gl_basis, hom_dim,
+from edsx.rep import (LieRep, equivariant_coords, gl_basis, hom_dim,
                       mat_from, orbit_matrix)
 
-from test_derivation import (coframe_images, leibniz, rand_form,
-                             unit_matrix_reference)
+from test_derivation import (coframe_images, hom_column_reference,
+                             leibniz, rand_form, unit_matrix_reference)
 
 CATALOG = ("su-even:2", "su-even:3", "su-even:4", "su-odd:2", "su-odd:3",
            "su-odd:4", "psu3", "psu3-dual", "so3-9", "g2", "spin7",
@@ -49,13 +47,11 @@ def orbit_rows(a, skew):
 
 
 def hom_operator(x, n):
-    """x on Hom(T, Lambda^2 T) as sparse rows, by the tensor rule
-    x (x) 1 + 1 (x) x: -D o x on the coframe slot, and the coframe action
-    on the unit 2-forms."""
-    slot = [{j - 1: s_neg(d) for _, (j,), d in entries}
-            for entries in action_index([x], n)]
-    return _tensor_operators([slot], _form_operators([x], n, 2), n,
-                             comb(n, 2))[1][0]
+    """x on Hom(T, Lambda^2 T) as sparse rows, column k the Leibniz
+    reference hom_column_reference of the unit map k."""
+    dim = hom_dim(n)
+    return transpose([hom_column_reference(x, n, k) for k in range(dim)],
+                     dim)
 
 
 def operator_kernel(g):
