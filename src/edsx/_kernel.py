@@ -19,20 +19,21 @@ a row mask XOR a column mask) finishes its forward phase on integer rows
 with rational multipliers, and returns exactly what the scalar loop
 would.
 
-A rank-only elimination (eliminate with certify, which linalg.span_rank
-and the dense entry's forward-only branch pass) first tries a certificate
-mod P at its first pivot lead with more than one term, where the scalar
-loop would enter s_inv's conjugate tower.  P = 2^61 - 3153 is 3 mod 4 and
-2, 3, 5 and 7 are squares mod P, so sqrt(q) -> q^((P+1)/4) maps every
-scalar whose denominator P does not divide onto Z/P as a ring map
-(pivots_mod_p; a denominator divisible by P is its guard and gives no
-answer).  Minors map to minors, so the rank mod P is a lower bound on the
-exact rank, and min(rows, cols) is an upper bound: when they meet, the
-rank is exact.  The pivot columns are exact only when the mod-P pivots are
-the leading columns as well: a full rank can sit on other columns mod P
-than over the field, as in [[P*(1 + sqrt2), 1 + sqrt2]].  Otherwise the
-exact elimination goes on from where it stopped.  Rows whose leads are
-all one term (rational or graded) never reach the certificate.
+A rank-only elimination (eliminate with certify, which linalg.span_rank,
+linalg.Elimination.rank and the dense entry's forward-only branch pass)
+first tries a certificate mod P at its first pivot lead with more than
+one term, where the scalar loop would enter s_inv's conjugate tower.
+P = 2^61 - 3153 is 3 mod 4 and 2, 3, 5 and 7 are squares mod P, so
+sqrt(q) -> q^((P+1)/4) maps every scalar whose denominator P does not
+divide onto Z/P as a ring map (pivots_mod_p; a denominator divisible by
+P is its guard and gives no answer).  Minors map to minors, so the rank
+mod P is a lower bound on the exact rank, and min(rows, cols) is an
+upper bound: when they meet, the rank is exact.  The pivot columns are
+exact only when the mod-P pivots are the leading columns as well: a full
+rank can sit on other columns mod P than over the field, as in
+[[P*(1 + sqrt2), 1 + sqrt2]].  Otherwise the exact elimination goes on
+from where it stopped.  Rows whose leads are all one term (rational or
+graded) never reach the certificate.
 """
 
 from fractions import Fraction

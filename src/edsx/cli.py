@@ -19,7 +19,7 @@ from .dga import DgaError, check_operator, z_spaces
 from .exterior import Subspace, form_literal
 from .rep import CasimirError, casimir_decompose, invariants
 from .restriction import RestrictionError, restrict_structure
-from .scalar import Scalar, int_text, integer
+from .scalar import WHITESPACE, Scalar, int_text, integer
 from .stability import stability
 from . import papercheck
 
@@ -43,13 +43,13 @@ def _parse_params(text):
             raise CatalogError("parameter %r is not of the form name=value"
                                % item)
         k, v = item.split("=", 1)
-        k = k.strip()
+        k = k.strip(WHITESPACE)
         if not k:
             raise CatalogError("parameter %r has an empty name" % item)
         if k in out:
             raise CatalogError("parameter %r given twice" % k)
         try:
-            out[k] = Scalar.parse(v.strip())
+            out[k] = Scalar.parse(v.strip(WHITESPACE))
         except (ValueError, ZeroDivisionError) as exc:
             raise CatalogError("bad value for %r: %s" % (k, exc))
     return out

@@ -6,21 +6,23 @@ and integer numerators, see edsx._kernel); exterior.coords builds them
 straight from Form.terms.  Everything reduces to one deterministic
 elimination (see edsx._kernel for the pivot rule), so ranks, kernels,
 and affine solves are canonical: the same input always yields the same
-basis vectors.  Elimination factors one matrix once, by the forward
-phase alone: its rank is the pivot count, and each later right-hand side
-is solved by replaying the forward row operations on it and then a
-triangular back-solve through the forward pivot rows.  Only a kernel
-needs the reduced form, so the back-substitution runs on demand, once,
-when the kernel is first read.  No function here mutates the rows it is
-given; only an Elimination consumes the rows it is built from.
+basis vectors.  Elimination keeps the rows of one matrix, and its first
+solve or kernel query factors a copy of them once, by the forward phase
+alone: each right-hand side is solved by replaying the forward row
+operations on it and then a triangular back-solve through the forward
+pivot rows.  Only a kernel needs the reduced form, so the
+back-substitution runs on demand, once, when the kernel is first read.
+A rank asked before any of these is one rank-only elimination.  No
+function here mutates the rows it is given; an Elimination keeps its
+rows, so the caller must not mutate them afterwards.
 
-Rank-only questions have a shortcut: span_rank (and the dense rank,
-through the kernel's dense entry) first tries a rank mod P at its first
-multi-term pivot lead, and answers from it only when it is certified
-exact: the rank mod P, a lower bound, reaches the upper bound
-min(rows, cols), and for a pivot list the pivots mod P are the leading
-columns.  Every other case goes on with the exact elimination (see
-edsx._kernel).
+Rank-only questions have a shortcut: span_rank, Elimination.rank before
+a factorization (and the dense rank, through the kernel's dense entry)
+first try a rank mod P at the first multi-term pivot lead, and answer
+from it only when it is certified exact: the rank mod P, a lower bound,
+reaches the upper bound min(rows, cols), and for a pivot list the pivots
+mod P are the leading columns.  Every other case goes on with the exact
+elimination (see edsx._kernel).
 
 Matrix, rank and rref are the dense boundary.  Nothing in this package
 calls them: they stay only because the benchmark calls Matrix.from_rows
@@ -180,46 +182,66 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
 class Elimination:
     """Solves m x = b for every right-hand side b of one matrix m.
 
-    m is eliminated once, on first use, by the forward phase alone (see
+    The rows of m are kept as given, and each query pays only for what it
+    reads.  The first particular() or kernel_vectors() call factors a
+    copy of the rows by the forward phase alone (see
     edsx._kernel.eliminate), and three things are kept: the pivot
     columns, the forward pivot rows F and the forward row operations.
-    Each query pays only for what it reads.  The rank is the number of
-    pivots.  particular(b) replays the operations on b, one pivot step at
-    a time, and skips a step whose pivot row is zero in b; this reduces b
-    as the forward phase reduces an augmented column: the entries left on
-    rows that never became pivot rows are the residual, which must be
-    exactly zero, and the entries on pivot rows are the right-hand side
-    of the triangular system F x = y, which is back-solved with every
-    free column zero.  That solution is unique and the arithmetic exact,
-    so it is the canonical particular solution that solve_affine reads
-    off the RREF.  The right kernel needs the reduced rows: the first
+    particular(b) replays the operations on b, one pivot step at a time,
+    and skips a step whose pivot row is zero in b; this reduces b as the
+    forward phase reduces an augmented column: the entries left on rows
+    that never became pivot rows are the residual, which must be exactly
+    zero, and the entries on pivot rows are the right-hand side of the
+    triangular system F x = y, which is back-solved with every free
+    column zero.  That solution is unique and the arithmetic exact, so it
+    is the canonical particular solution that solve_affine reads off the
+    RREF.  The right kernel needs the reduced rows: the first
     kernel_vectors() call back-substitutes a copy of F, once.
 
-    An Elimination consumes the rows it is built from: the elimination
-    reduces the dicts in place, so a caller that reads them again passes
-    copies.
+    The rank is the pivot count once m is factored.  Before that it is
+    one rank-only elimination, kept, of a copy of the rows whose columns
+    are renumbered by how many rows hold them, fewest first: a rank does
+    not depend on the column order, and this one makes fewer row
+    updates than the leftmost order the factorization needs.
+
+    An Elimination keeps the rows it is built from and reads them for
+    rank_with_kernel, so the caller must not mutate them afterwards.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_pivots", "_prows", "_ops",
-                 "_kernel")
+    __slots__ = ("nrows", "ncols", "_rows", "_rank", "_pivots", "_prows",
+                 "_ops", "_kernel")
 
     def __init__(self, rows, ncols):
         self.nrows = len(rows)
         self.ncols = ncols
         self._rows = rows
-        self._pivots = self._prows = self._ops = self._kernel = None
+        self._rank = self._pivots = self._prows = self._ops = None
+        self._kernel = None
 
     def _eliminate(self):
         if self._ops is None:
             self._ops = []
             self._pivots, self._prows = eliminate(
-                self._rows, self.ncols, reduced=False, ops=self._ops)
-            self._rows = None
+                [dict(r) for r in self._rows], self.ncols, reduced=False,
+                ops=self._ops)
+            self._rank = len(self._pivots)
 
     @property
     def rank(self):
-        self._eliminate()
-        return len(self._pivots)
+        if self._rank is None:
+            count = [0] * self.ncols
+            for row in self._rows:
+                for j in row:
+                    count[j] += 1
+            at = [0] * self.ncols
+            # sorted is stable: ties stay in column order
+            for new, j in enumerate(sorted(range(self.ncols),
+                                           key=count.__getitem__)):
+                at[j] = new
+            self._rank = len(eliminate(
+                [{at[j]: c for j, c in r.items()} for r in self._rows],
+                self.ncols, reduced=False, certify="rank")[0])
+        return self._rank
 
     def particular(self, rhs):
         """The particular solution of solve_affine(m, ncols, rhs), or None.
@@ -276,26 +298,22 @@ class Elimination:
         """Rank of the sparse rows g together with the right kernel of m.
 
         The span of the rows and ker m has dimension dim ker m plus the
-        rank of the vectors m g.  F has the row space of m, so F g is an
-        invertible image of m g and has the same rank: each F g is summed
-        through a column index of F, and no kernel vector is needed.
+        rank of m on the span of the rows, the rank of the vectors m g:
+        each is summed from the kept rows of m, so neither the kernel nor
+        the factorization is needed.
         """
-        self._eliminate()
         column = {}
-        for t, (j, prow) in enumerate(zip(self._pivots, self._prows)):
-            column.setdefault(j, []).append((t, ONE))
-            for k, c in prow.items():
-                column.setdefault(k, []).append((t, c))
-        images = []
-        for g in rows:
-            # -F g, whose rank is that of F g
-            out = {}
+        for t, g in enumerate(rows):
             for k, gk in g.items():
-                for t, c in column.get(k, ()):
-                    out[t] = s_submul(out.get(t), c, gk)
-            images.append({t: v for t, v in out.items() if v})
-        return (self.ncols - len(self._pivots)
-                + span_rank(images, len(self._pivots)))
+                column.setdefault(k, []).append((t, gk))
+        images = [{} for _ in rows]
+        for i, row in enumerate(self._rows):
+            for k, c in row.items():
+                for t, gk in column.get(k, ()):
+                    # -m g, whose rank is that of m g
+                    images[t][i] = s_submul(images[t].get(i), c, gk)
+        images = [{i: v for i, v in image.items() if v} for image in images]
+        return self.ncols - self.rank + span_rank(images, self.nrows)
 
     def solve(self, rhs) -> AffineSpace:
         """Equal to solve_affine(m, ncols, rhs); the basis is built from the

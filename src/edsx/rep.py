@@ -140,18 +140,18 @@ class LieRep:
         k = self.dim
         span = Elimination(
             transpose([_mat_coords(x) for x in self.basis], self.n ** 2), k)
+        # solved before the rank is read, so that the rank is the pivot
+        # count of the one factorization the solves make
+        rows = {(a, b): span.particular(_mat_coords(
+                    mat_bracket(self.basis[a], self.basis[b])))
+                for a in range(k) for b in range(a + 1, k)}
         if span.rank < k:
             raise ValueError("%s: basis is linearly dependent (rank %d of %d)"
                              % (self.name, span.rank, k))
-        rows = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                br = mat_bracket(self.basis[a], self.basis[b])
-                part = span.particular(_mat_coords(br))
-                if part is None:
-                    raise ValueError("%s: bracket [%d,%d] leaves the span"
-                                     % (self.name, a, b))
-                rows[a, b] = part
+        for (a, b), part in rows.items():
+            if part is None:
+                raise ValueError("%s: bracket [%d,%d] leaves the span"
+                                 % (self.name, a, b))
         self._constants = rows
         return rows
 

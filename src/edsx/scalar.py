@@ -149,6 +149,11 @@ def as_scalar(x) -> Scalar:
     return Scalar.of(x)
 
 
+# the whitespace every literal and integer reader skips: ASCII only, since
+# str.isspace() and str.strip() take other scripts' spaces and the
+# separators \x1c-\x1f too
+WHITESPACE = " \t\n\r\v\f"
+
 # Python refuses int <-> str past sys.get_int_max_str_digits() digits (at
 # least 640 wherever the limit is on), so longer integers pass through
 # Decimal, which converts them exactly at any length
@@ -169,7 +174,7 @@ def _int_value(digits):
 def integer(text):
     """The integer of text, ASCII whitespace around an optional sign and
     ASCII digits; underscores or other scripts' digits raise ValueError."""
-    body = text.strip(" \t\n\r\v\f")
+    body = text.strip(WHITESPACE)
     digits = body[1:] if body[:1] in ("+", "-") else body
     if not digits or digits.strip("0123456789"):
         raise ValueError("invalid integer %r" % text)
@@ -241,7 +246,7 @@ class _Literal:
         i, end = 0, len(text)
         while i < end:
             ch = text[i]
-            if ch.isspace():
+            if ch in WHITESPACE:
                 i += 1
                 continue
             self.at.append(i)

@@ -202,8 +202,14 @@ def test_factored_solve_of_an_inconsistent_rhs_is_empty():
         == solve_affine(m, width, consistent).particular
 
 
+# a rank asked first is one rank-only elimination, and the first solve or
+# kernel then factors the matrix once; a rank asked after that reads the
+# factorization and eliminates nothing
+RANK_ONLY, FACTOR = "rank-only", "factor"
+
+
 @pytest.mark.parametrize("order", [
-    ("rank", "kernel", "consistent", "inconsistent", "solve"),
+    ("rank", "kernel", "consistent", "inconsistent", "solve", "rank"),
     ("solve", "inconsistent", "consistent", "kernel", "rank")])
 def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
     s = get_structure("su-odd:2")
@@ -215,9 +221,11 @@ def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
     assert solve_affine(m, width, unit).is_empty
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return eliminate(*args, **kwargs)
+    def counted(rows, ncols, reduced=True, ops=None, certify=None):
+        assert ncols == width and not reduced
+        calls.append(FACTOR if ops is not None else RANK_ONLY)
+        assert (ops is None) == (certify == "rank")
+        return eliminate(rows, ncols, reduced, ops, certify)
 
     monkeypatch.setattr(linalg, "eliminate", counted)
     elim = Elimination([dict(r) for r in m], width)
@@ -228,7 +236,8 @@ def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
                "solve": lambda: elim.solve(consistent)}
     for name in order:
         queries[name]()
-    assert calls == [width]
+    assert calls == ([RANK_ONLY, FACTOR] if order[0] == "rank"
+                     else [FACTOR])
 
 
 @pytest.mark.parametrize("name", ["psu3", "psu3-dual", "so3-9"])

@@ -29,9 +29,10 @@ from edsx.scalar import Scalar
 from edsx.stability import stability
 
 # how many columns of g carry off-diagonal entries: so3-9's radical
-# coefficients mix into multi-term ones, and its extension rank grows
-# from 0.1 s to seconds with a few more
-COLUMNS = {"psu3": 4, "su-odd:3": 4, "so3-9": 1}
+# coefficients mix into multi-term ones and its extension rank (200 of
+# 324) is not full, so no certificate mod P answers it; with two columns
+# each so3-9 case takes about 1 s, and a third would add seconds
+COLUMNS = {"psu3": 4, "su-odd:3": 4, "so3-9": 2}
 ENTRIES = [Fraction(q) for q in (1, -1, 2, -3, "1/2", "-2/3")]
 
 

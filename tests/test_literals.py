@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from edsx.cli import main
 from edsx.exterior import parse_form
-from edsx.scalar import MAX_NESTING, Scalar, integer
+from edsx.scalar import MAX_NESTING, WHITESPACE, Scalar, integer
 
 # text -> canonical text, through Scalar.parse
 SCALARS = [
@@ -215,6 +215,28 @@ def test_one_integer_reader():
         assert str(info.value) == "invalid integer %r" % text
 
 
+@pytest.mark.parametrize("entry,text,char", [
+    ("scalar", "1\u3000+\x1c2", "\u3000"), ("scalar", "1 +\x1c2", "\x1c"),
+    ("scalar", "\xa01", "\xa0"), ("form", "e[1] *\x1fe[2]", "\x1f"),
+    ("form", "e[1]\u2003", "\u2003"),
+])
+def test_only_ascii_whitespace_separates_tokens(entry, text, char):
+    # str.isspace() holds for each char, but only ASCII whitespace is read
+    assert char.isspace() and char not in WHITESPACE
+    with pytest.raises(ValueError) as info:
+        parse(entry, text)
+    what = "scalar" if entry == "scalar" else "form literal"
+    assert str(info.value) == "unexpected character %r in %s" % (char, what)
+
+
+def test_ascii_whitespace_separates_tokens_everywhere():
+    assert str(Scalar.parse(WHITESPACE.join(["1", "+", "2", "*", "r3"]))) \
+        == "1 + 2*r3"
+    assert str(parse_form(WHITESPACE.join(["e[1]", "*", "e[2]"]), 3)) \
+        == "e[1,2]"
+    assert integer(WHITESPACE + "12" + WHITESPACE) == 12
+
+
 @pytest.mark.parametrize("text,index,at", [
     ("e[1_0,2]", "1_0", 2), ("e[\u0661,2]", "\u0661", 2),
     ("e[1,\uff12]", "\uff12", 4), ("e[\u30001]", "\u30001", 2),
@@ -242,6 +264,11 @@ def test_cli_params_read_long_and_reject_non_ascii_digits(capsys):
     out, err = capsys.readouterr()
     assert (out, err) == ("", "edsx: bad value for 'lambda': unexpected "
                               "character '\u0661' in scalar\n")
+    for value in ("1\u3000+2", "\u30001", "1\u3000"):
+        assert main(argv + ["lambda=%s,mu=0" % value]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "edsx: bad value for 'lambda': unexpected "
+                                  "character %r in scalar\n" % "\u3000")
 
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300,

@@ -326,6 +326,32 @@ def test_validate_rejects_dependent_basis():
         dup.validate()
 
 
+def test_a_dependent_basis_is_named_before_a_bracket_outside_it():
+    # [L_1, L_2] = L_3 leaves span{L_1, L_2}, but the repeat fires first
+    mats = [rot(3, 3, 2), rot(3, 1, 3), rot(3, 1, 3)]
+    with pytest.raises(ValueError, match="basis is linearly dependent"):
+        LieRep("dup", 3, mats).structure_constants()
+    with pytest.raises(ValueError, match=r"bracket \[0,1\] leaves the span"):
+        LieRep("half", 3, mats[:2]).structure_constants()
+
+
+@pytest.mark.parametrize("name", ["su-odd:2", "psu3"])
+def test_structure_constants_factor_the_basis_once(monkeypatch, name):
+    calls = []
+
+    def counted(rows, ncols, reduced=True, ops=None, certify=None):
+        calls.append(ops is not None)
+        return _kernel.eliminate(rows, ncols, reduced, ops, certify)
+
+    lie = get_structure(name).lie
+    want = lie.structure_constants()
+    fresh = LieRep(lie.name, lie.n, lie.basis, skew=lie.skew)
+    monkeypatch.setattr(linalg, "eliminate", counted)
+    assert fresh.structure_constants() == want
+    # one factorization, whose pivot count is the rank
+    assert calls == [True]
+
+
 def test_cartan_three_form_of_rotations():
     # [L_a, L_b] = eps_abc L_c over the pairs a < b
     eps = {(0, 1): {2: ONE}, (0, 2): {1: s_neg(ONE)}, (1, 2): {0: ONE}}
