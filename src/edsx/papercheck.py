@@ -26,7 +26,7 @@ from .exterior import (Form, Subspace, contract, coords, hodge, parse_form,
                        restrict, wedge)
 from .linalg import echelon_span, in_span, span_rank, transpose
 from .rep import (act_on_form, cartan_three_form, casimir_decompose,
-                  equivariant_maps, invariants, mat_bracket, mat_is_skew,
+                  equivariant_coords, invariants, mat_bracket, mat_is_skew,
                   stabilizer)
 from .restriction import restrict_structure
 from .scalar import Scalar, as_scalar
@@ -229,7 +229,7 @@ def check_rotation_triple():
     r.add(len(inv5) == 1 and in_span([coords(b, 5) for b in inv5],
                                      coords(star, 5), comb(s.n, 5)),
           "star-gamma spans the degree-5 invariants", "paper")
-    r.add(len(equivariant_maps(g)) == 0,
+    r.add(len(equivariant_coords(g)) == 0,
           "no equivariant maps T -> Lambda^2 T", "paper")
     zr = z_spaces(s, "gamma-dual", {"lambda": 1})
     r.add(zr.z_prime.is_empty and zr.z_dim is None,
@@ -302,7 +302,7 @@ def check_operators():
               % (name, op, list(samples)), "paper")
     for n, d in ((2, 7), (3, 5), (4, 3)):
         so = get_structure("su-odd:%d" % n)
-        r.add(len(equivariant_maps(so.lie)) == d,
+        r.add(len(equivariant_coords(so.lie)) == d,
               "su-odd:%d  equivariant map space has dim %d" % (n, d),
               "paper")
     return r

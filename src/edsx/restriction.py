@@ -16,33 +16,31 @@ coordinates, and T (x) S^2 T enters only as its dimension k.k(k+1)/2.
 
 Neither space needs to contain the other.  Compressing an ambient
 solution discards the mixed terms that couple W to its complement, so
-the compressed map need not solve the subspace system; conversely a
-subspace solution extends to an ambient one over every subspace of an
-ordinary flag, but can fail to extend when no such flag exists.  The
-report therefore carries both dimensions and an exact test of whether
-the projection covers the subspace solutions, and forces neither.  Both
-are ranks of the ambient elimination of E, of rank r over N columns: for
-units the unit rows of the columns off S = Hom(W, Lambda^2 W),
-rank_with_kernel(units) = N - r + r', r' the rank of E off S, so
-proj_dim = sym_dim(k) + rank_with_kernel(units) - |units|.  Z'_W is
-covered exactly when the subspace kernel and the gap x_W - P(x_T),
-lifted onto S, leave that rank unchanged.  No proof is known that the
-ker p condition puts the gap in P(ker E); it never decided a verdict,
-and it stays as an exact certificate.
+it need not solve the subspace system; a subspace solution extends to
+an ambient one over every subspace of an ordinary flag, but can fail to
+when no such flag exists.  The report carries both dimensions and an
+exact test of whether the projection covers the subspace solutions.  Both
+are ranks of the ambient system E x = b, of rank r over N columns.  For
+U_S the unit rows of the columns of S = Hom(W, Lambda^2 W) and units
+those off S, rank_with_kernel(units) = N - r + r' and rank [E; U_S] =
+|S| + r', r' the rank of E off S, so proj_dim = sym_dim(k) +
+rank_with_kernel(units) - |units| = sym_dim(k) + rank [E; U_S] - r.  The
+rows of E_W P, lifted by the transpose of P, lie in the span of U_S, so
+for X the solutions of [E; E_W P] x = [b; b_W], P(X) = P(Z'_T) cap Z'_W
+and, X not empty, dim P(X) = rank [E; U_S] - rank [E; E_W P].  Hence
+Z'_W lies in P(Z'_T) exactly when the stacked system is consistent and
+rank [E; E_W P] - r = proj_dim - zw_dim.
 """
 
-from ._kernel import ONE, s_neg, s_sub
+from ._kernel import ONE, s_neg
 from .exterior import Form, Subspace, lex_index, restrict, _sort_sign
 from .rep import hom_dim, sym_dim
 from .cartan import flag_test
 from .catalog import StructureSpec
 from .dga import analysis, extension, extension_rhs, operator_values
+from .linalg import Elimination
 
-__all__ = [
-    "RestrictionError",
-    "RestrictionReport",
-    "restrict_structure",
-]
+__all__ = ["RestrictionError", "RestrictionReport", "restrict_structure"]
 
 
 class RestrictionError(ValueError):
@@ -116,6 +114,16 @@ def _lift(vec, n, kept):
     return out
 
 
+def _covers(ext, b, rows_w, b_w, gap):
+    """Whether Z'_W lies in P(Z'_T), by the stacked system of the module
+    docstring: ext solves E x = b, rows_w are the rows of E_W P and gap is
+    proj_dim - zw_dim.  Solved before it is ranked, it is eliminated once."""
+    stacked = Elimination(ext._rows + rows_w, ext.ncols)
+    rhs = {**b, **{ext.nrows + i: x for i, x in b_w.items()}}
+    return (stacked.particular(rhs) is not None
+            and stacked.rank - ext.rank == gap)
+
+
 def restrict_structure(s: StructureSpec, op, params=None,
                        w: Subspace = None) -> RestrictionReport:
     """Restriction report for an operator along a coordinate subspace.
@@ -135,11 +143,8 @@ def restrict_structure(s: StructureSpec, op, params=None,
     fvals = operator_values(s, op, params)
     a = analysis(s)
 
-    p_gens = {}
-    for gname, g in s.generators.items():
-        img = restrict(g, w)
-        if not img.is_zero():
-            p_gens[gname] = img
+    p_gens = {name: img for name, g in s.generators.items()
+              if not (img := restrict(g, w)).is_zero()}
 
     kerp = a.closure.respects(a.closure.induced_values(fvals), w)
 
@@ -147,28 +152,23 @@ def restrict_structure(s: StructureSpec, op, params=None,
     if kerp:
         f_w = {g: restrict(fvals.get(g, Form.zero(n)), w) for g in p_gens}
         ext_w = extension(k, p_gens.values())
-        solw = ext_w.solve(extension_rhs(p_gens, f_w))
-        if not solw.is_empty:
-            zw_dim = solw.dim + sym_dim(k)
+        b_w = extension_rhs(p_gens, f_w)
+        if ext_w.particular(b_w) is not None:
+            zw_dim = hom_dim(k) - ext_w.rank + sym_dim(k)
 
     ext = a.extension()
-    x_t = ext.particular(extension_rhs(s.generators, fvals))
+    b = extension_rhs(s.generators, fvals)
     z_dim = proj_dim = onto = None
-    if x_t is not None:
+    if ext.particular(b) is not None:
         z_dim = hom_dim(n) - ext.rank + sym_dim(n)
         on_w = set(_lift({j: ONE for j in range(hom_dim(k))}, n, kept))
         units = [{c: ONE} for c in range(hom_dim(n)) if c not in on_w]
-        rank = ext.rank_with_kernel(units)
-        proj_dim = sym_dim(k) + rank - len(units)
+        proj_dim = sym_dim(k) + ext.rank_with_kernel(units) - len(units)
         if zw_dim is not None:
-            x_w = _lift(solw.particular, n, kept)
-            gap = {c: g for c in on_w if (g := s_sub(x_w.get(c), x_t.get(c)))}
-            lifted = [_lift(b, n, kept) for b in solw.basis] + [gap]
-            onto = ext.rank_with_kernel(units + lifted) == rank
+            onto = _covers(ext, b, [_lift(r, n, kept) for r in ext_w._rows],
+                           b_w, proj_dim - zw_dim)
 
-    rel = False
-    if set(kept) == set(s.default_flag[:k]):
-        rel = flag_test(s).ordinary
+    rel = set(kept) == set(s.default_flag[:k]) and flag_test(s).ordinary
 
     return RestrictionReport(kept, p_gens, kerp, f_w,
                              (z_dim, proj_dim, zw_dim), onto, rel,

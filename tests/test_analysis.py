@@ -17,7 +17,7 @@ from edsx.catalog import (get_structure, parse_structure_name,
 from edsx.dga import (_derivation_matrix, Analysis, analysis,
                       check_operator, extension, extension_rhs,
                       lie_tensor_rows, strong_admissibility, z_spaces)
-from edsx.exterior import Form, Subspace, coords, restrict
+from edsx.exterior import Form, Subspace, coords
 from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
                          span_rank, transpose)
 from edsx.papercheck import _su3_brackets
@@ -426,7 +426,7 @@ def _counted_back_substitutions(monkeypatch):
     return calls
 
 
-def test_a_restriction_back_substitutes_only_the_subspace(monkeypatch):
+def test_a_restriction_back_substitutes_nothing(monkeypatch):
     calls = _counted_back_substitutions(monkeypatch)
     radical = _assignment(get_structure("su-odd:3").operators["A"],
                           PARAMS[1])
@@ -435,25 +435,24 @@ def test_a_restriction_back_substitutes_only_the_subspace(monkeypatch):
                   lambda: strong_admissibility(get_structure("spin7")),
                   lambda: check_operator(get_structure("su-odd:3"), "A",
                                          radical),
-                  lambda: z_spaces(get_structure("su-odd:3"), "A", radical)):
+                  lambda: z_spaces(get_structure("su-odd:3"), "A", radical),
+                  lambda: restrict_structure(get_structure("su-odd:3"), "A",
+                                             radical)):
         catalog._CACHE.clear()
         query()
         assert calls == []
-    # the ambient system is never back-substituted: the one call of each
-    # restriction reads the kernel of the subspace system
+    # neither system of a restriction is back-substituted: the coverage
+    # verdict is read off the ambient rows stacked with the subspace rows
     hyperplane = Subspace.coordinate(8, range(1, 8))
     for warm in (False, True):
         catalog._CACHE.clear()
         s = get_structure("psu3")
         if warm:
             flag_test(s)
-        ext_w = extension(7, [restrict(g, hyperplane)
-                              for g in s.generators.values()])
         for _ in range(2):
-            restrict_structure(s, "zero", None, hyperplane)
-        assert analysis(s).extension().rank != ext_w.rank
-        assert calls == [ext_w.rank] * 2
-        calls.clear()
+            rep = restrict_structure(s, "zero", None, hyperplane)
+            assert rep.projection_onto is not None
+        assert calls == []
 
 
 def test_equivariant_maps_returns_a_fresh_list():

@@ -130,6 +130,12 @@ GOLDEN = [
       "--params", "lambda=1,mu=r2", "--drop", "2"], 0,
      "0dcac04ee50eaf2d3f17ef59daf9988b0caf76faa9a43831b334346f1359ed47",
      "af5e8fadcd49461091c4ee80bdbc9fd5d6777c495f8947c89dc461fda75d587a"),
+    # a projection larger than Z'_W that still misses some of it, pinned
+    # before the coverage test moved onto the stacked ambient system
+    (["restrict", "--structure", "example-712", "--operator", "zero",
+      "--drop", "1"], 0,
+     "2137db760c2ca7d86aebe3087723390e04760cde6994026d6b1e541973ce6cba",
+     "9fd38e6f7360b2589e2b7db4486183fa4d126b80433695ab6b61a7d644d22b71"),
     # the failure paths: a false ker p condition (no f_W, Z'_W empty) and
     # an operator that neither respects the relations nor extends, pinned
     # before the relation test moved into edsx.dga

@@ -4,14 +4,15 @@ from itertools import product
 
 import pytest
 
-from edsx._kernel import ONE, s_neg, s_sub
+from edsx._kernel import ONE, s_add, s_mul, s_neg, s_sub
 from edsx.catalog import DiffOpSpec, get_structure
 from edsx.dga import Analysis, extension_rhs, z_spaces
 from edsx.exterior import Subspace, lex_index, parse_form, restrict, wedge
-from edsx.linalg import solve_affine, span_rank
+from edsx.linalg import Elimination, solve_affine, span_rank
 from edsx.papercheck import RESTRICTION_BATTERY
 from edsx.rep import HomMap, hom_dim
-from edsx.restriction import RestrictionError, _lift, restrict_structure
+from edsx.restriction import (RestrictionError, _covers, _lift,
+                              restrict_structure)
 from edsx.scalar import Scalar
 
 from test_derivation import unit_matrix_reference
@@ -185,6 +186,9 @@ ORACLE_CASES = (
      for name, op, params, *_ in RESTRICTION_BATTERY]
     + _hyperplanes("psu3", 8) + _hyperplanes("su-odd:3", 7)
     + _hyperplanes("so3-9", 9)
+    # drops 1-4 are the only catalog restrictions where the projection is
+    # larger than Z'_W and still misses some of it
+    + _hyperplanes("example-712", 7)
     + [("su-even:3", "zero", None, (2, 1, 4, 3, 5)),
        ("su-even:3", "zero", None, (5, 3, 1, 2, 4)),
        ("su-even:3", "zero", None, (3, 1, 2)),
@@ -238,6 +242,79 @@ def test_hom_projection_restricts_the_images(n, kept):
         if col in vec:
             projected[j] = vec[col] if sign == ONE else s_neg(vec[col])
     assert projected == want.coords()
+
+
+def _entry(rng):
+    """A nonzero rational or r2 multiple of -2..2."""
+    return (1, {rng.choice((0, 0, 1)): rng.choice((-2, -1, 1, 2))})
+
+
+def _apply(rows, x):
+    """The sparse vector of the rows applied to the sparse vector x."""
+    out = {}
+    for i, row in enumerate(rows):
+        v = None
+        for j, c in row.items():
+            if j in x:
+                v = s_add(v, s_mul(c, x[j]))
+        if v:
+            out[i] = v
+    return out
+
+
+def _coverage_cases(seed, count):
+    """(E, b, E_W, b_W, ncols, cols) with both systems consistent: E over
+    ncols columns, E_W over len(cols) columns, P x the entries of x at
+    cols, in that order.  b_W is E_W applied to P of an ambient solution
+    or to a random point; E may have more rows than columns, so that
+    P(ker E) is small."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ncols = rng.randint(1, 6)
+        cols = rng.sample(range(ncols), rng.randint(0, ncols))
+        density = rng.choice((0.3, 0.6))
+        e = [{j: _entry(rng) for j in range(ncols) if rng.random() < density}
+             for _ in range(rng.randint(0, ncols + 1))]
+        ew = [{a: _entry(rng) for a in range(len(cols))
+               if rng.random() < density}
+              for _ in range(rng.randint(0, len(cols) + 1))]
+        x = {j: _entry(rng) for j in range(ncols) if rng.random() < 0.7}
+        b = _apply(e, x)
+        if rng.random() < 0.5:
+            for v in solve_affine(e, ncols, b).basis:
+                if rng.random() < 0.5:
+                    x = {j: c for j in set(x) | set(v)
+                         if (c := s_add(x.get(j), v.get(j)))}
+            y = {a: x[j] for a, j in enumerate(cols) if j in x}
+        else:
+            y = {a: _entry(rng) for a in range(len(cols))
+                 if rng.random() < 0.7}
+        yield e, b, ew, _apply(ew, y), ncols, cols
+
+
+def test_stacked_coverage_matches_containment_on_random_systems():
+    # Z'_W lies in P(Z'_T) exactly when its directions lie in P(ker E)
+    # and it meets P(Z'_T); the cases reach all four combinations
+    seen = {}
+    for e, b, ew, b_w, ncols, cols in _coverage_cases(5151, 400):
+        m = len(cols)
+        z_t = solve_affine(e, ncols, b)
+        z_w = solve_affine(ew, m, b_w)
+        proj = [{a: v[j] for a, j in enumerate(cols) if j in v}
+                for v in z_t.basis]
+        offset = {a: c for a, j in enumerate(cols)
+                  if (c := s_sub(z_w.particular.get(a),
+                                 z_t.particular.get(j)))}
+        dim_proj = span_rank(proj, m)
+        both = span_rank(proj + z_w.basis, m)
+        inside = both == dim_proj
+        meets = span_rank(proj + z_w.basis + [offset], m) == both
+        gap = dim_proj - len(z_w.basis)
+        lifted = [{cols[a]: c for a, c in row.items()} for row in ew]
+        assert _covers(Elimination(e, ncols), b, lifted, b_w, gap) \
+            == (inside and meets)
+        seen[inside, meets] = seen.get((inside, meets), 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 def test_restriction_instantiates_once_and_skips_z_doubleprime(monkeypatch):
