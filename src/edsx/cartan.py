@@ -6,11 +6,11 @@ of a coordinate subspace W leaves a linear functional in the w_ij; the
 rank of all such functionals is c(W).  Cartan's test compares the
 partial sums of c along a flag with the codimension of the integral space
 Z_0.  The polar functionals are the rows of the generator's gl(n) orbit
-matrix (edsx.rep.orbit_matrix) whose p-subset lies in W.  c(W) depends
-only on the structure and the index set of W, so the structure's Analysis
-builds the rows once and keeps c(W) per index set, shared by every flag
-test and flag search of the structure (edsx.stability builds the rows per
-form and reads E-stability of W off them: c(W) = C(dim W, p)).
+matrix (edsx.rep.orbit_matrix) whose p-subset lies in W.  Their one owner
+is edsx.stability.PolarTable, which keeps c(W) per index set: the
+structure's Analysis holds the table of its generators, shared by every
+flag test and flag search of the structure, and stable_flag_test builds
+one for its bare form, as edsx.stability does (c(W) = C(dim W, p)).
 """
 
 from math import comb
@@ -19,7 +19,7 @@ from .exterior import Form
 from .catalog import StructureSpec
 from .dga import analysis, extension
 from .scalar import int_text
-from .stability import _polar_count, _polar_rows
+from .stability import PolarTable
 
 __all__ = [
     "CartanError",
@@ -78,7 +78,7 @@ def flag_test(s: StructureSpec, flag=None) -> PolarReport:
     """Cartan's test for the coordinate flag given by an insertion order."""
     flag = _check_flag(s.n, s.default_flag if flag is None else flag)
     a = analysis(s)
-    c_values = [a.polar_count(flag[:k]) for k in range(s.n + 1)]
+    c_values = [a.polar.count(flag[:k]) for k in range(s.n + 1)]
     # codim Z_0 = n^3 - dim Z_0 is the rank of the extension matrix, since
     # n*C(n,2) + n*C(n+1,2) = n^3
     return PolarReport(flag, c_values, a.extension().rank)
@@ -98,8 +98,8 @@ def stable_flag_test(a: Form, hyperplane_index) -> PolarReport:
     if not 1 <= i <= n:
         raise CartanError("hyperplane index out of range")
     flag = tuple(j for j in range(1, n + 1) if j != i) + (i,)
-    rows = _polar_rows([a])
-    c_values = [_polar_count(rows, flag[:k], n) for k in range(n + 1)]
+    table = PolarTable(n, [a])
+    c_values = [table.count(flag[:k]) for k in range(n + 1)]
     codim = extension(n, [a]).rank
     if (all(c_values[k] == comb(k, p) for k in range(n))
             and codim != comb(n, p + 1)):
@@ -118,7 +118,7 @@ def flag_search(s: StructureSpec) -> PolarReport:
     ranks nothing new.
     """
     n = s.n
-    c_of = analysis(s).polar_count
+    c_of = analysis(s).polar.count
     best = {frozenset(): 0}
     parent = {}
     layer = [frozenset()]

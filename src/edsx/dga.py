@@ -13,7 +13,7 @@ D respects every relation, since it gives each word the value d_D(word),
 so the relations are tested only for an operator that has none.
 edsx.restriction runs the same relation test and extension system on a
 subspace, and edsx.cartan reads codim Z_0 off the extension rank and c(W)
-off the polar counts that Analysis keeps.
+off the structure's edsx.stability.PolarTable, which Analysis keeps.
 """
 
 from math import comb
@@ -26,7 +26,7 @@ from .exterior import (Form, Subspace, coords, derivation_form,
 from .linalg import Elimination, combine, span_rank, transpose
 from .rep import (HomMap, action_index, equivariant_coords, hom_dim,
                   invariants, sym_dim)
-from .stability import _polar_count, _polar_rows
+from .stability import PolarTable
 from .catalog import StructureSpec, DiffOpSpec
 
 __all__ = [
@@ -295,23 +295,21 @@ class Analysis:
     operator only reduces its right-hand side (the Z' directions are
     reduced from it only when a caller reads them); the equivariant basis
     and the elimination of its extension columns; the ranks of
-    g (x) T with and without ker m, which fix dim Z''; and the polar rows
-    of the generators with the polar count c(W) of each coordinate
-    subspace asked for, keyed by its index set.
+    g (x) T with and without ker m, which fix dim Z''; and polar, the
+    generators' PolarTable, the one owner of c(W) (rows on its first count).
     Only sparse kernel-form data, forms and integers are kept.
     """
 
-    __slots__ = ("s", "closure", "_extension", "_equivariant", "_lie_ranks",
-                 "_polar_rows", "_polar_counts")
+    __slots__ = ("s", "closure", "polar", "_extension", "_equivariant",
+                 "_lie_ranks")
 
     def __init__(self, s: StructureSpec):
         self.s = s
         self.closure = Closure(s.n, s.generators)
+        self.polar = PolarTable(s.n, s.generators.values())
         self._extension = None
         self._equivariant = None
         self._lie_ranks = None
-        self._polar_rows = None
-        self._polar_counts = None
 
     def extension(self) -> Elimination:
         """Elimination of the extension matrix of the generators."""
@@ -336,18 +334,6 @@ class Analysis:
             self._lie_ranks = (span_rank(g_rows, ext.ncols),
                                ext.rank_with_kernel(g_rows))
         return self._lie_ranks
-
-    def polar_count(self, subset):
-        """c(W) for the coordinate subspace W spanned by the indices."""
-        if self._polar_counts is None:
-            self._polar_rows = _polar_rows(self.s.generators.values())
-            self._polar_counts = {}
-        key = frozenset(subset)
-        c = self._polar_counts.get(key)
-        if c is None:
-            c = self._polar_counts[key] = _polar_count(self._polar_rows, key,
-                                                       self.s.n)
-        return c
 
 
 def analysis(s: StructureSpec) -> Analysis:

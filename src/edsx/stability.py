@@ -17,6 +17,7 @@ from .linalg import span_rank
 from .rep import orbit_matrix
 
 __all__ = [
+    "PolarTable",
     "StabilityReport",
     "stability",
     "e_stable",
@@ -67,21 +68,34 @@ def _homogeneous_degree(a: Form):
     return p
 
 
-def _polar_rows(forms):
-    """(p-subset K, row) for the nonzero rows of each form's orbit matrix.
+class PolarTable:
+    """c(W) of coordinate subspaces W of R^n for forms, ranked once per W.
 
-    Leibniz gives d(e^I) the terms e^{I, i -> j} times w_ij, so up to sign
-    and column order these are the polar functionals; W keeps K in W.
+    Its rows, built on the first count, are each form's nonzero orbit rows
+    keyed by p-subset K, the polar functionals up to sign and column order
+    (Leibniz gives d(e^I) the terms e^{I, i -> j} w_ij); W keeps K in W.
     """
-    return [(K, row) for a in forms if a.degree is not None
-            for K, row in zip(lex_index(a.n, a.degree)[0], orbit_matrix(a))
-            if row]
 
+    __slots__ = ("n", "forms", "_rows", "_counts")
 
-def _polar_count(rows, prefix, n):
-    """c(W) for the coordinate subspace W spanned by the prefix."""
-    w = set(prefix)
-    return span_rank([row for K, row in rows if w.issuperset(K)], n * n)
+    def __init__(self, n, forms):
+        self.n = n
+        self.forms = tuple(forms)
+        self._rows = None
+        self._counts = {}
+
+    def count(self, indices):
+        """c(W) for the coordinate subspace W spanned by the indices."""
+        key = frozenset(indices)
+        if key not in self._counts:
+            if self._rows is None:
+                self._rows = [(K, row) for a in self.forms for K, row
+                              in zip(lex_index(a.n, a.degree)[0],
+                                     orbit_matrix(a)) if row]
+            self._counts[key] = span_rank(
+                [row for K, row in self._rows if key.issuperset(K)],
+                self.n * self.n)
+        return self._counts[key]
 
 
 def e_stable(a: Form, w: Subspace) -> bool:
@@ -92,7 +106,7 @@ def e_stable(a: Form, w: Subspace) -> bool:
     if w.coords is None:
         return e_stable(restrict(a, w.completed()),
                         Subspace.coordinate(a.n, range(1, w.dim + 1)))
-    return _polar_count(_polar_rows([a]), w.coords, a.n) == comb(w.dim, p)
+    return PolarTable(a.n, [a]).count(w.coords) == comb(w.dim, p)
 
 
 def sampled_hyperplanes(n):
@@ -121,10 +135,10 @@ def stability(a: Form, sampled=False) -> StabilityReport:
     """
     p = _homogeneous_degree(a)
     n = a.n
-    rows = _polar_rows([a])
+    table = PolarTable(n, [a])
     full = comb(n, p)
-    orbit_dim = _polar_count(rows, range(1, n + 1), n)
-    per = {i: _polar_count(rows, [j for j in range(1, n + 1) if j != i], n)
+    orbit_dim = table.count(range(1, n + 1))
+    per = {i: table.count([j for j in range(1, n + 1) if j != i])
            == comb(n - 1, p) for i in range(1, n + 1)}
     sampled_ok = (all(e_stable(a, w) for w in sampled_hyperplanes(n))
                   if sampled else None)

@@ -5,16 +5,31 @@ from random import Random
 
 import pytest
 
-import edsx.dga
 import edsx.stability
 from edsx import catalog
 from edsx.cartan import (CartanError, PolarReport, flag_search, flag_test,
                          stable_flag_test)
 from edsx.catalog import get_structure
 from edsx.dga import analysis, extension
+from edsx.exterior import lex_index
 from edsx.linalg import span_rank
+from edsx.rep import orbit_matrix
 from edsx.restriction import restrict_structure
-from edsx.stability import _polar_count, _polar_rows
+from edsx.stability import PolarTable
+
+
+def _orbit_rows(forms):
+    """(p-subset K, row) for the nonzero orbit-matrix rows of the nonzero
+    forms: the polar rows, built here apart from PolarTable."""
+    return [(K, row) for a in forms if a.degree is not None
+            for K, row in zip(lex_index(a.n, a.degree)[0], orbit_matrix(a))
+            if row]
+
+
+def _rank_within(rows, indices, n):
+    """The rank of the rows whose p-subset lies in the indices."""
+    w = set(indices)
+    return span_rank([row for K, row in rows if w.issuperset(K)], n * n)
 
 
 def test_even_family_default_flag():
@@ -47,14 +62,12 @@ def test_closure_products_add_no_polar_rank(name):
     # c(W) counts the generators' polar rows only: the differentials of
     # their products must not raise the rank on any prefix of the flag
     s = get_structure(name)
-    gens = _polar_rows(s.generators.values())
-    words = _polar_rows([form for _, form, _ in analysis(s).closure.words])
+    gens = _orbit_rows(s.generators.values())
+    words = _orbit_rows([form for _, form, _ in analysis(s).closure.words])
     for k in range(s.n + 1):
-        prefix = set(s.default_flag[:k])
-        rows = [r for K, r in gens if prefix.issuperset(K)]
-        products = [r for K, r in words if prefix.issuperset(K)]
-        assert span_rank(rows, s.n ** 2) == span_rank(rows + products,
-                                                      s.n ** 2)
+        prefix = s.default_flag[:k]
+        assert _rank_within(gens, prefix, s.n) == _rank_within(
+            gens + words, prefix, s.n)
 
 
 def test_rotation_triple_flag_is_not_ordinary():
@@ -121,11 +134,11 @@ def _reference_reports(name, flags):
     """flag_test's JSON for each flag, from ranks outside the polar table."""
     s = get_structure(name)
     n = s.n
-    rows = _polar_rows(s.generators.values())
+    rows = _orbit_rows(s.generators.values())
     codim = extension(n, s.generators.values()).rank
     out = []
     for flag in flags:
-        c = [_polar_count(rows, flag[:k], n) for k in range(n + 1)]
+        c = [_rank_within(rows, flag[:k], n) for k in range(n + 1)]
         ordinary = sum(c[:n]) == codim
         out.append({"flag": list(flag), "c_values": c, "codim_z0": codim,
                     "sum_c_partial": sum(c[:n]), "ordinary": ordinary,
@@ -171,21 +184,27 @@ def _workload_flags():
 def test_polar_table_builds_rows_once_and_ranks_each_subset_once(
         monkeypatch):
     monkeypatch.setattr(catalog, "_CACHE", {})
-    built, ranked = [], []
-    orbit_matrix = edsx.stability.orbit_matrix
-    polar_count = edsx.dga._polar_count
+    built, asked, ranked = [], [], []
+    real_orbit_matrix = edsx.stability.orbit_matrix
+    real_count = PolarTable.count
+    real_span_rank = edsx.stability.span_rank
 
     def counted_orbit_matrix(a, *args):
         built.append(a)
-        return orbit_matrix(a, *args)
+        return real_orbit_matrix(a, *args)
 
-    def counted_polar_count(rows, prefix, n):
-        # the rows of one table share one degree, psu3's 3 and its dual's 5
-        ranked.append((len(rows[0][0]), frozenset(prefix)))
-        return polar_count(rows, prefix, n)
+    def counted_count(table, indices):
+        # the forms of one table share one degree, psu3's 3 and its dual's 5
+        asked.append((table.forms[0].degree, frozenset(indices)))
+        return real_count(table, indices)
+
+    def counted_span_rank(rows, ncols):
+        ranked.append(asked[-1])
+        return real_span_rank(rows, ncols)
 
     monkeypatch.setattr(edsx.stability, "orbit_matrix", counted_orbit_matrix)
-    monkeypatch.setattr(edsx.dga, "_polar_count", counted_polar_count)
+    monkeypatch.setattr(PolarTable, "count", counted_count)
+    monkeypatch.setattr(edsx.stability, "span_rank", counted_span_rank)
     flags = _workload_flags()
     assert len(flags) == 22
     psu3, dual = get_structure("psu3"), get_structure("psu3-dual")
@@ -217,7 +236,7 @@ def test_flag_search_attains_the_best_partial_sum(name):
     # largest sum of c over proper prefixes, on a flag that attains it
     s = get_structure(name)
     n = s.n
-    c = analysis(s).polar_count
+    c = analysis(s).polar.count
 
     def partial(flag):
         return sum(c(flag[:k]) for k in range(n))

@@ -258,22 +258,27 @@ def test_only_linalg_reaches_the_elimination_core():
 
 
 def test_only_stability_and_the_polar_table_build_polar_rows():
-    # c(W) of a structure is read off the one table its Analysis keeps;
-    # only the bare-form tests of stability and stable_flag_test build
-    # rows of their own
-    callers = set()
+    # c(W) has one owner: stability.PolarTable is the only caller of
+    # orbit_matrix outside rep, where stabilizer takes its kernel, and no
+    # module reaches past it for a private name of stability
+    callers, private = set(), []
 
     def visit(node, module, scope):
-        if isinstance(node, ast.FunctionDef):
-            scope = node.name
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = node.name if scope is None else scope + "." + node.name
         if (isinstance(node, ast.Call)
                 and getattr(node.func, "id", getattr(node.func, "attr", None))
-                == "_polar_rows"):
+                == "orbit_matrix"):
             callers.add((module, scope))
+        if (isinstance(node, ast.ImportFrom)
+                and node.module in ("stability", "edsx.stability")):
+            private.extend((module, a.name) for a in node.names
+                           if a.name.startswith("_"))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in sorted(Path(edsx.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert {c for c in callers if c[0] != "stability"} == {
-        ("dga", "polar_count"), ("cartan", "stable_flag_test")}
+    assert callers == {("rep", "stabilizer"),
+                       ("stability", "PolarTable.count")}
+    assert private == []

@@ -7,6 +7,7 @@ import pytest
 from edsx import cartan, rep as rep_module, stability as stability_module
 from edsx._kernel import eliminate
 from edsx.catalog import get_structure
+from edsx.dga import analysis
 from edsx.exterior import Form, Subspace, coords, restrict
 from edsx.rep import act_on_form, gl_basis
 from edsx.scalar import Scalar
@@ -157,3 +158,26 @@ def test_stability_reads_one_orbit_matrix_per_form(monkeypatch):
     cartan.stable_flag_test(cay, 8)
     assert calls == {"orbit_matrix": 1}
 
+
+@pytest.mark.parametrize("name", [
+    "psu3", "psu3-dual", "g2", "spin7", "sp2sp1", "example-712"])
+def test_stability_and_cartan_read_one_polar_count(name, monkeypatch):
+    # on a one-generator structure the bare-form readers of c(W) and the
+    # structure's table must agree, and stability ranks each of its n + 1
+    # subspaces once
+    s = get_structure(name)
+    (a,) = s.generators.values()
+    n, p = s.n, a.degree
+    calls = {}
+    with monkeypatch.context() as m:
+        _count_calls(m, stability_module, "span_rank", calls)
+        report = stability(a)
+    assert calls == {"span_rank": n + 1}
+    polar = analysis(s).polar
+    assert report.orbit_dim == polar.count(range(1, n + 1))
+    assert report.per_hyperplane == {
+        i: polar.count(set(range(1, n + 1)) - {i}) == comb(n - 1, p)
+        for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        rep = cartan.stable_flag_test(a, i)
+        assert rep.to_json() == cartan.flag_test(s, rep.flag).to_json()
