@@ -15,14 +15,16 @@ only the benchmark reaches (see edsx.linalg): the cells of rref() are
 {mask: rational} dicts, converted by s_from_fractions and s_to_fractions.
 The one exception is the integer loop of eliminate(): a long elimination
 whose remaining rows are radically graded (each entry one term, its mask
-a row mask XOR a column mask) finishes its forward phase on integer rows
-with rational multipliers, and returns exactly what the scalar loop
-would.
+a row mask XOR a column mask) finishes its forward phase on integer rows,
+and returns exactly what the scalar loop would.
 
 A rank-only elimination (eliminate with certify, which linalg.span_rank,
 linalg.Elimination.rank and the dense entry's forward-only branch pass)
-first tries a certificate mod P at its first pivot lead with more than
-one term, where the scalar loop would enter s_inv's conjugate tower.
+keeps no pivot rows and returns (pivots, None).  Its scalar steps leave
+the pivot row unnormalized unless it is shorter than the list of rows to
+reduce, and its integer loop converts nothing back to scalars.  It first
+tries a certificate mod P at its first pivot lead with more than one
+term, where the scalar loop would enter s_inv's conjugate tower.
 P = 2^61 - 3153 is 3 mod 4 and 2, 3, 5 and 7 are squares mod P, so
 sqrt(q) -> q^((P+1)/4) maps every scalar whose denominator P does not
 divide onto Z/P as a ring map (pivots_mod_p; a denominator divisible by
@@ -330,7 +332,7 @@ def s_inv(a):
 
 # the scalar loop of eliminate() tests its remaining rows for a radical
 # grading once its row updates pass SWITCH * nnz + 64
-SWITCH = 4
+SWITCH = 1
 
 
 def eliminate(srows, ncols, reduced=True, ops=None, certify=None):
@@ -375,10 +377,15 @@ def eliminate(srows, ncols, reduced=True, ops=None, certify=None):
 
     certify is for the rank-only callers, with reduced=False and no ops:
     "rank" when only the number of pivots is read, "pivots" when the
-    pivot list is.  At the first pivot lead with more than one term, the
-    rows not yet pivot rows are ranked mod P, once (_certified); when
-    that certifies the answer, eliminate returns (pivots, None) at once,
-    and with "rank" only the length of those pivots is exact.
+    pivot list is.  Such a call keeps no pivot rows and returns (pivots,
+    None), after a refused certificate too.  A step whose lead is not 1
+    scales each target's multiplier c by the inverse lead instead of
+    normalizing the pivot row, unless the row has fewer entries than
+    there are targets: c inv v = c (v inv) exactly, so the rows left and
+    the update count are the same.  At the first pivot lead with more
+    than one term, the rows not yet pivot rows are ranked mod P, once
+    (_certified); when that certifies the answer, eliminate returns at
+    once, and with "rank" only the length of those pivots is exact.
     """
     holding = [set() for _ in range(ncols)]
     for i, row in enumerate(srows):
@@ -387,7 +394,9 @@ def eliminate(srows, ncols, reduced=True, ops=None, certify=None):
     budget = SWITCH * sum(map(len, srows)) + 64
     updates = 0
     pivots = []
-    prows = []
+    # set once: a refused certificate leaves the call rank-only
+    rank_only = certify is not None
+    prows = None if rank_only else []
     for j in range(ncols):
         held = holding[j]
         if not held:
@@ -408,18 +417,23 @@ def eliminate(srows, ncols, reduced=True, ops=None, certify=None):
         prow = srows[p]
         for k in prow:
             holding[k].discard(p)
-        inv = ONE
+        inv = scale = ONE
         lead = prow.pop(j)
         if lead != ONE:
             inv = s_inv(lead)
-            for k, v in prow.items():
-                prow[k] = s_mul(v, inv)
+            if rank_only and len(held) <= len(prow):
+                scale = inv
+            else:
+                for k, v in prow.items():
+                    prow[k] = s_mul(v, inv)
         if ops is not None:
             ops.append((p, inv, tuple((i, srows[i][j]) for i in held)))
         pitems = list(prow.items())
         for i in held:
             row = srows[i]
             c = row.pop(j)
+            if scale is not ONE:
+                c = s_mul(c, scale)
             for k, v in pitems:
                 cur = row.get(k)
                 new = s_submul(cur, c, v)
@@ -433,7 +447,8 @@ def eliminate(srows, ncols, reduced=True, ops=None, certify=None):
         updates += len(held) * len(pitems)
         held.clear()
         pivots.append(j)
-        prows.append(prow)
+        if not rank_only:
+            prows.append(prow)
     if reduced:
         back_substitute(pivots, prows)
     return pivots, prows
@@ -554,17 +569,19 @@ def _forward_graded(srows, holding, j0, grading, pivots, prows, ops):
     sqrt(DIVISORS[c]) = DIVISORS[r & c] * sqrt(DIVISORS[r ^ c]), entry
     (i, k) is q * sqrt(DIVISORS[rmask[i]]) * sqrt(DIVISORS[cmask[k]]) for
     a rational q: the rows are diagonally similar to rational ones.  Each
-    row i is held as lam[i] times a row of coprime integers, in place.  A
-    step is the scalar loop's step: the same pivot row, the same holding
-    sets and the same key order, so the same targets in the same order.
+    row i is held as a rational lam[i] times a row of coprime integers,
+    in place.  A step is the scalar loop's step: the same pivot row, the
+    same holding sets and the same key order, so the same targets in the
+    same order.
     Row i becomes (a/g) * row i - (c/g) * pivot row, for its lead c, the
     pivot lead a and g = gcd(a, c), and is then divided by its content.
     The pivot rows, their inverses and the targets are converted back to
     scalars, so pivots, prows and ops come out as the scalar loop's.
-    lam is updated only when ops is passed, the one reader of the leads.
+    lam is built only when ops is passed, the one reader of the leads, and
+    a rank-only call (prows None) converts nothing back.
     """
     rmask, cmask = grading
-    lam = {}
+    lam = {} if ops is not None else None
     for i, r in rmask.items():
         row = srows[i]
         den = 1
@@ -578,7 +595,8 @@ def _forward_graded(srows, holding, j0, grading, pivots, prows, ops):
         if g != 1:
             for k in row:
                 row[k] //= g
-        lam[i] = Fraction(g, den)
+        if lam is not None:
+            lam[i] = Fraction(g, den)
     for j in range(j0, len(holding)):
         held = holding[j]
         if not held:
@@ -590,10 +608,12 @@ def _forward_graded(srows, holding, j0, grading, pivots, prows, ops):
         lead = prow.pop(j)
         pitems = list(prow.items())
         cj = cmask[j]
-        dj = lead * DIVISORS[cj]
-        for k, v in pitems:
-            ck = cmask[k]
-            prow[k] = _graded_entry(v * DIVISORS[ck & cj], dj, ck ^ cj)
+        if prows is not None:
+            dj = lead * DIVISORS[cj]
+            for k, v in pitems:
+                ck = cmask[k]
+                prow[k] = _graded_entry(v * DIVISORS[ck & cj], dj, ck ^ cj)
+            prows.append(prow)
         if ops is not None:
             q = lam[p]
             r = rmask[p]
@@ -633,11 +653,10 @@ def _forward_graded(srows, holding, j0, grading, pivots, prows, ops):
             if h != 1:
                 for k in row:
                     row[k] //= h
-            if ops is not None:
+            if lam is not None:
                 lam[i] *= Fraction(h, a)
         held.clear()
         pivots.append(j)
-        prows.append(prow)
 
 
 def back_substitute(pivots, prows):

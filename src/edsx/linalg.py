@@ -16,13 +16,14 @@ A rank asked before any of these is one rank-only elimination.  No
 function here mutates the rows it is given; an Elimination keeps its
 rows, so the caller must not mutate them afterwards.
 
-Rank-only questions have a shortcut: span_rank, Elimination.rank before
-a factorization (and the dense rank, through the kernel's dense entry)
-first try a rank mod P at the first multi-term pivot lead, and answer
-from it only when it is certified exact: the rank mod P, a lower bound,
-reaches the upper bound min(rows, cols), and for a pivot list the pivots
-mod P are the leading columns.  Every other case goes on with the exact
-elimination (see edsx._kernel).
+Rank-only questions are cheaper: span_rank, Elimination.rank before a
+factorization (and the dense rank, through the kernel's dense entry)
+run an elimination that keeps no pivot rows and normalizes none it need
+not.  It first tries a rank mod P at the first multi-term pivot lead,
+and answers from it only when it is certified exact: the rank mod P, a
+lower bound, reaches the upper bound min(rows, cols), and for a pivot
+list the pivots mod P are the leading columns.  Every other case goes on
+with the exact elimination (see edsx._kernel).
 
 Matrix, rank and rref are the dense boundary.  Nothing in this package
 calls them: they stay only because the benchmark calls Matrix.from_rows

@@ -23,9 +23,10 @@ from edsx.catalog import get_structure
 from edsx.dga import check_operator, extension, z_spaces
 from edsx.exterior import Subspace
 from edsx.linalg import Elimination, kernel_basis, span_rank
-from edsx.rep import hom_dim
+from edsx.rep import casimir_decompose, hom_dim
 from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
+from edsx.stability import stability
 
 from test_rref_oracle import CATALOG, _snapshot
 
@@ -293,3 +294,26 @@ def test_the_switch_fires_only_on_the_so3_9_extension_matrix(monkeypatch,
     span_rank([{j: x.c for j, x in enumerate(row) if x}
                for row in _field_rank_rows()], 6)
     assert len(switches) == 1
+
+
+def test_casimir_and_stability_switch_only_rank_only_eliminations(
+        monkeypatch):
+    # the rest of the radical workload: on so3-9, 11 of the 28 x 28
+    # Casimir kernel ranks and 5 of the polar ranks of stability over 81
+    # columns switch, and every one keeps no pivot rows
+    fired = []
+    graded = _kernel._forward_graded
+
+    def counted(srows, holding, j0, grading, pivots, prows, ops):
+        fired.append((len(holding), prows is None and ops is None))
+        return graded(srows, holding, j0, grading, pivots, prows, ops)
+
+    monkeypatch.setattr(_kernel, "_forward_graded", counted)
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    so3_9 = get_structure("so3-9")
+    casimir_decompose(so3_9.lie, "t-gperp")
+    assert fired == [(28, True)] * 11
+    fired.clear()
+    stability(get_structure("psu3").generators["rho"])
+    stability(so3_9.generators["star-gamma"])
+    assert fired == [(81, True)] * 5
