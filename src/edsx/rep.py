@@ -26,8 +26,12 @@ sparse coordinates of HomMap, (X . D)(xi) = X . D(xi) - D(X . xi) is the
 tensor rule X (x) 1 + 1 (x) X of the Casimir spaces (_tensor_line): row b
 of X on the coframe slot, -D o X, and the unit column l on Lambda^2 T
 give column (b, l).  invariants and equivariant_coords intersect the
-generators' kernels one at a time on the columns that the current basis
-touches, and end with one echelon_span, so their bases are canonical.
+kernels of the basis elements that generate g under brackets
+(_generating): whatever x and y both kill, [x, y] kills too, so those
+kernels already meet in g's.  The first kernel is read off all of its
+generator's columns, each later one off the columns that the current
+basis touches, and one echelon_span ends the intersection, so the bases
+are canonical.
 
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
 so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
@@ -65,7 +69,8 @@ from functools import cache
 from itertools import product
 from math import comb
 
-from ._kernel import NEG_ONE, ONE, s_add, s_mul, s_neg, s_quotient
+from ._kernel import (NEG_ONE, ONE, s_add, s_inv, s_mul, s_neg,
+                      s_quotient)
 from .exterior import (Form, coords, derivation_form, derivation_images,
                        flatten, from_coords, lex_index, lex_masks)
 from .linalg import (Elimination, combine, echelon_span, kernel_basis,
@@ -187,19 +192,79 @@ def _unit_columns(x, n, p, units):
                       in derivation_images(units[t], index, table).items()}
 
 
+def _generating(g: LieRep):
+    """Indices of basis elements that generate g under brackets, walked in
+    order: s is kept when x_s lies outside the subalgebra the kept ones
+    generate, and the walk stops once that subalgebra is all of g.
+
+    The subalgebra generated by the kept x_t is the least subspace that
+    holds them and is closed under every ad x_t, so each vector that
+    enters it is bracketed with each kept x_t, in coordinates on the
+    basis: [u, x_t] is a sparse sum of the pair rows of
+    structure_constants.  Whatever two elements kill, their bracket
+    kills, so a common kernel of the kept matrices is g's.  A basis that
+    is not closed under brackets keeps every index.
+    """
+    try:
+        brackets = g.structure_constants()
+    except ValueError:
+        return list(range(g.dim))
+    # the subalgebra: rows by pivot, each 1 at its pivot and zero before it
+    echelon, found, work, kept = {}, [], [], []
+
+    def reduce(v):
+        for p in sorted(echelon):
+            c = v.get(p)
+            if c:
+                v = combine((v, echelon[p]), {0: ONE, 1: s_neg(c)})
+        return v
+
+    def enter(v):
+        p = min(v)
+        inv = s_inv(v[p])
+        echelon[p] = {k: s_mul(c, inv) for k, c in v.items()}
+        found.append(v)
+        work.extend((v, t) for t in kept)
+
+    for s in range(g.dim):
+        if len(echelon) == g.dim:
+            break
+        v = reduce({s: ONE})
+        if not v:
+            continue
+        work.extend((u, s) for u in found)
+        kept.append(s)
+        enter(v)
+        while work and len(echelon) < g.dim:
+            u, t = work.pop()
+            v = reduce(combine(brackets, {
+                (a, t) if a < t else (t, a): c if a < t else s_neg(c)
+                for a, c in u.items() if a != t}))
+            if v:
+                enter(v)
+    return kept
+
+
 def _common_kernel(columns, dim):
     """Echelon basis of the vectors over dim columns that every generator
     kills, the kernels intersected one generator at a time; columns holds
-    one function per generator, k -> the image of the k-th unit vector,
-    called once for each k that the current basis touches."""
-    basis = [{k: ONE} for k in range(dim)]
+    one function per generator, k -> the image of the k-th unit vector.
+    The first generator's kernel is read off all its columns; each later
+    one is called once for each k that the current basis touches."""
+    basis = None
     for column in columns:
+        if basis is None:
+            basis = kernel_basis(transpose(
+                [column(k) for k in range(dim)], dim), dim)
+            continue
         if not basis:
             return []
         cols = {k: column(k) for k in set().union(*basis)}
         images = [combine(cols, v) for v in basis]
         basis = [combine(basis, c)
                  for c in kernel_basis(transpose(images, dim), len(images))]
+    if basis is None:
+        basis = [{k: ONE} for k in range(dim)]
     return echelon_span(basis, dim)
 
 
@@ -207,7 +272,8 @@ def invariants(g: LieRep, p: int):
     """Echelon basis of the forms of degree p killed by every generator."""
     units = _unit_forms(g.n, p)
     return [from_coords(row, g.n, p) for row in _common_kernel(
-        (_unit_columns(x, g.n, p, units) for x in g.basis), len(units))]
+        (_unit_columns(g.basis[s], g.n, p, units) for s in _generating(g)),
+        len(units))]
 
 
 def gl_basis(n, skew=False):
@@ -316,7 +382,8 @@ def equivariant_coords(g: LieRep):
     if g._equivariant is None:
         units = _unit_forms(g.n, 2)
         g._equivariant = tuple(_common_kernel(
-            (_hom_columns(x, g.n, units) for x in g.basis), hom_dim(g.n)))
+            (_hom_columns(g.basis[s], g.n, units) for s in _generating(g)),
+            hom_dim(g.n)))
     return g._equivariant
 
 

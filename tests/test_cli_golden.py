@@ -32,6 +32,14 @@ GOLDEN = [
     (["invariants", "--structure", "psu3", "--degree", "3"], 0,
      "f1133ab44c84e519765324fef10fa8921a9fcb934bcc31acebb2bf09866e7c97",
      "667d41b19937979f9a17104faacfc11cd4271001e3b3cd706430727424fe2828"),
+    # algebras of 15 and 21 basis matrices, pinned before the kernels
+    # intersected only a Lie-generating subset of the basis
+    (["invariants", "--structure", "su-odd:4"], 0,
+     "0be9d71a019c1225f562eaea7086734de70ec2599e271b8881ed5dc192987619",
+     "08271c39752dd4ae3f0fd9ffe4a5844bb22680a39df342abab6489768441491f"),
+    (["invariants", "--structure", "spin7", "--degree", "4"], 0,
+     "e822219056855e887a07633273b91a84c3601fc80411f85ca8e90c287750b43f",
+     "5ea529888ee2d63dd0736eb99fc141183ce92186121796320c334cc4f8f5da4f"),
     (["stability", "--structure", "spin7"], 0,
      "7ca18ccbb0fc3cba473e657a5c861e0010d71e6637c888e4fe0b80bf6dccf525",
      "2396719cb0843df10fe7fbc73989240c672cc1fcfcb30db8f25d69d7d9003dc3"),

@@ -263,6 +263,46 @@ def test_equivariant_maps_build_no_form_per_basis_element(monkeypatch):
         calls.clear()
 
 
+def test_kernels_build_columns_of_the_generating_subset_only(monkeypatch):
+    # su-odd:4's basis matrices 0, 1, 2 and 4 generate its 15 under
+    # brackets; the first kernel reads its columns with no combine
+    g = get_structure("su-odd:4").lie
+    events = []
+    real_hom, real_unit, real_combine = (rep._hom_columns, rep._unit_columns,
+                                         rep.combine)
+
+    def logged(kind, real):
+        def build(x, *args):
+            s = next(s for s, b in enumerate(g.basis) if b is x)
+            events.append((kind, s))
+            column = real(x, *args)
+
+            def call(k):
+                events.append(("column", s))
+                return column(k)
+            return call
+        return build
+
+    def combine(rows, coeffs):
+        events.append(("combine", None))
+        return real_combine(rows, coeffs)
+
+    def first_pass(kind):
+        built = [s for k, s in events if k == kind]
+        assert built == [0, 1, 2, 4]
+        start = events.index(("column", 0))
+        return events[start:events.index(("column", 1), start)]
+
+    monkeypatch.setattr(rep, "_hom_columns", logged("hom", real_hom))
+    monkeypatch.setattr(rep, "_unit_columns", logged("unit", real_unit))
+    monkeypatch.setattr(rep, "combine", combine)
+    assert len(equivariant_coords(LieRep("fresh", g.n, g.basis))) == 3
+    assert ("combine", None) not in first_pass("hom")
+    events.clear()
+    assert len(invariants(LieRep("fresh", g.n, g.basis), 3)) == 1
+    assert ("combine", None) not in first_pass("unit")
+
+
 def test_unit_tables_run_no_product(monkeypatch):
     # the extension and orbit rows are signed copies of the coefficients
     s = get_structure("so3-9")

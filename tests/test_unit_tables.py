@@ -8,6 +8,10 @@ each unit derivation by Leibniz (test_derivation.leibniz, which knows only
 wedge and Form.monomial, so its signs are its own); the equivariant
 reference takes the whole Hom operator of every generator, each column
 x . D for a unit map D by Leibniz on Forms (hom_column_reference).
+
+invariants and equivariant_coords intersect only the basis matrices that
+rep._generating keeps.  Its references are a bracket closure of the kept
+matrices in gl(n) coordinates, and kernels over the whole basis.
 """
 
 import random
@@ -18,9 +22,11 @@ from edsx._kernel import ONE
 from edsx.catalog import get_structure
 from edsx.dga import extension
 from edsx.exterior import Subspace, coords, lex_index, restrict
-from edsx.linalg import combine, echelon_span, kernel_basis, transpose
-from edsx.rep import (LieRep, equivariant_coords, gl_basis, hom_dim,
-                      mat_from, orbit_matrix)
+from edsx.linalg import (combine, echelon_span, kernel_basis, span_rank,
+                         transpose)
+from edsx.rep import (LieRep, _generating, _unit_columns, _unit_forms,
+                      equivariant_coords, gl_basis, hom_dim, invariants,
+                      mat_bracket, mat_from, orbit_matrix)
 
 from test_derivation import (coframe_images, hom_column_reference,
                              leibniz, rand_form, unit_matrix_reference)
@@ -67,6 +73,31 @@ def operator_kernel(g):
         basis = [combine(basis, c)
                  for c in kernel_basis(transpose(images, dim), len(images))]
     return echelon_span(basis, dim)
+
+
+def invariants_reference(g, p):
+    """The forms of degree p that every basis matrix kills: one kernel of
+    the unit-column operators of the whole basis, stacked."""
+    units = _unit_forms(g.n, p)
+    dim, rows = len(units), []
+    for x in g.basis:
+        column = _unit_columns(x, g.n, p, units)
+        rows += transpose([column(t) for t in range(dim)], dim)
+    return echelon_span(kernel_basis(rows, dim), dim)
+
+
+def bracket_closure(mats, n):
+    """A basis, in gl(n) coordinates, of the span of mats closed under
+    mat_bracket: every pair is bracketed, and a bracket outside the span
+    joins it, until the pairs run out."""
+    queue, found, vecs = list(mats), [], []
+    for m in queue:
+        v = {i * n + j: c for i, row in enumerate(m) for j, c in row.items()}
+        if span_rank(vecs + [v], n * n) > len(vecs):
+            queue += [mat_bracket(y, m) for y in found]
+            found.append(m)
+            vecs.append(v)
+    return vecs
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -131,3 +162,36 @@ def _diagonal_algebras():
 def test_equivariant_coords_with_diagonal_entries(g):
     fresh = LieRep(g.name, g.n, g.basis, skew=False)
     assert items(equivariant_coords(fresh)) == items(operator_kernel(g))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_kept_matrices_generate_the_algebra(name):
+    g = get_structure(name).lie
+    kept = _generating(g)
+    assert len(bracket_closure([g.basis[s] for s in kept], g.n)) == g.dim
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_invariants_are_the_kernel_of_the_whole_basis(name):
+    g = get_structure(name).lie
+    for p in range(g.n + 1):
+        assert [coords(f, p) for f in invariants(g, p)] \
+            == invariants_reference(g, p), p
+
+
+def _sets_kept_whole():
+    """A set whose brackets leave its span, a dependent one and the empty
+    one: _generating keeps every index of each."""
+    torus, _, dense = _diagonal_algebras()
+    return [dense,
+            LieRep("torus twice", 4, torus.basis * 2, skew=False),
+            LieRep("empty", 4, [], skew=False)]
+
+
+@pytest.mark.parametrize("g", _sets_kept_whole(), ids=lambda g: g.name)
+def test_kernels_of_sets_kept_whole(g):
+    assert _generating(g) == list(range(g.dim))
+    assert items(equivariant_coords(g)) == items(operator_kernel(g))
+    for p in range(g.n + 1):
+        assert [coords(f, p) for f in invariants(g, p)] \
+            == invariants_reference(g, p), p
