@@ -11,9 +11,10 @@ Hom(T, Lambda^2 T) (extension, extension_rhs), whose solution set is the
 affine space Z'; Z and Z'' dimensions follow by bookkeeping.  An extension
 D respects every relation, since it gives each word the value d_D(word),
 so the relations are tested only for an operator that has none.
-edsx.restriction runs the same relation test and extension system on a
-subspace, and edsx.cartan reads codim Z_0 off the extension rank and c(W)
-off the structure's edsx.stability.PolarTable, which Analysis keeps.
+edsx.restriction runs the same relation test on a subspace and slices its
+extension system out of the rows that extension_row_masks places in it,
+and edsx.cartan reads codim Z_0 off the extension rank and c(W) off the
+structure's edsx.stability.PolarTable, which Analysis keeps.
 """
 
 from math import comb
@@ -39,6 +40,7 @@ __all__ = [
     "ZReport",
     "extension",
     "extension_rhs",
+    "extension_row_masks",
     "operator_values",
     "check_operator",
     "z_spaces",
@@ -238,9 +240,17 @@ def _derivation_matrix(n, forms, maps):
     return _derivation_rows(n, forms, by_index)
 
 
+def extension_row_masks(n, forms):
+    """The bitmask of the subset K each extension row stands for, in row
+    order: the lex-ordered (deg g + 1)-subsets of 1..n, stacked over the
+    forms g.  Row (g, K) holds the e^K coefficients of d_D(g) in extension
+    and of f(g) in extension_rhs."""
+    return [m for g in forms for m in lex_masks(n, g.degree + 1)]
+
+
 def _derivation_rows(n, forms, by_index):
-    """The rows of d_D(g) over the lex-ordered (deg g + 1)-subsets, stacked
-    over the forms on R^n, one column per derivation D of by_index."""
+    """The rows of d_D(g), in the order of extension_row_masks, one column
+    per derivation D of by_index."""
     rows = []
     for g in forms:
         images = derivation_images(g, by_index)
@@ -251,10 +261,11 @@ def _derivation_rows(n, forms, by_index):
 def extension(n, forms) -> Elimination:
     """Elimination of the extension matrix of forms on R^n.
 
-    Its columns are the units of Hom(T, Lambda^2 T) and its rows stack
-    d_D(g) over the forms g, so it solves d_D(g) = f(g) for D, with the
-    right-hand side from extension_rhs.  Unit (i - 1) C(n, 2) + t sends
-    e^i to the t-th unit 2-form, so the rows take no product.
+    Its columns are the units of Hom(T, Lambda^2 T) and its rows, in the
+    order of extension_row_masks, stack d_D(g) over the forms g, so it
+    solves d_D(g) = f(g) for D, with the right-hand side from
+    extension_rhs.  Unit (i - 1) C(n, 2) + t sends e^i to the t-th unit
+    2-form, so the rows take no product.
     """
     pairs = lex_index(n, 2)[0]
     units = [[(i * len(pairs) + t, J, ONE) for t, J in enumerate(pairs)]
@@ -263,9 +274,9 @@ def extension(n, forms) -> Elimination:
 
 
 def extension_rhs(generators, fvals):
-    """Sparse f(g) stacked over the {name: form} generators, in order, as
-    the rows of extension(n, generators.values()); fvals maps names to
-    values, and a missing one is zero."""
+    """Sparse f(g) stacked over the {name: form} generators, in order, in
+    the rows of extension_row_masks; fvals maps names to values, and a
+    missing one is zero."""
     out, at = {}, 0
     for name, g in generators.items():
         p = g.degree + 1

@@ -375,22 +375,13 @@ def restrict(a: Form, w: Subspace) -> Form:
         raise ValueError("subspace of a different ambient space")
     k = w.dim
     if w.coords is not None:
+        # the coordinates are distinct, so I -> local(I) is injective
         local = {i: p + 1 for p, i in enumerate(w.coords)}
-        keep = set(w.coords)
         out = {}
         for I, c in a.terms.items():
-            if not all(i in keep for i in I):
-                continue
-            idx, sign = _sort_sign(tuple(local[i] for i in I))
-            if sign == 0:
-                continue
-            cur = out.get(idx)
-            add = -c if sign < 0 else c
-            s = add if cur is None else cur + add
-            if s:
-                out[idx] = s
-            elif cur is not None:
-                del out[idx]
+            if all(i in local for i in I):
+                idx, sign = _sort_sign(tuple(local[i] for i in I))
+                out[idx] = -c if sign < 0 else c
         f = Form(k)
         f.terms = out
         return f

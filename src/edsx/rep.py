@@ -537,26 +537,18 @@ def _calibrate(g: LieRep):
     return Scalar(c0) / (j_t * (j_t + 1)), s
 
 
-def _restrict_to_block(C, block):
-    """C on a block of weight vectors as sparse rows, in the block's
-    coordinates; C maps each free column of the block to its row of C.
+def _restrict_to_block(C, block, dim):
+    """C on a block of weight vectors in R^dim as sparse rows, in the
+    block's coordinates; C maps each free column of the block to its row
+    of C.
 
     C commutes with the weight operator, so C v lies in the block; as the
     vectors are units on their free columns and zero on the others', the
-    coordinate of C v on the vector of f is (C v)[f].
+    coordinate of C v on the vector of f is (C v)[f], row f of C times the
+    matrix whose columns are the block's vectors.
     """
-    free = list(block)
-    out = [{} for _ in free]
-    for b, v in enumerate(block.values()):
-        for r, f in enumerate(free):
-            acc = None
-            for j, c in C[f].items():
-                x = v.get(j)
-                if x:
-                    acc = s_add(acc, s_mul(c, x))
-            if acc:
-                out[r][b] = acc
-    return out
+    vt = transpose(list(block.values()), dim)
+    return [combine(vt, C[f]) for f in block]
 
 
 def _shift_diagonal(rows, c):
@@ -631,7 +623,7 @@ def _decompose(g: LieRep, space, kappa, s, counts):
     # free column
     zero = {max(v): v for v in kernel_basis(ops[0], dim)}
     C = dict(zip(zero, _sparse_square_sum(ops, dim, zero)))
-    rows = _restrict_to_block(C, zero)
+    rows = _restrict_to_block(C, zero, dim)
     # each summand of spin j has one weight-0 vector
     mult = []
     while sum(mult) < len(zero):

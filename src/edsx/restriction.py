@@ -4,9 +4,9 @@ The pullback p sends the invariant algebra of the ambient structure onto
 an algebra on the subspace W.  An operator f descends to f_W exactly when
 ker p stays inside ker p o f: the relation test of edsx.dga.Closure.respects
 on the words and their Leibniz values pulled back to W.  The integral space
-of f_W is solved on the subspace with the extension system of edsx.dga,
-and the report sets its dimension against the coordinate projection of
-the ambient integral space.
+of f_W is read off the structure's own extension system E x = b of
+edsx.dga, and the report sets its dimension against the coordinate
+projection of the ambient integral space.
 
 Integral elements live in gl(T) (x) T, and the antisymmetrization onto
 Hom(T, Lambda^2 T) has kernel T (x) S^2 T, which the coordinate projection
@@ -14,31 +14,40 @@ P maps onto W (x) S^2 W, the kernel on W.  Since delta_W o P = P_Hom o
 delta_T, the projection is compared entirely in Hom(W, Lambda^2 W)
 coordinates, and T (x) S^2 T enters only as its dimension k.k(k+1)/2.
 
+The subspace system is a slice of E.  Let S be the columns of
+Hom(T, Lambda^2 T) that send e^i, i in W, to a unit 2-form of W: unit
+(i - 1) C(n, 2) + t with i and the t-th pair in W.  Such a D kills the
+rest of the coframe, so it commutes with the pullback: p(D g) = D_W(p g),
+D_W its unit of Hom(W, Lambda^2 W) up to the sign that sorts the pair.
+So the rows of E whose subset K (edsx.dga.extension_row_masks) lies in W,
+cut to S, are the rows of E_W P up to the sign that sorts K, and b on
+them is b_W up to the same signs: a generator that p kills leaves rows
+that vanish on S, and the ker p condition makes b vanish there too.
+Signs of rows and columns move no rank and no consistency.
+
 Neither space needs to contain the other.  Compressing an ambient
 solution discards the mixed terms that couple W to its complement, so
 it need not solve the subspace system; a subspace solution extends to
 an ambient one over every subspace of an ordinary flag, but can fail to
 when no such flag exists.  The report carries both dimensions and an
 exact test of whether the projection covers the subspace solutions.  Both
-are ranks of the ambient system E x = b, of rank r over N columns.  For
-U_S the unit rows of the columns of S = Hom(W, Lambda^2 W) and units
-those off S, rank_with_kernel(units) = N - r + r' and rank [E; U_S] =
-|S| + r', r' the rank of E off S, so proj_dim = sym_dim(k) +
-rank_with_kernel(units) - |units| = sym_dim(k) + rank [E; U_S] - r.  The
-rows of E_W P, lifted by the transpose of P, lie in the span of U_S, so
-for X the solutions of [E; E_W P] x = [b; b_W], P(X) = P(Z'_T) cap Z'_W
-and, X not empty, dim P(X) = rank [E; U_S] - rank [E; E_W P].  Hence
-Z'_W lies in P(Z'_T) exactly when the stacked system is consistent and
+are ranks of the ambient system E x = b, of rank r.  For U_S the unit
+rows of the columns of S, rank [E; U_S] = |S| + r', r' the rank of E
+with the columns of S dropped, and P(ker E) has dimension
+rank [E; U_S] - r, so proj_dim = sym_dim(k) + |S| - r + r'.  The rows of
+E_W P lie in the span of U_S, so for X the solutions of
+[E; E_W P] x = [b; b_W], P(X) = P(Z'_T) cap Z'_W and, X not empty,
+dim P(X) = rank [E; U_S] - rank [E; E_W P].  Hence Z'_W lies in P(Z'_T)
+exactly when the stacked system is consistent and
 rank [E; E_W P] - r = proj_dim - zw_dim.
 """
 
-from ._kernel import ONE, s_neg
-from .exterior import Form, Subspace, lex_index, restrict, _sort_sign
+from .exterior import Form, Subspace, lex_masks, restrict
 from .rep import hom_dim, sym_dim
 from .cartan import flag_test
 from .catalog import StructureSpec
-from .dga import analysis, extension, extension_rhs, operator_values
-from .linalg import Elimination
+from .dga import analysis, extension_rhs, extension_row_masks, operator_values
+from .linalg import Elimination, span_rank
 
 __all__ = ["RestrictionError", "RestrictionReport", "restrict_structure"]
 
@@ -99,19 +108,21 @@ class RestrictionReport:
         }
 
 
-def _lift(vec, n, kept):
-    """Sparse Hom(W, Lambda^2 W) coordinates carried to Hom(T, Lambda^2 T)
-    by the transpose of P: the entry (a, {b, c}) moves to (kept[a],
-    {kept[b], kept[c]}), negated when the ambient order reverses them."""
-    pos = lex_index(n, 2)[1]
-    wpairs = lex_index(len(kept), 2)[0]
-    out = {}
-    for key, x in vec.items():
-        a, t = divmod(key, len(wpairs))
-        b, c = wpairs[t]
-        pair, sign = _sort_sign((kept[b - 1], kept[c - 1]))
-        out[(kept[a] - 1) * len(pos) + pos[pair]] = x if sign > 0 else s_neg(x)
-    return out
+def _slice(s, kept, b):
+    """(S, the rows of E_W P, b_W) for W spanned by the kept coordinates:
+    the columns S of Hom(W, Lambda^2 W), then the rows of the structure's
+    extension matrix and the entries of b whose subset lies in W, the rows
+    cut to S and b_W keyed by slice row (see the module docstring)."""
+    n, wm = s.n, sum(1 << i for i in kept)
+    pairs = lex_masks(n, 2)
+    on_w = {(i - 1) * len(pairs) + t for i in kept
+            for t, m in enumerate(pairs) if not m & ~wm}
+    rows = analysis(s).extension()._rows
+    in_w = [r for r, m in enumerate(extension_row_masks(
+        n, s.generators.values())) if not m & ~wm]
+    return (on_w, [{j: c for j, c in rows[r].items() if j in on_w}
+                   for r in in_w],
+            {t: b[r] for t, r in enumerate(in_w) if r in b})
 
 
 def _covers(ext, b, rows_w, b_w, gap):
@@ -148,25 +159,25 @@ def restrict_structure(s: StructureSpec, op, params=None,
 
     kerp = a.closure.respects(a.closure.induced_values(fvals), w)
 
+    ext = a.extension()
+    b = extension_rhs(s.generators, fvals)
+    on_w, rows_w, b_w = _slice(s, kept, b)
     f_w = zw_dim = None
     if kerp:
         f_w = {g: restrict(fvals.get(g, Form.zero(n)), w) for g in p_gens}
-        ext_w = extension(k, p_gens.values())
-        b_w = extension_rhs(p_gens, f_w)
+        ext_w = Elimination(rows_w, ext.ncols)
         if ext_w.particular(b_w) is not None:
             zw_dim = hom_dim(k) - ext_w.rank + sym_dim(k)
 
-    ext = a.extension()
-    b = extension_rhs(s.generators, fvals)
     z_dim = proj_dim = onto = None
     if ext.particular(b) is not None:
         z_dim = hom_dim(n) - ext.rank + sym_dim(n)
-        on_w = set(_lift({j: ONE for j in range(hom_dim(k))}, n, kept))
-        units = [{c: ONE} for c in range(hom_dim(n)) if c not in on_w]
-        proj_dim = sym_dim(k) + ext.rank_with_kernel(units) - len(units)
+        off_w = [{j: c for j, c in r.items() if j not in on_w}
+                 for r in ext._rows]
+        proj_dim = (sym_dim(k) + len(on_w) - ext.rank
+                    + span_rank(off_w, ext.ncols))
         if zw_dim is not None:
-            onto = _covers(ext, b, [_lift(r, n, kept) for r in ext_w._rows],
-                           b_w, proj_dim - zw_dim)
+            onto = _covers(ext, b, rows_w, b_w, proj_dim - zw_dim)
 
     rel = set(kept) == set(s.default_flag[:k]) and flag_test(s).ordinary
 

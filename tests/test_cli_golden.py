@@ -6,10 +6,16 @@ to a printed byte, in any subcommand covered here, fails this test.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from edsx.catalog import get_structure
 from edsx.cli import main
+from edsx.exterior import Subspace
+from edsx.restriction import restrict_structure
+
+from test_dga import CATALOG
 
 NK = ["--operator", "nearly-kahler", "--params", "lambda=3,mu=0"]
 
@@ -158,6 +164,15 @@ GOLDEN = [
 ]
 
 
+# sha256 of the to_json() of every catalog hyperplane restriction, 158 in
+# all: each structure of CATALOG, each operator at RESTRICTION_PARAMS, each
+# dropped coordinate; taken while the subspace system was still built
+# apart from the structure's extension matrix
+RESTRICTION_PARAMS = {"lambda": 1, "mu": "r2"}
+RESTRICTIONS_SHA = \
+    "c6da0c30c28dd041c3662ad18c9496a5a2263af31542a318f31b6710cbb91e24"
+
+
 @pytest.mark.parametrize("argv,code,text_sha,json_sha", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
 def test_cli_output_is_pinned(capsys, argv, code, text_sha, json_sha):
@@ -166,3 +181,18 @@ def test_cli_output_is_pinned(capsys, argv, code, text_sha, json_sha):
         out = capsys.readouterr().out
         assert (got, hashlib.sha256(out.encode()).hexdigest()) \
             == (code, want), argv + extra
+
+
+def test_every_catalog_hyperplane_restriction_is_pinned():
+    reports = []
+    for name in CATALOG:
+        s = get_structure(name)
+        for op, spec in s.operators.items():
+            params = {p: RESTRICTION_PARAMS[p] for p in spec.params}
+            for drop in range(1, s.n + 1):
+                rep = restrict_structure(s, op, params,
+                                         Subspace.hyperplane(s.n, drop))
+                reports.append([name, op, drop, rep.to_json()])
+    assert len(reports) == 158
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RESTRICTIONS_SHA

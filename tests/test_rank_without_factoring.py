@@ -22,7 +22,7 @@ from edsx.catalog import get_structure
 from edsx.dga import extension, lie_tensor_rows, z_spaces
 from edsx.linalg import Elimination, span_rank
 from edsx.rep import hom_dim
-from edsx.restriction import _lift
+from edsx.restriction import _slice
 
 from test_kernel_switch import _random_graded_cases
 from test_rref_oracle import CATALOG, _matrix, _snapshot
@@ -72,9 +72,9 @@ def _ranks_both_ways(rows, ncols, g_rows):
 
 def _unit_rows(s):
     """The unit rows of the columns off Hom(W, Lambda^2 W), W the default
-    hyperplane, as restrict_structure ranks them."""
-    kept = s.default_flag[:s.n - 1]
-    on_w = set(_lift({j: ONE for j in range(hom_dim(s.n - 1))}, s.n, kept))
+    hyperplane: the columns whose rank restrict_structure once read
+    through rank_with_kernel."""
+    on_w = _slice(s, s.default_flag[:s.n - 1], {})[0]
     return [{c: ONE} for c in range(hom_dim(s.n)) if c not in on_w]
 
 

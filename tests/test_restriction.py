@@ -1,21 +1,28 @@
+import ast
 import json
 import random
 from itertools import product
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import edsx
+from edsx import dga, exterior
 from edsx._kernel import ONE, s_add, s_mul, s_neg, s_sub
 from edsx.catalog import DiffOpSpec, get_structure
-from edsx.dga import Analysis, extension_rhs, z_spaces
-from edsx.exterior import Subspace, lex_index, parse_form, restrict, wedge
+from edsx.dga import Analysis, extension, extension_rhs, z_spaces
+from edsx.exterior import (Form, Subspace, _sort_sign, lex_index, parse_form,
+                           restrict, wedge)
 from edsx.linalg import Elimination, solve_affine, span_rank
 from edsx.papercheck import RESTRICTION_BATTERY
-from edsx.rep import HomMap, hom_dim
-from edsx.restriction import (RestrictionError, _covers, _lift,
+from edsx.rep import hom_dim
+from edsx.restriction import (RestrictionError, _covers, _slice,
                               restrict_structure)
 from edsx.scalar import Scalar
 
 from test_derivation import unit_matrix_reference
+from test_dga import CATALOG, rand_form
 
 
 def test_default_hyperplane_is_sorted():
@@ -220,28 +227,70 @@ def test_hom_projection_matches_the_gl_tensor_reference(name, op, params,
         == _reference(s, op, params, rep)
 
 
-@pytest.mark.parametrize("n,kept", [(6, (2, 1, 4, 3, 5)), (7, (7, 6, 5, 4)),
-                                    (7, (7, 1, 3, 5, 2, 4)), (8, (1, 2)),
-                                    (5, (3,)), (4, ())])
-def test_hom_projection_restricts_the_images(n, kept):
-    # P(D) sends e^j of W to the restriction of D(e^kept[j]) to W, and P
-    # is read through its transpose: W column j is the ambient entry
-    # that lift puts the unit of j on, times its sign
-    rng = random.Random(n * 100 + len(kept))
-    vec = {t: Scalar.of(rng.randrange(-3, 4)).c
-           for t in rng.sample(range(hom_dim(n)), hom_dim(n) // 2)}
-    vec = {t: c for t, c in vec.items() if c}
-    images = HomMap.from_coords(n, vec).images
+# (structure, kept): the reordered, partial and empty coordinate orders of
+# n = 4..8, then every catalog structure's default hyperplane
+SLICE_CASES = ([("su-even:3", (2, 1, 4, 3, 5)), ("g2", (7, 6, 5, 4)),
+                ("su-odd:3", (7, 1, 3, 5, 2, 4)), ("psu3", (1, 2)),
+                ("su-odd:2", (3,)), ("su-even:2", ())]
+               + [(name, None) for name in CATALOG])
+
+
+@pytest.mark.parametrize(
+    "name,kept", SLICE_CASES,
+    ids=["%s %s" % (name, "default" if kept is None
+                    else ",".join(map(str, kept)) or "empty")
+         for name, kept in SLICE_CASES])
+def test_extension_slice_is_the_subspace_system(name, kept):
+    # the rows of E with their subset K in W, cut to the columns of
+    # Hom(W, Lambda^2 W), are the extension rows of the restricted
+    # generators, and b on them is their right-hand side, entry by entry
+    # up to the sign that reorders K and the sign that reorders each pair
+    s = get_structure(name)
+    n = s.n
+    if kept is None:
+        kept = tuple(sorted(s.default_flag[:n - 1]))
+    k = len(kept)
     w = Subspace.coordinate(n, kept)
-    want = HomMap(len(kept), [restrict(images[c - 1], w) for c in kept])
-    projected, cols = {}, set()
-    for j in range(hom_dim(len(kept))):
-        (col, sign), = _lift({j: ONE}, n, kept).items()
-        assert col not in cols and sign in (ONE, s_neg(ONE))
-        cols.add(col)
-        if col in vec:
-            projected[j] = vec[col] if sign == ONE else s_neg(vec[col])
-    assert projected == want.coords()
+    rng = random.Random(name + str(kept))
+    fvals = {g: rand_form(rng, n, f.degree + 1) if f.degree < n
+             else Form.zero(n) for g, f in s.generators.items()}
+    on_w, rows_w, b_w = _slice(s, kept, extension_rhs(s.generators, fvals))
+    p_gens = {g: img for g, f in s.generators.items()
+              if not (img := restrict(f, w)).is_zero()}
+    ext_w = extension(k, p_gens.values())._rows
+    rhs_w = extension_rhs(p_gens, {g: restrict(fvals[g], w)
+                                   for g in p_gens})
+    pos, wpairs = lex_index(n, 2)[1], lex_index(k, 2)[0]
+    col = {}
+    for a, i in enumerate(kept):
+        for t, (u, v) in enumerate(wpairs):
+            pair, sign = _sort_sign((kept[u - 1], kept[v - 1]))
+            col[a * len(wpairs) + t] = ((i - 1) * len(pos) + pos[pair], sign)
+    assert sorted(c for c, _ in col.values()) == sorted(on_w)
+    local = {i: a + 1 for a, i in enumerate(kept)}
+    want_rows, want_b, got_b, at = [], {}, {}, 0
+    for g, f in s.generators.items():
+        p = f.degree + 1
+        for K in lex_index(n, p)[0]:
+            if not set(K) <= set(kept):
+                continue
+            t = len(want_rows)
+            if g not in p_gens:
+                want_rows.append({})
+                continue
+            L, sign = _sort_sign(tuple(local[i] for i in K))
+            r = at + lex_index(k, p)[1][L]
+            want_rows.append({col[j][0]: c if sign * col[j][1] > 0
+                              else s_neg(c) for j, c in ext_w[r].items()})
+            if r in rhs_w:
+                want_b[t] = rhs_w[r] if sign > 0 else s_neg(rhs_w[r])
+            if t in b_w:
+                got_b[t] = b_w[t]
+        if g in p_gens:
+            at += comb(k, p)
+    assert at == len(ext_w) and len(want_rows) == len(rows_w)
+    assert rows_w == want_rows
+    assert got_b == want_b
 
 
 def _entry(rng):
@@ -336,6 +385,56 @@ def test_restriction_instantiates_once_and_skips_z_doubleprime(monkeypatch):
         calls.clear()
         restrict_structure(get_structure(name), op, params)
         assert calls == [op]
+
+
+@pytest.mark.parametrize("name,op,params", [
+    ("psu3", "zero", None), ("su-odd:3", "B", {"lambda": 1, "mu": 1}),
+    ("so3-9", "gamma-dual", {"lambda": 1})])
+def test_a_warm_restriction_applies_no_derivation(monkeypatch, name, op,
+                                                  params):
+    # the subspace system is a slice of the structure's extension matrix:
+    # once that is built, a restriction to another hyperplane builds none
+    s = get_structure(name)
+    restrict_structure(s, op, params, Subspace.hyperplane(s.n, 1))
+    calls = []
+    images = exterior.derivation_images
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return images(*args, **kwargs)
+
+    monkeypatch.setattr(exterior, "derivation_images", counted)
+    monkeypatch.setattr(dga, "derivation_images", counted)
+    rep = restrict_structure(s, op, params, Subspace.hyperplane(s.n, 2))
+    assert rep.f_w is not None and rep.surjectivity_dims[2] is not None
+    assert calls == []
+
+
+def test_only_the_analysis_and_the_flag_test_build_extensions():
+    # a structure's extension matrix has one owner, its Analysis, and the
+    # stable flag test of a bare form builds its own; restriction slices
+    # the structure's and reaches for no private name
+    callers, private = set(), []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = node.name if scope is None else scope + "." + node.name
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "extension"
+                or (getattr(node.func, "attr", None) == "extension"
+                    and getattr(node.func.value, "id", None) == "dga")):
+            callers.add((module, scope))
+        if module == "restriction" and isinstance(node, ast.ImportFrom):
+            private.extend(a.name for a in node.names
+                           if a.name.startswith("_"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(edsx.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert callers == {("dga", "Analysis.extension"),
+                       ("cartan", "stable_flag_test")}
+    assert private == []
 
 
 @pytest.mark.parametrize("name,drop", [("su-odd:2", 5), ("su-odd:3", 7)])
