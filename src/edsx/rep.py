@@ -18,17 +18,16 @@ every pair a < b of basis indices, row the sparse coordinates
 {d: kernel scalar} of [x_a, x_b] in the basis ({} when the bracket
 vanishes).  [x_b, x_a] is the negation and is never stored.  The rows are
 computed once per LieRep and shared, so callers must not mutate them;
-the ad operators of T (x) g and cartan_three_form read them.
+the Killing form of casimir_decompose and cartan_three_form read them.
 
 Every module action is read by columns: X . e^I for a unit p-form comes
 from derivation_images (_unit_columns).  On Hom(T, Lambda^2 T), in the
 sparse coordinates of HomMap, (X . D)(xi) = X . D(xi) - D(X . xi) is the
-tensor rule X (x) 1 + 1 (x) X of the Casimir spaces (_tensor_line): row b
-of X on the coframe slot, -D o X, and the unit column l on Lambda^2 T
-give column (b, l).  invariants and equivariant_coords intersect the
-kernels of the basis elements that generate g under brackets
-(_generating): whatever x and y both kill, [x, y] kills too, so those
-kernels already meet in g's.  The first kernel is read off all of its
+tensor rule X (x) 1 + 1 (x) X (_tensor_line): row b of X on the coframe
+slot, -D o X, and the unit column l on Lambda^2 T give column (b, l).
+invariants and equivariant_coords intersect the kernels of the basis
+elements that generate g under brackets (_generating): whatever x and y
+both kill, [x, y] kills too, so those kernels already meet in g's.  The first kernel is read off all of its
 generator's columns, each later one off the columns that the current
 basis touches, and one echelon_span ends the intersection, so the bases
 are canonical.
@@ -42,31 +41,33 @@ tr(H_T^2) = -s j_T (j_T + 1) n / 3, so s = -3 tr(H_T^2) / (j_T (j_T + 1) n)
 (s = 2 for the so3-9 basis, where tr(H_T^2) = -120).  A zero trace
 leaves no weights to read and raises CasimirError.
 
-T has odd dimension, so every summand has integer spin and exactly one
-vector of weight 0.  The spin multiplicities are therefore read on the
-zero-weight block B_0 = ker H alone, where C acts because it commutes
-with H: mult_j = dim ker(C|B_0 - lambda_j), for j = 0, 1, ... until they
-fill B_0.  The other weights are a certificate, not a computation: for
-m = 1..J the vectors of weight +-m must number 2 sum_{j >= m} mult_j, and
-sum_j mult_j (2j + 1) must be the dimension of the space; any mismatch
-raises CasimirError.
+Two exact checks make the hypotheses hold, and raise CasimirError when
+they fail.  The Killing form tr(ad x_a ad x_b), read off the structure
+constants, must be a nonzero multiple of the identity on the basis: g is
+then semisimple, so its complexification is sl(2, C), and C is its
+Casimir up to scale, which is what kappa means.  And T's weight counts
+(_weight_counts) must all be 1: n(0) = dim ker H and
+n(+-a) = dim ker(H^2 + s a^2) / 2 are 1 for a = 1..j_T, so T is
+irreducible of spin j_T, and g's weights on ad are -1, 0 and 1 in T's
+scale.
 
-The weights are counted on the tensor factors, never on the whole space.
-H acts on V (x) W as H_V (x) 1 + 1 (x) H_W, so a weight of V (x) W is a
-weight of V plus one of W (Fulton and Harris, Representation Theory,
-section 11).  Each factor (T; Lambda^2 T; g under ad) is counted once by
-forward-only ranks on its own columns: n(0) = dim ker H_V and
-n(+-a) = dim ker(H_V^2 + s a^2) / 2 for a = 1, 2, ... until the counts
-fill dim V; a factor they cannot fill, or a block of odd size, has no
-integer weights in the scale s and raises CasimirError.  The sizes of the
-product are then sums over a + b = +-m of n_V(a) n_W(b).  T is a factor
-of both halves of t-gperp, and the calibration and T's counts serve both.
+The spin multiplicities are then read off the weights alone.  g acts
+completely reducibly, and a summand of spin j has one vector of each
+weight -j..j, so spin j occurs n(j) - n(j + 1) times, where n(a) counts
+the vectors of weight a (Humphreys, Introduction to Lie Algebras and
+Representation Theory, sections 6 and 7; Fulton and Harris,
+Representation Theory, lecture 11).  T has the weights -j_T..j_T,
+Lambda^2 T the sums over pairs of distinct weight positions of T, and g
+under ad the weights -1, 0 and 1.  H acts on V (x) W as
+H_V (x) 1 + 1 (x) H_W, so a weight of V (x) W is a weight of V plus one
+of W.  No operator is built on a tensor space.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from ._kernel import (NEG_ONE, ONE, s_add, s_inv, s_mul, s_neg,
@@ -468,53 +469,6 @@ def _tensor_line(v_line, w_line, a, i, dim_w):
     return line
 
 
-def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
-    """x (x) 1 + 1 (x) x on V (x) W, v_a (x) w_i at column a * dim_w + i."""
-    return dim_v * dim_w, [[_tensor_line(xv[a], xw[i], a, i, dim_w)
-                            for a in range(dim_v) for i in range(dim_w)]
-                           for xv, xw in zip(v_ops, w_ops)]
-
-
-def _factor_operators(g: LieRep, label):
-    """The tensor factors of a space label as (name, dimension, [action of
-    each generator as sparse rows]); T is its own single factor, and its
-    operators are the basis matrices themselves."""
-    n = g.n
-    t = ("T", n, g.basis)
-    if label == "T":
-        return [t]
-    if label == "t-lambda2":
-        # x acts on bivectors e_j ^ e_k as -x acts on the coframe; the rows
-        # are the transposed unit columns
-        units = _unit_forms(n, 2)
-        m = len(units)
-        neg = [[{j: s_neg(c) for j, c in row.items()} for row in x]
-               for x in g.basis]
-        return [t, ("Lambda^2 T", m, [
-            transpose(list(map(_unit_columns(x, n, 2, units), range(m))), m)
-            for x in neg])]
-    if label == "t-g":
-        k = g.dim
-        # ad(x_a) x_b = [x_a, x_b] and ad(x_b) x_a = -[x_a, x_b]; pairs in
-        # lex order fill each row's columns in ascending order
-        ad_ops = [[{} for _ in range(k)] for _ in range(k)]
-        for (a, b), row in g.structure_constants().items():
-            for d, c in row.items():
-                ad_ops[a][d][b] = c
-                ad_ops[b][d][a] = s_neg(c)
-        return [("g", k, ad_ops), t]
-    raise CasimirError("unknown representation space %r" % label)
-
-
-def _product_operators(factors):
-    """(dimension, [action of each generator as sparse rows]) on the tensor
-    product of the factors."""
-    (_, dim, ops), *rest = factors
-    for _, dim_w, w_ops in rest:
-        dim, ops = _tensor_operators(ops, w_ops, dim, dim_w)
-    return dim, ops
-
-
 def _calibrate(g: LieRep):
     """(kappa, s) with C|_T = kappa j_T (j_T + 1) and H^2 = -s m^2 on the
     weight-m vectors of the first generator H; errors if C is not scalar
@@ -537,20 +491,6 @@ def _calibrate(g: LieRep):
     return Scalar(c0) / (j_t * (j_t + 1)), s
 
 
-def _restrict_to_block(C, block, dim):
-    """C on a block of weight vectors in R^dim as sparse rows, in the
-    block's coordinates; C maps each free column of the block to its row
-    of C.
-
-    C commutes with the weight operator, so C v lies in the block; as the
-    vectors are units on their free columns and zero on the others', the
-    coordinate of C v on the vector of f is (C v)[f], row f of C times the
-    matrix whose columns are the block's vectors.
-    """
-    vt = transpose(list(block.values()), dim)
-    return [combine(vt, C[f]) for f in block]
-
-
 def _shift_diagonal(rows, c):
     """Fresh sparse rows of M + c I from the sparse rows of M."""
     out = [dict(row) for row in rows]
@@ -564,19 +504,6 @@ def _kernel_dim_shift(rows, c, dim):
     """dim ker(M + c I) for sparse {column: coefficient} rows and a kernel
     scalar c, by a forward-only rank."""
     return dim - span_rank(_shift_diagonal(rows, c), dim)
-
-
-def _check_weights(mult, sizes, dim):
-    """Raise CasimirError unless the spin multiplicities mult[j], j = 0..J,
-    fit the weight blocks and the space: the block of weights +-m holds
-    two vectors per summand of spin j >= m, so sizes[m - 1] = dim
-    ker(H^2 + s m^2) must be 2 sum_{j >= m} mult[j] for m = 1..J, and the
-    summands must fill dim = sum_j mult[j] (2j + 1)."""
-    for m, size in enumerate(sizes, 1):
-        if size != 2 * sum(mult[m:]):
-            raise CasimirError("weights of the first generator do not fit the scale of T")
-    if sum(k * (2 * j + 1) for j, k in enumerate(mult)) != dim:
-        raise CasimirError("spin multiplicities do not fill dimension %d" % dim)
 
 
 def _weight_counts(h, dim, s):
@@ -598,61 +525,71 @@ def _weight_counts(h, dim, s):
     return counts
 
 
-def _tensor_weight_sizes(counts, top):
-    """sizes[m - 1] = the number of vectors of weight +m or -m on the tensor
-    product of factors with the weight counts n(a) = n(-a) of
-    _weight_counts, for m = 1..top; a weight of the product is a sum of one
-    weight of each factor."""
-    total = {0: 1}
-    for n in counts:
-        out = {}
-        for w, c in total.items():
-            for v in range(1 - len(n), len(n)):
-                out[w + v] = out.get(w + v, 0) + c * n[abs(v)]
-        total = out
-    return [total.get(m, 0) + total.get(-m, 0) for m in range(1, top + 1)]
+def _check_killing(g: LieRep):
+    """Raise CasimirError unless the Killing form tr(ad x_a ad x_b) is a
+    nonzero multiple of the identity on the basis; (ad x_a)[d][b] is the
+    x_d coordinate of [x_a, x_b], read off structure_constants."""
+    k = g.dim
+    ad = [[{} for _ in range(k)] for _ in range(k)]
+    for (a, b), row in g.structure_constants().items():
+        for d, c in row.items():
+            ad[a][d][b] = c
+            ad[b][d][a] = s_neg(c)
+
+    def trace(x, y):
+        t = None
+        for d, row in enumerate(x):
+            for e, c in row.items():
+                t = s_add(t, s_mul(c, y[e].get(d)))
+        return t
+
+    unit = trace(ad[0], ad[0])
+    if not unit or any(trace(ad[a], ad[b]) != (unit if a == b else None)
+                       for a in range(k) for b in range(k)):
+        raise CasimirError("the Killing form is not a nonzero multiple of "
+                           "the identity on the basis")
 
 
-def _decompose(g: LieRep, space, kappa, s, counts):
-    """casimir_decompose of one tensor space, given the calibration (kappa,
-    s); counts holds the weight counts of each factor by name, filled on
-    first use and shared between calls."""
-    factors = _factor_operators(g, space)
-    dim, ops = _product_operators(factors)
-    # the zero-weight block B_0 = ker H; a kernel vector is zero past its
-    # free column
-    zero = {max(v): v for v in kernel_basis(ops[0], dim)}
-    C = dict(zip(zero, _sparse_square_sum(ops, dim, zero)))
-    rows = _restrict_to_block(C, zero, dim)
-    # each summand of spin j has one weight-0 vector
-    mult = []
-    while sum(mult) < len(zero):
-        j = len(mult)
-        if (2 * j + 1) > dim + 1:
-            raise CasimirError("spectrum of C exceeds the expected spins")
-        lam = kappa * (j * (j + 1))
-        mult.append(_kernel_dim_shift(rows, s_neg(lam.c), len(rows)))
-    for name, d, f_ops in factors:
-        if name not in counts:
-            counts[name] = _weight_counts(f_ops[0], d, s)
-    sizes = _tensor_weight_sizes([counts[name] for name, _, _ in factors],
-                                 len(mult) - 1)
-    _check_weights(mult, sizes, dim)
-    parts = [(2 * j + 1, k) for j, k in enumerate(mult) if k]
-    return CasimirDecomposition(space, dim, kappa, parts)
+def _space_weights(space, j_t):
+    """The weight multiplicities {weight: count} of the first generator on a
+    tensor space over T of spin j_t; a weight of a tensor product is a sum
+    of one weight of each factor."""
+    t = range(-j_t, j_t + 1)
+    if space == "T":
+        return Counter(t)
+    if space == "t-lambda2":
+        other = [a + b for a, b in combinations(t, 2)]
+    elif space == "t-g":
+        other = (-1, 0, 1)
+    else:
+        raise CasimirError("unknown representation space %r" % space)
+    return Counter(a + b for a in t for b in other)
+
+
+def _decompose(space, j_t, kappa):
+    """casimir_decompose of one tensor space over T of spin j_t: spin j
+    occurs n(j) - n(j + 1) times."""
+    n = _space_weights(space, j_t)
+    parts = [(2 * j + 1, n[j] - n[j + 1])
+             for j in range(max(n) + 1) if n[j] != n[j + 1]]
+    return CasimirDecomposition(space, sum(n.values()), kappa, parts)
 
 
 def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
     """Decompose a representation space under a 3-dimensional g."""
     if g.dim != 3:
         raise CasimirError("casimir_decompose needs a 3-dimensional Lie algebra")
+    _check_killing(g)
     kappa, s = _calibrate(g)
-    # T is a factor of both halves of t-gperp: its weights are counted once
-    counts = {}
+    counts = _weight_counts(g.basis[0], g.n, s)
+    if any(k != 1 for k in counts):
+        raise CasimirError("T is not irreducible: a weight of the first "
+                           "generator repeats")
+    j_t = len(counts) - 1
     if space not in ("t-gperp", "quotient"):
-        return _decompose(g, space, kappa, s, counts)
-    whole = _decompose(g, "t-lambda2", kappa, s, counts)
-    sub = _decompose(g, "t-g", kappa, s, counts)
+        return _decompose(space, j_t, kappa)
+    whole = _decompose("t-lambda2", j_t, kappa)
+    sub = _decompose("t-g", j_t, kappa)
     parts = dict(whole.parts)
     for d, m in sub.parts:
         if parts.get(d, 0) < m:

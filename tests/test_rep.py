@@ -11,8 +11,8 @@ from edsx._kernel import ONE, s_mul, s_neg, s_quotient
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx import _kernel, dga, exterior, linalg, rep
-from edsx.rep import (CasimirError, HomMap, LieRep, _check_weights,
-                      _hom_columns, _unit_forms, act_on_form, act_on_hom,
+from edsx.rep import (CasimirError, HomMap, LieRep, _hom_columns,
+                      _unit_forms, act_on_form, act_on_hom,
                       cartan_three_form, casimir_decompose,
                       equivariant_coords, equivariant_maps, gl_basis,
                       hom_dim, invariants, mat_bracket, mat_from,
@@ -419,28 +419,78 @@ def test_casimir_needs_three_dimensional_algebra():
         casimir_decompose(g, "t-gperp")
 
 
-def _recorded_casimir(monkeypatch, g, space):
-    """casimir_decompose(g, space) with the arguments and results of its
-    kernel_basis and span_rank calls, and the arguments of _check_weights."""
-    calls = {"kernel": [], "rank": [], "check": []}
+def _tensor_operators(v_ops, w_ops, dim_v, dim_w):
+    """x (x) 1 + 1 (x) x on V (x) W, v_a (x) w_i at column a * dim_w + i."""
+    return dim_v * dim_w, [[rep._tensor_line(xv[a], xw[i], a, i, dim_w)
+                            for a in range(dim_v) for i in range(dim_w)]
+                           for xv, xw in zip(v_ops, w_ops)]
 
-    def kernel(rows, ncols):
-        out = linalg.kernel_basis(rows, ncols)
-        calls["kernel"].append((rows, ncols, out))
-        return out
 
-    def rank(rows, ncols):
-        calls["rank"].append((len(rows), ncols))
-        return linalg.span_rank(rows, ncols)
+def _factor_operators(g, space):
+    """The tensor factors of a space as (dimension, [action of each
+    generator as sparse rows]); the operators of T are the basis matrices
+    themselves."""
+    n = g.n
+    t = (n, g.basis)
+    if space == "T":
+        return [t]
+    if space == "t-lambda2":
+        # x acts on bivectors e_j ^ e_k as -x acts on the coframe; the rows
+        # are the transposed unit columns
+        units = _unit_forms(n, 2)
+        m = len(units)
+        neg = [[{j: s_neg(c) for j, c in row.items()} for row in x]
+               for x in g.basis]
+        return [t, (m, [linalg.transpose(list(map(
+            rep._unit_columns(x, n, 2, units), range(m))), m) for x in neg])]
+    assert space == "t-g"
+    k = g.dim
+    # ad(x_a) x_b = [x_a, x_b] and ad(x_b) x_a = -[x_a, x_b]
+    ad_ops = [[{} for _ in range(k)] for _ in range(k)]
+    for (a, b), row in g.structure_constants().items():
+        for d, c in row.items():
+            ad_ops[a][d][b] = c
+            ad_ops[b][d][a] = s_neg(c)
+    return [(k, ad_ops), t]
 
-    def check(mult, sizes, dim):
-        calls["check"].append((list(mult), list(sizes), dim))
-        return _check_weights(mult, sizes, dim)
 
-    monkeypatch.setattr(rep, "kernel_basis", kernel)
-    monkeypatch.setattr(rep, "span_rank", rank)
-    monkeypatch.setattr(rep, "_check_weights", check)
-    return casimir_decompose(g, space), calls
+def _product_operators(g, space):
+    """(dimension, [action of each generator as sparse rows]) on a tensor
+    space, built factor by factor."""
+    (dim, ops), *rest = _factor_operators(g, space)
+    for dim_w, w_ops in rest:
+        dim, ops = _tensor_operators(ops, w_ops, dim, dim_w)
+    return dim, ops
+
+
+def _casimir_oracle(g, space):
+    """(dim, parts) of a space by the Casimir eigen-solve: C = sum_b x_b^2
+    on the whole tensor space, restricted to the zero-weight block
+    B_0 = ker H, where C acts because it commutes with H.  A summand of
+    spin j has one vector of weight 0, so spin j occurs
+    dim ker(C|B_0 - kappa j(j + 1)) times, for j = 0, 1, ... until B_0
+    is filled."""
+    if space in ("t-gperp", "quotient"):
+        (dim, whole), (sub_dim, sub) = (_casimir_oracle(g, "t-lambda2"),
+                                        _casimir_oracle(g, "t-g"))
+        parts = dict(whole)
+        for d, m in sub:
+            parts[d] -= m
+        return dim - sub_dim, sorted((d, m) for d, m in parts.items() if m)
+    kappa, _ = rep._calibrate(g)
+    dim, ops = _product_operators(g, space)
+    # a kernel vector is a unit on its free column and zero on the others',
+    # so the coordinate of C v on the vector of f is (C v)[f]
+    zero = {max(v): v for v in linalg.kernel_basis(ops[0], dim)}
+    vt = linalg.transpose(list(zero.values()), dim)
+    rows = [combine(vt, row) for row in rep._sparse_square_sum(ops, dim, zero)]
+    mult = []
+    while sum(mult) < len(zero):
+        j = len(mult)
+        assert 2 * j + 1 <= dim
+        lam = kappa * (j * (j + 1))
+        mult.append(rep._kernel_dim_shift(rows, s_neg(lam.c), len(rows)))
+    return dim, [(2 * j + 1, k) for j, k in enumerate(mult) if k]
 
 
 def _kernel_dim_qq(rows, dim, m):
@@ -454,44 +504,25 @@ def _kernel_dim_qq(rows, dim, m):
 
 
 @pytest.mark.parametrize("space", ["T", "t-g", "t-lambda2"])
-def test_weight_blocks_are_kernels_of_the_shifted_square(space, monkeypatch):
+def test_weight_blocks_are_kernels_of_the_shifted_square(space):
     g = get_structure("so3-9").lie
-    dim, ops = rep._product_operators(rep._factor_operators(g, space))
+    dim, ops = _product_operators(g, space)
     # the first generator is r2 times a rational matrix Hhat
     hhat = [{j: Scalar(c).coeffs()[2] for j, c in row.items()}
             for row in ops[0]]
     assert all(set(Scalar(c).coeffs()) == {2}
                for row in ops[0] for c in row.values())
-
-    def apply(v):
-        out = {}
-        for i, row in enumerate(hhat):
-            x = sum(q * v[j] for j, q in row.items() if j in v)
-            if x:
-                out[i] = x
-        return out
-
-    _, calls = _recorded_casimir(monkeypatch, g, space)
-    # one kernel, of H on the whole space: the zero-weight block B_0
-    (rows, ncols, zero), = calls["kernel"]
-    assert (rows, ncols) == (ops[0], dim)
-    (mult, sizes, checked_dim), = calls["check"]
-    assert checked_dim == dim
     # H^2 = 2 Hhat^2, so the scale s of ker(H^2 + s m^2) is 2 and the
-    # block sizes are dim ker(Hhat^2 + m^2) over QQ
-    assert len(zero) == _kernel_dim_qq(hhat, dim, 0)
-    assert sizes == [_kernel_dim_qq(hhat, dim, m)
-                     for m in range(1, len(sizes) + 1)]
-    assert len(zero) + sum(sizes) == dim
-    assert _kernel_dim_qq(hhat, dim, len(sizes) + 1) == 0
-    free = [max(vec) for vec in zero]
-    for f, vec in zip(free, zero):
-        assert all(set(Scalar(c).coeffs()) == {1} for c in vec.values())
-        v = {j: Scalar(c).coeffs()[1] for j, c in vec.items()}
-        # a unit on its free column, zero on the block's other ones
-        assert v[f] == 1
-        assert not any(k in v for k in free if k != f)
-        assert apply(v) == {}
+    # block of weights +-m is ker(Hhat^2 + m^2) over QQ
+    _, s = rep._calibrate(g)
+    assert s == s_quotient(2)
+    n = rep._space_weights(space, 4)
+    top = max(n) + 1
+    assert sum(n.values()) == dim
+    assert ([n[0]] + [n[m] + n[-m] for m in range(1, top + 1)]
+            == [_kernel_dim_qq(hhat, dim, m) for m in range(top + 1)])
+    if space == "T":
+        assert rep._weight_counts(ops[0], dim, s) == [1] * 5
 
 
 def _spin_parts(weights):
@@ -514,7 +545,7 @@ def _weight_oracle(n, space):
 
     weights = {"T": list(t), "t-g": tensor((-1, 0, 1), t),
                "t-lambda2": tensor(t, [a + b for a, b in combinations(t, 2)])}
-    if space != "t-gperp":
+    if space not in ("t-gperp", "quotient"):
         return len(weights[space]), _spin_parts(weights[space])
     whole = dict(_spin_parts(weights["t-lambda2"]))
     for d, m in _spin_parts(weights["t-g"]):
@@ -535,91 +566,112 @@ ALGEBRAS = {"so3-9": lambda: get_structure("so3-9").lie,
             "Y, H, X": lambda: _reordered("YHX"),
             "X, Y, H": lambda: _reordered("XYH")}
 
+SPACES = ["T", "t-g", "t-lambda2", "t-gperp", "quotient"]
 
-@pytest.mark.parametrize("space", ["T", "t-g", "t-lambda2", "t-gperp"])
+
+@pytest.mark.parametrize("space", SPACES)
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_casimir_parts_match_the_weight_count(algebra, space):
     g = ALGEBRAS[algebra]()
     dec = casimir_decompose(g, space)
     assert (dec.dim, dec.parts) == _weight_oracle(g.n, space)
+    assert (dec.dim, dec.parts) == _casimir_oracle(g, space)
     assert dec.dim == sum(d * m for d, m in dec.parts)
-
-
-def test_weight_certificate_accepts_only_matching_sizes():
-    # T (x) g of so3-9 is V7 + V9 + V11: spins 3, 4, 5 on 27 dimensions
-    mult = [0, 0, 0, 1, 1, 1]
-    _check_weights(mult, [6, 6, 6, 4, 2], 27)
-    with pytest.raises(CasimirError, match="weights of the first generator"):
-        _check_weights(mult, [8, 6, 6, 4, 2], 27)
-    with pytest.raises(CasimirError, match="weights of the first generator"):
-        _check_weights(mult, [6, 6, 6, 4, 0], 27)
-    with pytest.raises(CasimirError, match="do not fill dimension 29"):
-        _check_weights(mult, [6, 6, 6, 4, 2], 29)
-    with pytest.raises(CasimirError, match="do not fill dimension 27"):
-        _check_weights([1, 0, 0, 1, 1, 1], [6, 6, 6, 4, 2], 27)
-
-
-def test_casimir_ranks_c_only_on_the_zero_weight_block(monkeypatch):
-    g = get_structure("so3-9").lie
-    dec, calls = _recorded_casimir(monkeypatch, g, "t-lambda2")
-    assert dec.dim == 324
-    # one kernel on the whole space, of H: B_0, one vector per summand
-    (_, ncols, zero), = calls["kernel"]
-    assert ncols == 324 and len(zero) == dec.components == 28
-    # C - lambda_j is ranked on B_0 for j = 0..11; the weight blocks are
-    # counted on the factors alone: ker H and m = 1..4 on T = V9, ker H and
-    # m = 1..7 on Lambda^2 T = V15 + V11 + V7 + V3
-    assert calls["rank"] == [(28, 28)] * 12 + [(9, 9)] * 5 + [(36, 36)] * 8
-    assert all(ncols != 324 for _, ncols in calls["rank"])
-    # n(a) on Lambda^2 T is 4, 4, 3, 3, 2, 2, 1, 1: the sizes are their
-    # sums over a + b = +-m with the weights of T
-    (_, sizes, _), = calls["check"]
-    assert sizes == [56, 52, 48, 40, 32, 24, 18, 12, 8, 4, 2]
 
 
 def test_t_gperp_calibrates_and_counts_t_once(monkeypatch):
     g = get_structure("so3-9").lie
-    calibrations = []
+    calibrations, ranks = [], []
 
     def calibrate(g):
         calibrations.append(g)
         return real(g)
 
+    def rank(rows, ncols):
+        ranks.append((len(rows), ncols))
+        return linalg.span_rank(rows, ncols)
+
+    def kernel(rows, ncols):
+        raise AssertionError("casimir_decompose takes no kernel")
+
     real = rep._calibrate
     monkeypatch.setattr(rep, "_calibrate", calibrate)
-    dec, calls = _recorded_casimir(monkeypatch, g, "t-gperp")
+    monkeypatch.setattr(rep, "span_rank", rank)
+    monkeypatch.setattr(rep, "kernel_basis", kernel)
+    dec = casimir_decompose(g, "t-gperp")
     assert (dec.dim, dec.components) == (297, 25)
     assert calibrations == [g]
-    # t-lambda2 counts T and Lambda^2 T; t-g then ranks C on its B_0 of 3
-    # vectors for j = 0..5 and counts only g = V3, reusing T's counts
-    assert calls["rank"] == ([(28, 28)] * 12 + [(9, 9)] * 5 + [(36, 36)] * 8
-                             + [(3, 3)] * 6 + [(3, 3)] * 2)
-    assert [dim for _, _, dim in calls["check"]] == [324, 27]
+    # T's counts, ker H and ker(H^2 + s a^2) for a = 1..4, are the only
+    # ranks: no operator is built on a tensor space
+    assert ranks == [(9, 9)] * 5
 
 
 def _whole_space_sizes(g, space, top):
-    """dim ker(H^2 + s m^2) for m = 1..top, by ranks over every column of
+    """dim ker(H^2 + s m^2) for m = 0..top, by ranks over every column of
     the tensor space's own first-generator operator H."""
     _, s = rep._calibrate(g)
-    dim, ops = rep._product_operators(rep._factor_operators(g, space))
+    dim, ops = _product_operators(g, space)
     h2 = rep._sparse_square_sum(ops[:1], dim, range(dim))
     return [rep._kernel_dim_shift(h2, s_mul(s, s_quotient(m * m)), dim)
-            for m in range(1, top + 1)]
+            for m in range(top + 1)]
 
 
 @pytest.mark.parametrize("space", ["t-lambda2", "t-g"])
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 def test_factor_weight_counts_match_the_whole_space_ranks(algebra, space):
     g = ALGEBRAS[algebra]()
-    _, s = rep._calibrate(g)
-    factors = rep._factor_operators(g, space)
-    counts = [rep._weight_counts(ops[0], dim, s) for _, dim, ops in factors]
-    # each factor's counts fill it: n(0) + 2 sum_a n(a) = dim
-    assert [2 * sum(n) - n[0] for n in counts] == [d for _, d, _ in factors]
-    top = max(d for d, _ in casimir_decompose(g, space).parts) // 2 + 1
-    sizes = rep._tensor_weight_sizes(counts, top)
-    assert sizes == _whole_space_sizes(g, space, top)
-    assert sizes[-1] == 0
+    n = rep._space_weights(space, g.n // 2)
+    top = max(n) + 1
+    assert ([n[0]] + [n[m] + n[-m] for m in range(1, top + 1)]
+            == _whole_space_sizes(g, space, top))
+
+
+def _diagonal_rotations(copies):
+    """so(3) acting on R^(3 copies) by the same rotation on every block."""
+    n = 3 * copies
+    mats = []
+    for i, j in ((3, 2), (1, 3), (2, 1)):
+        m = [[0] * n for _ in range(n)]
+        for k in range(0, n, 3):
+            m[k + i - 1][k + j - 1] = 1
+            m[k + j - 1][k + i - 1] = -1
+        mats.append(mat_from(m))
+    return LieRep("%d so3" % copies, n, mats)
+
+
+def _doubled_first():
+    h, x, y = get_structure("so3-9").lie.basis
+    return LieRep("so3-9 (2H, X, Y)", 9, [
+        [{j: s_mul(c, s_quotient(2)) for j, c in row.items()} for row in h],
+        x, y])
+
+
+def _heisenberg():
+    def unit(i, j):
+        m = [{} for _ in range(3)]
+        m[i][j] = ONE
+        return m
+    return LieRep("heisenberg", 3, [unit(0, 1), unit(1, 2), unit(0, 2)],
+                  skew=False)
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("algebra, match", [
+    # nilpotent: the Killing form vanishes
+    (_heisenberg, "Killing form is not a nonzero multiple"),
+    # the Killing form is diag(-16, -4, -4): C is no Casimir
+    (_doubled_first, "Killing form is not a nonzero multiple"),
+    # three copies of V3: C is scalar, but T = V9 would give H the trace
+    # of weights -4..4, and the real weights 0, +-1 fit no integer scale
+    (lambda: _diagonal_rotations(3), "weights of the first generator do "
+                                     "not fit the scale of T"),
+    # 33 copies of V3: T = V99 has j_T = 49, and 49 * 50 / 2 = 35^2, so
+    # the weights fit the scale as 0 and +-35, 33 times each
+    (lambda: _diagonal_rotations(33), "T is not irreducible"),
+], ids=["heisenberg", "doubled-first", "three-copies", "33-copies"])
+def test_casimir_rejects_algebras_off_its_hypotheses(algebra, match, space):
+    with pytest.raises(CasimirError, match=match):
+        casimir_decompose(algebra(), space)
 
 
 @pytest.mark.parametrize("h, dim, s", [
