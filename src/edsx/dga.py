@@ -204,13 +204,14 @@ class OpCheck:
 
 
 class ZReport:
-    """Dimensions of the integral spaces of one operator."""
+    """Dimensions of the integral spaces of one operator; z_prime_dim is
+    None when Z' is empty."""
 
-    __slots__ = ("n", "z_prime", "z_dim", "z_doubleprime_dim", "xi_f")
+    __slots__ = ("n", "z_prime_dim", "z_dim", "z_doubleprime_dim", "xi_f")
 
-    def __init__(self, n, z_prime, z_dim, z_doubleprime_dim, xi_f):
+    def __init__(self, n, z_prime_dim, z_dim, z_doubleprime_dim, xi_f):
         self.n = n
-        self.z_prime = z_prime
+        self.z_prime_dim = z_prime_dim
         self.z_dim = z_dim
         self.z_doubleprime_dim = z_doubleprime_dim
         self.xi_f = xi_f
@@ -218,7 +219,8 @@ class ZReport:
     def to_json(self):
         e = "empty"
         return {
-            "z_prime_dim": e if self.z_prime.is_empty else self.z_prime.dim,
+            "z_prime_dim": (e if self.z_prime_dim is None
+                            else self.z_prime_dim),
             "z_dim": e if self.z_dim is None else self.z_dim,
             "z_doubleprime_dim": (e if self.z_doubleprime_dim is None
                                   else self.z_doubleprime_dim),
@@ -302,10 +304,9 @@ class Analysis:
     Each part is computed on first use: the closure, whose per-degree
     eliminations give the algebra's dimensions and express its elements;
     one elimination of the extension matrix, which depends only on the
-    generators, so that dim Z and codim Z_0 are fixed by its rank and each
-    operator only reduces its right-hand side (the Z' directions are
-    reduced from it only when a caller reads them); the equivariant basis
-    and the elimination of its extension columns; the ranks of
+    generators, so that dim Z', dim Z and codim Z_0 are fixed by its rank
+    and each operator only reduces its right-hand side; the equivariant
+    basis and the elimination of its extension columns; the ranks of
     g (x) T with and without ker m, which fix dim Z''; and polar, the
     generators' PolarTable, the one owner of c(W) (rows on its first count).
     Only sparse kernel-form data, forms and integers are kept.
@@ -427,14 +428,15 @@ def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
     fvals = operator_values(s, op, params)
     n = s.n
     a = analysis(s)
-    sol = a.extension().solve(extension_rhs(s.generators, fvals))
-    if sol.is_empty:
-        return ZReport(n, sol, None, None, None)
-    z_dim = sol.dim + sym_dim(n)
+    ext = a.extension()
+    part = ext.particular(extension_rhs(s.generators, fvals))
+    if part is None:
+        return ZReport(n, None, None, None, None)
+    z1 = ext.ncols - ext.rank
     g_rank, with_kernel = a.lie_ranks()
     z2 = with_kernel - g_rank
-    xi = HomMap.from_coords(n, sol.particular) if z2 == 0 else None
-    return ZReport(n, sol, z_dim, z2, xi)
+    xi = HomMap.from_coords(n, part) if z2 == 0 else None
+    return ZReport(n, z1, z1 + sym_dim(n), z2, xi)
 
 
 def strong_admissibility(s: StructureSpec):
@@ -461,16 +463,16 @@ def strong_admissibility(s: StructureSpec):
     g_rank, with_kernel = a.lie_ranks()
     # the Z' directions are independent: g (x) T lies in their span exactly
     # when adding it leaves the rank unchanged
-    g_inside = (with_kernel == z0.z_prime.dim)
+    g_inside = (with_kernel == z0.z_prime_dim)
     report["z_doubleprime_dim"] = z0.z_doubleprime_dim
     report["codim_z0"] = codim
     report["dim_t_gperp"] = expected
     report["codim_matches"] = (codim == expected)
-    report["z_prime_dim"] = z0.z_prime.dim
+    report["z_prime_dim"] = z0.z_prime_dim
     report["g_tensor_rank"] = g_rank
     report["g_tensor_expected"] = n * s.lie.dim
     report["g_tensor_inside"] = g_inside
     report["splitting_exact"] = (g_inside
                                  and g_rank == n * s.lie.dim
-                                 and z0.z_prime.dim == n * s.lie.dim)
+                                 and z0.z_prime_dim == n * s.lie.dim)
     return strong, report

@@ -5,16 +5,10 @@ that holds only nonzero coefficients, each a kernel scalar (a denominator
 and integer numerators, see edsx._kernel); exterior.coords builds them
 straight from Form.terms.  Everything reduces to one deterministic
 elimination (see edsx._kernel for the pivot rule), so ranks, kernels,
-and affine solves are canonical: the same input always yields the same
-basis vectors.  Elimination keeps the rows of one matrix, and its first
-solve or kernel query factors a copy of them once, by the forward phase
-alone: each right-hand side is solved by replaying the forward row
-operations on it and then a triangular back-solve through the forward
-pivot rows.  Only a kernel needs the reduced form, so the
-back-substitution runs on demand, once, when the kernel is first read.
-A rank asked before any of these is one rank-only elimination.  No
-function here mutates the rows it is given; an Elimination keeps its
-rows, so the caller must not mutate them afterwards.
+and affine solves are canonical.  Every kernel is read off its reduced
+rows, by kernel_basis, solve_affine and echelon_span; Elimination keeps
+one matrix and reads its rank and particular solutions off the forward
+phase alone.  No function here mutates the rows it is given.
 
 Rank-only questions are cheaper: span_rank, Elimination.rank before a
 factorization (and the dense rank, through the kernel's dense entry)
@@ -37,7 +31,7 @@ back.
 
 from __future__ import annotations
 
-from ._kernel import back_substitute, eliminate
+from ._kernel import eliminate
 from ._kernel import rref as _rref_rows
 from ._kernel import ONE, s_add, s_mul, s_neg, s_submul, s_to_fractions
 from .scalar import as_scalar
@@ -71,27 +65,15 @@ class Matrix:
 
 
 class AffineSpace:
-    """Solution set x0 + span(basis); particular None marks empty.
+    """Solution set x0 + span(basis), basis a list of sparse vectors;
+    particular None marks empty."""
 
-    basis is a list of sparse vectors, or the Elimination whose right
-    kernel spans the directions: then dim is read off its rank and the
-    list is built on first access, so a caller that needs only dim never
-    pays for the kernel.
-    """
-
-    __slots__ = ("ambient_dim", "particular", "_basis")
+    __slots__ = ("ambient_dim", "particular", "basis")
 
     def __init__(self, ambient_dim, particular, basis):
         self.ambient_dim = ambient_dim
         self.particular = particular
-        self._basis = basis
-
-    @property
-    def basis(self):
-        b = self._basis
-        if isinstance(b, Elimination):
-            b = self._basis = [dict(v) for v in b.kernel_vectors().values()]
-        return b
+        self.basis = basis
 
     @property
     def is_empty(self):
@@ -102,10 +84,7 @@ class AffineSpace:
         """Affine dimension, or None for the empty set."""
         if self.particular is None:
             return None
-        b = self._basis
-        if isinstance(b, Elimination):
-            return b.ncols - b.rank
-        return len(b)
+        return len(self.basis)
 
     def __repr__(self):
         if self.is_empty:
@@ -181,23 +160,22 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
 
 
 class Elimination:
-    """Solves m x = b for every right-hand side b of one matrix m.
+    """The rank, the particular solutions of m x = b and rank_with_kernel
+    of one matrix m; kernel_basis gives its kernel vectors.
 
     The rows of m are kept as given, and each query pays only for what it
-    reads.  The first particular() or kernel_vectors() call factors a
-    copy of the rows by the forward phase alone (see
-    edsx._kernel.eliminate), and three things are kept: the pivot
-    columns, the forward pivot rows F and the forward row operations.
-    particular(b) replays the operations on b, one pivot step at a time,
-    and skips a step whose pivot row is zero in b; this reduces b as the
-    forward phase reduces an augmented column: the entries left on rows
-    that never became pivot rows are the residual, which must be exactly
-    zero, and the entries on pivot rows are the right-hand side of the
-    triangular system F x = y, which is back-solved with every free
-    column zero.  That solution is unique and the arithmetic exact, so it
-    is the canonical particular solution that solve_affine reads off the
-    RREF.  The right kernel needs the reduced rows: the first
-    kernel_vectors() call back-substitutes a copy of F, once.
+    reads.  The first particular() call factors a copy of the rows by the
+    forward phase alone (see edsx._kernel.eliminate), and three things
+    are kept: the pivot columns, the forward pivot rows F and the forward
+    row operations.  particular(b) replays the operations on b, one pivot
+    step at a time, and skips a step whose pivot row is zero in b; this
+    reduces b as the forward phase reduces an augmented column: the
+    entries left on rows that never became pivot rows are the residual,
+    which must be exactly zero, and the entries on pivot rows are the
+    right-hand side of the triangular system F x = y, which is
+    back-solved with every free column zero.  That solution is unique and
+    the arithmetic exact, so it is the canonical particular solution that
+    solve_affine reads off the RREF.
 
     The rank is the pivot count once m is factored.  Before that it is
     one rank-only elimination, kept, of a copy of the rows whose columns
@@ -210,22 +188,13 @@ class Elimination:
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_rank", "_pivots", "_prows",
-                 "_ops", "_kernel")
+                 "_ops")
 
     def __init__(self, rows, ncols):
         self.nrows = len(rows)
         self.ncols = ncols
         self._rows = rows
         self._rank = self._pivots = self._prows = self._ops = None
-        self._kernel = None
-
-    def _eliminate(self):
-        if self._ops is None:
-            self._ops = []
-            self._pivots, self._prows = eliminate(
-                [dict(r) for r in self._rows], self.ncols, reduced=False,
-                ops=self._ops)
-            self._rank = len(self._pivots)
 
     @property
     def rank(self):
@@ -252,7 +221,12 @@ class Elimination:
         _check_rhs(rhs, self.nrows)
         if not rhs:
             return {}
-        self._eliminate()
+        if self._ops is None:
+            self._ops = []
+            self._pivots, self._prows = eliminate(
+                [dict(r) for r in self._rows], self.ncols, reduced=False,
+                ops=self._ops)
+            self._rank = len(self._pivots)
         b = dict(rhs)
         for p, inv, targets in self._ops:
             x = b.get(p)
@@ -282,19 +256,6 @@ class Elimination:
                 x[self._pivots[t]] = v
         return {j: x[j] for j in self._pivots if j in x}
 
-    def kernel_vectors(self):
-        """The right kernel as {free column: sparse vector}.
-
-        The vector of free column f is a unit there and zero on the other
-        free columns.  The dicts are shared; callers must not mutate them.
-        """
-        if self._kernel is None:
-            self._eliminate()
-            prows = [dict(r) for r in self._prows]
-            back_substitute(self._pivots, prows)
-            self._kernel = _kernel_vectors(self._pivots, prows, self.ncols)
-        return self._kernel
-
     def rank_with_kernel(self, rows):
         """Rank of the sparse rows g together with the right kernel of m.
 
@@ -315,14 +276,6 @@ class Elimination:
                     images[t][i] = s_submul(images[t].get(i), c, gk)
         images = [{i: v for i, v in image.items() if v} for image in images]
         return self.ncols - self.rank + span_rank(images, self.nrows)
-
-    def solve(self, rhs) -> AffineSpace:
-        """Equal to solve_affine(m, ncols, rhs); the basis is built from the
-        kernel on first access."""
-        part = self.particular(rhs)
-        if part is None:
-            return AffineSpace(self.ncols, None, [])
-        return AffineSpace(self.ncols, part, self)
 
 
 def span_rank(rows, ncols) -> int:

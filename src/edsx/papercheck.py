@@ -232,7 +232,7 @@ def check_rotation_triple():
     r.add(len(equivariant_coords(g)) == 0,
           "no equivariant maps T -> Lambda^2 T", "paper")
     zr = z_spaces(s, "gamma-dual", {"lambda": 1})
-    r.add(zr.z_prime.is_empty and zr.z_dim is None,
+    r.add(zr.z_prime_dim is None and zr.z_dim is None,
           "no derivation sends gamma to its dual: the structure does not "
           "exist", "paper")
     dec = casimir_decompose(g, "t-gperp")

@@ -25,6 +25,12 @@ them is b_W up to the same signs: a generator that p kills leaves rows
 that vanish on S, and the ker p condition makes b vanish there too.
 Signs of rows and columns move no rank and no consistency.
 
+A solution of E_W P y = b_W is a derivation D_W with d_{D_W}(p g) =
+p(f g) for every generator g, so by the Leibniz rule every word's
+pulled-back value is d_{D_W} of the pulled-back word, linear in it: a
+consistent slice proves the ker p condition, and Closure.respects runs
+only on a slice with no solution.
+
 Neither space needs to contain the other.  Compressing an ambient
 solution discards the mixed terms that couple W to its complement, so
 it need not solve the subspace system; a subspace solution extends to
@@ -157,17 +163,17 @@ def restrict_structure(s: StructureSpec, op, params=None,
     p_gens = {name: img for name, g in s.generators.items()
               if not (img := restrict(g, w)).is_zero()}
 
-    kerp = a.closure.respects(a.closure.induced_values(fvals), w)
-
     ext = a.extension()
     b = extension_rhs(s.generators, fvals)
     on_w, rows_w, b_w = _slice(s, kept, b)
+    ext_w = Elimination(rows_w, ext.ncols)
     f_w = zw_dim = None
+    if ext_w.particular(b_w) is not None:
+        zw_dim = hom_dim(k) - ext_w.rank + sym_dim(k)
+    kerp = (zw_dim is not None
+            or a.closure.respects(a.closure.induced_values(fvals), w))
     if kerp:
         f_w = {g: restrict(fvals.get(g, Form.zero(n)), w) for g in p_gens}
-        ext_w = Elimination(rows_w, ext.ncols)
-        if ext_w.particular(b_w) is not None:
-            zw_dim = hom_dim(k) - ext_w.rank + sym_dim(k)
 
     z_dim = proj_dim = onto = None
     if ext.particular(b) is not None:

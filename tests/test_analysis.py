@@ -10,13 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from edsx import _kernel, catalog, linalg
-from edsx._kernel import PRIMES, back_substitute, eliminate, s_neg
+from edsx._kernel import PRIMES, eliminate, s_neg
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
 from edsx.dga import (_derivation_matrix, Analysis, analysis,
                       check_operator, extension, extension_rhs,
-                      lie_tensor_rows, strong_admissibility, z_spaces)
+                      lie_tensor_rows, z_spaces)
 from edsx.exterior import Form, Subspace, coords
 from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
                          span_rank, transpose)
@@ -132,13 +132,13 @@ def test_factored_solve_equals_solve_affine():
     for name, op, params in _queries():
         s = get_structure(name)
         m, rhs = _reference_system(s, op, params)
-        reference = solve_affine(m, hom_dim(s.n), rhs)
-        factored = analysis(s).extension().solve(rhs)
+        width = hom_dim(s.n)
+        reference = solve_affine(m, width, rhs)
+        ext = analysis(s).extension()
         assert not reference.is_empty
-        assert factored.particular == reference.particular
-        assert factored.basis == reference.basis
-        assert z_spaces(s, op, params).z_prime.particular \
-            == reference.particular
+        assert ext.particular(rhs) == reference.particular
+        assert ext.rank == width - len(reference.basis)
+        assert z_spaces(s, op, params).z_prime_dim == len(reference.basis)
         basis, elim = analysis(s).equivariant()
         em = _derivation_matrix(s.n, s.generators.values(), basis)
         assert elim.particular(rhs) \
@@ -168,12 +168,11 @@ def _radical_vector(width):
 
 def _assert_solves_agree(elim, m, width, rhs):
     reference = solve_affine(m, width, rhs)
-    factored = elim.solve(rhs)
-    assert factored.particular == reference.particular
-    if not reference.is_empty:
-        assert list(factored.particular) == list(reference.particular)
-        assert factored.dim == reference.dim
-    assert factored.basis == reference.basis
+    got = elim.particular(rhs)
+    assert got == reference.particular
+    if got is not None:
+        assert list(got) == list(reference.particular)
+        assert elim.rank == width - len(reference.basis)
     return reference
 
 
@@ -192,8 +191,6 @@ def test_factored_solve_of_an_inconsistent_rhs_is_empty():
     else:
         pytest.fail("the extension matrix has full row rank")
     assert elim.particular(unit) is None
-    assert elim.solve(unit).is_empty
-    assert elim.solve(unit).basis == []
     # m x for x = (k mod 3)_k
     consistent = _times(m, {k: Scalar.of(k % 3).c
                             for k in range(width) if k % 3})
@@ -202,15 +199,15 @@ def test_factored_solve_of_an_inconsistent_rhs_is_empty():
         == solve_affine(m, width, consistent).particular
 
 
-# a rank asked first is one rank-only elimination, and the first solve or
-# kernel then factors the matrix once; a rank asked after that reads the
+# a rank asked first is one rank-only elimination, and the first solve
+# then factors the matrix once; a rank asked after that reads the
 # factorization and eliminates nothing
 RANK_ONLY, FACTOR = "rank-only", "factor"
 
 
 @pytest.mark.parametrize("order", [
-    ("rank", "kernel", "consistent", "inconsistent", "solve", "rank"),
-    ("solve", "inconsistent", "consistent", "kernel", "rank")])
+    ("rank", "consistent", "inconsistent", "rank"),
+    ("inconsistent", "consistent", "rank")])
 def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
     s = get_structure("su-odd:2")
     m, _ = _reference_system(s, "zero", None)
@@ -230,10 +227,8 @@ def test_an_elimination_eliminates_its_matrix_once(monkeypatch, order):
     monkeypatch.setattr(linalg, "eliminate", counted)
     elim = Elimination([dict(r) for r in m], width)
     queries = {"rank": lambda: elim.rank,
-               "kernel": elim.kernel_vectors,
                "consistent": lambda: elim.particular(consistent),
-               "inconsistent": lambda: elim.particular(unit),
-               "solve": lambda: elim.solve(consistent)}
+               "inconsistent": lambda: elim.particular(unit)}
     for name in order:
         queries[name]()
     assert calls == ([RANK_ONLY, FACTOR] if order[0] == "rank"
@@ -390,51 +385,52 @@ def test_factored_particular_is_the_back_solve_of_random_systems(
         monkeypatch.setattr(_kernel, "SWITCH", -10 ** 9)
         before = len(switches)
         elim = Elimination([dict(r) for r in m], width)
-        kernel = elim.kernel_vectors()
-        with_kernel = elim.rank_with_kernel(g)
+        # a nonzero right-hand side factors the matrix
+        elim.particular({0: Scalar.of(1).c})
         assert len(switches) > before
+        with_kernel = elim.rank_with_kernel(g)
+        kernel = kernel_basis(m, width)
         monkeypatch.setattr(_kernel, "SWITCH", 10 ** 9)
         for rhs in rhs_list:
             reference = solve_affine(m, width, rhs)
-            got = elim.solve(rhs)
+            got = elim.particular(rhs)
             if reference.is_empty:
-                assert got.particular is None and got.dim is None
+                assert got is None
                 empty += 1
             else:
-                assert list(got.particular.items()) \
-                    == list(reference.particular.items())
-                assert got.dim == reference.dim
+                assert list(got.items()) == list(reference.particular.items())
         basis = solve_affine(m, width, {}).basis
-        assert [list(v.items()) for v in kernel.values()] \
+        assert elim.rank == width - len(basis)
+        assert [list(v.items()) for v in kernel] \
             == [list(v.items()) for v in basis]
         assert with_kernel == span_rank(g + basis, width)
     assert empty > 20
 
 
 def _counted_back_substitutions(monkeypatch):
-    """Calls of the back-substitution that Elimination makes, each on a
-    fresh catalog; kernel_basis reaches it through eliminate and is not
-    counted."""
+    """Calls of a reduced elimination, the one that back-substitutes, each
+    on a fresh catalog: every kernel, RREF and echelon basis of linalg
+    (kernel_basis, solve_affine, echelon_span) is one."""
     calls = []
 
-    def counted(pivots, prows):
-        calls.append(len(pivots))
-        return back_substitute(pivots, prows)
+    def counted(rows, ncols, reduced=True, ops=None, certify=None):
+        if reduced:
+            calls.append(ncols)
+        return eliminate(rows, ncols, reduced, ops, certify)
 
-    monkeypatch.setattr(linalg, "back_substitute", counted)
+    monkeypatch.setattr(linalg, "eliminate", counted)
     monkeypatch.setattr(catalog, "_CACHE", {})
     return calls
 
 
 def test_a_restriction_back_substitutes_nothing(monkeypatch):
+    # Z', Z, Z'', codim Z_0 and a restriction are read off ranks and
+    # particular solutions, so none of them computes a kernel
     calls = _counted_back_substitutions(monkeypatch)
     radical = _assignment(get_structure("su-odd:3").operators["A"],
                           PARAMS[1])
     for query in (lambda: z_spaces(get_structure("so3-9"), "zero"),
                   lambda: flag_test(get_structure("psu3")),
-                  lambda: strong_admissibility(get_structure("spin7")),
-                  lambda: check_operator(get_structure("su-odd:3"), "A",
-                                         radical),
                   lambda: z_spaces(get_structure("su-odd:3"), "A", radical),
                   lambda: restrict_structure(get_structure("su-odd:3"), "A",
                                              radical)):

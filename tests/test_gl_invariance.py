@@ -91,7 +91,7 @@ def invariants_of(s):
     except DgaError as exc:
         # psu3's one generator spans no invariant 5-form
         strong = str(exc)
-    return {"z": (z.z_prime.dim, z.z_dim, z.z_doubleprime_dim),
+    return {"z": (z.z_prime_dim, z.z_dim, z.z_doubleprime_dim),
             "codim": flag_test(s).codim_z0, "strong": strong,
             "orbits": {name: stability(a).orbit_dim
                        for name, a in s.generators.items()}}

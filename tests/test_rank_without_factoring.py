@@ -2,12 +2,12 @@
 
 A rank asked before any solve is one rank-only elimination of the kept
 rows, with the columns renumbered by how many rows hold them; it must be
-the pivot count of the leftmost forward phase that particular() and
-kernel_vectors() factor.  rank_with_kernel(g) is dim ker m plus the rank
-of the vectors m g, summed from the kept rows; it must equal the formula
-it replaced, which summed the vectors F g through the forward pivot rows
-F and is kept here as the reference.  Neither may build the operation
-list, which only particular() replays.
+the pivot count of the leftmost forward phase that particular() of a
+nonzero right-hand side factors.  rank_with_kernel(g) is dim ker m plus
+the rank of the vectors m g, summed from the kept rows; it must equal
+the formula it replaced, which summed the vectors F g through the
+forward pivot rows F and is kept here as the reference.  Neither may
+build the operation list, which only particular() replays.
 """
 
 import random
@@ -61,11 +61,12 @@ def _rank_with_kernel_through_f(rows, ncols, g_rows):
 
 def _ranks_both_ways(rows, ncols, g_rows):
     """(rank, rank_with_kernel) asked before and after a factorization,
-    which must agree."""
+    which must agree; a nonzero right-hand side forces the factorization."""
     before = Elimination(rows, ncols)
     first = (before.rank, before.rank_with_kernel(g_rows))
     after = Elimination(rows, ncols)
-    after.kernel_vectors()
+    after.particular({0: ONE})
+    assert after._ops is not None
     assert (after.rank, after.rank_with_kernel(g_rows)) == first
     return first
 

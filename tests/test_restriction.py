@@ -11,7 +11,8 @@ import edsx
 from edsx import dga, exterior
 from edsx._kernel import ONE, s_add, s_mul, s_neg, s_sub
 from edsx.catalog import DiffOpSpec, get_structure
-from edsx.dga import Analysis, extension, extension_rhs, z_spaces
+from edsx.dga import (Analysis, analysis, extension, extension_rhs,
+                      operator_values)
 from edsx.exterior import (Form, Subspace, _sort_sign, lex_index, parse_form,
                            restrict, wedge)
 from edsx.linalg import Elimination, solve_affine, span_rank
@@ -22,7 +23,7 @@ from edsx.restriction import (RestrictionError, _covers, _slice,
 from edsx.scalar import Scalar
 
 from test_derivation import unit_matrix_reference
-from test_dga import CATALOG, rand_form
+from test_dga import CATALOG, _no_extension_toy, rand_form
 
 
 def test_default_hyperplane_is_sorted():
@@ -145,6 +146,20 @@ def _project_glt(vec, local):
     return {local[x]: c for x, c in vec.items() if x in local}
 
 
+_AMBIENT = {}
+
+
+def _ambient_solution(s, op, params):
+    """solve_affine of the structure's extension system E x = b, kept per
+    query: many cases restrict the same one."""
+    key = (s.name, op, repr(params))
+    if key not in _AMBIENT:
+        _AMBIENT[key] = solve_affine(
+            analysis(s).extension()._rows, hom_dim(s.n),
+            extension_rhs(s.generators, operator_values(s, op, params)))
+    return _AMBIENT[key]
+
+
 def _reference(s, op, params, rep):
     """(dim Z', projection dim, dim Z'_W) and the onto verdict of rep, in
     gl(T) (x) T coordinates."""
@@ -158,20 +173,20 @@ def _reference(s, op, params, rep):
         solw = solve_affine(m, hom_dim(k), rhs)
         if not solw.is_empty:
             zw_dim = len(solw.basis) + k * (k * (k + 1) // 2)
-    zr = z_spaces(s, op, params)
-    if zr.z_dim is None:
+    sol = _ambient_solution(s, op, params)
+    if sol.is_empty:
         return (None, None, zw_dim), None
     local = {((i - 1) * n + (j - 1)) * n + (m - 1): t
              for t, (i, j, m) in enumerate(product(kept, repeat=3))}
     directions = _sym_kernel_units(n)
-    directions.extend(_hom_preimage(n, b) for b in zr.z_prime.basis)
+    directions.extend(_hom_preimage(n, b) for b in sol.basis)
     projected = [_project_glt(v, local) for v in directions]
     proj_dim = span_rank(projected, k ** 3)
     onto = None
     if zw_dim is not None:
         extra = [_hom_preimage(k, b) for b in solw.basis]
         gap = _hom_preimage(k, solw.particular)
-        amb = _project_glt(_hom_preimage(n, zr.z_prime.particular), local)
+        amb = _project_glt(_hom_preimage(n, sol.particular), local)
         for x, c in amb.items():
             d = s_sub(gap.get(x), c)
             if d:
@@ -180,7 +195,8 @@ def _reference(s, op, params, rep):
                 gap.pop(x, None)
         extra.append(gap)
         onto = span_rank(projected + extra, k ** 3) == proj_dim
-    return (zr.z_dim, proj_dim, zw_dim), onto
+    z_dim = len(sol.basis) + n * (n * (n + 1) // 2)
+    return (z_dim, proj_dim, zw_dim), onto
 
 
 def _hyperplanes(name, n):
@@ -449,3 +465,36 @@ def test_false_kerp_condition_leaves_f_w_undefined(name, drop):
     assert rep.projection_onto is None
     assert rep.hypotheses_ok is False
     assert rep.to_json()["f_w"] == "empty"
+
+
+def test_a_consistent_slice_skips_the_relation_test(monkeypatch):
+    # a solution of the slice system is a derivation D_W whose values
+    # d_{D_W}(p word) respect every relation, so Closure.respects runs
+    # only on a slice with no solution
+    calls = []
+    respects = dga.Closure.respects
+
+    def counted(self, values, w=None):
+        calls.append(respects(self, values, w))
+        return calls[-1]
+
+    monkeypatch.setattr(dga.Closure, "respects", counted)
+    for name, op, params, drop in (
+            ("psu3", "zero", None, 8),
+            ("so3-9", "zero", None, 1),
+            ("su-odd:2", "B", {"lambda": 1, "mu": 1}, 1),
+            ("su-odd:3", "B", {"lambda": "1+r3", "mu": 0}, 3)):
+        s = get_structure(name)
+        rep = restrict_structure(s, op, params,
+                                 Subspace.hyperplane(s.n, drop))
+        assert rep.kerp_condition and rep.surjectivity_dims[2] is not None
+    assert calls == []
+    rep = restrict_structure(get_structure("su-odd:2"), "B",
+                             {"lambda": 1, "mu": 1}, Subspace.hyperplane(5, 5))
+    assert rep.kerp_condition is False and calls == [False]
+    # the toy's f respects its relations but extends to no derivation, so
+    # on the whole space the slice, all of E, has no solution
+    rep = restrict_structure(_no_extension_toy(), "f", None,
+                             Subspace.coordinate(6, range(1, 7)))
+    assert rep.kerp_condition and rep.surjectivity_dims[2] is None
+    assert calls == [False, True]
