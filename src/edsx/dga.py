@@ -10,7 +10,8 @@ exterior algebra are found by solving a linear system over
 Hom(T, Lambda^2 T) (extension, extension_rhs), whose solution set is the
 affine space Z'; Z and Z'' dimensions follow by bookkeeping.  An extension
 D respects every relation, since it gives each word the value d_D(word),
-so the relations are tested only for an operator that has none.
+and f^2 = 0 reads d_D(f(g)) = 0, so the Leibniz values are formed and the
+relations tested only for an operator that has none.
 edsx.restriction runs the same relation test on a subspace and slices its
 extension system out of the rows that extension_row_masks places in it,
 and edsx.cartan reads codim Z_0 off the extension rank and c(W) off the
@@ -374,8 +375,9 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     """Leibniz well-definedness, squaring to zero, and extension solving.
 
     An extension D gives every word the value d_D(word), which is linear
-    in the word, so the operator respects every relation; the relations
-    are tested only when no extension exists.
+    in the word, so the operator respects every relation and f(f(g)) is
+    d_D(f(g)); the Leibniz values are formed, and the relations tested,
+    only when no extension exists.
     """
     fvals = operator_values(s, op, params)
     a = analysis(s)
@@ -385,22 +387,22 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
 
     rhs = extension_rhs(s.generators, fvals)
     part = a.extension().particular(rhs)
-    extends_ok = part is not None
-    witness = HomMap.from_coords(n, part) if extends_ok else None
+    if part is None:
+        values = closure.induced_values(fvals)
+        square_zero_ok = all(
+            sum((values[i].scale(c) for i, c in expr), Form.zero(n)).is_zero()
+            for expr in exprs)
+        return OpCheck(closure.respects(values), square_zero_ok, False,
+                       None, None)
 
-    values = closure.induced_values(fvals)
-    leibniz_ok = extends_ok or closure.respects(values)
-    square_zero_ok = all(
-        sum((values[i].scale(c) for i, c in expr), Form.zero(n)).is_zero()
-        for expr in exprs)
-
-    equi = None
-    if extends_ok:
-        basis, elim = a.equivariant()
-        coeffs = elim.particular(rhs)
-        if coeffs is not None:
-            equi = HomMap.from_coords(n, combine(basis, coeffs))
-    return OpCheck(leibniz_ok, square_zero_ok, extends_ok, witness, equi)
+    witness = HomMap.from_coords(n, part)
+    square_zero_ok = all(derivation_value(witness.images, v).is_zero()
+                         for v in fvals.values())
+    basis, elim = a.equivariant()
+    coeffs = elim.particular(rhs)
+    equi = (None if coeffs is None
+            else HomMap.from_coords(n, combine(basis, coeffs)))
+    return OpCheck(True, square_zero_ok, True, witness, equi)
 
 
 def lie_tensor_rows(lie, n):

@@ -7,13 +7,16 @@ to a printed byte, in any subcommand covered here, fails this test.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from edsx.catalog import get_structure
 from edsx.cli import main
+from edsx.dga import check_operator
 from edsx.exterior import Subspace
 from edsx.restriction import restrict_structure
+from edsx.scalar import Scalar
 
 from test_dga import CATALOG
 
@@ -173,6 +176,18 @@ RESTRICTIONS_SHA = \
     "c6da0c30c28dd041c3662ad18c9496a5a2263af31542a318f31b6710cbb91e24"
 
 
+# sha256 of the to_json() of 462 check_operator calls: each operator of
+# each structure of CATALOG at every assignment of OPERATOR_GRID to its
+# parameters, then at seeded mixes of OPERATOR_GRID and OPERATOR_MIXES;
+# taken while the square-zero verdict still summed the Leibniz values of
+# every word, extension or not
+OPERATOR_GRID = ("0", "1", "-1", "1/2", "r2", "1 + r3")
+OPERATOR_MIXES = ("2", "-3", "3/2", "-2/5", "r3", "-r2", "2*r6", "1 - r2",
+                  "r2 + r3")
+OPERATOR_CHECKS_SHA = \
+    "ccc82d99765a3b8d8e0481235e8d0546db13594da61c4d64b53360e78036f24d"
+
+
 @pytest.mark.parametrize("argv,code,text_sha,json_sha", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
 def test_cli_output_is_pinned(capsys, argv, code, text_sha, json_sha):
@@ -196,3 +211,26 @@ def test_every_catalog_hyperplane_restriction_is_pinned():
     assert len(reports) == 158
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RESTRICTIONS_SHA
+
+
+def test_every_catalog_operator_check_is_pinned():
+    rng = random.Random(38)
+    checks = []
+    for name in CATALOG:
+        s = get_structure(name)
+        for op, spec in s.operators.items():
+            k = len(spec.params)
+            grid = [()]
+            for _ in range(k):
+                grid = [g + (v,) for g in grid for v in OPERATOR_GRID]
+            grid += [tuple(rng.choice(OPERATOR_MIXES + OPERATOR_GRID)
+                           for _ in range(k))
+                     for _ in range(19 if k == 2 else 3 * k)]
+            for vals in grid:
+                chk = check_operator(s, op, {p: Scalar.parse(v) for p, v
+                                             in zip(spec.params, vals)})
+                checks.append([name, op, dict(zip(spec.params, vals)),
+                               chk.to_json()])
+    assert len(checks) == 462
+    text = json.dumps(checks, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_CHECKS_SHA

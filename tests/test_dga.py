@@ -163,6 +163,25 @@ def _no_extension_toy():
                 {"b": "-2*e[1,2,4,6] + 2*e[1,3,4,6]"})
 
 
+def _square_nonzero_toy():
+    # D: e^1 -> e[2,3], e^2 -> e[1,2] extends f, but f(f(a)) = f(b)
+    # = e[1,2,3] = d_D(e[2,3]) is not zero
+    return _toy(3, {"a": "e[1]", "b": "e[2,3]"},
+                {"a": "e[2,3]", "b": "e[1,2,3]"})
+
+
+def test_an_extendable_operator_can_fail_to_square_to_zero():
+    s = _square_nonzero_toy()
+    chk = check_operator(s, "f")
+    assert chk.leibniz_ok and chk.extends_ok
+    assert not chk.square_zero_ok
+    assert not chk.all_ok()
+    # any extension D sends f(a) = b to f(b)
+    assert derivation_value(chk.extension_witness.images,
+                            operator_values(s, "f")["a"]) \
+        == parse_form("e[1,2,3]", 3)
+
+
 def test_leibniz_sign_with_two_odd_generators():
     s = _two_odd_toy()
     chk = check_operator(s, "f")
@@ -235,18 +254,31 @@ def test_induced_values_are_the_leibniz_sums():
 
 
 def test_extendable_operators_respect_their_relations():
-    # the shortcut of check_operator: an extension implies the relation test
+    # the shortcuts of check_operator: an extension implies the relation
+    # test, and its square-zero verdict is the one the Leibniz values give
+    # when they are summed over each value's expression in the words
     ones = {"lambda": Scalar.of(1), "mu": Scalar.of(1)}
     radical = {"lambda": Scalar.of(1), "mu": Scalar.sqrt(2)}
-    extendable = 0
-    for s, op, assignment in _catalog_queries((ones, radical)):
-        if not check_operator(s, op, assignment).extends_ok:
+    queries = list(_catalog_queries((ones, radical)))
+    queries.append((_square_nonzero_toy(), "f", None))
+    extendable, verdicts = 0, set()
+    for s, op, assignment in queries:
+        chk = check_operator(s, op, assignment)
+        if not chk.extends_ok:
             continue
         closure = analysis(s).closure
-        values = closure.induced_values(operator_values(s, op, assignment))
+        fvals = operator_values(s, op, assignment)
+        values = closure.induced_values(fvals)
         assert closure.respects(values), (s.name, op, assignment)
+        sums = [sum((values[i].scale(c) for i, c in
+                     closure.express(v, v.degree)), Form.zero(s.n))
+                for v in fvals.values() if not v.is_zero()]
+        assert all(x.is_zero() for x in sums) == chk.square_zero_ok, (
+            s.name, op, assignment)
+        verdicts.add(chk.square_zero_ok)
         extendable += 1
-    assert extendable == 29
+    assert extendable == 30
+    assert verdicts == {True, False}
 
 
 def test_relations_are_tested_only_without_an_extension(monkeypatch):
@@ -262,6 +294,24 @@ def test_relations_are_tested_only_without_an_extension(monkeypatch):
     with pytest.raises(AssertionError, match="relation test"):
         check_operator(_no_extension_toy(), "f")
     with pytest.raises(AssertionError, match="relation test"):
+        check_operator(get_structure("so3-9"), "gamma-dual", {"lambda": 1})
+
+
+def test_leibniz_values_are_formed_only_without_an_extension(monkeypatch):
+    def refuse(self, fvals):
+        raise AssertionError("Leibniz values")
+
+    monkeypatch.setattr(Closure, "induced_values", refuse)
+    chk = check_operator(_two_odd_toy(), "f")
+    assert chk.all_ok()
+    chk = check_operator(get_structure("su-odd:3"), "B",
+                         {"lambda": 1, "mu": Scalar.sqrt(2)})
+    assert chk.all_ok()
+    chk = check_operator(_square_nonzero_toy(), "f")
+    assert chk.extends_ok and not chk.square_zero_ok
+    with pytest.raises(AssertionError, match="Leibniz values"):
+        check_operator(_no_extension_toy(), "f")
+    with pytest.raises(AssertionError, match="Leibniz values"):
         check_operator(get_structure("so3-9"), "gamma-dual", {"lambda": 1})
 
 
