@@ -93,6 +93,11 @@ GOLDEN = [
     (["decompose", "--structure", "so3-9", "--space", "t-g"], 0,
      "a7eeb222ca46c45205ba9569ec4d35a041e7275c7cbd35252dc94381078febf0",
      "3918c16cf70ecf79b7ee7fd4683979327de4207be71479e937d470c93b589079"),
+    # the fourth Casimir space, pinned before the weight and eigenvalue
+    # scales were read off the Killing form in place of an operator on T
+    (["decompose", "--structure", "so3-9", "--space", "quotient"], 0,
+     "13246f13803ff732530d69dd1ba45231e4e13370553174a967c553e583fc7ae0",
+     "4929a633ffa32e37f99cc6f35877d7ebdb6277053ddcb316e720f89be63da067"),
     # the orbit-matrix paths: mixed hyperplane verdicts, the subset
     # search, a nine-dimensional flag and a dual-form hyperplane
     (["stability", "--structure", "so3-9", "--generator", "star-gamma"], 0,
@@ -188,6 +193,16 @@ OPERATOR_CHECKS_SHA = \
     "ccc82d99765a3b8d8e0481235e8d0546db13594da61c4d64b53360e78036f24d"
 
 
+# decompose on every structure of CATALOG, every --space, text and --json:
+# the exit code of each structure, and the sha256 of every (structure,
+# space, json, exit code, stdout) in order; taken while the Casimir and
+# weight scales were still calibrated on an operator built on T
+DECOMPOSE_SPACES = ("t-gperp", "quotient", "t-lambda2", "t-g")
+DECOMPOSE_CODES = {"so3-9": 0}
+DECOMPOSE_SWEEP_SHA = \
+    "f61757ac09486b3844c1ed6e4bbf2ba365618dda5d163ed9d2ed3c867bce0e42"
+
+
 @pytest.mark.parametrize("argv,code,text_sha,json_sha", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
 def test_cli_output_is_pinned(capsys, argv, code, text_sha, json_sha):
@@ -234,3 +249,25 @@ def test_every_catalog_operator_check_is_pinned():
     assert len(checks) == 462
     text = json.dumps(checks, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_CHECKS_SHA
+
+
+def test_decompose_sweeps_the_catalog_within_the_cli_contract(capsys):
+    # exit 2 is a usage error: nothing on stdout, one edsx: line on stderr
+    runs = []
+    for name in CATALOG:
+        for space in DECOMPOSE_SPACES:
+            for extra in ([], ["--json"]):
+                code = main(["decompose", "--structure", name,
+                             "--space", space] + extra)
+                out, err = capsys.readouterr()
+                assert code == DECOMPOSE_CODES.get(name, 2), (name, space)
+                if code == 2:
+                    assert out == "" and "Traceback" not in err
+                    assert err.startswith("edsx: ")
+                    assert err.count("\n") == 1 and err.endswith("\n")
+                else:
+                    assert err == ""
+                runs.append([name, space, bool(extra), code, out])
+    assert len(runs) == 104
+    text = json.dumps(runs)
+    assert hashlib.sha256(text.encode()).hexdigest() == DECOMPOSE_SWEEP_SHA
