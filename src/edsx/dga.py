@@ -230,35 +230,12 @@ class ZReport:
         }
 
 
-def _derivation_matrix(n, forms, maps):
-    """Sparse rows of the matrix whose columns are d_D(g) stacked over the
-    forms on R^n, one column per map D given by its sparse Hom coordinates
-    (the equivariant basis)."""
-    pairs = lex_index(n, 2)[0]
-    by_index = [[] for _ in range(n)]
-    for u, vec in enumerate(maps):
-        for k, c in vec.items():
-            i, t = divmod(k, len(pairs))
-            by_index[i].append((u, pairs[t], c))
-    return _derivation_rows(n, forms, by_index)
-
-
 def extension_row_masks(n, forms):
     """The bitmask of the subset K each extension row stands for, in row
     order: the lex-ordered (deg g + 1)-subsets of 1..n, stacked over the
     forms g.  Row (g, K) holds the e^K coefficients of d_D(g) in extension
     and of f(g) in extension_rhs."""
     return [m for g in forms for m in lex_masks(n, g.degree + 1)]
-
-
-def _derivation_rows(n, forms, by_index):
-    """The rows of d_D(g), in the order of extension_row_masks, one column
-    per derivation D of by_index."""
-    rows = []
-    for g in forms:
-        images = derivation_images(g, by_index)
-        rows += [images.get(m, {}) for m in lex_masks(n, g.degree + 1)]
-    return rows
 
 
 def extension(n, forms) -> Elimination:
@@ -273,7 +250,11 @@ def extension(n, forms) -> Elimination:
     pairs = lex_index(n, 2)[0]
     units = [[(i * len(pairs) + t, J, ONE) for t, J in enumerate(pairs)]
              for i in range(n)]
-    return Elimination(_derivation_rows(n, forms, units), hom_dim(n))
+    rows = []
+    for g in forms:
+        images = derivation_images(g, units)
+        rows += [images.get(m, {}) for m in lex_masks(n, g.degree + 1)]
+    return Elimination(rows, hom_dim(n))
 
 
 def extension_rhs(generators, fvals):
@@ -334,9 +315,12 @@ class Analysis:
         """(equivariant basis in Hom coordinates, Elimination of its
         extension columns)."""
         if self._equivariant is None:
-            basis = equivariant_coords(self.s.lie)
-            self._equivariant = (basis, Elimination(_derivation_matrix(
-                self.s.n, self.s.generators.values(), basis), len(basis)))
+            # d_D(g) is linear in D, so the columns of the basis maps are
+            # the extension matrix times the basis
+            ext, basis = self.extension(), equivariant_coords(self.s.lie)
+            cols = transpose(basis, ext.ncols)
+            self._equivariant = (basis, Elimination(
+                [combine(cols, row) for row in ext._rows], len(basis)))
         return self._equivariant
 
     def lie_ranks(self):

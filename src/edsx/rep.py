@@ -33,23 +33,27 @@ basis touches, and one echelon_span ends the intersection, so the bases
 are canonical.
 
 casimir_decompose targets a 3-dimensional Lie algebra normalized like
-so(3): it calibrates the spin-j eigenvalue scale lambda_j = kappa j(j+1)
-from the scalar action of C = sum_b x_b^2 on T, and the weight scale s
-of the first generator H: H^2 = -s m^2 on the vectors of weight +-m.
-The scale is read off T by the trace: its weights m = -j_T..j_T give
-tr(H_T^2) = -s j_T (j_T + 1) n / 3, so s = -3 tr(H_T^2) / (j_T (j_T + 1) n)
-(s = 2 for the so3-9 basis, where tr(H_T^2) = -120).  A zero trace
-leaves no weights to read and raises CasimirError.
+so(3), and reads both of its scales off the Killing form
+B(x_a, x_b) = tr(ad x_a ad x_b), which _check_killing computes from the
+structure constants and requires to be beta I on the basis for a nonzero
+beta: g is then semisimple, its complexification is sl(2, C), and
+C = sum_b x_b^2 is its Casimir up to scale.  The spin-j eigenvalue scale
+lambda_j = kappa j(j+1) of C and the weight scale s of the first
+generator H (H^2 = -s m^2 on the vectors of weight +-m) then come from
+ad, the spin-1 module.  sum_b ad(x_b)^2 has the trace
+sum_b B(x_b, x_b) = 3 beta on 3 dimensions, so C acts on ad as
+beta = kappa 1 2; and ad H has the weights -1, 0 and 1, so
+tr(ad H^2) = -2 s = beta.  Hence kappa = beta / 2 and s = -beta / 2
+(beta = -4 for the so3-9 basis, so kappa = -2 and s = 2), and no
+operator but H itself is built on T.
 
-Two exact checks make the hypotheses hold, and raise CasimirError when
-they fail.  The Killing form tr(ad x_a ad x_b), read off the structure
-constants, must be a nonzero multiple of the identity on the basis: g is
-then semisimple, so its complexification is sl(2, C), and C is its
-Casimir up to scale, which is what kappa means.  And T's weight counts
-(_weight_counts) must all be 1: n(0) = dim ker H and
+One more exact check holds T to the hypotheses: its weight counts
+(_weight_counts) must all be 1, that is n(0) = dim ker H and
 n(+-a) = dim ker(H^2 + s a^2) / 2 are 1 for a = 1..j_T, so T is
-irreducible of spin j_T, and g's weights on ad are -1, 0 and 1 in T's
-scale.
+irreducible of spin j_T.  An irreducible T has C scalar (Schur), odd
+dimension and H nonzero, so nothing else is checked.  Weights that are
+not integers in the scale of g, such as the +-1/2 of su(2) on C^2, and
+a weight that repeats raise CasimirError.
 
 The spin multiplicities are then read off the weights alone.  g acts
 completely reducibly, and a summand of spin j has one vector of each
@@ -443,14 +447,6 @@ class CasimirDecomposition:
         return "CasimirDecomposition(%s: dim %d = %s)" % (self.space, self.dim, body)
 
 
-def _sparse_square_sum(sparse_ops, dim, at):
-    """The rows at of C = sum_b op_b^2, as sparse {column: coefficient}
-    rows: row i combines the rows k of each op_b by op_b[i][k]."""
-    rows = [row for op in sparse_ops for row in op]
-    return [combine(rows, {b * dim + k: c for b, op in enumerate(sparse_ops)
-                           for k, c in op[i].items()}) for i in at]
-
-
 def _add_entry(row, k, c):
     """row[k] += c for a nonzero c, dropping the entry when it cancels."""
     c = s_add(row.get(k), c)
@@ -469,43 +465,6 @@ def _tensor_line(v_line, w_line, a, i, dim_w):
     return line
 
 
-def _calibrate(g: LieRep):
-    """(kappa, s) with C|_T = kappa j_T (j_T + 1) and H^2 = -s m^2 on the
-    weight-m vectors of the first generator H; errors if C is not scalar
-    or H has no weights on T."""
-    n = g.n
-    C = _sparse_square_sum(g.basis, n, range(n))
-    c0 = C[0].get(0)
-    if any(row != ({i: c0} if c0 else {}) for i, row in enumerate(C)):
-        raise CasimirError("Casimir is not scalar on T; calibration fails")
-    if n % 2 == 0:
-        raise CasimirError("even-dimensional T has no integer spin; calibration fails")
-    j_t = (n - 1) // 2
-    # the weights m = -j_T..j_T of T give tr(H^2) = -s j_T (j_T + 1) n / 3
-    tr = None
-    for i, row in enumerate(_sparse_square_sum(g.basis[:1], n, range(n))):
-        tr = s_add(tr, row.get(i))
-    if not tr or not j_t:
-        raise CasimirError("the first generator has no weights on T; calibration fails")
-    s = s_mul(tr, s_quotient(-3, j_t * (j_t + 1) * n))
-    return Scalar(c0) / (j_t * (j_t + 1)), s
-
-
-def _shift_diagonal(rows, c):
-    """Fresh sparse rows of M + c I from the sparse rows of M."""
-    out = [dict(row) for row in rows]
-    if c:
-        for i, row in enumerate(out):
-            _add_entry(row, i, c)
-    return out
-
-
-def _kernel_dim_shift(rows, c, dim):
-    """dim ker(M + c I) for sparse {column: coefficient} rows and a kernel
-    scalar c, by a forward-only rank."""
-    return dim - span_rank(_shift_diagonal(rows, c), dim)
-
-
 def _weight_counts(h, dim, s):
     """[n(0), n(1), ...] for the first generator h on a factor of dimension
     dim: n(0) = dim ker h, and n(a) = dim ker(h^2 + s a^2) / 2 vectors of
@@ -514,21 +473,26 @@ def _weight_counts(h, dim, s):
     weights in the scale s."""
     counts = [dim - span_rank(h, dim)]
     left = dim - counts[0]
-    h2 = _sparse_square_sum([h], dim, range(dim))
+    # h^2, shifted in place from h^2 + s (a - 1)^2 to h^2 + s a^2
+    shifted = [combine(h, row) for row in h]
     while left:
         a = len(counts)
-        size = _kernel_dim_shift(h2, s_mul(s, s_quotient(a * a)), dim)
+        step = s_mul(s, s_quotient(2 * a - 1))
+        for i, row in enumerate(shifted):
+            _add_entry(row, i, step)
+        size = dim - span_rank(shifted, dim)
         if a == dim or size % 2:
-            raise CasimirError("weights of the first generator do not fit the scale of T")
+            raise CasimirError("weights of the first generator on T are not "
+                               "integers in the scale of g")
         counts.append(size // 2)
         left -= size
     return counts
 
 
 def _check_killing(g: LieRep):
-    """Raise CasimirError unless the Killing form tr(ad x_a ad x_b) is a
-    nonzero multiple of the identity on the basis; (ad x_a)[d][b] is the
-    x_d coordinate of [x_a, x_b], read off structure_constants."""
+    """beta, where the Killing form tr(ad x_a ad x_b) is beta I on the
+    basis; raise CasimirError unless beta is nonzero.  (ad x_a)[d][b] is
+    the x_d coordinate of [x_a, x_b], read off structure_constants."""
     k = g.dim
     ad = [[{} for _ in range(k)] for _ in range(k)]
     for (a, b), row in g.structure_constants().items():
@@ -548,6 +512,7 @@ def _check_killing(g: LieRep):
                        for a in range(k) for b in range(k)):
         raise CasimirError("the Killing form is not a nonzero multiple of "
                            "the identity on the basis")
+    return unit
 
 
 def _space_weights(space, j_t):
@@ -579,9 +544,11 @@ def casimir_decompose(g: LieRep, space: str) -> CasimirDecomposition:
     """Decompose a representation space under a 3-dimensional g."""
     if g.dim != 3:
         raise CasimirError("casimir_decompose needs a 3-dimensional Lie algebra")
-    _check_killing(g)
-    kappa, s = _calibrate(g)
-    counts = _weight_counts(g.basis[0], g.n, s)
+    beta = _check_killing(g)
+    # C acts on ad, the spin-1 module, as beta = kappa 1 2, and
+    # tr(ad H^2) = -2 s = beta (see the module docstring)
+    kappa = Scalar(beta) / 2
+    counts = _weight_counts(g.basis[0], g.n, s_mul(beta, s_quotient(-1, 2)))
     if any(k != 1 for k in counts):
         raise CasimirError("T is not irreducible: a weight of the first "
                            "generator repeats")

@@ -14,10 +14,10 @@ from edsx._kernel import PRIMES, eliminate, s_neg
 from edsx.cartan import flag_test
 from edsx.catalog import (get_structure, parse_structure_name,
                           structure_to_json)
-from edsx.dga import (_derivation_matrix, Analysis, analysis,
-                      check_operator, extension, extension_rhs,
-                      lie_tensor_rows, z_spaces)
-from edsx.exterior import Form, Subspace, coords
+from edsx.dga import (Analysis, analysis, check_operator, extension,
+                      extension_rhs, lie_tensor_rows, z_spaces)
+from edsx.exterior import (Form, Subspace, coords, derivation_images,
+                           lex_index, lex_masks)
 from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
                          span_rank, transpose)
 from edsx.papercheck import _su3_brackets
@@ -128,6 +128,23 @@ def test_cached_and_fresh_specs_agree():
             assert warm[0] == warm[1] == cold, (name, op, query)
 
 
+def _equivariant_reference(n, forms, maps):
+    """Sparse rows of the matrix whose columns are d_D(g) stacked over the
+    forms, one column per map D of maps in sparse Hom coordinates, by a
+    derivation_images pass over the maps themselves."""
+    pairs = lex_index(n, 2)[0]
+    by_index = [[] for _ in range(n)]
+    for u, vec in enumerate(maps):
+        for k, c in vec.items():
+            i, t = divmod(k, len(pairs))
+            by_index[i].append((u, pairs[t], c))
+    rows = []
+    for g in forms:
+        images = derivation_images(g, by_index)
+        rows += [images.get(m, {}) for m in lex_masks(n, g.degree + 1)]
+    return rows
+
+
 def test_factored_solve_equals_solve_affine():
     for name, op, params in _queries():
         s = get_structure(name)
@@ -140,9 +157,20 @@ def test_factored_solve_equals_solve_affine():
         assert ext.rank == width - len(reference.basis)
         assert z_spaces(s, op, params).z_prime_dim == len(reference.basis)
         basis, elim = analysis(s).equivariant()
-        em = _derivation_matrix(s.n, s.generators.values(), basis)
+        em = _equivariant_reference(s.n, s.generators.values(), basis)
         assert elim.particular(rhs) \
             == solve_affine(em, len(basis), rhs).particular
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_equivariant_columns_are_the_extension_times_the_basis(name):
+    # d_D(g) is linear in D: the columns of the equivariant maps, formed
+    # from the extension rows, are their own derivation images
+    s = get_structure(name)
+    basis, elim = Analysis(s).equivariant()
+    assert elim.ncols == len(basis)
+    assert elim._rows == _equivariant_reference(
+        s.n, s.generators.values(), basis)
 
 
 def _times(m, x):

@@ -7,7 +7,7 @@ import pytest
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from edsx._kernel import ONE, s_mul, s_neg, s_quotient
+from edsx._kernel import ONE, s_add, s_mul, s_neg, s_quotient
 from edsx.catalog import get_structure
 from edsx.exterior import Form, parse_form, wedge
 from edsx import _kernel, dga, exterior, linalg, rep
@@ -463,6 +463,44 @@ def _product_operators(g, space):
     return dim, ops
 
 
+def _square_sum(ops, dim, at):
+    """The rows at of sum_b op_b^2, for sparse-row operators op_b on dim
+    coordinates: row i combines the rows k of each op_b by op_b[i][k]."""
+    return [combine([row for op in ops for row in op],
+                    {b * dim + k: c for b, op in enumerate(ops)
+                     for k, c in op[i].items()}) for i in at]
+
+
+def _kernel_dim_shift(rows, c, dim):
+    """dim ker(M + c I) for sparse rows of M and a kernel scalar c."""
+    out = [dict(row) for row in rows]
+    for i, row in enumerate(out):
+        x = s_add(row.get(i), c)
+        if x:
+            row[i] = x
+        else:
+            row.pop(i, None)
+    return dim - span_rank(out, dim)
+
+
+def _reference_calibration(g):
+    """(kappa, s) read off T itself, for an irreducible T of odd dimension
+    n = 2 j_T + 1: C = sum_b x_b^2 acts on T as the scalar kappa j_T (j_T + 1),
+    and the weights -j_T..j_T of T give the first generator H the trace
+    tr(H^2) = -s j_T (j_T + 1) n / 3."""
+    n = g.n
+    j_t = (n - 1) // 2
+    C = _square_sum(g.basis, n, range(n))
+    c0 = C[0][0]
+    assert n % 2 and j_t
+    assert C == [{i: c0} for i in range(n)]
+    tr = None
+    for i, row in enumerate(_square_sum(g.basis[:1], n, range(n))):
+        tr = s_add(tr, row.get(i))
+    return (Scalar(c0) / (j_t * (j_t + 1)),
+            s_mul(tr, s_quotient(-3, j_t * (j_t + 1) * n)))
+
+
 def _casimir_oracle(g, space):
     """(dim, parts) of a space by the Casimir eigen-solve: C = sum_b x_b^2
     on the whole tensor space, restricted to the zero-weight block
@@ -477,19 +515,19 @@ def _casimir_oracle(g, space):
         for d, m in sub:
             parts[d] -= m
         return dim - sub_dim, sorted((d, m) for d, m in parts.items() if m)
-    kappa, _ = rep._calibrate(g)
+    kappa, _ = _reference_calibration(g)
     dim, ops = _product_operators(g, space)
     # a kernel vector is a unit on its free column and zero on the others',
     # so the coordinate of C v on the vector of f is (C v)[f]
     zero = {max(v): v for v in linalg.kernel_basis(ops[0], dim)}
     vt = linalg.transpose(list(zero.values()), dim)
-    rows = [combine(vt, row) for row in rep._sparse_square_sum(ops, dim, zero)]
+    rows = [combine(vt, row) for row in _square_sum(ops, dim, zero)]
     mult = []
     while sum(mult) < len(zero):
         j = len(mult)
         assert 2 * j + 1 <= dim
         lam = kappa * (j * (j + 1))
-        mult.append(rep._kernel_dim_shift(rows, s_neg(lam.c), len(rows)))
+        mult.append(_kernel_dim_shift(rows, s_neg(lam.c), len(rows)))
     return dim, [(2 * j + 1, k) for j, k in enumerate(mult) if k]
 
 
@@ -514,7 +552,7 @@ def test_weight_blocks_are_kernels_of_the_shifted_square(space):
                for row in ops[0] for c in row.values())
     # H^2 = 2 Hhat^2, so the scale s of ker(H^2 + s m^2) is 2 and the
     # block of weights +-m is ker(Hhat^2 + m^2) over QQ
-    _, s = rep._calibrate(g)
+    _, s = _reference_calibration(g)
     assert s == s_quotient(2)
     n = rep._space_weights(space, 4)
     top = max(n) + 1
@@ -581,10 +619,10 @@ def test_casimir_parts_match_the_weight_count(algebra, space):
 
 def test_t_gperp_calibrates_and_counts_t_once(monkeypatch):
     g = get_structure("so3-9").lie
-    calibrations, ranks = [], []
+    killings, ranks = [], []
 
-    def calibrate(g):
-        calibrations.append(g)
+    def killing(g):
+        killings.append(g)
         return real(g)
 
     def rank(rows, ncols):
@@ -594,25 +632,44 @@ def test_t_gperp_calibrates_and_counts_t_once(monkeypatch):
     def kernel(rows, ncols):
         raise AssertionError("casimir_decompose takes no kernel")
 
-    real = rep._calibrate
-    monkeypatch.setattr(rep, "_calibrate", calibrate)
+    real = rep._check_killing
+    monkeypatch.setattr(rep, "_check_killing", killing)
     monkeypatch.setattr(rep, "span_rank", rank)
     monkeypatch.setattr(rep, "kernel_basis", kernel)
     dec = casimir_decompose(g, "t-gperp")
     assert (dec.dim, dec.components) == (297, 25)
-    assert calibrations == [g]
+    # both scales come from the one Killing form
+    assert killings == [g]
     # T's counts, ker H and ker(H^2 + s a^2) for a = 1..4, are the only
     # ranks: no operator is built on a tensor space
     assert ranks == [(9, 9)] * 5
 
 
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_killing_scales_match_the_calibration_on_t(algebra, monkeypatch):
+    # kappa = beta / 2 and s = -beta / 2 from the Killing form beta I are
+    # the scales that C and tr(H^2) give on T itself
+    g = ALGEBRAS[algebra]()
+    scales = []
+    real = rep._weight_counts
+
+    def counts(h, dim, s):
+        scales.append(s)
+        return real(h, dim, s)
+
+    monkeypatch.setattr(rep, "_weight_counts", counts)
+    kappa, s = _reference_calibration(g)
+    assert casimir_decompose(g, "T").kappa == kappa
+    assert scales == [s]
+
+
 def _whole_space_sizes(g, space, top):
     """dim ker(H^2 + s m^2) for m = 0..top, by ranks over every column of
     the tensor space's own first-generator operator H."""
-    _, s = rep._calibrate(g)
+    _, s = _reference_calibration(g)
     dim, ops = _product_operators(g, space)
-    h2 = rep._sparse_square_sum(ops[:1], dim, range(dim))
-    return [rep._kernel_dim_shift(h2, s_mul(s, s_quotient(m * m)), dim)
+    h2 = _square_sum(ops[:1], dim, range(dim))
+    return [_kernel_dim_shift(h2, s_mul(s, s_quotient(m * m)), dim)
             for m in range(top + 1)]
 
 
@@ -661,14 +718,20 @@ def _heisenberg():
     (_heisenberg, "Killing form is not a nonzero multiple"),
     # the Killing form is diag(-16, -4, -4): C is no Casimir
     (_doubled_first, "Killing form is not a nonzero multiple"),
-    # three copies of V3: C is scalar, but T = V9 would give H the trace
-    # of weights -4..4, and the real weights 0, +-1 fit no integer scale
-    (lambda: _diagonal_rotations(3), "weights of the first generator do "
-                                     "not fit the scale of T"),
-    # 33 copies of V3: T = V99 has j_T = 49, and 49 * 50 / 2 = 35^2, so
-    # the weights fit the scale as 0 and +-35, 33 times each
+    # three copies of V3: C is scalar on T, but the weights 0 and +-1 in
+    # the scale of g occur three times each
+    (lambda: _diagonal_rotations(3), "T is not irreducible"),
+    # 33 copies of V3: 99 dimensions, odd like V99's, and the weights 0
+    # and +-1 occur 33 times each
     (lambda: _diagonal_rotations(33), "T is not irreducible"),
-], ids=["heisenberg", "doubled-first", "three-copies", "33-copies"])
+    # su(2) on C^2 = R^4 and on C^2 + R = R^5: the weights +-1/2 are not
+    # integers in the scale of g
+    (lambda: get_structure("su-even:2").lie, "^weights of the first "
+     "generator on T are not integers in the scale of g$"),
+    (lambda: get_structure("su-odd:2").lie, "^weights of the first "
+     "generator on T are not integers in the scale of g$"),
+], ids=["heisenberg", "doubled-first", "three-copies", "33-copies",
+        "su2-on-c2", "su2-on-c2-plus-r"])
 def test_casimir_rejects_algebras_off_its_hypotheses(algebra, match, space):
     with pytest.raises(CasimirError, match=match):
         casimir_decompose(algebra(), space)
@@ -687,8 +750,8 @@ def test_casimir_rejects_algebras_off_its_hypotheses(algebra, match, space):
 ], ids=["jordan", "so3-9-scale-3", "half-weights", "odd-block"])
 def test_weight_counts_reject_a_factor_off_the_scale(h, dim, s):
     with pytest.raises(CasimirError,
-                       match="^weights of the first generator do not fit "
-                             "the scale of T$"):
+                       match="^weights of the first generator on T are not "
+                             "integers in the scale of g$"):
         rep._weight_counts(h(), dim, s_quotient(s))
 
 
@@ -736,7 +799,8 @@ def test_casimir_rejects_unknown_spaces():
 
 
 def test_casimir_rejects_a_reducible_t():
-    # so(3) on R^3 plus a trivial line: C is -2 on R^3 and 0 on the line
+    # so(3) on R^3 plus a trivial line: C is -2 on R^3 and 0 on the line,
+    # and the weight 0 occurs twice
     g = LieRep("so3+1", 4, [rot(4, 3, 2), rot(4, 1, 3), rot(4, 2, 1)])
-    with pytest.raises(CasimirError, match="not scalar"):
+    with pytest.raises(CasimirError, match="T is not irreducible"):
         casimir_decompose(g, "T")
