@@ -13,7 +13,8 @@ import pytest
 
 from edsx.catalog import get_structure
 from edsx.cli import main
-from edsx.dga import check_operator
+from edsx.dga import (DgaError, check_operator, strong_admissibility,
+                      z_spaces)
 from edsx.exterior import Subspace
 from edsx.restriction import restrict_structure
 from edsx.scalar import Scalar
@@ -203,6 +204,15 @@ DECOMPOSE_SWEEP_SHA = \
     "f61757ac09486b3844c1ed6e4bbf2ba365618dda5d163ed9d2ed3c867bce0e42"
 
 
+# sha256 of the to_json() of z_spaces on each operator of each structure
+# of CATALOG and of psu3 and psu3-dual as printed, at every assignment of
+# OPERATOR_GRID to its parameters, and of each structure's
+# strong_admissibility verdict and report, or its DgaError; taken while
+# dim Z'' still summed m G over every row of the extension matrix m
+Z_SPACES_SHA = \
+    "f79788184501345ec0bdc454e86f6d4349ac9d382cfff7e34d6650321f477ef7"
+
+
 @pytest.mark.parametrize("argv,code,text_sha,json_sha", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
 def test_cli_output_is_pinned(capsys, argv, code, text_sha, json_sha):
@@ -249,6 +259,29 @@ def test_every_catalog_operator_check_is_pinned():
     assert len(checks) == 462
     text = json.dumps(checks, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == OPERATOR_CHECKS_SHA
+
+
+def test_every_catalog_z_space_and_admissibility_is_pinned():
+    runs = []
+    for name, printed in ([(n, False) for n in CATALOG]
+                          + [("psu3", True), ("psu3-dual", True)]):
+        s = get_structure(name, as_printed=printed)
+        for op, spec in s.operators.items():
+            grid = [()]
+            for _ in spec.params:
+                grid = [g + (v,) for g in grid for v in OPERATOR_GRID]
+            for vals in grid:
+                z = z_spaces(s, op, {p: Scalar.parse(v) for p, v
+                                     in zip(spec.params, vals)})
+                runs.append([name, printed, op, list(vals), z.to_json()])
+        try:
+            verdict = list(strong_admissibility(s))
+        except DgaError as e:
+            verdict = ["DgaError", str(e)]
+        runs.append([name, printed, "strong_admissibility", verdict])
+    assert len(runs) == 324
+    text = json.dumps(runs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == Z_SPACES_SHA
 
 
 def test_decompose_sweeps_the_catalog_within_the_cli_contract(capsys):
