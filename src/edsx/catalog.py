@@ -49,7 +49,7 @@ class ParamForm:
     """A form with coefficients affine in named scalar parameters.
 
     Stored as a map from parameter name (or None for the constant part) to a
-    Form; the value at an assignment is const + sum(params[k] * part[k]).
+    Form; DiffOpSpec.instantiate evaluates const + sum(params[k] * part[k]).
     """
 
     __slots__ = ("n", "parts")
@@ -77,17 +77,6 @@ class ParamForm:
     def params(self):
         return sorted(k for k in self.parts if k is not None)
 
-    def at(self, assignment):
-        out = Form.zero(self.n)
-        for key, form in self.parts.items():
-            if key is None:
-                out = out + form
-            else:
-                if key not in assignment:
-                    raise CatalogError("missing value for parameter %r" % key)
-                out = out + form.scale(as_scalar(assignment[key]))
-        return out
-
 
 class DiffOpSpec:
     """A named operator given by its values on the structure's generators."""
@@ -114,18 +103,27 @@ class DiffOpSpec:
         for p in self.params:
             if p not in assignment:
                 raise CatalogError("operator %r needs parameter %r" % (self.name, p))
-        return {gen: pf.at(assignment) for gen, pf in self.values.items()}
+        # each value parsed once, in order of use; an unused one never
+        used = dict.fromkeys(k for pf in self.values.values()
+                             for k in pf.parts if k is not None)
+        scalars = {k: as_scalar(assignment[k]) for k in used}
+        return {gen: sum((f if k is None else f.scale(scalars[k])
+                          for k, f in pf.parts.items()), Form.zero(pf.n))
+                for gen, pf in self.values.items()}
 
 
 class StructureSpec:
     """A fully instantiated catalog structure; read-only after construction.
 
+    lie_images maps each generator g, by name, to {mask of K: {u: e^K
+    coefficient of X_u . g}} over the basis X_u of lie, kept from
+    validation, check_invariance or not; it is empty for an invariant g.
     The _analysis slot starts empty; edsx.dga.analysis fills it on the first
     query with the invariants that every query of the structure shares.
     """
 
     __slots__ = ("name", "n", "lie", "generators", "default_flag", "operators",
-                 "_analysis")
+                 "lie_images", "_analysis")
 
     def __init__(self, name, n, lie, generators, default_flag, operators,
                  check_invariance=True):
@@ -146,12 +144,15 @@ class StructureSpec:
             raise CatalogError("Lie algebra of %r acts in the wrong dimension" % self.name)
         self.lie.validate()
         index = action_index(self.lie.basis, self.n)
+        self.lie_images = {}
         for gname, form in self.generators.items():
             if form.n != self.n:
                 raise CatalogError("generator %r has wrong ambient dimension" % gname)
             if form.is_zero():
                 raise CatalogError("generator %r is zero" % gname)
-            if check_invariance and derivation_images(form, index):
+            images = self.lie_images[gname] = dict(
+                derivation_images(form, index))
+            if check_invariance and images:
                 raise CatalogError("generator %r of %r is not invariant"
                                    % (gname, self.name))
         degs = {g: f.degree for g, f in self.generators.items()}

@@ -6,9 +6,11 @@ generator.  An operator given on generators induces values on products
 through the graded Leibniz rule, one prefix at a time; whether that
 assignment is well defined on linear relations is a rank condition, checked
 degree by degree (Closure.respects).  Extensions to derivations of the full
-exterior algebra are found by solving a linear system over
+exterior algebra are found by solving a linear system m D = f(g) over
 Hom(T, Lambda^2 T) (extension, extension_rhs), whose solution set is the
-affine space Z'; Z and Z'' dimensions follow by bookkeeping.  An extension
+affine space Z'; dim Z follows by bookkeeping, and dim Z'' from the rank
+of m on g (x) T, whose rows d_D(g) = e^m ^ X_u . g the Leibniz rule reads
+off the generators' images under g (StructureSpec.lie_images).  An extension
 D respects every relation, since it gives each word the value d_D(word),
 and f^2 = 0 reads d_D(f(g)) = 0, so the Leibniz values are formed and the
 relations tested only for an operator that has none.
@@ -285,13 +287,14 @@ class Analysis:
 
     Each part is computed on first use: the closure, whose per-degree
     eliminations give the algebra's dimensions and express its elements;
-    one elimination of the extension matrix, which depends only on the
+    one elimination of the extension matrix m, which depends only on the
     generators, so that dim Z', dim Z and codim Z_0 are fixed by its rank
     and each operator only reduces its right-hand side; the equivariant
     basis and the elimination of its extension columns; the ranks of
-    g (x) T with and without ker m, which fix dim Z''; and polar, the
-    generators' PolarTable, the one owner of c(W) (rows on its first count).
-    Only sparse kernel-form data, forms and integers are kept.
+    g (x) T with and without ker m, which fix dim Z'' (m g is read off
+    s.lie_images); and polar, the generators' PolarTable, the one owner
+    of c(W) (rows on its first count).  Only sparse kernel-form data,
+    forms and integers are kept.
     """
 
     __slots__ = ("s", "closure", "polar", "_extension", "_equivariant",
@@ -324,12 +327,17 @@ class Analysis:
         return self._equivariant
 
     def lie_ranks(self):
-        """(rank of g (x) T, rank of g (x) T together with ker m)."""
+        """(rank of g (x) T, rank of g (x) T together with ker m): the
+        second is dim ker m plus the rank of m on g (x) T, whose rows
+        e^m ^ X_u . g are read off s.lie_images, none for invariant g."""
         if self._lie_ranks is None:
-            ext = self.extension()
-            g_rows = lie_tensor_rows(self.s.lie, self.s.n)
-            self._lie_ranks = (span_rank(g_rows, ext.ncols),
-                               ext.rank_with_kernel(g_rows))
+            s, ext = self.s, self.extension()
+            rows = _wedge_rows(s.n, [(g.degree, s.lie_images[k])
+                                     for k, g in s.generators.items()])
+            self._lie_ranks = (
+                span_rank(lie_tensor_rows(s.lie, s.n), ext.ncols),
+                ext.ncols - ext.rank
+                + (span_rank(list(rows.values()), ext.nrows) if rows else 0))
         return self._lie_ranks
 
 
@@ -389,6 +397,25 @@ def check_operator(s: StructureSpec, op, params=None) -> OpCheck:
     return OpCheck(True, square_zero_ok, True, witness, equi)
 
 
+def _wedge_rows(n, blocks):
+    """{u n + m - 1: e^m ^ X_u . b stacked over the blocks b, lex ordered},
+    nonzero rows only; a block is (deg b, {mask of K: {u: e^K coefficient
+    of X_u . b}}), and e^m ^ e^K = (-1)^|K below m| e^(K + m)."""
+    rows, at = {}, 0
+    for p, images in blocks:
+        pos, masks = lex_index(n, p + 1)[1], lex_masks(n, p + 1)
+        for K, coeffs in images.items():
+            for m in range(1, n + 1):
+                if not K >> m & 1:
+                    col = at + pos[masks[K | 1 << m]]
+                    odd = (K & ((1 << m) - 1)).bit_count() & 1
+                    for u, c in coeffs.items():
+                        rows.setdefault(u * n + m - 1, {})[col] = (
+                            s_neg(c) if odd else c)
+        at += len(masks)
+    return rows
+
+
 def lie_tensor_rows(lie, n):
     """Sparse Hom(T, Lambda^2 T) coordinates of the basis of g (x) T.
 
@@ -396,17 +423,12 @@ def lie_tensor_rows(lie, n):
     e^m wedge X . e^i, the coframe action of rep.action_index: for a skew
     X, e^m wedge sum_j X_ij e^j, matching d(theta_i) = sum_j w_ij theta_j.
     """
-    pos = lex_index(n, 2)[1]
-    step = len(pos)
-    rows = [{} for _ in range(lie.dim * n)]
-    for i, entries in enumerate(action_index(lie.basis, n)):
+    blocks = [(1, {}) for _ in range(n)]
+    for (_, images), entries in zip(blocks, action_index(lie.basis, n)):
         for u, (j,), d in entries:
-            for m in range(1, n + 1):
-                if m < j:
-                    rows[u * n + m - 1][i * step + pos[m, j]] = d
-                elif m > j:
-                    rows[u * n + m - 1][i * step + pos[j, m]] = s_neg(d)
-    return rows
+            images.setdefault(1 << j, {})[u] = d
+    rows = _wedge_rows(n, blocks)
+    return [rows.get(t, {}) for t in range(lie.dim * n)]
 
 
 def z_spaces(s: StructureSpec, op, params=None) -> ZReport:
@@ -447,8 +469,8 @@ def strong_admissibility(s: StructureSpec):
     codim = n ** 3 - z0.z_dim
     expected = n * (n * (n - 1) // 2 - s.lie.dim)
     g_rank, with_kernel = a.lie_ranks()
-    # the Z' directions are independent: g (x) T lies in their span exactly
-    # when adding it leaves the rank unchanged
+    # g (x) T lies in ker m, the directions of Z', exactly when m takes it
+    # to zero: when lie_ranks finds no row m g and with_kernel is dim Z'
     g_inside = (with_kernel == z0.z_prime_dim)
     report["z_doubleprime_dim"] = z0.z_doubleprime_dim
     report["codim_z0"] = codim

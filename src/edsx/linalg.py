@@ -160,8 +160,8 @@ def solve_affine(rows, ncols, rhs) -> AffineSpace:
 
 
 class Elimination:
-    """The rank, the particular solutions of m x = b and rank_with_kernel
-    of one matrix m; kernel_basis gives its kernel vectors.
+    """The rank and the particular solutions of m x = b of one matrix m;
+    kernel_basis gives its kernel vectors.
 
     The rows of m are kept as given, and each query pays only for what it
     reads.  The first particular() call factors a copy of the rows by the
@@ -183,8 +183,8 @@ class Elimination:
     not depend on the column order, and this one makes fewer row
     updates than the leftmost order the factorization needs.
 
-    An Elimination keeps the rows it is built from and reads them for
-    rank_with_kernel, so the caller must not mutate them afterwards.
+    The rows it is built from are kept, and edsx.dga.Analysis.equivariant
+    reads them, so the caller must not mutate them afterwards.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_rank", "_pivots", "_prows",
@@ -255,27 +255,6 @@ class Elimination:
             if v:
                 x[self._pivots[t]] = v
         return {j: x[j] for j in self._pivots if j in x}
-
-    def rank_with_kernel(self, rows):
-        """Rank of the sparse rows g together with the right kernel of m.
-
-        The span of the rows and ker m has dimension dim ker m plus the
-        rank of m on the span of the rows, the rank of the vectors m g:
-        each is summed from the kept rows of m, so neither the kernel nor
-        the factorization is needed.
-        """
-        column = {}
-        for t, g in enumerate(rows):
-            for k, gk in g.items():
-                column.setdefault(k, []).append((t, gk))
-        images = [{} for _ in rows]
-        for i, row in enumerate(self._rows):
-            for k, c in row.items():
-                for t, gk in column.get(k, ()):
-                    # -m g, whose rank is that of m g
-                    images[t][i] = s_submul(images[t].get(i), c, gk)
-        images = [{i: v for i, v in image.items() if v} for image in images]
-        return self.ncols - self.rank + span_rank(images, self.nrows)
 
 
 def span_rank(rows, ncols) -> int:

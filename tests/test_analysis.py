@@ -5,17 +5,16 @@ import json
 import random
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 
 from edsx import _kernel, catalog, linalg
-from edsx._kernel import PRIMES, eliminate, s_neg
+from edsx._kernel import PRIMES, eliminate, s_neg, s_submul
 from edsx.cartan import flag_test
-from edsx.catalog import (get_structure, parse_structure_name,
-                          structure_to_json)
-from edsx.dga import (Analysis, analysis, check_operator, extension,
-                      extension_rhs, lie_tensor_rows, z_spaces)
+from edsx.catalog import (StructureSpec, get_structure,
+                          parse_structure_name, structure_to_json)
+from edsx.dga import (Analysis, _wedge_rows, analysis, check_operator,
+                      extension, extension_rhs, lie_tensor_rows, z_spaces)
 from edsx.exterior import (Form, Subspace, coords, derivation_images,
                            lex_index, lex_masks)
 from edsx.linalg import (Elimination, combine, kernel_basis, solve_affine,
@@ -92,11 +91,28 @@ def test_codim_z0_is_the_extension_rank(name):
 # psu3 and psu3-dual as printed: the only structures whose generators
 # g (x) T does not fix
 PRINTED = (("psu3", True), ("psu3-dual", True))
-
-
-@pytest.mark.parametrize(
+WITH_PRINTED = pytest.mark.parametrize(
     "name,printed", [(name, False) for name in CATALOG] + list(PRINTED),
     ids=list(CATALOG) + ["%s-as-printed" % name for name, _ in PRINTED])
+
+
+def _minus_m_g(rows, g_rows):
+    """-m g for each g of g_rows, m given by its sparse rows, summed over
+    every row of m: the product behind dim Z'' before the rows of m g were
+    read off the structure's lie_images, kept as the reference."""
+    column = {}
+    for t, g in enumerate(g_rows):
+        for k, gk in g.items():
+            column.setdefault(k, []).append((t, gk))
+    images = [{} for _ in g_rows]
+    for i, row in enumerate(rows):
+        for k, c in row.items():
+            for t, gk in column.get(k, ()):
+                images[t][i] = s_submul(images[t].get(i), c, gk)
+    return [{i: v for i, v in image.items() if v} for image in images]
+
+
+@WITH_PRINTED
 def test_lie_ranks_are_the_stacked_ranks(name, printed):
     s = get_structure(name, as_printed=printed)
     g_rows = lie_tensor_rows(s.lie, s.n)
@@ -115,8 +131,10 @@ def test_lie_ranks_reduce_rows_outside_the_kernel():
     # leave ker m and their reductions modulo ker m are not all zero
     base = get_structure("su-odd:2")
     n = base.n
-    s = SimpleNamespace(n=n, generators=base.generators,
-                        lie=LieRep("so5", n, gl_basis(n, skew=True)))
+    s = StructureSpec("so5 on su-odd:2", n,
+                      LieRep("so5", n, gl_basis(n, skew=True)),
+                      base.generators, base.default_flag, {},
+                      check_invariance=False)
     g_rows = lie_tensor_rows(s.lie, n)
     width = hom_dim(n)
     kernel = kernel_basis(
@@ -124,6 +142,42 @@ def test_lie_ranks_reduce_rows_outside_the_kernel():
     want = (span_rank(g_rows, width), span_rank(g_rows + kernel, width))
     assert Analysis(s).lie_ranks() == want
     assert want[1] > len(kernel)
+
+
+@WITH_PRINTED
+def test_lie_image_rows_are_the_extension_times_g_tensor_t(name, printed):
+    # d_D(g) = e^m ^ X_u . g is m D for the row D of (X_u, e_m): the
+    # negation of the reference, row for row, and no row when g (x) T
+    # fixes the generators
+    s = get_structure(name, as_printed=printed)
+    m = extension(s.n, s.generators.values())._rows
+    want = _minus_m_g(m, lie_tensor_rows(s.lie, s.n))
+    got = _wedge_rows(s.n, [(g.degree, s.lie_images[gname])
+                            for gname, g in s.generators.items()])
+    assert got == {t: {i: s_neg(c) for i, c in row.items()}
+                   for t, row in enumerate(want) if row}
+    assert len(got) == {PRINTED[0]: 55, PRINTED[1]: 50}.get((name, printed),
+                                                            0)
+
+
+class _Unread:
+    """Stands in for the rows of a matrix that must not be read."""
+
+    def __iter__(self):
+        raise AssertionError("the extension rows were read")
+
+    __getitem__ = __len__ = __iter__
+
+
+@WITH_PRINTED
+def test_lie_ranks_read_no_extension_row_once_the_rank_is_known(
+        name, printed):
+    s = get_structure(name, as_printed=printed)
+    a = Analysis(s)
+    ext = a.extension()
+    assert ext.rank >= 0
+    ext._rows = _Unread()
+    assert a.lie_ranks() == analysis(s).lie_ranks()
 
 
 def test_cached_and_fresh_specs_agree():
@@ -423,7 +477,9 @@ def test_factored_particular_is_the_back_solve_of_random_systems(
         # a nonzero right-hand side factors the matrix
         elim.particular({0: Scalar.of(1).c})
         assert len(switches) > before
-        with_kernel = elim.rank_with_kernel(g)
+        # dim(span g + ker m) is dim ker m plus the rank of m on span g
+        with_kernel = width - elim.rank + span_rank(_minus_m_g(m, g),
+                                                    len(m))
         kernel = kernel_basis(m, width)
         monkeypatch.setattr(_kernel, "SWITCH", 10 ** 9)
         for rhs in rhs_list:

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from edsx.catalog import (CatalogError, get_structure, parse_structure_name,
-                          structure_names, structure_to_json)
+from edsx import catalog
+from edsx.catalog import (CatalogError, DiffOpSpec, ParamForm, get_structure,
+                          parse_structure_name, structure_names,
+                          structure_to_json)
 from edsx.exterior import hodge, parse_form
 from edsx.rep import act_on_form
-from edsx.scalar import Scalar
+from edsx.scalar import Scalar, as_scalar
 
 
 def test_structure_names_listing():
@@ -97,6 +99,43 @@ def test_operator_parameters():
         op.instantiate({"lambda": Scalar.of(3)})
     with pytest.raises(CatalogError):
         op.instantiate({})
+
+
+def test_instantiate_parses_each_value_once(monkeypatch):
+    # A uses lambda in three parts and mu in two
+    op = get_structure("su-odd:3").operators["A"]
+    want = op.instantiate({"lambda": Scalar.parse("1/2"),
+                           "mu": Scalar.parse("r2")})
+    parsed = []
+    real = catalog.as_scalar
+
+    def counted(x):
+        if isinstance(x, str):
+            parsed.append(x)
+        return real(x)
+
+    monkeypatch.setattr(catalog, "as_scalar", counted)
+    assert op.instantiate({"lambda": "1/2", "mu": "r2"}) == want
+    assert parsed == ["1/2", "r2"]
+
+
+@pytest.mark.parametrize("bad", ["1/", "x", ""])
+def test_instantiate_raises_the_parse_error(bad):
+    with pytest.raises(ValueError) as want:
+        as_scalar(bad)
+    op = get_structure("su-odd:3").operators["A"]
+    with pytest.raises(ValueError) as got:
+        op.instantiate({"lambda": "1", "mu": bad})
+    assert (type(got.value), str(got.value)) \
+        == (type(want.value), str(want.value))
+
+
+def test_instantiate_never_parses_an_unused_parameter():
+    form = get_structure("su-even:3").generators["omega-plus"]
+    op = DiffOpSpec("toy", ("lambda", "mu"),
+                    {"F": ParamForm(6, {"lambda": form})})
+    vals = op.instantiate({"lambda": "2", "mu": "not a scalar"})
+    assert vals == {"F": form.scale(Scalar.of(2))}
 
 
 def test_zero_operator_everywhere():
