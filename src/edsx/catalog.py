@@ -103,7 +103,7 @@ class DiffOpSpec:
         for p in self.params:
             if p not in assignment:
                 raise CatalogError("operator %r needs parameter %r" % (self.name, p))
-        # each value parsed once, in order of use; an unused one never
+        # parse each value once, in order of use, and none that no part uses
         used = dict.fromkeys(k for pf in self.values.values()
                              for k in pf.parts if k is not None)
         scalars = {k: as_scalar(assignment[k]) for k in used}

@@ -9,7 +9,7 @@ degree by degree (Closure.respects).  Extensions to derivations of the full
 exterior algebra are found by solving a linear system m D = f(g) over
 Hom(T, Lambda^2 T) (extension, extension_rhs), whose solution set is the
 affine space Z'; dim Z follows by bookkeeping, and dim Z'' from the rank
-of m on g (x) T, whose rows d_D(g) = e^m ^ X_u . g the Leibniz rule reads
+of m on g (x) T, whose rows d_D(g) = e^k ^ X_u . g the Leibniz rule reads
 off the generators' images under g (StructureSpec.lie_images).  An extension
 D respects every relation, since it gives each word the value d_D(word),
 and f^2 = 0 reads d_D(f(g)) = 0, so the Leibniz values are formed and the
@@ -329,7 +329,7 @@ class Analysis:
     def lie_ranks(self):
         """(rank of g (x) T, rank of g (x) T together with ker m): the
         second is dim ker m plus the rank of m on g (x) T, whose rows
-        e^m ^ X_u . g are read off s.lie_images, none for invariant g."""
+        e^k ^ X_u . g are read off s.lie_images, none for invariant g."""
         if self._lie_ranks is None:
             s, ext = self.s, self.extension()
             rows = _wedge_rows(s.n, [(g.degree, s.lie_images[k])
